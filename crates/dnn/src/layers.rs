@@ -82,7 +82,7 @@ impl Conv2d {
                 // output gradient with flipped, channel-transposed kernels
                 // (eq. 2 of the paper). Gradient-vector similarity is
                 // exploited just like input similarity.
-                let flipped = flip_kernels(&self.kernels);
+                let flipped = conv::flip_kernels(&self.kernels);
                 let out = engine.forward(LayerOp::conv(dout, &flipped, 1, k - 1 - self.pad))?;
                 if let Some(stats) = &mut self.last_stats {
                     stats.accumulate(&out.report.stats);
@@ -111,31 +111,6 @@ impl Conv2d {
     fn zero_grad(&mut self) {
         self.dkernels.map_inplace(|_| 0.0);
     }
-}
-
-/// Reverses each kernel spatially and swaps the filter/channel axes:
-/// `[F, C, k, k] → [C, F, k, k]` with 180° rotated taps.
-fn flip_kernels(kernels: &Tensor) -> Tensor {
-    let (f, c, kh, kw) = (
-        kernels.shape()[0],
-        kernels.shape()[1],
-        kernels.shape()[2],
-        kernels.shape()[3],
-    );
-    let mut out = Tensor::zeros(&[c, f, kh, kw]);
-    for fi in 0..f {
-        for ch in 0..c {
-            for y in 0..kh {
-                for x in 0..kw {
-                    out.set(
-                        &[ch, fi, kh - 1 - y, kw - 1 - x],
-                        kernels.at(&[fi, ch, y, x]),
-                    );
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Rectified linear unit.
@@ -247,14 +222,10 @@ impl Fc {
             .ok_or_else(|| DnnError::Usage("fc backward before forward".to_string()))?;
         let dw = ops::matmul(&ops::transpose(x)?, dout)?;
         self.dweights.axpy(1.0, &dw)?;
-        let (n, m) = (dout.shape()[0], dout.shape()[1]);
-        for j in 0..m {
-            let mut acc = 0.0;
-            for i in 0..n {
-                acc += dout.at(&[i, j]);
-            }
-            let cur = self.dbias.at(&[0, j]);
-            self.dbias.set(&[0, j], cur + acc);
+        let m = dout.shape()[1];
+        for (j, db) in self.dbias.data_mut().iter_mut().enumerate() {
+            let column = dout.data().iter().skip(j).step_by(m);
+            *db += column.fold(0.0, |acc, &g| acc + g);
         }
         Ok(ops::matmul(dout, &ops::transpose(&self.weights)?)?)
     }
@@ -592,17 +563,6 @@ mod tests {
         let bump: f32 = layer.forward(&xp).unwrap().sum();
         let numeric = (bump - base) / eps;
         assert!((dx.at(&idx) - numeric).abs() < 1e-2);
-    }
-
-    #[test]
-    fn flip_kernels_rotates_and_transposes() {
-        let k = Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[2, 1, 2, 2]).unwrap();
-        let f = flip_kernels(&k);
-        assert_eq!(f.shape(), &[1, 2, 2, 2]);
-        // Filter 0, channel 0 of the original becomes channel 0, filter 0,
-        // rotated 180 degrees.
-        assert_eq!(f.at(&[0, 0, 0, 0]), k.at(&[0, 0, 1, 1]));
-        assert_eq!(f.at(&[0, 1, 1, 1]), k.at(&[1, 0, 0, 0]));
     }
 
     #[test]

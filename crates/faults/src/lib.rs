@@ -213,9 +213,20 @@ impl FaultHarness {
         lock_registry().armed.len()
     }
 
-    /// Events counted at `site` since the harness was opened.
+    /// Events counted at `site` since the harness was opened or last
+    /// [`reset`](Self::reset).
     pub fn count(&self, site: FaultSite) -> u64 {
         lock_registry().counts[site.index()]
+    }
+
+    /// Clears the counters, armed specs and fired log, as opening the
+    /// harness does, without releasing it. The injection points count
+    /// every event while any harness is open, from any thread, so a test
+    /// that drives several request streams holds one harness throughout
+    /// and resets it before each stream: then no engine call of another
+    /// test can run, let alone advance or fire this test's specs.
+    pub fn reset(&self) {
+        *lock_registry() = Registry::default();
     }
 }
 
@@ -317,6 +328,23 @@ mod tests {
         let h = harness();
         assert_eq!(h.count(FaultSite::BankProbe), 0, "fresh counters");
         assert_eq!(h.pending(), 0, "stale specs were disarmed");
+    }
+
+    #[test]
+    fn reset_clears_the_registry_and_keeps_the_harness() {
+        let h = harness();
+        h.arm(FaultSpec::panic_at(FaultSite::GemmChunk, 1));
+        h.arm(FaultSpec::panic_at(FaultSite::BankProbe, 5));
+        assert_eq!(poll(FaultSite::GemmChunk), Some(FaultAction::Panic));
+        assert_eq!(poll(FaultSite::BankProbe), None);
+        h.reset();
+        assert!(active(), "the harness stays open");
+        assert_eq!(h.count(FaultSite::BankProbe), 0);
+        assert_eq!(h.pending(), 0);
+        assert!(h.fired().is_empty());
+        // Counting restarts at 1 for the next stream.
+        h.arm(FaultSpec::panic_at(FaultSite::BankProbe, 1));
+        assert_eq!(poll(FaultSite::BankProbe), Some(FaultAction::Panic));
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! Convolution primitives: patch ("input vector") extraction and reference
-//! conv2d forward/backward passes.
+//! Convolution primitives: patch ("input vector") extraction and the exact
+//! conv2d forward and backward passes.
 //!
 //! MERCURY operates on *input vectors*: `k1×k2` patches extracted from an
 //! input feature map, each of which is dotted with filter weights (§III-B1
 //! of the paper). [`extract_patches`] produces exactly those vectors.
-//! [`conv2d`] / [`conv2d_multi`] are the forward reference used to verify
-//! the reuse engine, and [`conv2d_backward_weights`] /
+//! [`conv2d`] / [`conv2d_multi`] compute the forward pass with every dot
+//! product done once, and [`conv2d_backward_weights`] /
 //! [`conv2d_backward_input`] implement equations (1) and (2) of §II-C, the
-//! two computations of the backward pass.
+//! two computations of the backward pass. All of them run as im2col plus
+//! the blocked GEMM. A training step without reuse runs exactly these
+//! passes; with reuse, the engine replaces the forward and input-gradient
+//! convolutions (and is checked against them), while the weight gradient
+//! stays exact.
 
 use crate::{kernel, ops, Tensor, TensorError};
 
@@ -344,6 +348,13 @@ pub fn conv2d_multi(
 /// `dW[m,n] = Σ_{i,j} δ[i,j] · O[i+m, j+n]`, a convolution between the
 /// output gradient and the layer input.
 ///
+/// Computed as one im2col plus one GEMM: every channel's patch panel sits
+/// side by side in `cols[oh·ow, C·k1·k2]`, and
+/// `dW[F, C·k1·k2] = δ[F, oh·ow] × cols`. The GEMM sums each weight over
+/// the output positions in row-major `(i, j)` order, without FMA, and the
+/// zero-padded taps only add `±0` to a sum that starts at `+0`, so the
+/// result equals the direct six-deep loop bit for bit on finite inputs.
+///
 /// Supports stride-1 convolutions (the configuration the paper's equations
 /// are stated for).
 ///
@@ -383,27 +394,21 @@ pub fn conv2d_backward_weights(
             right: vec![f, geom.out_h(), geom.out_w()],
         });
     }
-    let mut dw = Tensor::zeros(&[f, c, kernel_h, kernel_w]);
-    for fi in 0..f {
-        for ch in 0..c {
-            for m in 0..kernel_h {
-                for n in 0..kernel_w {
-                    let mut acc = 0.0;
-                    for i in 0..oh {
-                        for j in 0..ow {
-                            let y = i as isize + m as isize - pad as isize;
-                            let x = j as isize + n as isize - pad as isize;
-                            if y >= 0 && x >= 0 && (y as usize) < h && (x as usize) < w {
-                                acc +=
-                                    dout.at(&[fi, i, j]) * input.at(&[ch, y as usize, x as usize]);
-                            }
-                        }
-                    }
-                    dw.set(&[fi, ch, m, n], acc);
-                }
-            }
+    // Row p of `cols` is output position p's receptive field over every
+    // channel, channel-major — the flat layout of one `[C, k1, k2]`
+    // gradient row of `dW`.
+    let (positions, plen) = (oh * ow, geom.patch_len());
+    let row = c * plen;
+    let mut cols = vec![0.0f32; positions * row];
+    let mut panel = Vec::new();
+    for (ch, channel) in input.data().chunks_exact(h * w).enumerate() {
+        extract_patches_into(channel, &geom, &mut panel)?; // [positions, plen]
+        for (dst, patch) in cols.chunks_exact_mut(row).zip(panel.chunks_exact(plen)) {
+            dst[ch * plen..(ch + 1) * plen].copy_from_slice(patch);
         }
     }
+    let mut dw = Tensor::zeros(&[f, c, kernel_h, kernel_w]);
+    ops::gemm_blocked(dw.data_mut(), dout.data(), &cols, f, positions, row, row);
     Ok(dw)
 }
 
@@ -411,10 +416,18 @@ pub fn conv2d_backward_weights(
 /// `dX[i,j] = Σ_{m,n} δ[i−m, j−n] · W[m,n]`, a full convolution between the
 /// (zero-padded) output gradient and the kernels.
 ///
+/// Computed as [`conv2d_multi`] of `dout` with [`flip_kernels`] of the
+/// kernels and padding `k − 1 − pad` — the same call the reuse engine
+/// serves for a conv layer's input gradient, so the exact and MERCURY
+/// backward passes differ only in what the engine memoizes.
+///
 /// # Errors
 ///
-/// Returns shape errors for malformed operands and
-/// [`TensorError::InvalidConv`] for non-unit stride.
+/// Returns [`TensorError::RankMismatch`] unless `kernels` is 4-D and
+/// `dout` 3-D, [`TensorError::ShapeMismatch`] when `dout` is not the
+/// output of a `(input_h, input_w)` input under these kernels, and
+/// [`TensorError::InvalidConv`] for non-unit stride, a non-square kernel,
+/// or `pad >= k`.
 pub fn conv2d_backward_input(
     kernels: &Tensor,
     dout: &Tensor,
@@ -428,53 +441,56 @@ pub fn conv2d_backward_input(
             "backward pass implemented for stride 1 (as in the paper's eq. 2)".to_string(),
         ));
     }
-    if kernels.rank() != 4 || dout.rank() != 3 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: kernels.rank(),
-        });
-    }
-    let (f, c, kh, kw) = (
-        kernels.shape()[0],
-        kernels.shape()[1],
-        kernels.shape()[2],
-        kernels.shape()[3],
-    );
-    let (df, oh, ow) = (dout.shape()[0], dout.shape()[1], dout.shape()[2]);
-    if f != df {
-        return Err(TensorError::ShapeMismatch {
-            left: kernels.shape().to_vec(),
-            right: dout.shape().to_vec(),
-        });
-    }
-    let mut dx = Tensor::zeros(&[c, input_h, input_w]);
-    for fi in 0..f {
-        for i in 0..oh {
-            for j in 0..ow {
-                let g = dout.at(&[fi, i, j]);
-                if g == 0.0 {
-                    continue;
-                }
-                for ch in 0..c {
-                    for m in 0..kh {
-                        for n in 0..kw {
-                            let y = i as isize + m as isize - pad as isize;
-                            let x = j as isize + n as isize - pad as isize;
-                            if y >= 0 && x >= 0 && (y as usize) < input_h && (x as usize) < input_w
-                            {
-                                let cur = dx.at(&[ch, y as usize, x as usize]);
-                                dx.set(
-                                    &[ch, y as usize, x as usize],
-                                    cur + g * kernels.at(&[fi, ch, m, n]),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
+    for (t, rank) in [(kernels, 4), (dout, 3)] {
+        if t.rank() != rank {
+            return Err(TensorError::RankMismatch {
+                expected: rank,
+                actual: t.rank(),
+            });
         }
     }
-    Ok(dx)
+    let (f, kh, kw) = (kernels.shape()[0], kernels.shape()[2], kernels.shape()[3]);
+    if kh != kw || pad >= kh {
+        return Err(TensorError::InvalidConv(format!(
+            "input gradient needs a square kernel wider than its padding, got {kh}x{kw} with pad {pad}"
+        )));
+    }
+    let geom = ConvGeometry::new(input_h, input_w, kh, kw, 1, pad)?;
+    let expected = [f, geom.out_h(), geom.out_w()];
+    if dout.shape() != expected {
+        return Err(TensorError::ShapeMismatch {
+            left: dout.shape().to_vec(),
+            right: expected.to_vec(),
+        });
+    }
+    conv2d_multi(dout, &flip_kernels(kernels), 1, kh - 1 - pad)
+}
+
+/// Reverses each kernel spatially and swaps the filter and channel axes:
+/// `[F, C, k1, k2] → [C, F, k1, k2]` with 180°-rotated taps — the kernels
+/// of the input-gradient convolution (eq. 2).
+///
+/// # Panics
+///
+/// Panics if `kernels` is not 4-D.
+pub fn flip_kernels(kernels: &Tensor) -> Tensor {
+    let &[f, c, kh, kw] = kernels.shape() else {
+        panic!(
+            "flip_kernels needs [F, C, k1, k2] kernels, got {:?}",
+            kernels.shape()
+        );
+    };
+    // A row-major k1×k2 block rotated by 180° is the block read backwards.
+    let plen = kh * kw;
+    let src = kernels.data();
+    let mut out = Vec::with_capacity(src.len());
+    for ch in 0..c {
+        for fi in 0..f {
+            let taps = &src[(fi * c + ch) * plen..(fi * c + ch + 1) * plen];
+            out.extend(taps.iter().rev());
+        }
+    }
+    Tensor::from_vec(out, &[c, f, kh, kw]).expect("a permutation keeps the element count")
 }
 
 /// 2×2 max pooling with stride 2 over a `[C, H, W]` tensor; also returns the
@@ -500,30 +516,31 @@ pub fn max_pool2(input: &Tensor) -> Result<(Tensor, Vec<usize>), TensorError> {
         ));
     }
     let (oh, ow) = (h / 2, w / 2);
-    let mut out = Tensor::zeros(&[c, oh, ow]);
-    let mut argmax = vec![0usize; c * oh * ow];
+    let src = input.data();
+    let mut out = Vec::with_capacity(c * oh * ow);
+    let mut argmax = Vec::with_capacity(c * oh * ow);
     for ch in 0..c {
         for oy in 0..oh {
+            let top = ch * h * w + 2 * oy * w;
             for ox in 0..ow {
+                // Window taps in row-major order; the strict `>` keeps the
+                // first of equal maxima.
                 let mut best = f32::NEG_INFINITY;
                 let mut best_off = 0;
-                for dy in 0..2 {
-                    for dx in 0..2 {
-                        let y = oy * 2 + dy;
-                        let x = ox * 2 + dx;
-                        let v = input.at(&[ch, y, x]);
-                        if v > best {
-                            best = v;
-                            best_off = ch * h * w + y * w + x;
+                for row in [top, top + w] {
+                    for off in [row + 2 * ox, row + 2 * ox + 1] {
+                        if src[off] > best {
+                            best = src[off];
+                            best_off = off;
                         }
                     }
                 }
-                out.set(&[ch, oy, ox], best);
-                argmax[ch * oh * ow + oy * ow + ox] = best_off;
+                out.push(best);
+                argmax.push(best_off);
             }
         }
     }
-    Ok((out, argmax))
+    Ok((Tensor::from_vec(out, &[c, oh, ow])?, argmax))
 }
 
 /// Scatters pooled gradients back through the argmax mask produced by
@@ -547,6 +564,209 @@ pub fn max_pool2_backward(dout: &Tensor, argmax: &[usize], input_shape: &[usize]
 mod tests {
     use super::*;
     use crate::rng::Rng;
+
+    /// Equation (1) as the direct six-deep loop: the reference that
+    /// [`conv2d_backward_weights`] must match bit for bit.
+    fn direct_backward_weights(input: &Tensor, dout: &Tensor, k: usize, pad: usize) -> Tensor {
+        let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
+        let (f, oh, ow) = (dout.shape()[0], dout.shape()[1], dout.shape()[2]);
+        let mut dw = Tensor::zeros(&[f, c, k, k]);
+        for fi in 0..f {
+            for ch in 0..c {
+                for m in 0..k {
+                    for n in 0..k {
+                        let mut acc = 0.0;
+                        for i in 0..oh {
+                            for j in 0..ow {
+                                let y = i as isize + m as isize - pad as isize;
+                                let x = j as isize + n as isize - pad as isize;
+                                if y >= 0 && x >= 0 && (y as usize) < h && (x as usize) < w {
+                                    acc += dout.at(&[fi, i, j])
+                                        * input.at(&[ch, y as usize, x as usize]);
+                                }
+                            }
+                        }
+                        dw.set(&[fi, ch, m, n], acc);
+                    }
+                }
+            }
+        }
+        dw
+    }
+
+    /// Equation (2) as the direct scatter loop: the reference that
+    /// [`conv2d_backward_input`] must match bit for bit.
+    fn direct_backward_input(
+        kernels: &Tensor,
+        dout: &Tensor,
+        (h, w): (usize, usize),
+        pad: usize,
+    ) -> Tensor {
+        let (f, c, k) = (kernels.shape()[0], kernels.shape()[1], kernels.shape()[2]);
+        let (oh, ow) = (dout.shape()[1], dout.shape()[2]);
+        let mut dx = Tensor::zeros(&[c, h, w]);
+        for fi in 0..f {
+            for i in 0..oh {
+                for j in 0..ow {
+                    let g = dout.at(&[fi, i, j]);
+                    if g == 0.0 {
+                        continue;
+                    }
+                    for ch in 0..c {
+                        for m in 0..k {
+                            for n in 0..k {
+                                let y = i as isize + m as isize - pad as isize;
+                                let x = j as isize + n as isize - pad as isize;
+                                if y >= 0 && x >= 0 && (y as usize) < h && (x as usize) < w {
+                                    let cur = dx.at(&[ch, y as usize, x as usize]);
+                                    dx.set(
+                                        &[ch, y as usize, x as usize],
+                                        cur + g * kernels.at(&[fi, ch, m, n]),
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        dx
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Both backward passes equal their direct loops bit for bit over a
+    /// grid of single- and multi-channel inputs, kernel sizes and
+    /// paddings, non-square maps, and dense or ReLU-masked output
+    /// gradients (exact zeros). The weight-gradient GEMM runs its 64-lane
+    /// strip once `C·k² >= 64` (C = 3, k = 5), the input-gradient GEMM
+    /// once the map has 64 positions (9×8); F = 67 gives both a wide
+    /// filter count and an odd row tail.
+    #[test]
+    fn backward_passes_match_direct_loops_bit_for_bit() {
+        let mut rng = Rng::new(41);
+        let mut cases = 0;
+        for c in [1, 3] {
+            for k in [1, 3, 5] {
+                for pad in [0, 1, 2] {
+                    for (h, w) in [(7, 5), (4, 9), (9, 8)] {
+                        if h + 2 * pad < k || w + 2 * pad < k {
+                            continue;
+                        }
+                        let (oh, ow) = (h + 2 * pad - k + 1, w + 2 * pad - k + 1);
+                        for f in [2, 67] {
+                            for relu_masked in [false, true] {
+                                let input = Tensor::randn(&[c, h, w], &mut rng);
+                                let kernels = Tensor::randn(&[f, c, k, k], &mut rng);
+                                let mut dout = Tensor::randn(&[f, oh, ow], &mut rng);
+                                if relu_masked {
+                                    dout = crate::ops::relu(&dout);
+                                    assert!(dout.data().contains(&0.0));
+                                }
+                                let what = format!(
+                                    "C={c} k={k} pad={pad} map={h}x{w} F={f} masked={relu_masked}"
+                                );
+                                let dw =
+                                    conv2d_backward_weights(&input, &dout, k, k, 1, pad).unwrap();
+                                assert_eq!(
+                                    bits(&dw),
+                                    bits(&direct_backward_weights(&input, &dout, k, pad)),
+                                    "weights {what}"
+                                );
+                                if pad < k {
+                                    let dx = conv2d_backward_input(&kernels, &dout, h, w, 1, pad)
+                                        .unwrap();
+                                    assert_eq!(
+                                        bits(&dx),
+                                        bits(&direct_backward_input(&kernels, &dout, (h, w), pad)),
+                                        "input {what}"
+                                    );
+                                }
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 100, "grid ran {cases} cases");
+    }
+
+    #[test]
+    fn flip_kernels_rotates_and_transposes() {
+        let k = Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[2, 1, 2, 2]).unwrap();
+        let f = flip_kernels(&k);
+        assert_eq!(f.shape(), &[1, 2, 2, 2]);
+        // Filter 0, channel 0 of the original becomes channel 0, filter 0,
+        // rotated 180 degrees.
+        assert_eq!(f.at(&[0, 0, 0, 0]), k.at(&[0, 0, 1, 1]));
+        assert_eq!(f.at(&[0, 1, 1, 1]), k.at(&[1, 0, 0, 0]));
+
+        // Every element lands at its rotated, transposed index.
+        let k = Tensor::randn(&[3, 2, 2, 3], &mut Rng::new(5));
+        let f = flip_kernels(&k);
+        assert_eq!(f.shape(), &[2, 3, 2, 3]);
+        for (fi, ch, y, x) in (0..3)
+            .flat_map(|fi| (0..2).map(move |ch| (fi, ch)))
+            .flat_map(|(fi, ch)| (0..2).flat_map(move |y| (0..3).map(move |x| (fi, ch, y, x))))
+        {
+            assert_eq!(f.at(&[ch, fi, 1 - y, 2 - x]), k.at(&[fi, ch, y, x]));
+        }
+    }
+
+    #[test]
+    fn backward_input_rejects_a_rank_two_dout() {
+        let kernels = Tensor::zeros(&[2, 1, 3, 3]);
+        assert_eq!(
+            conv2d_backward_input(&kernels, &Tensor::zeros(&[2, 16]), 4, 4, 1, 1).unwrap_err(),
+            TensorError::RankMismatch {
+                expected: 3,
+                actual: 2
+            }
+        );
+    }
+
+    #[test]
+    fn backward_input_rejects_a_dout_of_another_geometry() {
+        // A 3x3 kernel with pad 1 keeps a 5x5 input at 5x5, so a 5x5
+        // gradient cannot come from a 6x5 input.
+        let kernels = Tensor::zeros(&[2, 1, 3, 3]);
+        let dout = Tensor::zeros(&[2, 5, 5]);
+        assert!(conv2d_backward_input(&kernels, &dout, 5, 5, 1, 1).is_ok());
+        assert_eq!(
+            conv2d_backward_input(&kernels, &dout, 6, 5, 1, 1).unwrap_err(),
+            TensorError::ShapeMismatch {
+                left: vec![2, 5, 5],
+                right: vec![2, 6, 5]
+            }
+        );
+        // So can a gradient with the wrong filter count.
+        assert!(matches!(
+            conv2d_backward_input(&kernels, &Tensor::zeros(&[3, 5, 5]), 5, 5, 1, 1),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn backward_input_rejects_padding_of_a_kernel_width() {
+        // pad 3 around a 3x3 kernel: the input-gradient convolution would
+        // need negative padding.
+        let kernels = Tensor::zeros(&[1, 1, 3, 3]);
+        let dout = Tensor::zeros(&[1, 8, 8]);
+        assert!(matches!(
+            conv2d_backward_input(&kernels, &dout, 4, 4, 1, 3).unwrap_err(),
+            TensorError::InvalidConv(_)
+        ));
+        // As does a non-square kernel, whose two axes would need
+        // different paddings.
+        let wide = Tensor::zeros(&[1, 1, 1, 3]);
+        assert!(matches!(
+            conv2d_backward_input(&wide, &Tensor::zeros(&[1, 4, 2]), 4, 4, 1, 0).unwrap_err(),
+            TensorError::InvalidConv(_)
+        ));
+    }
 
     #[test]
     fn geometry_output_sizes() {
@@ -759,6 +979,26 @@ mod tests {
         assert_eq!(dx.at(&[0, 3, 1]), 1.0);
         assert_eq!(dx.at(&[0, 3, 3]), 1.0);
         assert_eq!(dx.sum(), 4.0);
+    }
+
+    #[test]
+    fn max_pool_ties_keep_the_first_tap() {
+        // Equal maxima in a window: the first in row-major order wins,
+        // in every channel.
+        let input = Tensor::from_vec(
+            vec![
+                1.0, 3.0, 2.0, 2.0, //
+                3.0, 3.0, 2.0, 2.0, //
+                // channel 1
+                0.0, 0.0, 5.0, 4.0, //
+                7.0, 7.0, 5.0, 5.0,
+            ],
+            &[2, 2, 4],
+        )
+        .unwrap();
+        let (out, argmax) = max_pool2(&input).unwrap();
+        assert_eq!(out.data(), &[3.0, 2.0, 7.0, 5.0]);
+        assert_eq!(argmax, vec![1, 2, 12, 10]);
     }
 
     #[test]

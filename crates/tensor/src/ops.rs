@@ -345,13 +345,13 @@ pub fn transpose(t: &Tensor) -> Result<Tensor, TensorError> {
         });
     }
     let (r, c) = (t.shape()[0], t.shape()[1]);
-    let mut out = Tensor::zeros(&[c, r]);
-    for i in 0..r {
-        for j in 0..c {
-            out.set(&[j, i], t.at(&[i, j]));
-        }
+    let src = t.data();
+    // Walk the output row-major: output row j is input column j.
+    let mut out = Vec::with_capacity(src.len());
+    for j in 0..c {
+        out.extend((0..r).map(|i| src[i * c + j]));
     }
-    Ok(out)
+    Tensor::from_vec(out, &[c, r])
 }
 
 /// Numerically stable softmax over the last axis of a 2-D tensor.
@@ -642,6 +642,7 @@ mod tests {
         assert_eq!(tt.shape(), &[3, 2]);
         assert_eq!(tt.at(&[2, 0]), t.at(&[0, 2]));
         assert_eq!(tt.at(&[1, 1]), t.at(&[1, 1]));
+        assert_eq!(tt.data(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
     }
 
     #[test]

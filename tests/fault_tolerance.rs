@@ -2,8 +2,11 @@
 //!
 //! Only compiled with the default-off `fault-inject` feature (CI's chaos
 //! leg runs `cargo test --features fault-inject` under both executors).
-//! Every test opens the process-global [`mercury_faults::harness`], which
-//! serializes chaos tests and guarantees a reset registry.
+//! The injection points count events globally while any harness is open,
+//! so every test holds the process-global [`mercury_faults::harness`] for
+//! its whole body — every engine call in this file runs under one — and
+//! calls [`FaultHarness::reset`] before each new request stream. Holding
+//! it serializes the tests under the default parallel runner.
 //!
 //! What this suite pins, per ISSUE 7:
 //! - injected faults surface **deterministically**: the same request
@@ -18,7 +21,7 @@
 #![cfg(feature = "fault-inject")]
 
 use mercury_core::{ExecutorKind, LayerHealth, MercuryConfig, MercuryError, MercurySession};
-use mercury_faults::{harness, FaultAction, FaultSite, FaultSpec};
+use mercury_faults::{harness, FaultAction, FaultHarness, FaultSite, FaultSpec};
 use mercury_tensor::rng::Rng;
 use mercury_tensor::Tensor;
 
@@ -73,6 +76,7 @@ fn seq(seed: u64) -> Tensor {
 
 #[test]
 fn channel_panic_poisons_only_the_involved_layer() {
+    let h = harness();
     for kind in EXECUTORS {
         // Reference: an identical session that never sees the fault and
         // never receives the conv requests.
@@ -81,7 +85,7 @@ fn channel_panic_poisons_only_the_involved_layer() {
         let want_att = reference.session.submit(reference.att, &seq(2)).unwrap();
 
         let mut r = rig(kind, 70);
-        let h = harness();
+        h.reset();
         h.arm(FaultSpec::panic_at(FaultSite::ChannelShard, 1));
 
         // The injected panic surfaces as a typed, attributed error...
@@ -149,9 +153,10 @@ fn bank_probe_panic_surfaces_at_the_same_request_on_every_executor() {
     // Fault at the 3rd probe of request 3 (1-based, cumulative).
     let nth = 2 * 64 + 3;
     let mut failed_at = Vec::new();
+    let h = harness();
     for kind in EXECUTORS {
         let (mut session, conv) = build(kind);
-        let h = harness();
+        h.reset();
         h.arm(FaultSpec::panic_at(FaultSite::BankProbe, nth));
         let mut outputs = Vec::new();
         let failure = loop {
@@ -184,12 +189,13 @@ fn tag_corruption_is_deterministic_and_contained() {
     // in stream order before the bank fan-out.
     let input = Tensor::full(&[1, 10, 10], 0.3);
     let mut runs = Vec::new();
+    let h = harness();
     for kind in EXECUTORS {
         let mut session = MercurySession::new(config(kind), 72).unwrap();
         let conv = session
             .register_conv(Tensor::full(&[4, 1, 3, 3], 0.1), 1, 0)
             .unwrap();
-        let h = harness();
+        h.reset();
         // Corrupt the 5th probe of the second (fully warm) submit.
         h.arm(FaultSpec {
             site: FaultSite::BankProbe,
@@ -227,11 +233,11 @@ fn nan_payload_is_flushed_by_recovery() {
     // computed chunk propagates into the output and potentially into the
     // persistent bank — and recovery's quarantine + exact warm-up
     // restores bit-exact service.
+    let h = harness();
     let mut session = MercurySession::new(config(ExecutorKind::Serial), 73).unwrap();
     let conv = session
         .register_conv(Tensor::full(&[2, 1, 3, 3], 0.1), 1, 0)
         .unwrap();
-    let h = harness();
     h.arm(FaultSpec {
         site: FaultSite::GemmChunk,
         nth: 1,
@@ -269,6 +275,7 @@ fn partial_batch_panic_poisons_only_involved_layers() {
     // Pool widths 1/2/8 per the satellite: a panic mid-submit_batch
     // yields Poisoned only on the involved layer, and the other layers'
     // subsequent outputs are bit-identical to a never-failed session.
+    let h = harness();
     for kind in [
         ExecutorKind::Serial,
         ExecutorKind::Threaded { threads: 2 },
@@ -288,7 +295,7 @@ fn partial_batch_panic_poisons_only_involved_layers() {
         let want_fc_next = reference.session.submit(reference.fc, &rows(13)).unwrap();
 
         let mut r = rig(kind, 74);
-        let h = harness();
+        h.reset();
         // Only the conv layer emits ChannelShard events, so the ordinal
         // is deterministic even while the batch fans layers out across
         // workers.
@@ -349,11 +356,12 @@ fn lowest_position_error_wins_when_two_layers_fail_in_one_batch() {
     // the pool runs them in, the *returned* error must be the
     // lowest-positioned failing request's — both ways round.
     let bad_rows = Tensor::randn(&[3, 5], &mut Rng::new(80)); // fc wants [n, 8]
+    let h = harness();
     for kind in EXECUTORS {
         // Ordering 1: the fc validation failure sits at position 0, the
         // conv panic at position 1 → ShapeMismatch wins.
         let mut r = rig(kind, 80);
-        let h = harness();
+        h.reset();
         h.arm(FaultSpec::panic_at(FaultSite::ChannelShard, 1));
         let att_in = seq(81);
         let err = r
@@ -374,12 +382,11 @@ fn lowest_position_error_wins_when_two_layers_fail_in_one_batch() {
             "{kind:?}: validation failures never poison"
         );
         assert_eq!(r.session.layer_submits(r.att), Some(1), "{kind:?}");
-        drop(h);
 
         // Ordering 2: the conv panic sits at position 0, the fc
         // validation failure at position 2 → the panic wins.
         let mut r = rig(kind, 80);
-        let h = harness();
+        h.reset();
         h.arm(FaultSpec::panic_at(FaultSite::ChannelShard, 1));
         let err = r
             .session
@@ -407,27 +414,27 @@ fn seeded_faults_reproduce_and_recovery_is_exact() {
     );
     let input = Tensor::full(&[4, 6, 6], 0.2);
 
-    let run = || {
+    let run = |h: &FaultHarness| {
         let mut session = MercurySession::new(config(ExecutorKind::Serial), 75).unwrap();
         let conv = session
             .register_conv(Tensor::full(&[2, 4, 3, 3], 0.1), 1, 0)
             .unwrap();
-        let h = harness();
+        h.reset();
         h.arm(spec);
         // 4 input channels = 4 ChannelShard events per submit; the armed
         // ordinal (1..=4) faults the very first submit.
         let err = session.submit(conv, &input).unwrap_err();
         assert!(matches!(err, MercuryError::EnginePanic { .. }), "{err}");
         let fired = h.fired();
-        drop(h);
         session.recover(conv).unwrap();
         let recovered = session.submit(conv, &input).unwrap();
         assert!(recovered.report.degraded);
         (fired, recovered.output.clone())
     };
 
-    let (fired_a, out_a) = run();
-    let (fired_b, out_b) = run();
+    let h = harness();
+    let (fired_a, out_a) = run(&h);
+    let (fired_b, out_b) = run(&h);
     assert_eq!(fired_a, fired_b, "same seed, same fault");
     assert_eq!(out_a, out_b, "same seed, same recovery");
 }
