@@ -1,15 +1,13 @@
 //! Microbenchmarks of parallel-region *dispatch* cost: the persistent
-//! worker pool (workers parked on a condvar between regions) against the
-//! retired spawn-per-region reference it replaced, plus the work-size
-//! inline short-circuit that skips the pool entirely for tiny regions.
+//! worker pool (workers parked on a condvar between regions), plus the
+//! work-size inline short-circuit that skips the pool entirely for tiny
+//! regions.
 //!
 //! The region body is intentionally near-empty — these benches time the
-//! scheduling machinery, not the work. The pooled/spawned pair is the
-//! acceptance record for the pool refactor: pooled dispatch must be
-//! several times cheaper than spawning fresh threads per region.
+//! scheduling machinery, not the work.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mercury_tensor::exec::{reference, Executor};
+use mercury_tensor::exec::Executor;
 use std::hint::black_box;
 
 fn bench_dispatch(c: &mut Criterion) {
@@ -23,9 +21,6 @@ fn bench_dispatch(c: &mut Criterion) {
         group.bench_function(format!("pooled_w{width}"), |b| {
             b.iter(|| pool.map_indexed(width, |i| black_box(i) * 2 + 1))
         });
-        group.bench_function(format!("spawned_w{width}"), |b| {
-            b.iter(|| reference::map_indexed_spawned(width, width, |i| black_box(i) * 2 + 1))
-        });
     }
 
     // The inline short-circuit: same region shape, but declared tiny, so
@@ -33,7 +28,7 @@ fn bench_dispatch(c: &mut Criterion) {
     // single-request forward pays.
     let pool = Executor::threaded(4);
     group.bench_function("inline_short_circuit_w4", |b| {
-        b.iter(|| pool.map_indexed_sized(4, 1, |i| black_box(i) * 2 + 1))
+        b.iter(|| pool.map(0..4usize, |_| 1, || (), |i, ()| black_box(i) * 2 + 1))
     });
     // Serial reference for the same loop, as the floor.
     let serial = Executor::serial();

@@ -270,8 +270,8 @@ fn tight_budget(tenants: usize, requests: usize) -> usize {
 }
 
 /// Prints one leg's pool dispatch counters: how many parallel regions
-/// woke the shared pool vs ran inline under the resolved tuning (a
-/// throughput number without these is unexplainable after the fact).
+/// woke the shared pool vs ran inline (a throughput number without
+/// these is unexplainable after the fact).
 fn print_pool(leg: &str, pool: Option<&mercury_tensor::exec::PoolStats>) {
     match pool {
         Some(p) => {

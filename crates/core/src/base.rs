@@ -90,9 +90,9 @@ pub(crate) fn dense_work(rows: usize, len: usize, cols: usize) -> usize {
 
 /// The dispatch work hint for one conv channel under the reuse engine:
 /// the `[f, plen] × [plen, patches_n]` GEMM plus one cache probe per
-/// patch, where `probe_work_units` is the executor's calibrated per-probe
-/// cost ([`DispatchTuning::probe_work_units`] — the historical constant
-/// before autotuning landed). Saturating throughout, like [`dense_work`].
+/// patch, where `probe_work_units` is the executor's per-probe cost
+/// ([`DispatchTuning::probe_work_units`]). Saturating throughout, like
+/// [`dense_work`].
 ///
 /// [`DispatchTuning::probe_work_units`]: mercury_tensor::tune::DispatchTuning::probe_work_units
 pub(crate) fn conv_channel_work(
@@ -185,7 +185,7 @@ impl EngineCache {
     /// stream serially — only the wall-clock changes.
     ///
     /// Parallelism only pays when each bank gets a meaningful run of
-    /// probes; below the executor's calibrated `parallel_probe_min`
+    /// probes; below the executor's `parallel_probe_min`
     /// signatures the serial loop wins and is used regardless of the
     /// backend.
     pub fn probe_insert_batch(
@@ -231,36 +231,37 @@ impl EngineCache {
                         entry: None,
                     },
                 );
-                let jobs: Vec<_> = banks.shards().into_iter().zip(per_bank).collect();
+                let jobs = banks.shards().into_iter().zip(per_bank);
                 // Work-size hints: each bank job carries its *actual*
-                // probe count × the executor's calibrated per-probe cost
-                // (the same units its dispatch gate compares against). A
-                // batch average would mis-size every job on skewed
-                // batches (similar inputs hash to few banks): the hot
-                // bank understated, workers woken for near-empty ones.
-                // With per-item hints, a batch whose probes all land in
-                // one bank runs inline — a second thread could not share
+                // probe count × the executor's per-probe cost (the same
+                // units its dispatch gate compares against). A batch
+                // average would mis-size every job on skewed batches
+                // (similar inputs hash to few banks): the hot bank
+                // understated, workers woken for near-empty ones. With
+                // per-item hints, a batch whose probes all land in one
+                // bank runs inline — a second thread could not share
                 // that bank's shard.
-                let work: Vec<usize> = jobs
-                    .iter()
-                    .map(|(_, probes)| probes.len().saturating_mul(tuning.probe_work_units))
-                    .collect();
-                let results = exec.map_owned_weighted(jobs, &work, |_, (mut shard, probes)| {
-                    probes
-                        .into_iter()
-                        .map(|(i, sig)| {
-                            let o = shard.probe_insert(sig);
-                            let flat = AccessOutcome {
-                                kind: o.kind(),
-                                entry: o.entry().map(|id| EntryId {
-                                    set: id.bank * sets_per_bank + id.entry.set,
-                                    way: id.entry.way,
-                                }),
-                            };
-                            (i, flat)
-                        })
-                        .collect::<Vec<_>>()
-                });
+                let results = exec.map(
+                    jobs,
+                    |(_, probes)| probes.len().saturating_mul(tuning.probe_work_units),
+                    || (),
+                    |(mut shard, probes), ()| {
+                        probes
+                            .into_iter()
+                            .map(|(i, sig)| {
+                                let o = shard.probe_insert(sig);
+                                let flat = AccessOutcome {
+                                    kind: o.kind(),
+                                    entry: o.entry().map(|id| EntryId {
+                                        set: id.bank * sets_per_bank + id.entry.set,
+                                        way: id.entry.way,
+                                    }),
+                                };
+                                (i, flat)
+                            })
+                            .collect::<Vec<_>>()
+                    },
+                );
                 for bank_results in results {
                     for (i, o) in bank_results {
                         out[i as usize] = o;
@@ -666,7 +667,7 @@ mod tests {
         assert_eq!(dense_work(1, 3, 4), 24);
         assert_eq!(conv_channel_work(huge, huge, huge, 64), usize::MAX);
         // The probe-stream term saturates on its own too, for any
-        // calibrated per-probe cost.
+        // per-probe cost.
         assert_eq!(conv_channel_work(0, 0, usize::MAX, 64), usize::MAX);
         assert_eq!(conv_channel_work(0, 0, 2, usize::MAX), usize::MAX);
         assert_eq!(
@@ -678,9 +679,8 @@ mod tests {
 
     #[test]
     fn tuned_probe_knobs_move_the_inline_dispatch_decision() {
-        // Regression for the hard-coded-consts era: the probe fan-out
-        // gate and the per-bank work hints must follow the executor's
-        // tuning, so a calibrated profile actually changes scheduling.
+        // The probe fan-out gate and the per-bank work hints must follow
+        // the executor's tuning, not hard-coded constants.
         use mercury_tensor::tune::DispatchTuning;
         let cfg = MCacheConfig::new(8, 2, 1).unwrap();
         let spread: Vec<Signature> = (0..100u128).map(sig).collect();

@@ -268,15 +268,15 @@ impl ConvEngine {
             let inner = Executor::serial_tuned(exec.tuning());
             let ctx = &ctx;
             // Work-size hint per channel: the dense GEMM FLOPs plus
-            // the probe stream at the executor's calibrated per-probe
-            // cost (saturating — large layers must not overflow the
-            // hint), so single tiny-image requests run inline instead
-            // of waking the pool.
+            // the probe stream at the executor's per-probe cost
+            // (saturating — large layers must not overflow the hint), so
+            // single tiny-image requests run inline instead of waking
+            // the pool.
             let channel_work =
                 crate::base::conv_channel_work(f, plen, patches_n, exec.tuning().probe_work_units);
-            exec.map_with_sized(
-                c,
-                channel_work,
+            exec.map(
+                0..c,
+                |_| channel_work,
                 || (EngineCache::mono(cache_cfg), ConvScratch::default()),
                 move |ch, state| {
                     #[cfg(feature = "fault-inject")]

@@ -104,9 +104,7 @@ fn rows_reusable(saved: Option<&[Signature]>, n: usize, bits: usize) -> bool {
 /// the executor as owned items, so producer rows write straight into the
 /// output tensor — no per-row result buffers, no copy-back pass, and no
 /// allocator traffic on the pool workers. `row_work` is the per-row
-/// dispatch hint in the executor's (calibrated) work units; the dispatch
-/// decision is the same as the old collect-then-copy path made for the
-/// same `compute.len()` and hint. `fill` performs the identical
+/// dispatch hint in the executor's work units. `fill` performs the identical
 /// per-element accumulation on either backend, so threaded output stays
 /// bit-identical to serial.
 fn producer_rows_into<F>(
@@ -131,7 +129,7 @@ fn producer_rows_into<F>(
         }
     }
     debug_assert_eq!(rows.len(), compute.len(), "every producer row resolved");
-    exec.map_owned_sized(rows, row_work, |_, (i, row)| fill(i, row));
+    exec.map(rows, |_| row_work, || (), |(i, row), ()| fill(i, row));
 }
 
 /// The MERCURY engine for fully-connected layers (§III-C3): one PE per

@@ -60,7 +60,6 @@
 
 pub mod adapt;
 mod base;
-pub mod calibrate;
 mod config;
 mod engine;
 mod error;

@@ -594,13 +594,17 @@ impl MercurySession {
             .filter(|(_, positions)| !positions.is_empty())
             .collect();
         let policy = self.config.nonfinite_policy;
-        let per_job: Vec<Vec<(usize, Result<LayerForward, MercuryError>)>> =
-            self.exec.map_owned(jobs, |_, (slot, positions)| {
+        let per_job: Vec<Vec<(usize, Result<LayerForward, MercuryError>)>> = self.exec.map(
+            jobs,
+            |_| usize::MAX,
+            || (),
+            |(slot, positions), ()| {
                 positions
                     .into_iter()
                     .map(|pos| (pos, slot.serve(requests[pos].0, requests[pos].1, policy)))
                     .collect()
-            });
+            },
+        );
 
         let mut results: Vec<Option<Result<LayerForward, MercuryError>>> =
             (0..requests.len()).map(|_| None).collect();

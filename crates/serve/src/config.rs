@@ -2,7 +2,6 @@
 //! per-tenant epoch and recovery policies.
 
 use mercury_tensor::exec::ExecutorKind;
-use mercury_tensor::tune::DispatchTuning;
 use std::error::Error;
 use std::fmt;
 use std::time::Duration;
@@ -136,12 +135,6 @@ pub struct ServeConfig {
     /// whole point is that N tenants do not spawn N pools. Defaults to
     /// `MERCURY_EXECUTOR` when set, serial otherwise.
     pub executor: ExecutorKind,
-    /// Dispatch tuning for the shared pool. `None` (the default) resolves
-    /// the process-wide tuning at server creation — the
-    /// `MERCURY_TUNE_PROFILE` profile when set, else the committed
-    /// defaults for this host's core count. `Some` pins an explicit knob
-    /// set, for operators shipping a calibrated profile with the service.
-    pub tuning: Option<DispatchTuning>,
     /// Bounded ingress depth per tenant: an
     /// [`enqueue`](crate::Server::enqueue) beyond this answers a typed
     /// [`QueueFull`](crate::ServeError::QueueFull) instead of growing
@@ -199,7 +192,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             executor: ExecutorKind::from_env_or(ExecutorKind::Serial),
-            tuning: None,
             queue_capacity: 64,
             batch_window: 8,
             memory_budget: None,
@@ -220,7 +212,6 @@ impl Default for ServeConfig {
 /// | Knob | Default | Meaning |
 /// |------|---------|---------|
 /// | [`executor`](Self::executor) | `MERCURY_EXECUTOR`, else serial | Backend of the one shared worker pool |
-/// | [`tuning`](Self::tuning) | `None` | Dispatch tuning; `None` resolves the process-wide profile at server creation |
 /// | [`queue_capacity`](Self::queue_capacity) | `64` | Bounded ingress depth per tenant (`QueueFull` beyond it) |
 /// | [`batch_window`](Self::batch_window) | `8` | Max requests one tick coalesces per tenant |
 /// | [`memory_budget`](Self::memory_budget) | `None` | Global cap on summed tenant `bank_bytes` (`None` = unbounded) |
@@ -251,13 +242,6 @@ impl ServeConfigBuilder {
     /// Sets the shared worker-pool backend.
     pub fn executor(mut self, executor: ExecutorKind) -> Self {
         self.config.executor = executor;
-        self
-    }
-
-    /// Pins the shared pool's dispatch tuning (or restores the default
-    /// `None`, resolving the process-wide profile at server creation).
-    pub fn tuning(mut self, tuning: Option<DispatchTuning>) -> Self {
-        self.config.tuning = tuning;
         self
     }
 
@@ -318,7 +302,6 @@ mod tests {
         assert!(c.batch_window > 0);
         assert_eq!(c.memory_budget, None);
         assert_eq!(c.recovery, RecoveryPolicy::Immediate);
-        assert_eq!(c.tuning, None, "default defers to the process profile");
         assert_eq!(c.pacing, PacingPolicy::Saturation);
     }
 
@@ -343,26 +326,6 @@ mod tests {
         for p in [PacingPolicy::Saturation, PacingPolicy::Manual] {
             ServeConfig::builder().pacing(p).build().unwrap();
         }
-    }
-
-    #[test]
-    fn builder_pins_explicit_tuning() {
-        let pinned = DispatchTuning {
-            dispatch_min_work: 1,
-            ..DispatchTuning::default()
-        };
-        let c = ServeConfig::builder().tuning(Some(pinned)).build().unwrap();
-        assert_eq!(c.tuning, Some(pinned));
-        assert_eq!(
-            ServeConfig::builder()
-                .tuning(Some(pinned))
-                .tuning(None)
-                .build()
-                .unwrap()
-                .tuning,
-            None,
-            "the builder can restore the deferred default"
-        );
     }
 
     #[test]

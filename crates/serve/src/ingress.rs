@@ -283,7 +283,7 @@ impl ServeHandle {
     /// drains to completion first — no completion is lost or
     /// duplicated; submits that race past the shutdown point are
     /// refused with [`ServeError::Stopped`]. The returned server holds
-    /// its tenants' warm sessions and full eviction log, ready for
+    /// its tenants' warm sessions and eviction record, ready for
     /// inspection or another [`serve`](Server::serve).
     ///
     /// # Panics

@@ -114,7 +114,7 @@ pub use config::{
 };
 pub use error::ServeError;
 pub use ingress::ServeHandle;
-pub use server::{Completion, RequestId, Server, TenantId, TickReport};
+pub use server::{Completion, RequestId, Server, TenantId, TickReport, EVICTION_LOG_CAPACITY};
 
 // Re-exported so downstream code can name the session types the server
 // hands back without a separate `mercury-core` dependency line.

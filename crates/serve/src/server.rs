@@ -131,6 +131,10 @@ struct Tenant {
     referenced: bool,
 }
 
+/// How many of the most recent evictions [`Server::eviction_log`] keeps;
+/// [`Server::evictions`] still counts every one.
+pub const EVICTION_LOG_CAPACITY: usize = 1024;
+
 /// A multi-tenant MERCURY serving endpoint.
 ///
 /// The server owns many named tenant [`MercurySession`]s over **one**
@@ -153,6 +157,9 @@ pub struct Server {
     tenants: Vec<Tenant>,
     tick: u64,
     clock: SecondChance,
+    /// Lifetime count behind [`evictions`](Self::evictions).
+    evictions: u64,
+    /// The most recent [`EVICTION_LOG_CAPACITY`] evictions, oldest first.
     eviction_log: Vec<Eviction>,
     /// Completions ticks have produced but nobody has drained yet (see
     /// [`drain_completions`](Self::drain_completions)).
@@ -168,16 +175,14 @@ impl Server {
     /// (wrapped in [`ServeError::Config`]).
     pub fn new(config: ServeConfig) -> Result<Self, ServeError> {
         config.validate()?;
-        let tuning = config
-            .tuning
-            .unwrap_or_else(mercury_tensor::tune::DispatchTuning::resolved);
         Ok(Server {
             config,
-            exec: Executor::from_kind_tuned(config.executor, tuning),
+            exec: Executor::from_kind(config.executor),
             token: SERVER_TOKENS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             tenants: Vec::new(),
             tick: 0,
             clock: SecondChance::default(),
+            evictions: 0,
             eviction_log: Vec::new(),
             completions: Vec::new(),
         })
@@ -185,16 +190,10 @@ impl Server {
 
     /// Dispatch counters of the shared worker pool (`None` on the serial
     /// backend): how many parallel regions actually woke the workers vs
-    /// ran inline under the resolved tuning. Loadgen prints these so pool
-    /// behaviour under a profile is observable, not inferred.
+    /// ran inline. Loadgen prints these so pool behaviour is observable,
+    /// not inferred.
     pub fn pool_stats(&self) -> Option<mercury_tensor::exec::PoolStats> {
         self.exec.pool_stats()
-    }
-
-    /// The dispatch tuning the shared pool resolved at creation (either
-    /// the pinned [`ServeConfig::tuning`] or the process-wide profile).
-    pub fn tuning(&self) -> mercury_tensor::tune::DispatchTuning {
-        self.exec.tuning()
     }
 
     /// Resolves an id to this server's tenant slot, rejecting ids issued
@@ -435,7 +434,13 @@ impl Server {
             }
         }
         report.evictions = self.enforce_budget(tick);
+        self.evictions += report.evictions.len() as u64;
         self.eviction_log.extend(report.evictions.iter().copied());
+        let excess = self
+            .eviction_log
+            .len()
+            .saturating_sub(EVICTION_LOG_CAPACITY);
+        self.eviction_log.drain(..excess);
         report
     }
 
@@ -616,12 +621,16 @@ impl Server {
         self.tenants.iter().map(|t| t.session.bank_bytes()).sum()
     }
 
-    /// Total evictions the memory budget has performed.
+    /// Total evictions the memory budget has performed over the server's
+    /// life.
     pub fn evictions(&self) -> u64 {
-        self.eviction_log.len() as u64
+        self.evictions
     }
 
-    /// Every eviction the memory budget has performed, in order.
+    /// The most recent evictions the memory budget has performed, oldest
+    /// first — at most [`EVICTION_LOG_CAPACITY`] of them, so a server
+    /// whose budget sits below its working set does not grow the log for
+    /// its whole life.
     pub fn eviction_log(&self) -> &[Eviction] {
         &self.eviction_log
     }
@@ -1019,6 +1028,33 @@ mod tests {
             report.evictions.iter().all(|e| e.tenant == active),
             "only the sole resident tenant could be evicted"
         );
+    }
+
+    #[test]
+    fn eviction_log_keeps_the_recent_records_and_counts_them_all() {
+        // A budget below the working set evicts on every serving tick;
+        // the log keeps only the newest records while the counter keeps
+        // the lifetime total.
+        let mut s = Server::new(
+            ServeConfig::builder()
+                .memory_budget(Some(1))
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let (tenant, layer) = fc_tenant(&mut s, "t", 30);
+        let mut rng = Rng::new(30);
+        let ticks = EVICTION_LOG_CAPACITY as u64 + 100;
+        for _ in 0..ticks {
+            s.enqueue(tenant, layer, Tensor::randn(&[2, 8], &mut rng))
+                .unwrap();
+            assert_eq!(s.tick().evictions.len(), 1);
+        }
+        assert_eq!(s.evictions(), ticks);
+        let log = s.eviction_log();
+        assert_eq!(log.len(), EVICTION_LOG_CAPACITY);
+        assert_eq!(log[0].tick, ticks - EVICTION_LOG_CAPACITY as u64 + 1);
+        assert_eq!(log[EVICTION_LOG_CAPACITY - 1].tick, ticks);
     }
 
     #[test]

@@ -35,24 +35,28 @@
 //! runner) hand one pool to every engine and layer they drive. The
 //! workers exit and are joined when the last clone drops.
 //!
-//! Three safeguards keep the pool cheap and deadlock-free:
+//! # Dispatch
 //!
-//! * **Inline short-circuit** — regions whose estimated total work is
-//!   below the executor's tuned dispatch threshold
-//!   ([`DispatchTuning::dispatch_min_work`], seeded by
-//!   [`POOL_DISPATCH_MIN_WORK`] and host-calibrated via
-//!   `MERCURY_TUNE_PROFILE` — see [`crate::tune`]), or with fewer than
-//!   two items, run inline on the calling thread without waking any
-//!   worker.
-//! * **Nested regions** — a thread that is already executing region
-//!   items (a pool worker, or the dispatching caller itself) runs any
-//!   inner parallel region inline instead of re-entering a pool, so an
-//!   engine that shards GEMMs or bank probes inside a `submit_batch`
-//!   fan-out can never deadlock on its own pool — and never
-//!   oversubscribes the machine.
-//! * **Participation capping** — a region with fewer items than the
-//!   pool has workers only recruits `items - 1` of them (the caller is
-//!   always the extra runner).
+//! Every region goes through one primitive, [`Executor::map`]: owned
+//! items, one work hint per item, lazily built per-runner scratch, and
+//! results in item order ([`Executor::map_indexed`] is its only
+//! convenience). One gate decides where a region runs. It goes to the
+//! pool only when **all** of these hold:
+//!
+//! * the backend is a pool;
+//! * at least two items carry nonzero work (so there are at least two
+//!   items) — one hot item among empty ones runs inline, however large,
+//!   because a second thread could not share its work;
+//! * the saturating sum of the hints reaches
+//!   [`DispatchTuning::dispatch_min_work`], so tiny regions never pay a
+//!   worker wakeup;
+//! * the calling thread is not already executing items of an outer
+//!   region. Nested regions run inline, so an engine that shards GEMMs
+//!   or bank probes inside a `submit_batch` fan-out can never deadlock
+//!   on its own pool, and never oversubscribes the machine.
+//!
+//! A dispatched region recruits at most one worker fewer than it has busy
+//! items (the caller is always the extra runner).
 //!
 //! [`MercuryConfig`]: https://docs.rs/mercury-core
 //!
@@ -66,12 +70,17 @@
 //! let a = serial.map_indexed(8, |i| i * i);
 //! let b = pool.map_indexed(8, |i| i * i);
 //! assert_eq!(a, b); // scheduling never changes results
+//!
+//! // Hints summing below the dispatch floor keep a region inline.
+//! let squares = pool.map(vec![1u64, 2, 3], |_| 1, || (), |x, ()| x * x);
+//! assert_eq!(squares, vec![1, 4, 9]);
+//! assert_eq!(pool.pool_stats().unwrap().regions_inlined, 1);
 //! ```
 
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::tune::DispatchTuning;
 
@@ -186,31 +195,6 @@ impl ExecutorKind {
     }
 }
 
-/// The historical (1-core-calibrated) dispatch threshold: below this much
-/// estimated total work (in abstract units of roughly one scalar FLOP —
-/// i.e. very roughly a nanosecond of scalar compute), a region dispatched
-/// through one of the `*_sized` scheduling variants runs inline on the
-/// calling thread instead of waking pool workers, because the
-/// wakeup/handoff cost (~µs) would exceed the parallel win. The plain
-/// variants assume chunky items and always dispatch.
-///
-/// Since the autotuning pass landed this constant is only the **default
-/// seed** for [`DispatchTuning::dispatch_min_work`] — the value an
-/// executor actually gates on is resolved per process (profile file →
-/// committed per-core defaults → this constant; see
-/// [`DispatchTuning::resolved`]) and readable via [`Executor::tuning`].
-pub const POOL_DISPATCH_MIN_WORK: usize = 32 * 1024;
-
-/// The process-wide resolved tuning, computed once at the first executor
-/// construction and reused for every later one: resolution can read a
-/// profile file (`MERCURY_TUNE_PROFILE`), and hot paths construct
-/// short-lived serial executors (e.g. per conv forward), so re-reading
-/// the file per construction would put I/O on the forward path.
-fn process_tuning() -> DispatchTuning {
-    static TUNING: OnceLock<DispatchTuning> = OnceLock::new();
-    *TUNING.get_or_init(DispatchTuning::resolved)
-}
-
 /// Snapshot of a pool's dispatch counters (see
 /// [`Executor::pool_stats`]) — the observability hook the
 /// assertion-backed CI smoke test uses to prove the threaded test leg
@@ -240,9 +224,10 @@ pub struct PoolStats {
 /// one `Executor` and hand clones to everything they drive. The workers
 /// are joined when the last clone drops.
 ///
-/// All three scheduling primitives return (or apply) results in **item
-/// index order**, regardless of which worker ran which item; callers get
-/// determinism for free as long as the items themselves are independent.
+/// Both scheduling methods, [`map`](Self::map) and
+/// [`map_indexed`](Self::map_indexed), return results in **item order**,
+/// regardless of which worker ran which item; callers get determinism for
+/// free as long as the items themselves are independent.
 #[derive(Debug, Clone, Default)]
 pub struct Executor {
     backend: Backend,
@@ -261,10 +246,9 @@ enum Backend {
 }
 
 impl Executor {
-    /// The serial backend, with the process-resolved tuning (see
-    /// [`DispatchTuning::resolved`]).
+    /// The serial backend, with the default [`DispatchTuning`].
     pub fn serial() -> Self {
-        Executor::serial_tuned(process_tuning())
+        Executor::serial_tuned(DispatchTuning::default())
     }
 
     /// The serial backend with explicit tuning. Serial scheduling itself
@@ -279,26 +263,21 @@ impl Executor {
         }
     }
 
-    /// A threaded backend with an explicit worker count (`0` = auto-size,
-    /// `1` collapses to serial) and the process-resolved tuning. The
-    /// pool's threads are spawned lazily at the first dispatched region,
-    /// then parked between regions.
+    /// A threaded backend with an explicit worker count (`0` = the
+    /// available parallelism, `1` collapses to serial) and the default
+    /// [`DispatchTuning`]. The pool's threads are spawned lazily at the
+    /// first dispatched region, then parked between regions.
     pub fn threaded(threads: usize) -> Self {
-        Executor::threaded_tuned(threads, process_tuning())
+        Executor::threaded_tuned(threads, DispatchTuning::default())
     }
 
-    /// [`threaded`](Self::threaded) with explicit tuning. Auto-sizing
-    /// (`threads: 0`) resolves to the available parallelism **capped by
-    /// `tuning.max_pool_width`** — the widest pool that measured as
-    /// useful on this host; an *explicit* width is never capped
-    /// (determinism suites deliberately pin oversubscribed pools).
+    /// [`threaded`](Self::threaded) with explicit tuning, for tests that
+    /// pin a tuning point.
     pub fn threaded_tuned(threads: usize, tuning: DispatchTuning) -> Self {
         let threads = if threads == 0 {
             std::thread::available_parallelism()
                 .map(|p| p.get())
                 .unwrap_or(1)
-                .min(tuning.max_pool_width)
-                .max(1)
         } else {
             threads
         };
@@ -315,22 +294,15 @@ impl Executor {
     /// Each call builds a *fresh* pool; owners that serve many requests
     /// should resolve once and clone the result (clones share the pool).
     pub fn from_kind(kind: ExecutorKind) -> Self {
-        Executor::from_kind_tuned(kind, process_tuning())
-    }
-
-    /// [`from_kind`](Self::from_kind) with explicit tuning, for owners
-    /// that resolve their own profile (e.g. `mercury-serve`'s config
-    /// override) or tests pinning a tuning point.
-    pub fn from_kind_tuned(kind: ExecutorKind, tuning: DispatchTuning) -> Self {
         match kind {
-            ExecutorKind::Serial => Executor::serial_tuned(tuning),
-            ExecutorKind::Threaded { threads } => Executor::threaded_tuned(threads, tuning),
+            ExecutorKind::Serial => Executor::serial(),
+            ExecutorKind::Threaded { threads } => Executor::threaded(threads),
         }
     }
 
     /// The dispatch tuning this executor was constructed with. Engines
     /// use this to size their work hints (probe costs, channel hints) in
-    /// the same calibrated units the dispatch gate compares against.
+    /// the same units the dispatch gate compares against.
     pub fn tuning(&self) -> DispatchTuning {
         self.tuning
     }
@@ -357,242 +329,93 @@ impl Executor {
         }
     }
 
-    /// Runs `f(0..n)`, returning the results in index order. Items are
-    /// claimed dynamically (an atomic cursor), so heterogeneous item
-    /// costs balance across workers; result order is index order either
-    /// way. Assumes chunky items — see
-    /// [`map_indexed_sized`](Self::map_indexed_sized) when a cheap
-    /// per-item cost estimate exists.
+    /// Runs `f(0..n)`, returning the results in index order: [`map`]
+    /// over the indices, each hinted as chunky enough to clear any
+    /// dispatch floor, so on a pool every region of two or more items
+    /// dispatches (unless nested).
+    ///
+    /// [`map`]: Self::map
     pub fn map_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        self.map_indexed_sized(n, self.tuning.dispatch_min_work, f)
+        self.map(0..n, |_| usize::MAX, || (), |i, ()| f(i))
     }
 
-    /// [`map_indexed`](Self::map_indexed) with an estimated per-item cost
-    /// (in dispatch-threshold units, roughly scalar FLOPs): the pooled
-    /// backend runs the region inline when `n * item_work` falls below
-    /// the tuned dispatch threshold, so tiny regions never pay a worker
-    /// wakeup.
-    pub fn map_indexed_sized<R, F>(&self, n: usize, item_work: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        match self.dispatch_pool(n, item_work) {
-            None => (0..n).map(f).collect(),
-            Some(pool) => {
-                let cursor = AtomicUsize::new(0);
-                let results = pool::ResultSlots::new(n);
-                pool.run_region(n, &|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    results.put(i, f(i));
-                });
-                results.collect()
-            }
-        }
-    }
-
-    /// [`map_indexed`](Self::map_indexed) with per-worker scratch state:
-    /// each participating runner builds one `S` with `init` and reuses it
-    /// across all the items it claims (the serial backend builds exactly
-    /// one). Use this when items need expensive scratch — per-channel
-    /// caches, packed buffers — that would otherwise be reallocated per
-    /// item.
-    pub fn map_with<S, R, I, F>(&self, n: usize, init: I, f: F) -> Vec<R>
-    where
-        S: Send,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(usize, &mut S) -> R + Sync,
-    {
-        self.map_with_sized(n, self.tuning.dispatch_min_work, init, f)
-    }
-
-    /// [`map_with`](Self::map_with) with an estimated per-item cost (see
-    /// [`map_indexed_sized`](Self::map_indexed_sized)).
-    pub fn map_with_sized<S, R, I, F>(&self, n: usize, item_work: usize, init: I, f: F) -> Vec<R>
-    where
-        S: Send,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(usize, &mut S) -> R + Sync,
-    {
-        match self.dispatch_pool(n, item_work) {
-            None => {
-                let mut scratch = init();
-                (0..n).map(|i| f(i, &mut scratch)).collect()
-            }
-            Some(pool) => {
-                let cursor = AtomicUsize::new(0);
-                let results = pool::ResultSlots::new(n);
-                pool.run_region(n, &|| {
-                    // Build the scratch only once this runner has claimed
-                    // an item: a late-waking worker that finds the cursor
-                    // drained must not pay for (possibly expensive) state
-                    // it will never use.
-                    let mut scratch: Option<S> = None;
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        results.put(i, f(i, scratch.get_or_insert_with(&init)));
-                    }
-                });
-                results.collect()
-            }
-        }
-    }
-
-    /// Consumes `items`, running `f(index, item)` for each and returning
-    /// results in item order. Items are claimed dynamically and move into
-    /// whichever runner claims them — the primitive behind disjoint
-    /// `&mut` fan-out (bank shards, per-layer session engines).
-    pub fn map_owned<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        self.map_owned_sized(items, self.tuning.dispatch_min_work, f)
-    }
-
-    /// [`map_owned`](Self::map_owned) with an estimated per-item cost
-    /// (see [`map_indexed_sized`](Self::map_indexed_sized)).
-    pub fn map_owned_sized<T, R, F>(&self, items: Vec<T>, item_work: usize, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        let n = items.len();
-        match self.dispatch_pool(n, item_work) {
-            None => items
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| f(i, t))
-                .collect(),
-            Some(pool) => {
-                let cursor = AtomicUsize::new(0);
-                let items = pool::ItemSlots::new(items);
-                let results = pool::ResultSlots::new(n);
-                pool.run_region(n, &|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    results.put(i, f(i, items.take(i)));
-                });
-                results.collect()
-            }
-        }
-    }
-
-    /// [`map_owned`](Self::map_owned) with a *per-item* cost estimate:
-    /// `item_work[i]` is the work carried by `items[i]`, in the same
-    /// units as [`map_owned_sized`](Self::map_owned_sized)'s uniform
-    /// hint. Use this when items are genuinely uneven — e.g. banked probe
-    /// jobs on a skewed batch — so the dispatch decision sees the real
-    /// distribution instead of an average: the region goes to the pool
-    /// only when at least **two** items carry nonzero work (a region with
-    /// one hot item and the rest empty runs inline, however large the hot
-    /// item — a second thread could not share its work) and the
-    /// saturating total crosses the tuned dispatch threshold. Recruitment
-    /// is likewise capped by the busy-item count, not the item count.
+    /// The scheduling primitive: consumes `items`, runs `f(item,
+    /// scratch)` for each and returns the results in item order, however
+    /// the items were scheduled. `work(&item)` is the item's work hint
+    /// (roughly scalar FLOPs; `0` = no work) for the dispatch gate in the
+    /// [module docs](self). Items are claimed dynamically and move into
+    /// whichever runner claims them, so uneven items balance and disjoint
+    /// `&mut` borrows fan out safely.
     ///
-    /// # Panics
+    /// Each runner builds one scratch `S` with `init` the first time it
+    /// claims an item and reuses it for every later item it claims: an
+    /// inline region builds at most one, a pooled region at most one per
+    /// runner, and a runner that finds the items drained builds none.
     ///
-    /// Panics if `item_work.len() != items.len()`.
-    pub fn map_owned_weighted<T, R, F>(&self, items: Vec<T>, item_work: &[usize], f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        let n = items.len();
-        assert_eq!(item_work.len(), n, "one work hint per item");
-        let total = item_work
-            .iter()
-            .fold(0usize, |acc, &w| acc.saturating_add(w));
-        let busy = item_work.iter().filter(|&&w| w > 0).count();
-        match self.dispatch_pool_weighted(n, busy, total) {
-            None => items
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| f(i, t))
-                .collect(),
-            Some(pool) => {
-                let cursor = AtomicUsize::new(0);
-                let items = pool::ItemSlots::new(items);
-                let results = pool::ResultSlots::new(n);
-                pool.run_region(busy, &|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    results.put(i, f(i, items.take(i)));
-                });
-                results.collect()
-            }
-        }
-    }
-
-    /// The pool to dispatch a region of `n` items (each costing roughly
-    /// `item_work` units) to, or `None` when the region should run inline:
-    /// serial backend, fewer than two items, estimated work below the
-    /// tuned `dispatch_min_work` threshold, or the calling thread is
-    /// already executing items of an outer region (nested regions run
-    /// inline — never deadlock, never oversubscribe).
-    fn dispatch_pool(&self, n: usize, item_work: usize) -> Option<&pool::WorkerPool> {
-        match &self.backend {
-            Backend::Serial => None,
-            Backend::Pool(pool) => {
-                if n >= 2
-                    && n.saturating_mul(item_work) >= self.tuning.dispatch_min_work
-                    && !pool::in_region()
-                {
-                    Some(pool)
-                } else {
-                    pool.count_inline();
-                    None
-                }
-            }
-        }
-    }
-
-    /// [`dispatch_pool`](Self::dispatch_pool) for per-item work hints:
-    /// dispatches when `busy` (items with nonzero work) is at least two
-    /// and the saturating `total_work` crosses the threshold. One busy
-    /// item means the region is effectively serial no matter how large —
-    /// waking workers for the empty items is pure overhead.
-    fn dispatch_pool_weighted(
+    /// On the serial backend this is the plain in-order loop: hints are
+    /// never evaluated and nothing beyond the result vector is allocated.
+    pub fn map<T, S, R, W, I, F>(
         &self,
-        n: usize,
-        busy: usize,
-        total_work: usize,
-    ) -> Option<&pool::WorkerPool> {
-        match &self.backend {
-            Backend::Serial => None,
-            Backend::Pool(pool) => {
-                if n >= 2
-                    && busy >= 2
-                    && total_work >= self.tuning.dispatch_min_work
-                    && !pool::in_region()
-                {
-                    Some(pool)
-                } else {
-                    pool.count_inline();
-                    None
-                }
-            }
+        items: impl IntoIterator<Item = T>,
+        work: W,
+        init: I,
+        f: F,
+    ) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        W: Fn(&T) -> usize,
+        I: Fn() -> S + Sync,
+        F: Fn(T, &mut S) -> R + Sync,
+    {
+        let pool = match &self.backend {
+            Backend::Serial => return run_inline(items, &init, &f),
+            Backend::Pool(pool) => pool,
+        };
+        let items: Vec<T> = items.into_iter().collect();
+        let (busy, total) = items.iter().fold((0usize, 0usize), |(busy, total), item| {
+            let w = work(item);
+            (busy + usize::from(w > 0), total.saturating_add(w))
+        });
+        // The one dispatch gate (module docs); two busy items imply n ≥ 2.
+        if busy < 2 || total < self.tuning.dispatch_min_work || pool::in_region() {
+            pool.count_inline();
+            return run_inline(items, &init, &f);
         }
+        let n = items.len();
+        let cursor = AtomicUsize::new(0);
+        let items = pool::ItemSlots::new(items);
+        let results = pool::ResultSlots::new(n);
+        pool.run_region(busy, &|| {
+            let mut scratch: Option<S> = None;
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                results.put(i, f(items.take(i), scratch.get_or_insert_with(&init)));
+            }
+        });
+        results.collect()
     }
+}
+
+/// The inline region: every item in order on the calling thread, with
+/// one scratch built at the first item.
+fn run_inline<T, S, R>(
+    items: impl IntoIterator<Item = T>,
+    init: &impl Fn() -> S,
+    f: &impl Fn(T, &mut S) -> R,
+) -> Vec<R> {
+    let mut scratch: Option<S> = None;
+    items
+        .into_iter()
+        .map(|item| f(item, scratch.get_or_insert_with(init)))
+        .collect()
 }
 
 /// The persistent worker pool and the pointer-erased region handoff.
@@ -618,7 +441,7 @@ mod pool {
         /// How many region runners are live on this thread. Non-zero on a
         /// pool worker mid-job and on a dispatching caller while it runs
         /// its own share of a region; any inner region started then must
-        /// execute inline (see [`super::Executor::dispatch_pool`]).
+        /// execute inline (see [`super::Executor::map`]).
         static REGION_DEPTH: Cell<usize> = const { Cell::new(0) };
     }
 
@@ -955,7 +778,7 @@ mod pool {
         }
     }
 
-    /// Owned work items for `map_owned`: each is moved out by exactly
+    /// Owned work items for `Executor::map`: each is moved out by exactly
     /// the runner that claimed its index.
     pub(super) struct ItemSlots<T> {
         slots: Vec<UnsafeCell<Option<T>>>,
@@ -981,56 +804,6 @@ mod pool {
             // one runner, so this is the only access to the slot.
             unsafe { (*self.slots[i].get()).take() }.expect("every item consumed exactly once")
         }
-    }
-}
-
-/// The retired spawn-per-region scheduling, kept **only** as a
-/// measurement reference: `benches/executor_dispatch.rs` races it
-/// against the persistent pool to quantify what parking the workers
-/// buys. No production path calls into this module.
-pub mod reference {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    /// `Executor::map_indexed` as PR 4 shipped it: spawn `threads` scoped
-    /// workers for this one region, join them, return results in index
-    /// order.
-    pub fn map_indexed_spawned<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let workers = threads.min(n);
-        if workers <= 1 {
-            return (0..n).map(f).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            out.push((i, f(i)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, r) in handle.join().expect("executor worker panicked") {
-                    results[i] = Some(r);
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every index computed exactly once"))
-            .collect()
     }
 }
 
@@ -1147,7 +920,7 @@ mod tests {
             let n = 1 + (round * 7) % 23;
             let a = exec.map_indexed(n, |i| i * round);
             assert_eq!(a, (0..n).map(|i| i * round).collect::<Vec<_>>());
-            let b = exec.map_owned((0..n).collect::<Vec<_>>(), |i, item| i + item);
+            let b = exec.map(0..n, |_| usize::MAX, || (), |item, ()| 2 * item);
             assert_eq!(b, (0..n).map(|i| 2 * i).collect::<Vec<_>>());
         }
         let stats = exec.pool_stats().unwrap();
@@ -1156,12 +929,15 @@ mod tests {
 
     #[test]
     fn map_with_reuses_scratch_and_keeps_order() {
-        // Scratch is per-worker: the sum of all per-item scratch counters
-        // equals the item count, and results still land in index order.
+        // Scratch is per runner and reused across the items it claims:
+        // each scratch reads 1 at its first item only, so the items that
+        // saw 1 count the scratches built — at most one per runner.
+        // Results still land in index order.
         for threads in [1, 2, 8] {
             let exec = Executor::threaded(threads);
-            let out = exec.map_with(
-                20,
+            let out = exec.map(
+                0..20usize,
+                |_| usize::MAX,
                 || 0usize,
                 |i, seen| {
                     *seen += 1;
@@ -1170,14 +946,8 @@ mod tests {
             );
             let indices: Vec<usize> = out.iter().map(|&(i, _)| i).collect();
             assert_eq!(indices, (0..20).collect::<Vec<_>>());
-            let total: usize = {
-                // Each worker's `seen` counts up; the per-item values are the
-                // running count at that item, so the max over items per
-                // worker sums to 20. Cheap cross-check: every item saw a
-                // scratch that had processed at least itself.
-                out.iter().map(|&(_, s)| s).filter(|&s| s >= 1).count()
-            };
-            assert_eq!(total, 20);
+            let built = out.iter().filter(|&&(_, seen)| seen == 1).count();
+            assert!((1..=threads).contains(&built), "{built} scratches");
         }
     }
 
@@ -1186,9 +956,9 @@ mod tests {
         for threads in [1, 2, 5] {
             let exec = Executor::threaded(threads);
             let items: Vec<String> = (0..11).map(|i| format!("item{i}")).collect();
-            let out = exec.map_owned(items, |i, s| format!("{i}:{s}"));
+            let out = exec.map(items, |_| usize::MAX, || (), |s, ()| format!("got:{s}"));
             for (i, s) in out.iter().enumerate() {
-                assert_eq!(s, &format!("{i}:item{i}"));
+                assert_eq!(s, &format!("got:item{i}"));
             }
         }
     }
@@ -1205,65 +975,6 @@ mod tests {
             i
         });
         assert_eq!(out, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn tiny_sized_regions_short_circuit_inline() {
-        let exec = Executor::threaded(4);
-        let before = exec.pool_stats().unwrap();
-        // 4 items of ~1 unit each: far below POOL_DISPATCH_MIN_WORK.
-        let out = exec.map_indexed_sized(4, 1, |i| i * 2);
-        assert_eq!(out, vec![0, 2, 4, 6]);
-        // A single item never dispatches either, whatever its size.
-        let out = exec.map_indexed_sized(1, usize::MAX, |i| i);
-        assert_eq!(out, vec![0]);
-        let after = exec.pool_stats().unwrap();
-        assert_eq!(after.regions_dispatched, before.regions_dispatched);
-        assert_eq!(after.regions_inlined, before.regions_inlined + 2);
-        // Enough declared work flips the same shape over to the pool.
-        let out = exec.map_indexed_sized(4, POOL_DISPATCH_MIN_WORK, |i| i * 2);
-        assert_eq!(out, vec![0, 2, 4, 6]);
-        assert_eq!(
-            exec.pool_stats().unwrap().regions_dispatched,
-            before.regions_dispatched + 1
-        );
-    }
-
-    #[test]
-    fn weighted_map_matches_serial_and_gates_on_busy_items() {
-        // Results must match the serial backend for any weight vector.
-        let serial = Executor::serial();
-        let weights = [0usize, 5, 0, POOL_DISPATCH_MIN_WORK, 7, 0, usize::MAX];
-        let items: Vec<usize> = (0..weights.len()).collect();
-        let want = serial.map_owned_weighted(items.clone(), &weights, |i, v| i * 100 + v);
-        for threads in [2, 4] {
-            let exec = Executor::threaded(threads);
-            let got = exec.map_owned_weighted(items.clone(), &weights, |i, v| i * 100 + v);
-            assert_eq!(got, want);
-        }
-
-        let exec = Executor::threaded(4);
-        let before = exec.pool_stats().unwrap();
-        // One hot item among empties: total is huge but only one item
-        // carries work — a second thread could not help. Must inline.
-        let skew = [usize::MAX, 0, 0, 0];
-        let out = exec.map_owned_weighted(vec![1, 2, 3, 4], &skew, |_, v| v * 2);
-        assert_eq!(out, vec![2, 4, 6, 8]);
-        // Tiny totals inline too, even when spread across items.
-        let tiny = [1usize, 1, 1, 1];
-        exec.map_owned_weighted(vec![0; 4], &tiny, |_, v| v);
-        let mid = exec.pool_stats().unwrap();
-        assert_eq!(mid.regions_dispatched, before.regions_dispatched);
-        assert_eq!(mid.regions_inlined, before.regions_inlined + 2);
-        // Two busy items over the threshold dispatch; saturating totals
-        // (two usize::MAX items) must not wrap back below it.
-        let hot = [usize::MAX, usize::MAX, 0, 0];
-        let out = exec.map_owned_weighted(vec![1, 2, 3, 4], &hot, |_, v| v + 1);
-        assert_eq!(out, vec![2, 3, 4, 5]);
-        assert_eq!(
-            exec.pool_stats().unwrap().regions_dispatched,
-            before.regions_dispatched + 1
-        );
     }
 
     #[test]
@@ -1311,84 +1022,5 @@ mod tests {
         let stats = exec.pool_stats().unwrap();
         assert_eq!(stats.threads, 4, "no worker died");
         assert_eq!(stats.regions_panicked, 1, "the clean region added nothing");
-    }
-
-    #[test]
-    fn tuned_threshold_moves_the_dispatch_decision() {
-        // The same region shape flips between inline and pooled purely by
-        // the tuning it was constructed with — the contract a calibrated
-        // profile relies on.
-        let lax = DispatchTuning {
-            dispatch_min_work: 8,
-            ..DispatchTuning::default()
-        };
-        let exec = Executor::threaded_tuned(4, lax);
-        assert_eq!(exec.tuning(), lax);
-        assert_eq!(exec.map_indexed_sized(4, 2, |i| i), vec![0, 1, 2, 3]);
-        assert_eq!(
-            exec.pool_stats().unwrap().regions_dispatched,
-            1,
-            "8 units of declared work crossed the lax 8-unit threshold"
-        );
-
-        let strict = DispatchTuning {
-            dispatch_min_work: usize::MAX,
-            ..DispatchTuning::default()
-        };
-        let exec = Executor::threaded_tuned(4, strict);
-        // The default (untuned) executor dispatches this exact shape —
-        // see `tiny_sized_regions_short_circuit_inline`.
-        let out = exec.map_indexed_sized(4, POOL_DISPATCH_MIN_WORK, |i| i * 2);
-        assert_eq!(out, vec![0, 2, 4, 6]);
-        let stats = exec.pool_stats().unwrap();
-        assert_eq!(stats.regions_dispatched, 0, "strict threshold inlines it");
-        assert_eq!(stats.regions_inlined, 1);
-
-        // The weighted gate reads the same tuned threshold.
-        let exec = Executor::threaded_tuned(4, lax);
-        let out = exec.map_owned_weighted(vec![1, 2], &[4, 4], |_, v| v);
-        assert_eq!(out, vec![1, 2]);
-        assert_eq!(exec.pool_stats().unwrap().regions_dispatched, 1);
-    }
-
-    #[test]
-    fn auto_sizing_respects_the_tuned_width_cap() {
-        // A measured useful width caps auto-sizing…
-        let capped = DispatchTuning {
-            max_pool_width: 1,
-            ..DispatchTuning::default()
-        };
-        let exec = Executor::threaded_tuned(0, capped);
-        assert!(
-            !exec.is_parallel(),
-            "auto-size capped to width 1 collapses to serial"
-        );
-        // …but never a pinned width: determinism suites oversubscribe on
-        // purpose.
-        let exec = Executor::threaded_tuned(8, capped);
-        assert_eq!(exec.threads(), 8);
-        // Serial executors still carry their tuning for engines to read.
-        assert_eq!(Executor::serial_tuned(capped).tuning(), capped);
-    }
-
-    #[test]
-    fn plain_variants_still_always_dispatch_under_extreme_tuning() {
-        // The unsized primitives assume chunky items; even a profile with
-        // a saturating threshold must not flip them to inline (n ≥ 2
-        // times the threshold itself saturates back to the threshold).
-        let strict = DispatchTuning {
-            dispatch_min_work: usize::MAX,
-            ..DispatchTuning::default()
-        };
-        let exec = Executor::threaded_tuned(2, strict);
-        assert_eq!(exec.map_indexed(4, |i| i), vec![0, 1, 2, 3]);
-        assert_eq!(exec.pool_stats().unwrap().regions_dispatched, 1);
-    }
-
-    #[test]
-    fn spawned_reference_matches_pool_results() {
-        let want: Vec<usize> = (0..33).map(|i| i ^ 5).collect();
-        assert_eq!(reference::map_indexed_spawned(4, 33, |i| i ^ 5), want);
-        assert_eq!(Executor::threaded(4).map_indexed(33, |i| i ^ 5), want);
     }
 }

@@ -16,9 +16,8 @@
 //! * [`exec`] — the pluggable [`Executor`](exec::Executor) backend (serial
 //!   reference vs persistent worker pool) every parallel path in the
 //!   workspace schedules through, bit-identically,
-//! * [`tune`] — the host-calibrated [`DispatchTuning`](tune::DispatchTuning)
-//!   knob set executors resolve at construction, and the versioned
-//!   `TuneProfile` JSON the `bench_tune` calibration pass emits,
+//! * [`tune`] — the [`DispatchTuning`](tune::DispatchTuning) constants
+//!   an executor's dispatch gate and the engines' work hints share,
 //! * [`scratch`] — per-thread recycling arenas for the hot paths' scratch
 //!   buffers, so pool workers stop hitting the global allocator once warm,
 //! * [`rng`] — a small deterministic RNG (SplitMix64 + Box–Muller) so every

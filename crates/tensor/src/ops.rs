@@ -198,31 +198,31 @@ pub fn gemm_blocked_on(
     assert_eq!(b.len(), k * ldb, "b must be [k, ldb]");
     assert_eq!(out.len(), m * n, "out must be [m, n]");
     let rows_per = m.div_ceil(workers);
-    let jobs: Vec<(&mut [f32], &[f32])> = out
-        .chunks_mut(rows_per * n)
-        .zip(a.chunks(rows_per * k))
-        .collect();
-    let work: Vec<usize> = jobs
-        .iter()
-        .map(|(_, arows)| chunk_flops(arows.len() / k, k, n))
-        .collect();
     // Fault events are drawn on the dispatching thread in chunk order,
     // BEFORE the fan-out, so which chunk faults never depends on pool
     // scheduling; the action itself fires on whichever worker runs the
     // chunk.
     #[cfg(feature = "fault-inject")]
-    let chunk_faults: Vec<Option<mercury_faults::FaultAction>> = jobs
-        .iter()
+    let chunk_faults: Vec<Option<mercury_faults::FaultAction>> = (0..m.div_ceil(rows_per))
         .map(|_| mercury_faults::poll(mercury_faults::FaultSite::GemmChunk))
         .collect();
-    exec.map_owned_weighted(jobs, &work, |_i, (orows, arows)| {
-        #[cfg(feature = "fault-inject")]
-        chunk_fault_pre(chunk_faults[_i]);
-        let rows = arows.len() / k;
-        gemm_blocked(orows, arows, b, rows, k, n, ldb);
-        #[cfg(feature = "fault-inject")]
-        chunk_fault_post(chunk_faults[_i], orows);
-    });
+    let chunks = out
+        .chunks_mut(rows_per * n)
+        .zip(a.chunks(rows_per * k))
+        .enumerate();
+    exec.map(
+        chunks,
+        |(_, (_, arows))| chunk_flops(arows.len() / k, k, n),
+        || (),
+        |(_i, (orows, arows)), ()| {
+            #[cfg(feature = "fault-inject")]
+            chunk_fault_pre(chunk_faults[_i]);
+            let rows = arows.len() / k;
+            gemm_blocked(orows, arows, b, rows, k, n, ldb);
+            #[cfg(feature = "fault-inject")]
+            chunk_fault_post(chunk_faults[_i], orows);
+        },
+    );
 }
 
 /// Applies the pre-compute half of a [`GemmChunk`] fault: `Panic` fires

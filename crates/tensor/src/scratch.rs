@@ -4,9 +4,8 @@
 //! dispatch wakeup — it is every worker hammering the global allocator
 //! for the same per-region scratch (`im2col` patch buffers, packed GEMM
 //! panels, per-channel contribution rows), which serializes the workers
-//! on the allocator's locks exactly when they should be independent. The
-//! `bench_tune` width sweeps surface this as pool widths that stop
-//! scaling long before the core count.
+//! on the allocator's locks exactly when they should be independent,
+//! and pool widths stop scaling long before the core count.
 //!
 //! [`ScratchF32`] is the fix: a `Vec<f32>` whose backing allocation is
 //! drawn from (and returned to) a **thread-local** free list. A pool
@@ -73,8 +72,7 @@ struct FreeList {
 }
 
 /// Counters of one thread's arena traffic (see
-/// [`thread_stats`]) — the observability hook `bench_tune` and loadgen
-/// print so allocator pressure is auditable, not guessed.
+/// [`thread_stats`]), so allocator pressure is auditable, not guessed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScratchStats {
     /// Buffers handed out on this thread ([`ScratchF32::take`] calls).
@@ -99,7 +97,8 @@ pub fn thread_stats() -> ScratchStats {
 /// drops into existing `resize`/`clear`/slice call sites unchanged.
 ///
 /// `Default` is [`take`](Self::take), so `ScratchF32` slots directly
-/// into `Executor::map_with`-style `Default`-built scratch states.
+/// into the `Default`-built per-runner scratch states of
+/// [`Executor::map`](crate::exec::Executor::map).
 #[derive(Debug)]
 pub struct ScratchF32 {
     /// `Some` until dropped; the option exists only so `Drop` can move

@@ -1,684 +1,48 @@
-//! Host-calibrated dispatch tuning: the [`DispatchTuning`] knob set the
-//! executor consumes at construction, and the versioned [`TuneProfile`]
-//! JSON document that carries measured values for those knobs from a
-//! `bench_tune` calibration run to a production process.
+//! The executor's dispatch constants: the [`DispatchTuning`] knob set an
+//! [`Executor`](crate::exec::Executor) carries from construction.
 //!
-//! # Why these knobs exist
-//!
-//! The pooled executor's dispatch decisions — "is this region worth a
-//! worker wakeup?", "is this probe stream long enough to partition by
-//! bank?" — were originally compile-time constants tuned on a 1-core
-//! container. Whether reuse/compute scheduling actually pays is a
-//! property of the *host* (wakeup latency, core count, allocator
-//! behaviour), so every knob is now data: a calibration pass
-//! (`cargo run -p mercury-bench --bin bench_tune`) sweeps each knob on
-//! the current machine and emits a profile; the executor resolves its
-//! tuning **once at construction** with the precedence
-//!
-//! 1. the profile named by `MERCURY_TUNE_PROFILE` (a path; loading
-//!    failures abort loudly, like an invalid `MERCURY_EXECUTOR`),
-//! 2. the committed per-core-count defaults in
-//!    [`DispatchTuning::committed_for_cores`] (folded in from the weekly
-//!    `bench-multicore` 4-core artifacts),
-//! 3. the historical constants (the 1-core seeds).
-//!
-//! A profile may set any subset of the knobs; unset knobs fall through to
-//! the next layer, and unknown fields are ignored so newer tools can
-//! annotate profiles older binaries still read.
-//!
-//! Tuning values change **scheduling only** — every tuning point is
-//! bit-identical to serial execution (pinned across a grid of extreme
-//! tunings by `tests/parallel_determinism.rs`).
+//! Every executor built by [`Executor::serial`](crate::exec::Executor::serial),
+//! [`threaded`](crate::exec::Executor::threaded) or
+//! [`from_kind`](crate::exec::Executor::from_kind) carries
+//! [`DispatchTuning::default`]. The knobs are **scheduling-only**: any
+//! values, however pathological, may move work between inline and pooled
+//! execution but never change a bit of output.
+//! [`Executor::serial_tuned`](crate::exec::Executor::serial_tuned) and
+//! [`threaded_tuned`](crate::exec::Executor::threaded_tuned) exist so
+//! `tests/parallel_determinism.rs` can pin that across a grid of extreme
+//! values.
 
-use std::collections::BTreeMap;
-use std::error::Error;
-use std::fmt;
-
-use crate::exec::POOL_DISPATCH_MIN_WORK;
-
-/// The current [`TuneProfile`] schema version. Loaders reject any other
-/// value: tuning silently misread as zero would disable dispatch
-/// everywhere, which is exactly the failure calibration exists to remove.
-pub const TUNE_PROFILE_VERSION: u64 = 1;
-
-/// Historical default for [`DispatchTuning::probe_work_units`]: the rough
-/// cost of one MCACHE probe (hash + set scan + insert) in executor work
-/// units (~scalar FLOPs), as estimated on the original 1-core container.
-pub const DEFAULT_PROBE_WORK_UNITS: usize = 64;
-
-/// Historical default for [`DispatchTuning::parallel_probe_min`]: below
-/// this many probes per batch, partitioning a signature stream by home
-/// bank costs more than the fan-out saves.
-pub const DEFAULT_PARALLEL_PROBE_MIN: usize = 64;
-
-/// The runtime dispatch knob set one [`Executor`](crate::exec::Executor)
-/// carries. Resolved once at executor construction (see
-/// [`DispatchTuning::resolved`]) and shared by every clone; engines read
-/// it back through [`Executor::tuning`](crate::exec::Executor::tuning) so
-/// their work-size hints use the same calibrated units the dispatch gate
-/// compares against.
+/// The dispatch knob set one [`Executor`](crate::exec::Executor) carries.
+/// Engines read it back through
+/// [`Executor::tuning`](crate::exec::Executor::tuning) so their work-size
+/// hints use the same units the dispatch gate compares against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DispatchTuning {
-    /// Minimum estimated region work (in ~scalar-FLOP units) for a
-    /// `*_sized` region to be handed to the worker pool instead of
-    /// running inline on the caller.
+    /// Minimum summed work hint (in ~scalar-FLOP units) for a region to
+    /// be handed to the worker pool instead of running inline on the
+    /// caller. Default 32Ki units, roughly tens of µs of work.
     pub dispatch_min_work: usize,
     /// Estimated cost of one MCACHE probe in the same work units; feeds
     /// the per-bank probe fan-out hints and the conv channel hints.
+    /// Default 64.
     pub probe_work_units: usize,
     /// Minimum signatures per batch before a banked probe stream is
-    /// partitioned across bank shards at all.
+    /// partitioned across bank shards at all. Default 64.
     pub parallel_probe_min: usize,
-    /// The widest pool that measured as useful on this host. Auto-sized
-    /// executors (`threads: 0`) use `min(available_parallelism, this)`;
-    /// explicitly pinned widths are **not** capped (determinism suites
-    /// deliberately oversubscribe).
-    pub max_pool_width: usize,
+    /// Not a knob. Literals end in `..DispatchTuning::default()`, so a
+    /// literal naming every knob stays warning-free and a new knob
+    /// breaks no caller.
+    #[doc(hidden)]
+    pub _rest: (),
 }
-
-/// The 1-core-seed constants — layer 3 of the resolution chain.
-pub const DEFAULT_TUNING: DispatchTuning = DispatchTuning {
-    dispatch_min_work: POOL_DISPATCH_MIN_WORK,
-    probe_work_units: DEFAULT_PROBE_WORK_UNITS,
-    parallel_probe_min: DEFAULT_PARALLEL_PROBE_MIN,
-    max_pool_width: usize::MAX,
-};
 
 impl Default for DispatchTuning {
     fn default() -> Self {
-        DEFAULT_TUNING
-    }
-}
-
-impl DispatchTuning {
-    /// The tuning for the current process: `MERCURY_TUNE_PROFILE` if set,
-    /// else the committed defaults for this machine's core count, else
-    /// the constants. Called once per executor construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics — naming the path and the typed error — when
-    /// `MERCURY_TUNE_PROFILE` is set but the file cannot be read or
-    /// parsed. A calibrated run that silently fell back to guesses would
-    /// taint whatever comparison the operator was running.
-    pub fn resolved() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        match std::env::var("MERCURY_TUNE_PROFILE") {
-            Err(_) => Self::resolve(None, cores),
-            Ok(path) => match TuneProfile::load(&path) {
-                Ok(profile) => Self::resolve(Some(&profile), cores),
-                Err(e) => panic!("MERCURY_TUNE_PROFILE ({path}): {e}"),
-            },
-        }
-    }
-
-    /// The pure resolution chain, split from the environment so the
-    /// precedence is testable: `profile` knobs override the committed
-    /// defaults for `cores`, which override the constants. Knobs a
-    /// profile leaves unset fall through per knob, not per layer.
-    pub fn resolve(profile: Option<&TuneProfile>, cores: usize) -> Self {
-        let base = Self::committed_for_cores(cores).unwrap_or(DEFAULT_TUNING);
-        match profile {
-            None => base,
-            Some(p) => p.overlay(base),
-        }
-    }
-
-    /// Committed defaults for an **exact** core count, folded in from the
-    /// weekly `bench-multicore` artifacts (the 4-core hosted runner is
-    /// the only machine with an accumulated history; other core counts
-    /// fall through to the constants until their artifacts exist). The
-    /// 4-core record shows the pool wakeup amortizing at roughly half
-    /// the 1-core threshold, probes costing ~48 scalar-FLOP units, bank
-    /// fan-out paying from ~48 probes, and no width beyond the 4 real
-    /// cores ever helping.
-    pub fn committed_for_cores(cores: usize) -> Option<Self> {
-        match cores {
-            4 => Some(DispatchTuning {
-                dispatch_min_work: 16 * 1024,
-                probe_work_units: 48,
-                parallel_probe_min: 48,
-                max_pool_width: 4,
-            }),
-            _ => None,
-        }
-    }
-
-    /// Validates every knob is usable (all must be ≥ 1: a zero dispatch
-    /// floor dispatches empty regions, zero probe units erase probe
-    /// streams from every hint, a zero-width pool cannot exist).
-    ///
-    /// # Errors
-    ///
-    /// [`TuneProfileError::BadValue`] naming the offending field.
-    pub fn validate(&self) -> Result<(), TuneProfileError> {
-        for (field, value) in [
-            ("dispatch_min_work", self.dispatch_min_work),
-            ("probe_work_units", self.probe_work_units),
-            ("parallel_probe_min", self.parallel_probe_min),
-            ("max_pool_width", self.max_pool_width),
-        ] {
-            if value == 0 {
-                return Err(TuneProfileError::BadValue {
-                    field,
-                    reason: "must be a positive integer".to_string(),
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-/// One measured sweep curve: `(swept value, median nanoseconds)` points,
-/// so a profile records not just the chosen knob but the crossover
-/// evidence behind it (`bench_tune` emits one curve per sweep leg, e.g.
-/// `dispatch/inline` next to `dispatch/pooled`).
-pub type TuneCurve = Vec<(f64, f64)>;
-
-/// A versioned, host-calibrated tuning document: per-knob best values
-/// (each optional — unset knobs fall through to committed defaults /
-/// constants) plus the measured crossover curves they were read from.
-///
-/// # Examples
-///
-/// ```
-/// use mercury_tensor::tune::{DispatchTuning, TuneProfile};
-///
-/// let json = r#"{
-///     "version": 1,
-///     "cores": 4,
-///     "probe_work_units": 80,
-///     "a_future_field": {"ignored": [1, 2]}
-/// }"#;
-/// let profile = TuneProfile::from_json(json).unwrap();
-/// let tuning = DispatchTuning::resolve(Some(&profile), 1);
-/// assert_eq!(tuning.probe_work_units, 80);     // from the profile
-/// assert_eq!(tuning.parallel_probe_min, 64);   // fell through
-/// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TuneProfile {
-    /// Core count of the host the profile was calibrated on (recorded
-    /// for artifact provenance; resolution does not match on it — the
-    /// operator pointing `MERCURY_TUNE_PROFILE` at a profile is the
-    /// statement that it applies).
-    pub cores: Option<usize>,
-    /// Calibrated [`DispatchTuning::dispatch_min_work`], if measured.
-    pub dispatch_min_work: Option<usize>,
-    /// Calibrated [`DispatchTuning::probe_work_units`], if measured.
-    pub probe_work_units: Option<usize>,
-    /// Calibrated [`DispatchTuning::parallel_probe_min`], if measured.
-    pub parallel_probe_min: Option<usize>,
-    /// Calibrated [`DispatchTuning::max_pool_width`], if measured.
-    pub max_pool_width: Option<usize>,
-    /// The measured crossover curves, keyed `sweep/leg`.
-    pub curves: BTreeMap<String, TuneCurve>,
-}
-
-impl TuneProfile {
-    /// Applies this profile's set knobs on top of `base`.
-    pub fn overlay(&self, base: DispatchTuning) -> DispatchTuning {
         DispatchTuning {
-            dispatch_min_work: self.dispatch_min_work.unwrap_or(base.dispatch_min_work),
-            probe_work_units: self.probe_work_units.unwrap_or(base.probe_work_units),
-            parallel_probe_min: self.parallel_probe_min.unwrap_or(base.parallel_probe_min),
-            max_pool_width: self.max_pool_width.unwrap_or(base.max_pool_width),
-        }
-    }
-
-    /// Parses a profile from its JSON text.
-    ///
-    /// Unknown fields (of any JSON shape) are ignored; missing knobs stay
-    /// `None`. The `version` field is required and must equal
-    /// [`TUNE_PROFILE_VERSION`]; knob values must be positive integers.
-    ///
-    /// # Errors
-    ///
-    /// The [`TuneProfileError`] variant describing the first problem:
-    /// malformed JSON, a missing/unsupported version, or a bad knob
-    /// value.
-    pub fn from_json(text: &str) -> Result<Self, TuneProfileError> {
-        let value = json::parse(text)?;
-        let json::Value::Object(fields) = value else {
-            return Err(TuneProfileError::Parse {
-                offset: 0,
-                message: "profile root must be a JSON object".to_string(),
-            });
-        };
-        let mut profile = TuneProfile::default();
-        let mut version: Option<u64> = None;
-        for (key, value) in &fields {
-            match key.as_str() {
-                "version" => {
-                    version = Some(value.as_index("version")? as u64);
-                }
-                "cores" => profile.cores = Some(value.as_index("cores")?),
-                "dispatch_min_work" => {
-                    profile.dispatch_min_work = Some(value.as_knob("dispatch_min_work")?);
-                }
-                "probe_work_units" => {
-                    profile.probe_work_units = Some(value.as_knob("probe_work_units")?);
-                }
-                "parallel_probe_min" => {
-                    profile.parallel_probe_min = Some(value.as_knob("parallel_probe_min")?);
-                }
-                "max_pool_width" => {
-                    profile.max_pool_width = Some(value.as_knob("max_pool_width")?);
-                }
-                "curves" => profile.curves = parse_curves(value)?,
-                // Unknown fields — tolerated whatever their shape, so a
-                // newer bench_tune can annotate profiles this binary
-                // still loads.
-                _ => {}
-            }
-        }
-        match version {
-            None => Err(TuneProfileError::MissingVersion),
-            Some(v) if v != TUNE_PROFILE_VERSION => {
-                Err(TuneProfileError::UnsupportedVersion { found: v })
-            }
-            Some(_) => Ok(profile),
-        }
-    }
-
-    /// Reads and parses the profile at `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`TuneProfileError::Io`] when the file cannot be read, else any
-    /// [`from_json`](Self::from_json) rejection.
-    pub fn load(path: &str) -> Result<Self, TuneProfileError> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| TuneProfileError::Io(e.to_string()))?;
-        Self::from_json(&text)
-    }
-
-    /// Renders the profile as pretty-printed JSON (the exact document
-    /// [`from_json`](Self::from_json) round-trips).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"version\": {TUNE_PROFILE_VERSION}"));
-        let mut knob = |name: &str, v: Option<usize>| {
-            if let Some(v) = v {
-                out.push_str(&format!(",\n  \"{name}\": {v}"));
-            }
-        };
-        knob("cores", self.cores);
-        knob("dispatch_min_work", self.dispatch_min_work);
-        knob("probe_work_units", self.probe_work_units);
-        knob("parallel_probe_min", self.parallel_probe_min);
-        knob("max_pool_width", self.max_pool_width);
-        if !self.curves.is_empty() {
-            out.push_str(",\n  \"curves\": {");
-            for (i, (name, points)) in self.curves.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\n    \"{name}\": ["));
-                let rendered: Vec<String> = points
-                    .iter()
-                    .map(|&(x, y)| format!("[{}, {}]", json::number(x), json::number(y)))
-                    .collect();
-                out.push_str(&rendered.join(", "));
-                out.push(']');
-            }
-            out.push_str("\n  }");
-        }
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// Writes [`to_json`](Self::to_json) to `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`TuneProfileError::Io`] on any filesystem failure.
-    pub fn save(&self, path: &str) -> Result<(), TuneProfileError> {
-        std::fs::write(path, self.to_json()).map_err(|e| TuneProfileError::Io(e.to_string()))
-    }
-}
-
-fn parse_curves(value: &json::Value) -> Result<BTreeMap<String, TuneCurve>, TuneProfileError> {
-    let json::Value::Object(entries) = value else {
-        return Err(TuneProfileError::BadValue {
-            field: "curves",
-            reason: "must be an object of curve-name to [[x, y], ...]".to_string(),
-        });
-    };
-    let mut curves = BTreeMap::new();
-    for (name, points) in entries {
-        let json::Value::Array(points) = points else {
-            return Err(TuneProfileError::BadValue {
-                field: "curves",
-                reason: format!("curve {name:?} must be an array of [x, y] pairs"),
-            });
-        };
-        let mut curve = Vec::with_capacity(points.len());
-        for point in points {
-            let pair = match point {
-                json::Value::Array(pair) => match pair.as_slice() {
-                    [json::Value::Number(x), json::Value::Number(y)] => Some((*x, *y)),
-                    _ => None,
-                },
-                _ => None,
-            };
-            let Some(pair) = pair else {
-                return Err(TuneProfileError::BadValue {
-                    field: "curves",
-                    reason: format!("curve {name:?} holds a non-[x, y] point"),
-                });
-            };
-            curve.push(pair);
-        }
-        curves.insert(name.clone(), curve);
-    }
-    Ok(curves)
-}
-
-/// Why a [`TuneProfile`] could not be loaded, with one variant per
-/// failure class so callers (and the loud `MERCURY_TUNE_PROFILE` panic)
-/// can say exactly what was wrong.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TuneProfileError {
-    /// The profile file could not be read or written.
-    Io(String),
-    /// The text is not well-formed JSON (or not an object at the root).
-    Parse {
-        /// Byte offset of the first offending character.
-        offset: usize,
-        /// What the parser expected there.
-        message: String,
-    },
-    /// The document has no `version` field — an unversioned document is
-    /// indistinguishable from a truncated or foreign one.
-    MissingVersion,
-    /// The document's schema version is not [`TUNE_PROFILE_VERSION`].
-    UnsupportedVersion {
-        /// The version the document declared.
-        found: u64,
-    },
-    /// A field held a value outside its domain (zero, negative,
-    /// fractional, out of range, or the wrong JSON type).
-    BadValue {
-        /// The offending field.
-        field: &'static str,
-        /// Why the value was rejected.
-        reason: String,
-    },
-}
-
-impl fmt::Display for TuneProfileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TuneProfileError::Io(e) => write!(f, "profile I/O failed: {e}"),
-            TuneProfileError::Parse { offset, message } => {
-                write!(f, "malformed profile JSON at byte {offset}: {message}")
-            }
-            TuneProfileError::MissingVersion => {
-                write!(
-                    f,
-                    "profile has no \"version\" field (expected {TUNE_PROFILE_VERSION})"
-                )
-            }
-            TuneProfileError::UnsupportedVersion { found } => write!(
-                f,
-                "unsupported profile version {found} (this binary reads {TUNE_PROFILE_VERSION})"
-            ),
-            TuneProfileError::BadValue { field, reason } => {
-                write!(f, "bad value for {field:?}: {reason}")
-            }
-        }
-    }
-}
-
-impl Error for TuneProfileError {}
-
-/// A minimal JSON reader/writer for [`TuneProfile`] documents. The crate
-/// registry is unreachable in this workspace's build environment, so the
-/// profile schema is parsed by hand: full JSON value grammar (objects,
-/// arrays, strings with escapes, numbers, booleans, null) over a byte
-/// cursor — enough to *skip* arbitrarily-shaped unknown fields, which is
-/// what forward compatibility requires.
-mod json {
-    use super::TuneProfileError;
-
-    /// One parsed JSON value. Numbers are kept as `f64` (every value the
-    /// profile schema stores is well inside the 2^53 exact-integer
-    /// range, and knob extraction rejects anything that is not).
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Number(f64),
-        String(String),
-        Array(Vec<Value>),
-        Object(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// This value as a knob setting: a positive integer.
-        pub fn as_knob(&self, field: &'static str) -> Result<usize, TuneProfileError> {
-            let v = self.as_index(field)?;
-            if v == 0 {
-                return Err(TuneProfileError::BadValue {
-                    field,
-                    reason: "must be a positive integer".to_string(),
-                });
-            }
-            Ok(v)
-        }
-
-        /// This value as a non-negative integer.
-        pub fn as_index(&self, field: &'static str) -> Result<usize, TuneProfileError> {
-            let bad = |reason: String| TuneProfileError::BadValue { field, reason };
-            let Value::Number(n) = self else {
-                return Err(bad(format!("expected an integer, found {self:?}")));
-            };
-            if !n.is_finite() || n.fract() != 0.0 || *n < 0.0 || *n > (1u64 << 53) as f64 {
-                return Err(bad(format!(
-                    "{n} is not a representable non-negative integer"
-                )));
-            }
-            Ok(*n as usize)
-        }
-    }
-
-    /// Renders an `f64` as a JSON number (integral values without the
-    /// trailing `.0` Rust's `Debug` would add).
-    pub fn number(v: f64) -> String {
-        if v.fract() == 0.0 && v.abs() < (1u64 << 53) as f64 {
-            format!("{}", v as i64)
-        } else {
-            format!("{v:?}")
-        }
-    }
-
-    /// Parses one complete JSON document.
-    pub fn parse(text: &str) -> Result<Value, TuneProfileError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing data after the document"));
-        }
-        Ok(value)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn err(&self, message: &str) -> TuneProfileError {
-            TuneProfileError::Parse {
-                offset: self.pos,
-                message: message.to_string(),
-            }
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn eat(&mut self, b: u8) -> bool {
-            if self.bytes.get(self.pos) == Some(&b) {
-                self.pos += 1;
-                true
-            } else {
-                false
-            }
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), TuneProfileError> {
-            if self.eat(b) {
-                Ok(())
-            } else {
-                Err(self.err(&format!("expected {:?}", b as char)))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, TuneProfileError> {
-            match self.bytes.get(self.pos) {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::String(self.string()?)),
-                Some(b't') => self.literal("true", Value::Bool(true)),
-                Some(b'f') => self.literal("false", Value::Bool(false)),
-                Some(b'n') => self.literal("null", Value::Null),
-                Some(c) if c.is_ascii_digit() || *c == b'-' => self.num(),
-                _ => Err(self.err("expected a JSON value")),
-            }
-        }
-
-        fn literal(&mut self, word: &str, value: Value) -> Result<Value, TuneProfileError> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(value)
-            } else {
-                Err(self.err(&format!("expected {word:?}")))
-            }
-        }
-
-        fn num(&mut self) -> Result<Value, TuneProfileError> {
-            let start = self.pos;
-            self.eat(b'-');
-            while matches!(
-                self.bytes.get(self.pos),
-                Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
-            ) {
-                self.pos += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(Value::Number)
-                .ok_or_else(|| self.err("malformed number"))
-        }
-
-        fn string(&mut self) -> Result<String, TuneProfileError> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.bytes.get(self.pos) {
-                    None => return Err(self.err("unterminated string")),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        let escape = self.bytes.get(self.pos).copied();
-                        self.pos += 1;
-                        match escape {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b'b') => out.push('\u{8}'),
-                            Some(b'f') => out.push('\u{c}'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                    .and_then(char::from_u32)
-                                    .ok_or_else(|| self.err("malformed \\u escape"))?;
-                                self.pos += 4;
-                                out.push(hex);
-                            }
-                            _ => return Err(self.err("unknown escape")),
-                        }
-                    }
-                    Some(&b) => {
-                        // Multi-byte UTF-8 sequences pass through intact:
-                        // the text was a &str, so byte-wise copying of
-                        // non-ASCII bytes reassembles valid chars.
-                        out.push(b as char);
-                        if b < 0x80 {
-                            self.pos += 1;
-                        } else {
-                            out.pop();
-                            let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                                .map_err(|_| self.err("invalid UTF-8"))?;
-                            let c = rest.chars().next().ok_or_else(|| self.err("truncated"))?;
-                            out.push(c);
-                            self.pos += c.len_utf8();
-                        }
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, TuneProfileError> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.eat(b']') {
-                return Ok(Value::Array(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                if self.eat(b']') {
-                    return Ok(Value::Array(items));
-                }
-                self.expect(b',')?;
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, TuneProfileError> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.eat(b'}') {
-                return Ok(Value::Object(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                let value = self.value()?;
-                fields.push((key, value));
-                self.skip_ws();
-                if self.eat(b'}') {
-                    return Ok(Value::Object(fields));
-                }
-                self.expect(b',')?;
-            }
+            dispatch_min_work: 32 * 1024,
+            probe_work_units: 64,
+            parallel_probe_min: 64,
+            _rest: (),
         }
     }
 }
@@ -690,161 +54,8 @@ mod tests {
     #[test]
     fn defaults_are_the_historical_constants() {
         let t = DispatchTuning::default();
-        assert_eq!(t.dispatch_min_work, POOL_DISPATCH_MIN_WORK);
-        assert_eq!(t.probe_work_units, DEFAULT_PROBE_WORK_UNITS);
-        assert_eq!(t.parallel_probe_min, DEFAULT_PARALLEL_PROBE_MIN);
-        assert_eq!(t.max_pool_width, usize::MAX);
-        t.validate().unwrap();
-    }
-
-    #[test]
-    fn committed_defaults_apply_on_exact_core_match_only() {
-        let four = DispatchTuning::resolve(None, 4);
-        assert_eq!(four, DispatchTuning::committed_for_cores(4).unwrap());
-        assert_eq!(four.max_pool_width, 4);
-        // No artifact history for these counts — the constants apply.
-        for cores in [1, 2, 3, 5, 8, 64] {
-            assert_eq!(DispatchTuning::resolve(None, cores), DEFAULT_TUNING);
-        }
-        // Every committed entry must itself be valid.
-        DispatchTuning::committed_for_cores(4)
-            .unwrap()
-            .validate()
-            .unwrap();
-    }
-
-    #[test]
-    fn profile_knobs_override_committed_defaults_per_knob() {
-        let profile = TuneProfile {
-            dispatch_min_work: Some(1000),
-            ..TuneProfile::default()
-        };
-        let t = DispatchTuning::resolve(Some(&profile), 4);
-        assert_eq!(t.dispatch_min_work, 1000, "profile wins");
-        assert_eq!(t.probe_work_units, 48, "unset knob falls to committed");
-        let t1 = DispatchTuning::resolve(Some(&profile), 1);
-        assert_eq!(t1.probe_work_units, 64, "…or to the constants");
-    }
-
-    #[test]
-    fn validate_rejects_zero_knobs() {
-        let t = DispatchTuning {
-            probe_work_units: 0,
-            ..DispatchTuning::default()
-        };
-        assert!(matches!(
-            t.validate(),
-            Err(TuneProfileError::BadValue {
-                field: "probe_work_units",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn json_value_grammar_round_trips_unknown_shapes() {
-        // Unknown fields of every JSON shape are skipped, not rejected.
-        let text = r#"{
-            "version": 1,
-            "host": "runner-é\n",
-            "flags": [true, false, null, -1.5e2],
-            "nested": {"deep": [[1, 2], {"x": 3}]},
-            "probe_work_units": 80
-        }"#;
-        let p = TuneProfile::from_json(text).unwrap();
-        assert_eq!(p.probe_work_units, Some(80));
-        assert_eq!(p.dispatch_min_work, None);
-    }
-
-    #[test]
-    fn version_is_mandatory_and_checked() {
-        assert_eq!(
-            TuneProfile::from_json("{}").unwrap_err(),
-            TuneProfileError::MissingVersion
-        );
-        assert_eq!(
-            TuneProfile::from_json("{\"version\": 2}").unwrap_err(),
-            TuneProfileError::UnsupportedVersion { found: 2 }
-        );
-    }
-
-    #[test]
-    fn bad_values_are_rejected_with_the_field_name() {
-        for (text, field) in [
-            (
-                "{\"version\": 1, \"probe_work_units\": 0}",
-                "probe_work_units",
-            ),
-            (
-                "{\"version\": 1, \"dispatch_min_work\": -5}",
-                "dispatch_min_work",
-            ),
-            (
-                "{\"version\": 1, \"parallel_probe_min\": 1.5}",
-                "parallel_probe_min",
-            ),
-            (
-                "{\"version\": 1, \"max_pool_width\": \"wide\"}",
-                "max_pool_width",
-            ),
-            ("{\"version\": 1, \"curves\": [1]}", "curves"),
-            ("{\"version\": 1, \"curves\": {\"c\": [[1]]}}", "curves"),
-        ] {
-            match TuneProfile::from_json(text) {
-                Err(TuneProfileError::BadValue { field: f, .. }) => {
-                    assert_eq!(f, field, "{text}")
-                }
-                other => panic!("{text}: expected BadValue, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn malformed_json_reports_an_offset() {
-        for text in ["", "{", "{\"version\": }", "[1,]", "{\"version\": 1} junk"] {
-            match TuneProfile::from_json(text) {
-                Err(TuneProfileError::Parse { .. }) => {}
-                other => panic!("{text:?}: expected Parse error, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn profile_round_trips_through_json() {
-        let mut curves = BTreeMap::new();
-        curves.insert(
-            "dispatch/pooled".to_string(),
-            vec![(1024.0, 5400.0), (32768.0, 21.5)],
-        );
-        curves.insert("width/gemm_64x512x512".to_string(), vec![(2.0, 1.0e6)]);
-        let profile = TuneProfile {
-            cores: Some(4),
-            dispatch_min_work: Some(16384),
-            probe_work_units: Some(48),
-            parallel_probe_min: None,
-            max_pool_width: Some(4),
-            curves,
-        };
-        let parsed = TuneProfile::from_json(&profile.to_json()).unwrap();
-        assert_eq!(parsed, profile);
-    }
-
-    #[test]
-    fn errors_display_without_panicking() {
-        for e in [
-            TuneProfileError::Io("gone".into()),
-            TuneProfileError::Parse {
-                offset: 3,
-                message: "expected ':'".into(),
-            },
-            TuneProfileError::MissingVersion,
-            TuneProfileError::UnsupportedVersion { found: 9 },
-            TuneProfileError::BadValue {
-                field: "cores",
-                reason: "nope".into(),
-            },
-        ] {
-            assert!(!e.to_string().is_empty());
-        }
+        assert_eq!(t.dispatch_min_work, 32 * 1024);
+        assert_eq!(t.probe_work_units, 64);
+        assert_eq!(t.parallel_probe_min, 64);
     }
 }
