@@ -978,6 +978,80 @@ mod tests {
     }
 
     #[test]
+    fn tiny_sized_regions_short_circuit_inline() {
+        let exec = Executor::threaded(4);
+        let floor = exec.tuning().dispatch_min_work;
+        let before = exec.pool_stats().unwrap();
+        // 4 items of ~1 unit each: far below the dispatch floor.
+        let out = exec.map(0..4usize, |_| 1, || (), |i, ()| i * 2);
+        assert_eq!(out, vec![0, 2, 4, 6]);
+        // A single item never dispatches either, whatever its size.
+        let out = exec.map(0..1usize, |_| usize::MAX, || (), |i, ()| i);
+        assert_eq!(out, vec![0]);
+        let after = exec.pool_stats().unwrap();
+        assert_eq!(after.regions_dispatched, before.regions_dispatched);
+        assert_eq!(after.regions_inlined, before.regions_inlined + 2);
+        // Enough hinted work flips the same shape over to the pool.
+        let out = exec.map(0..4usize, |_| floor, || (), |i, ()| i * 2);
+        assert_eq!(out, vec![0, 2, 4, 6]);
+        assert_eq!(
+            exec.pool_stats().unwrap().regions_dispatched,
+            before.regions_dispatched + 1
+        );
+    }
+
+    #[test]
+    fn weighted_map_matches_serial_and_gates_on_busy_items() {
+        // Results must match the serial backend for any hint vector.
+        let floor = DispatchTuning::default().dispatch_min_work;
+        let weights = [0usize, 5, 0, floor, 7, 0, usize::MAX];
+        let weighted = |exec: &Executor| {
+            exec.map(
+                (0..weights.len()).zip(weights),
+                |&(_, w)| w,
+                || (),
+                |(i, w), ()| (i * 100, w),
+            )
+        };
+        let want = weighted(&Executor::serial());
+        for threads in [2, 4] {
+            assert_eq!(weighted(&Executor::threaded(threads)), want);
+        }
+
+        let exec = Executor::threaded(4);
+        let before = exec.pool_stats().unwrap();
+        // One hot item among empties: total is huge but only one item
+        // carries work — a second thread could not help. Must inline.
+        let skew = [usize::MAX, 0, 0, 0];
+        let out = exec.map(
+            [1usize, 2, 3, 4].into_iter().zip(skew),
+            |&(_, w)| w,
+            || (),
+            |(v, _), ()| v * 2,
+        );
+        assert_eq!(out, vec![2, 4, 6, 8]);
+        // Tiny totals inline too, even when spread across items.
+        exec.map(vec![0usize; 4], |_| 1, || (), |v, ()| v);
+        let mid = exec.pool_stats().unwrap();
+        assert_eq!(mid.regions_dispatched, before.regions_dispatched);
+        assert_eq!(mid.regions_inlined, before.regions_inlined + 2);
+        // Two busy items over the threshold dispatch; saturating totals
+        // (two usize::MAX items) must not wrap back below it.
+        let hot = [usize::MAX, usize::MAX, 0, 0];
+        let out = exec.map(
+            [1usize, 2, 3, 4].into_iter().zip(hot),
+            |&(_, w)| w,
+            || (),
+            |(v, _), ()| v + 1,
+        );
+        assert_eq!(out, vec![2, 3, 4, 5]);
+        assert_eq!(
+            exec.pool_stats().unwrap().regions_dispatched,
+            before.regions_dispatched + 1
+        );
+    }
+
+    #[test]
     fn nested_regions_run_inline_without_deadlock() {
         // An item of an outer region that opens an inner region on the
         // same pool must complete (inline), not deadlock waiting for the
@@ -1022,5 +1096,60 @@ mod tests {
         let stats = exec.pool_stats().unwrap();
         assert_eq!(stats.threads, 4, "no worker died");
         assert_eq!(stats.regions_panicked, 1, "the clean region added nothing");
+    }
+
+    #[test]
+    fn tuned_threshold_moves_the_dispatch_decision() {
+        // The same region shape flips between inline and pooled purely by
+        // the tuning the executor was constructed with.
+        let lax = DispatchTuning {
+            dispatch_min_work: 8,
+            ..DispatchTuning::default()
+        };
+        let exec = Executor::threaded_tuned(4, lax);
+        assert_eq!(exec.tuning(), lax);
+        assert_eq!(
+            exec.map(0..4usize, |_| 2, || (), |i, ()| i),
+            vec![0, 1, 2, 3]
+        );
+        assert_eq!(
+            exec.pool_stats().unwrap().regions_dispatched,
+            1,
+            "8 units of hinted work crossed the lax 8-unit threshold"
+        );
+
+        let strict = DispatchTuning {
+            dispatch_min_work: usize::MAX,
+            ..DispatchTuning::default()
+        };
+        let exec = Executor::threaded_tuned(4, strict);
+        // The default executor dispatches this exact shape — see
+        // `tiny_sized_regions_short_circuit_inline`.
+        let floor = DispatchTuning::default().dispatch_min_work;
+        let out = exec.map(0..4usize, |_| floor, || (), |i, ()| i * 2);
+        assert_eq!(out, vec![0, 2, 4, 6]);
+        let stats = exec.pool_stats().unwrap();
+        assert_eq!(stats.regions_dispatched, 0, "strict threshold inlines it");
+        assert_eq!(stats.regions_inlined, 1);
+
+        // Uneven per-item hints read the same tuned threshold.
+        let exec = Executor::threaded_tuned(4, lax);
+        let out = exec.map(vec![1usize, 2], |&v| 4 * v - 2, || (), |v, ()| v);
+        assert_eq!(out, vec![1, 2]);
+        assert_eq!(exec.pool_stats().unwrap().regions_dispatched, 1);
+    }
+
+    #[test]
+    fn plain_variants_still_always_dispatch_under_extreme_tuning() {
+        // `map_indexed` assumes chunky items; even a saturating threshold
+        // must not flip it to inline (its saturating hint sum reaches the
+        // threshold itself).
+        let strict = DispatchTuning {
+            dispatch_min_work: usize::MAX,
+            ..DispatchTuning::default()
+        };
+        let exec = Executor::threaded_tuned(2, strict);
+        assert_eq!(exec.map_indexed(4, |i| i), vec![0, 1, 2, 3]);
+        assert_eq!(exec.pool_stats().unwrap().regions_dispatched, 1);
     }
 }

@@ -9,6 +9,7 @@
 //! matrix leg goes red instead of silently testing serial twice.
 
 use mercury_tensor::exec::{Executor, ExecutorKind};
+use mercury_tensor::tune::DispatchTuning;
 use std::collections::HashSet;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -67,6 +68,56 @@ fn pinned_pool_engages_everywhere() {
     // Independent of the environment and the core count: an explicit
     // width forces a pool even on a 1-core box.
     assert_pool_engaged(&Executor::threaded(4), "threaded:4");
+}
+
+#[test]
+fn tiny_regions_take_the_inline_short_circuit() {
+    // The other half of the contract: a region hinted as tiny must NOT
+    // wake the pool.
+    let exec = Executor::threaded(4);
+    let before = exec.pool_stats().unwrap();
+    let out = exec.map(0..4usize, |_| 1, || (), |i, ()| i + 1);
+    assert_eq!(out, vec![1, 2, 3, 4]);
+    let after = exec.pool_stats().unwrap();
+    assert_eq!(after.regions_dispatched, before.regions_dispatched);
+    assert_eq!(after.regions_inlined, before.regions_inlined + 1);
+}
+
+#[test]
+fn tuned_dispatch_floor_flips_the_same_region_between_inline_and_pool() {
+    // One identical region, two dispatch floors, two scheduling outcomes
+    // — and the pool counters prove which path ran, so the floor's
+    // effect is observable rather than inferred from wall-clock.
+    let region = |exec: &Executor| {
+        let out = exec.map(0..4usize, |_| 1 << 10, || (), |i, ()| i * 7);
+        assert_eq!(out, vec![0, 7, 14, 21]);
+    };
+
+    let lax = Executor::threaded_tuned(
+        2,
+        DispatchTuning {
+            dispatch_min_work: 1,
+            ..DispatchTuning::default()
+        },
+    );
+    let before = lax.pool_stats().unwrap();
+    region(&lax);
+    let after = lax.pool_stats().unwrap();
+    assert_eq!(after.regions_dispatched, before.regions_dispatched + 1);
+    assert_eq!(after.regions_inlined, before.regions_inlined);
+
+    let strict = Executor::threaded_tuned(
+        2,
+        DispatchTuning {
+            dispatch_min_work: usize::MAX,
+            ..DispatchTuning::default()
+        },
+    );
+    let before = strict.pool_stats().unwrap();
+    region(&strict);
+    let after = strict.pool_stats().unwrap();
+    assert_eq!(after.regions_dispatched, before.regions_dispatched);
+    assert_eq!(after.regions_inlined, before.regions_inlined + 1);
 }
 
 #[test]
