@@ -1,41 +1,24 @@
 //! Shared engine plumbing: the state every reuse engine carries (config,
 //! cache, RNG, projection matrices, signature length, detection flag) and
-//! the [`EngineCache`] abstraction that lets one hot path run against
-//! either the monolithic per-scope MCACHE of §III-B3 or the banked,
-//! epoch-evicted MCACHE of §V that [`MercurySession`](crate::MercurySession)
-//! streams through.
+//! its one constructor.
+//!
+//! Every engine holds one [`BankedMCache`]. A batch engine holds a
+//! one-bank cache and restarts it per reuse scope — the FPGA MCACHE of
+//! §III-B3. A persistent engine, the kind
+//! [`MercurySession`](crate::MercurySession) streams through, splits the
+//! cache across banks (§V) and keeps it across scopes until an epoch
+//! boundary evicts it. Both run the same hot path; only the bank count and
+//! the clear-per-scope flag differ.
 
 use crate::config::ConfigError;
 use crate::MercuryConfig;
-use mercury_mcache::banked::{BankedEntryId, BankedMCache};
-use mercury_mcache::{AccessOutcome, EntryId, MCache, MCacheConfig, MCacheStats, McacheError};
+use mercury_mcache::banked::BankedMCache;
+use mercury_mcache::{AccessOutcome, MCacheConfig};
 use mercury_rpq::{ProjectionMatrix, Signature, SignatureGenerator};
 use mercury_tensor::exec::Executor;
 use mercury_tensor::rng::Rng;
 use mercury_tensor::Tensor;
 use std::collections::HashMap;
-
-/// An engine's MCACHE, monolithic or banked, addressed through flattened
-/// [`EntryId`]s.
-///
-/// Banked entries are flattened by stacking the banks' set ranges:
-/// bank `b`, set `s` becomes flat set `b * sets_per_bank + s`. The flat id
-/// space keeps the engines' per-entry scratch arrays (`entry_row`,
-/// `entry_group`, producer maps) oblivious to banking.
-#[derive(Debug)]
-pub(crate) enum EngineCache {
-    /// One monolithic cache, restarted per reuse scope (§III-B3). Boxed
-    /// so the enum stays small next to the `Banked` variant.
-    Mono(Box<MCache>),
-    /// Bank-partitioned cache (§V), persisted across scopes and evicted by
-    /// epoch.
-    Banked {
-        /// The banks.
-        banks: BankedMCache,
-        /// Sets per bank, for flattening entry ids.
-        sets_per_bank: usize,
-    },
-}
 
 /// Expands to the six [`ReuseEngine`](crate::ReuseEngine) lifecycle
 /// methods, delegating to the engine's `base: EngineBase` field. Every
@@ -104,254 +87,21 @@ pub(crate) fn conv_channel_work(
     dense_work(f, plen, patches_n).saturating_add(probe_work_units.saturating_mul(patches_n))
 }
 
-/// The single owner of the bank-split constraint: `banks` must be
-/// positive and divide `sets` with at least one set per bank. Returns the
-/// resulting sets-per-bank. Both [`EngineCache::banked`] and
-/// `MercurySession` construction validate through here so the two can
-/// never drift.
-pub(crate) fn validate_bank_split(sets: usize, banks: usize) -> Result<usize, ConfigError> {
-    if banks == 0 {
-        return Err(ConfigError::ZeroBanks);
-    }
-    if sets % banks != 0 || sets / banks == 0 {
-        return Err(ConfigError::BankSplit { sets, banks });
-    }
-    Ok(sets / banks)
-}
-
-impl EngineCache {
-    /// A monolithic cache with the configured geometry.
-    pub fn mono(config: MCacheConfig) -> Self {
-        EngineCache::Mono(Box::new(MCache::new(config)))
-    }
-
-    /// Splits the configured geometry across `num_banks` banks.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::ZeroBanks`] for zero banks and
-    /// [`ConfigError::BankSplit`] when the set count does not divide
-    /// evenly (each bank must keep at least one set).
-    pub fn banked(config: MCacheConfig, num_banks: usize) -> Result<Self, ConfigError> {
-        let sets_per_bank = validate_bank_split(config.sets, num_banks)?;
-        let per_bank = MCacheConfig::new(sets_per_bank, config.ways, config.versions)
-            .expect("per-bank geometry is positive by construction");
-        let banks =
-            BankedMCache::new(num_banks, per_bank).expect("bank count checked positive above");
-        Ok(EngineCache::Banked {
-            banks,
-            sets_per_bank,
-        })
-    }
-
-    fn unflatten(sets_per_bank: usize, id: EntryId) -> BankedEntryId {
-        BankedEntryId {
-            bank: id.set / sets_per_bank,
-            entry: EntryId {
-                set: id.set % sets_per_bank,
-                way: id.way,
-            },
-        }
-    }
-
-    /// Probes for a signature, inserting on a miss; banked entries come
-    /// back with flattened set indices.
-    pub fn probe_insert(&mut self, sig: Signature) -> AccessOutcome {
-        match self {
-            EngineCache::Mono(cache) => cache.probe_insert(sig),
-            EngineCache::Banked {
-                banks,
-                sets_per_bank,
-            } => {
-                let out = banks.probe_insert(sig);
-                AccessOutcome {
-                    kind: out.kind(),
-                    entry: out.entry().map(|id| EntryId {
-                        set: id.bank * *sets_per_bank + id.entry.set,
-                        way: id.entry.way,
-                    }),
-                }
-            }
-        }
-    }
-
-    /// Probes a whole signature stream, returning one outcome per
-    /// signature in stream order. On a banked cache with a parallel
-    /// executor, the stream is partitioned by home bank and the banks'
-    /// disjoint shards probe concurrently without locks; within each bank
-    /// the stream order is preserved, and since a signature's bank, set,
-    /// and conflict window all live in exactly one shard, the outcomes
-    /// (and every per-bank counter) are **identical** to probing the
-    /// stream serially — only the wall-clock changes.
-    ///
-    /// Parallelism only pays when each bank gets a meaningful run of
-    /// probes; below the executor's `parallel_probe_min`
-    /// signatures the serial loop wins and is used regardless of the
-    /// backend.
-    pub fn probe_insert_batch(
-        &mut self,
-        sigs: &[Signature],
-        exec: &Executor,
-    ) -> Vec<AccessOutcome> {
-        let mut out = Vec::new();
-        self.probe_insert_batch_into(sigs, exec, &mut out);
-        out
-    }
-
-    /// [`probe_insert_batch`](Self::probe_insert_batch) into a reusable
-    /// buffer (cleared first), so hot paths pay no per-batch allocation.
-    pub fn probe_insert_batch_into(
-        &mut self,
-        sigs: &[Signature],
-        exec: &Executor,
-        out: &mut Vec<AccessOutcome>,
-    ) {
-        out.clear();
-        #[cfg(feature = "fault-inject")]
-        let faulted = bank_probe_faults(sigs);
-        #[cfg(feature = "fault-inject")]
-        let sigs: &[Signature] = faulted.as_deref().unwrap_or(sigs);
-        if let EngineCache::Banked {
-            banks,
-            sets_per_bank,
-        } = self
-        {
-            let num_banks = banks.num_banks();
-            let tuning = exec.tuning();
-            if exec.is_parallel() && num_banks > 1 && sigs.len() >= tuning.parallel_probe_min {
-                let sets_per_bank = *sets_per_bank;
-                let mut per_bank: Vec<Vec<(u32, Signature)>> = vec![Vec::new(); num_banks];
-                for (i, &sig) in sigs.iter().enumerate() {
-                    per_bank[banks.bank_of_sig(sig)].push((i as u32, sig));
-                }
-                out.resize(
-                    sigs.len(),
-                    AccessOutcome {
-                        kind: mercury_mcache::HitKind::Mnu,
-                        entry: None,
-                    },
-                );
-                let jobs = banks.shards().into_iter().zip(per_bank);
-                // Work-size hints: each bank job carries its *actual*
-                // probe count × the executor's per-probe cost (the same
-                // units its dispatch gate compares against). A batch
-                // average would mis-size every job on skewed batches
-                // (similar inputs hash to few banks): the hot bank
-                // understated, workers woken for near-empty ones. With
-                // per-item hints, a batch whose probes all land in one
-                // bank runs inline — a second thread could not share
-                // that bank's shard.
-                let results = exec.map(
-                    jobs,
-                    |(_, probes)| probes.len().saturating_mul(tuning.probe_work_units),
-                    || (),
-                    |(mut shard, probes), ()| {
-                        probes
-                            .into_iter()
-                            .map(|(i, sig)| {
-                                let o = shard.probe_insert(sig);
-                                let flat = AccessOutcome {
-                                    kind: o.kind(),
-                                    entry: o.entry().map(|id| EntryId {
-                                        set: id.bank * sets_per_bank + id.entry.set,
-                                        way: id.entry.way,
-                                    }),
-                                };
-                                (i, flat)
-                            })
-                            .collect::<Vec<_>>()
-                    },
-                );
-                for bank_results in results {
-                    for (i, o) in bank_results {
-                        out[i as usize] = o;
-                    }
-                }
-                return;
-            }
-        }
-        out.extend(sigs.iter().map(|&sig| self.probe_insert(sig)));
-    }
-
-    /// Writes a data version through a flattened entry id.
-    pub fn write(&mut self, id: EntryId, version: usize, value: f32) -> Result<(), McacheError> {
-        match self {
-            EngineCache::Mono(cache) => cache.write(id, version, value),
-            EngineCache::Banked {
-                banks,
-                sets_per_bank,
-            } => banks.write(Self::unflatten(*sets_per_bank, id), version, value),
-        }
-    }
-
-    /// Counted read through a flattened entry id.
-    pub fn read_counted(&mut self, id: EntryId, version: usize) -> Option<f32> {
-        match self {
-            EngineCache::Mono(cache) => cache.read_counted(id, version),
-            EngineCache::Banked {
-                banks,
-                sets_per_bank,
-            } => banks.read_counted(Self::unflatten(*sets_per_bank, id), version),
-        }
-    }
-
-    /// Flash-clears every VD bit (filter advance, §III-C1).
-    pub fn invalidate_all_data(&mut self) {
-        match self {
-            EngineCache::Mono(cache) => cache.invalidate_all_data(),
-            EngineCache::Banked { banks, .. } => banks.invalidate_all_data(),
-        }
-    }
-
-    /// Evicts everything: tags and data.
-    pub fn clear(&mut self) {
-        match self {
-            EngineCache::Mono(cache) => cache.clear(),
-            EngineCache::Banked { banks, .. } => banks.clear(),
-        }
-    }
-
-    /// Starts a new insertion batch window (per-set conflict counting).
-    pub fn begin_insert_batch(&mut self) {
-        match self {
-            EngineCache::Mono(cache) => cache.begin_insert_batch(),
-            EngineCache::Banked { banks, .. } => banks.begin_insert_batch(),
-        }
-    }
-
-    /// Lifetime counters (summed over banks).
-    pub fn stats(&self) -> MCacheStats {
-        match self {
-            EngineCache::Mono(cache) => cache.stats(),
-            EngineCache::Banked { banks, .. } => banks.stats(),
-        }
-    }
-
-    /// Ways per set (uniform across banks).
-    pub fn ways(&self) -> usize {
-        match self {
-            EngineCache::Mono(cache) => cache.config().ways,
-            EngineCache::Banked { banks, .. } => banks.bank_config().ways,
-        }
-    }
-
-    /// Total entries across the whole cache.
-    pub fn total_entries(&self) -> usize {
-        match self {
-            EngineCache::Mono(cache) => cache.config().entries(),
-            EngineCache::Banked { banks, .. } => banks.entries(),
-        }
-    }
-
-    /// Bytes of resident cache state (tags + data versions of occupied
-    /// lines); drops to zero on [`clear`](Self::clear). The serving
-    /// tier's memory budget meters sessions through this figure.
-    pub fn resident_bytes(&self) -> usize {
-        match self {
-            EngineCache::Mono(cache) => cache.resident_bytes(),
-            EngineCache::Banked { banks, .. } => banks.resident_bytes(),
-        }
-    }
+/// Probes a signature stream against an engine cache through
+/// [`BankedMCache::probe_insert_batch`], writing one outcome per signature
+/// into `out`. With the `fault-inject` feature, the `BankProbe` fault
+/// events are drawn first, on this thread (see `bank_probe_faults`).
+pub(crate) fn probe_batch(
+    cache: &mut BankedMCache,
+    sigs: &[Signature],
+    exec: &Executor,
+    out: &mut Vec<AccessOutcome>,
+) {
+    #[cfg(feature = "fault-inject")]
+    let faulted = bank_probe_faults(sigs);
+    #[cfg(feature = "fault-inject")]
+    let sigs: &[Signature] = faulted.as_deref().unwrap_or(sigs);
+    cache.probe_insert_batch(sigs, exec, out);
 }
 
 /// Draws one [`BankProbe`] fault event per signature, in stream order on
@@ -389,12 +139,13 @@ fn bank_probe_faults(sigs: &[Signature]) -> Option<Vec<Signature>> {
 #[derive(Debug)]
 pub(crate) struct EngineBase {
     pub config: MercuryConfig,
-    pub cache: EngineCache,
+    pub cache: BankedMCache,
     /// Persistent engines keep MCACHE state across reuse scopes and evict
     /// only at epoch boundaries; batch engines restart per scope.
     pub persistent: bool,
     /// The execution backend every parallel path of this engine schedules
-    /// through, resolved once from `config.executor`.
+    /// through. Cloned executors share one worker pool, so an owner of
+    /// many engines hands each the same one.
     pub exec: Executor,
     rng: Rng,
     /// One projection matrix per vector length, grown lazily.
@@ -404,51 +155,41 @@ pub(crate) struct EngineBase {
 }
 
 impl EngineBase {
-    /// Batch-mode base: monolithic cache, cleared per reuse scope.
-    /// Resolves a private executor from `config.executor`; owners that
-    /// drive several engines share one pool via [`new_on`](Self::new_on).
-    pub fn new(config: MercuryConfig, seed: u64) -> Result<Self, ConfigError> {
-        Self::new_on(config, seed, Executor::from_kind(config.executor))
-    }
-
-    /// [`new`](Self::new) scheduling on a caller-provided executor —
-    /// cloned `Executor`s share one worker pool, so a long-lived owner
-    /// resolves `config.executor` once and hands the same pool to every
-    /// engine it creates.
-    pub fn new_on(config: MercuryConfig, seed: u64, exec: Executor) -> Result<Self, ConfigError> {
-        config.validate()?;
-        Ok(EngineBase {
-            config,
-            cache: EngineCache::mono(config.cache),
-            persistent: false,
-            exec,
-            rng: Rng::new(seed),
-            projections: HashMap::new(),
-            signature_bits: config.initial_signature_bits,
-            detection_enabled: true,
-        })
-    }
-
-    /// Persistent base: banked cache, evicted only by
-    /// [`end_epoch`](Self::end_epoch). See [`new`](Self::new) for the
-    /// executor-resolution note.
-    pub fn persistent(config: MercuryConfig, seed: u64, banks: usize) -> Result<Self, ConfigError> {
-        Self::persistent_on(config, seed, banks, Executor::from_kind(config.executor))
-    }
-
-    /// [`persistent`](Self::persistent) scheduling on a caller-provided
-    /// executor (see [`new_on`](Self::new_on)).
-    pub fn persistent_on(
+    /// Builds an engine's state: `config.cache` split across `banks`
+    /// signature-homed banks, scheduled on `exec`, with projections drawn
+    /// from `Rng::new(seed)`. A `persistent` engine keeps its cache across
+    /// reuse scopes; otherwise each scope restarts it.
+    ///
+    /// # Errors
+    ///
+    /// The [`ConfigError`] `config` violates, [`ConfigError::ZeroBanks`]
+    /// for zero banks, and [`ConfigError::BankSplit`] when `banks` does
+    /// not divide the set count.
+    pub fn new(
         config: MercuryConfig,
         seed: u64,
-        banks: usize,
         exec: Executor,
+        banks: usize,
+        persistent: bool,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
+        if banks == 0 {
+            return Err(ConfigError::ZeroBanks);
+        }
+        // `validate` rejects zero sets, so a remainder also catches
+        // `banks > sets`.
+        let sets = config.cache.sets;
+        if sets % banks != 0 {
+            return Err(ConfigError::BankSplit { sets, banks });
+        }
+        let per_bank = MCacheConfig {
+            sets: sets / banks,
+            ..config.cache
+        };
         Ok(EngineBase {
             config,
-            cache: EngineCache::banked(config.cache, banks)?,
-            persistent: true,
+            cache: BankedMCache::new(banks, per_bank).expect("bank count checked positive above"),
+            persistent,
             exec,
             rng: Rng::new(seed),
             projections: HashMap::new(),
@@ -533,11 +274,47 @@ mod tests {
         Signature::from_bits(bits, 20)
     }
 
+    /// An 8-set, 2-way configuration small enough to fill.
+    fn small_config() -> MercuryConfig {
+        MercuryConfig {
+            cache: MCacheConfig::new(8, 2, 1).unwrap(),
+            ..MercuryConfig::default()
+        }
+    }
+
+    /// A persistent engine's cache over [`small_config`] in `banks` banks.
+    fn cache(banks: usize) -> BankedMCache {
+        EngineBase::new(small_config(), 1, Executor::serial(), banks, true)
+            .unwrap()
+            .cache
+    }
+
+    /// Each signature's home bank among `banks`, read off the flat set of
+    /// its first probe in a cache with one roomy set per bank.
+    fn home_banks(sigs: &[Signature], banks: usize) -> Vec<usize> {
+        let mut oracle = BankedMCache::new(banks, MCacheConfig::new(1, 4096, 1).unwrap()).unwrap();
+        sigs.iter()
+            .map(|&s| {
+                oracle
+                    .probe_insert(s)
+                    .entry
+                    .expect("roomy sets never MNU")
+                    .set
+            })
+            .collect()
+    }
+
+    fn probed(cache: &mut BankedMCache, sigs: &[Signature], exec: &Executor) -> Vec<AccessOutcome> {
+        let mut out = Vec::new();
+        probe_batch(cache, sigs, exec, &mut out);
+        out
+    }
+
     #[test]
     fn banked_flat_ids_round_trip() {
-        let mut cache = EngineCache::banked(MCacheConfig::new(8, 2, 1).unwrap(), 4).unwrap();
-        assert_eq!(cache.total_entries(), 16);
-        assert_eq!(cache.ways(), 2);
+        let mut cache = cache(4);
+        assert_eq!(cache.entries(), 16);
+        assert_eq!(cache.bank_config().ways, 2);
         for i in 0..40u128 {
             let out = cache.probe_insert(sig(i));
             if let Some(entry) = out.entry {
@@ -557,17 +334,14 @@ mod tests {
 
     #[test]
     fn banked_rejects_bad_splits() {
-        let cfg = MCacheConfig::new(8, 2, 1).unwrap();
+        let new = |banks| EngineBase::new(small_config(), 1, Executor::serial(), banks, true);
+        assert_eq!(new(0).unwrap_err(), ConfigError::ZeroBanks);
         assert_eq!(
-            EngineCache::banked(cfg, 0).unwrap_err(),
-            ConfigError::ZeroBanks
-        );
-        assert_eq!(
-            EngineCache::banked(cfg, 3).unwrap_err(),
+            new(3).unwrap_err(),
             ConfigError::BankSplit { sets: 8, banks: 3 }
         );
         assert_eq!(
-            EngineCache::banked(cfg, 16).unwrap_err(),
+            new(16).unwrap_err(),
             ConfigError::BankSplit { sets: 8, banks: 16 }
         );
     }
@@ -579,26 +353,28 @@ mod tests {
         // stats. The stream is long enough to cross any committed
         // parallel-probe cutoff and repeats signatures so all three
         // outcome kinds occur.
-        let cfg = MCacheConfig::new(8, 2, 1).unwrap();
         let sigs: Vec<Signature> = (0..200u128).map(|i| sig(i % 61)).collect();
 
-        let mut serial = EngineCache::banked(cfg, 4).unwrap();
-        let serial_out = serial.probe_insert_batch(&sigs, &Executor::serial());
+        let mut serial = cache(4);
+        let serial_out = probed(&mut serial, &sigs, &Executor::serial());
 
         for threads in [2, 8] {
-            let mut parallel = EngineCache::banked(cfg, 4).unwrap();
-            let parallel_out = parallel.probe_insert_batch(&sigs, &Executor::threaded(threads));
+            let mut parallel = cache(4);
+            let parallel_out = probed(&mut parallel, &sigs, &Executor::threaded(threads));
             assert_eq!(serial_out, parallel_out, "{threads} threads diverged");
             assert_eq!(serial.stats(), parallel.stats());
         }
 
-        // Mono caches take the serial loop on any backend.
-        let mut mono_a = EngineCache::mono(cfg);
-        let mut mono_b = EngineCache::mono(cfg);
+        // One-bank caches take the serial loop on any backend: no region
+        // is even offered to the pool.
+        let exec = Executor::threaded(8);
+        let (mut one_a, mut one_b) = (cache(1), cache(1));
         assert_eq!(
-            mono_a.probe_insert_batch(&sigs, &Executor::serial()),
-            mono_b.probe_insert_batch(&sigs, &Executor::threaded(8)),
+            probed(&mut one_a, &sigs, &Executor::serial()),
+            probed(&mut one_b, &sigs, &exec),
         );
+        let stats = exec.pool_stats().unwrap();
+        assert_eq!((stats.regions_dispatched, stats.regions_inlined), (0, 0));
     }
 
     #[test]
@@ -607,36 +383,32 @@ mod tests {
         // a second thread could not share it, so the pool must not wake.
         // The old batch-average hint sized all four jobs alike and
         // dispatched exactly this shape.
-        let cfg = MCacheConfig::new(8, 2, 1).unwrap();
-        let oracle = EngineCache::banked(cfg, 4).unwrap();
-        let EngineCache::Banked { banks, .. } = &oracle else {
-            unreachable!("banked constructor yields the banked variant")
-        };
         // 600 probes × PROBE_WORK_UNITS lands well over the dispatch
         // floor, so only the busy-bank gate keeps this inline.
-        let mut skewed = Vec::new();
-        let mut i = 0u128;
-        while skewed.len() < 600 {
-            let s = sig(i);
-            if banks.bank_of_sig(s) == 0 {
-                skewed.push(s);
-            }
-            i += 1;
-        }
+        let candidates: Vec<Signature> = (0..4000u128).map(sig).collect();
+        let skewed: Vec<Signature> = candidates
+            .iter()
+            .zip(home_banks(&candidates, 4))
+            .filter(|&(_, bank)| bank == 0)
+            .map(|(&s, _)| s)
+            .take(600)
+            .collect();
+        assert_eq!(skewed.len(), 600);
         let spread: Vec<Signature> = (0..600u128).map(sig).collect();
+        let spread_banks = home_banks(&spread, 4);
         assert!(
-            (0..4).all(|b| spread.iter().any(|&s| banks.bank_of_sig(s) == b)),
+            (0..4).all(|b| spread_banks.contains(&b)),
             "spread stream must touch every bank"
         );
 
         let exec = Executor::threaded(4);
         let before = exec.pool_stats().unwrap();
-        let mut serial_cache = EngineCache::banked(cfg, 4).unwrap();
-        let want = serial_cache.probe_insert_batch(&skewed, &Executor::serial());
-        let mut cache = EngineCache::banked(cfg, 4).unwrap();
-        let got = cache.probe_insert_batch(&skewed, &exec);
+        let mut serial_cache = cache(4);
+        let want = probed(&mut serial_cache, &skewed, &Executor::serial());
+        let mut cache4 = cache(4);
+        let got = probed(&mut cache4, &skewed, &exec);
         assert_eq!(got, want, "skewed outcomes must match serial");
-        assert_eq!(serial_cache.stats(), cache.stats());
+        assert_eq!(serial_cache.stats(), cache4.stats());
         let after = exec.pool_stats().unwrap();
         assert_eq!(
             after.regions_dispatched, before.regions_dispatched,
@@ -644,10 +416,10 @@ mod tests {
         );
         assert_eq!(after.regions_inlined, before.regions_inlined + 1);
 
-        let mut serial_cache = EngineCache::banked(cfg, 4).unwrap();
-        let want = serial_cache.probe_insert_batch(&spread, &Executor::serial());
-        let mut cache = EngineCache::banked(cfg, 4).unwrap();
-        let got = cache.probe_insert_batch(&spread, &exec);
+        let mut serial_cache = cache(4);
+        let want = probed(&mut serial_cache, &spread, &Executor::serial());
+        let mut cache4 = cache(4);
+        let got = probed(&mut cache4, &spread, &exec);
         assert_eq!(got, want, "spread outcomes must match serial");
         assert_eq!(
             exec.pool_stats().unwrap().regions_dispatched,
@@ -682,10 +454,8 @@ mod tests {
         // The probe fan-out gate and the per-bank work hints must follow
         // the executor's tuning, not hard-coded constants.
         use mercury_tensor::tune::DispatchTuning;
-        let cfg = MCacheConfig::new(8, 2, 1).unwrap();
         let spread: Vec<Signature> = (0..100u128).map(sig).collect();
-        let mut reference = EngineCache::banked(cfg, 4).unwrap();
-        let want = reference.probe_insert_batch(&spread, &Executor::serial());
+        let want = probed(&mut cache(4), &spread, &Executor::serial());
 
         // Probe-heavy tuning: each probe costs a huge number of work
         // units, so even this short stream clears the dispatch floor.
@@ -695,8 +465,7 @@ mod tests {
             ..DispatchTuning::default()
         };
         let exec = Executor::threaded_tuned(4, probe_heavy);
-        let mut cache = EngineCache::banked(cfg, 4).unwrap();
-        assert_eq!(cache.probe_insert_batch(&spread, &exec), want);
+        assert_eq!(probed(&mut cache(4), &spread, &exec), want);
         assert_eq!(
             exec.pool_stats().unwrap().regions_dispatched,
             1,
@@ -711,8 +480,7 @@ mod tests {
             ..DispatchTuning::default()
         };
         let exec = Executor::threaded_tuned(4, probe_cheap);
-        let mut cache = EngineCache::banked(cfg, 4).unwrap();
-        assert_eq!(cache.probe_insert_batch(&spread, &exec), want);
+        assert_eq!(probed(&mut cache(4), &spread, &exec), want);
         let stats = exec.pool_stats().unwrap();
         assert_eq!(stats.regions_dispatched, 0, "cheap probes stay inline");
         assert_eq!(stats.regions_inlined, 1);
@@ -725,8 +493,7 @@ mod tests {
             ..DispatchTuning::default()
         };
         let exec = Executor::threaded_tuned(4, high_cutoff);
-        let mut cache = EngineCache::banked(cfg, 4).unwrap();
-        assert_eq!(cache.probe_insert_batch(&spread, &exec), want);
+        assert_eq!(probed(&mut cache(4), &spread, &exec), want);
         assert_eq!(
             exec.pool_stats().unwrap().regions_dispatched,
             0,
@@ -737,7 +504,7 @@ mod tests {
     #[test]
     fn growing_signature_flushes_persistent_tags() {
         let config = MercuryConfig::default();
-        let mut p = EngineBase::persistent(config, 1, 8).unwrap();
+        let mut p = EngineBase::new(config, 1, Executor::serial(), 8, true).unwrap();
         p.cache.probe_insert(sig(5));
         p.grow_signature();
         // The old-length tag was evicted, so the entry is re-insertable
@@ -749,7 +516,7 @@ mod tests {
             initial_signature_bits: 64,
             ..config
         };
-        let mut s = EngineBase::persistent(saturated, 1, 8).unwrap();
+        let mut s = EngineBase::new(saturated, 1, Executor::serial(), 8, true).unwrap();
         s.cache.probe_insert(Signature::from_bits(6, 64));
         s.grow_signature();
         assert_eq!(
@@ -761,12 +528,12 @@ mod tests {
     #[test]
     fn persistent_scope_keeps_tags_batch_scope_drops_them() {
         let config = MercuryConfig::default();
-        let mut batch = EngineBase::new(config, 1).unwrap();
+        let mut batch = EngineBase::new(config, 1, Executor::serial(), 1, false).unwrap();
         batch.cache.probe_insert(sig(9));
         batch.begin_reuse_scope();
         assert_eq!(batch.cache.probe_insert(sig(9)).kind, HitKind::Mau);
 
-        let mut persistent = EngineBase::persistent(config, 1, 8).unwrap();
+        let mut persistent = EngineBase::new(config, 1, Executor::serial(), 8, true).unwrap();
         persistent.cache.probe_insert(sig(9));
         persistent.begin_reuse_scope();
         assert_eq!(persistent.cache.probe_insert(sig(9)).kind, HitKind::Hit);

@@ -42,6 +42,9 @@ pub enum ConfigError {
     },
     /// A banked engine was requested with zero banks.
     ZeroBanks,
+    /// The MCACHE geometry (carried here) had a zero set count,
+    /// associativity or version count, so no signature could be placed.
+    ZeroCacheGeometry(MCacheConfig),
 }
 
 impl fmt::Display for ConfigError {
@@ -62,6 +65,11 @@ impl fmt::Display for ConfigError {
                 write!(f, "{banks} banks do not divide {sets} cache sets evenly")
             }
             ConfigError::ZeroBanks => write!(f, "need at least one cache bank"),
+            ConfigError::ZeroCacheGeometry(c) => write!(
+                f,
+                "cache geometry {}x{}x{} (sets x ways x versions) has a zero dimension",
+                c.sets, c.ways, c.versions
+            ),
         }
     }
 }
@@ -156,8 +164,8 @@ impl MercuryConfig {
     /// # Errors
     ///
     /// Returns the [`ConfigError`] variant describing the first violated
-    /// constraint: inverted or zero signature bounds, or zero adaptation
-    /// windows.
+    /// constraint: inverted or zero signature bounds, zero adaptation
+    /// windows, or a cache geometry with a zero dimension.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.initial_signature_bits == 0 {
             return Err(ConfigError::ZeroInitialSignatureBits);
@@ -179,6 +187,10 @@ impl MercuryConfig {
         }
         if self.stoppage_window == 0 {
             return Err(ConfigError::ZeroStoppageWindow);
+        }
+        let c = self.cache;
+        if c.sets == 0 || c.ways == 0 || c.versions == 0 {
+            return Err(ConfigError::ZeroCacheGeometry(c));
         }
         Ok(())
     }
@@ -408,6 +420,29 @@ mod tests {
             .unwrap();
         assert_eq!(c.nonfinite_policy, NonfinitePolicy::Reject);
         assert_eq!(c.recovery_warmup, 0);
+    }
+
+    #[test]
+    fn zero_cache_geometry_fails_at_construction() {
+        // Each zero dimension is refused up front, by validation, by the
+        // engines and by the session — not by a divide-by-zero panic at
+        // the first forward pass.
+        for (sets, ways, versions) in [(0, 16, 1), (64, 0, 1), (64, 16, 0)] {
+            let cache = MCacheConfig {
+                sets,
+                ways,
+                versions,
+            };
+            let config = MercuryConfig {
+                cache,
+                ..MercuryConfig::default()
+            };
+            let want = ConfigError::ZeroCacheGeometry(cache);
+            assert_eq!(config.validate(), Err(want));
+            assert_eq!(crate::ConvEngine::try_new(config, 1).unwrap_err(), want);
+            assert_eq!(crate::MercurySession::new(config, 1).unwrap_err(), want);
+            assert!(want.to_string().contains("zero dimension"));
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
-use crate::base::{EngineBase, EngineCache};
+use crate::base::EngineBase;
 use crate::config::ConfigError;
 use crate::reuse::{LayerForward, LayerOp, ReuseEngine, ReuseReport, ReuseSignatures};
 use crate::stats::LayerStats;
 use crate::{MercuryConfig, MercuryError, SavedSignatures};
 use mercury_accel::sim::{ChannelWork, LayerSim};
+use mercury_mcache::banked::BankedMCache;
 use mercury_mcache::{AccessOutcome, EntryId, HitKind};
 use mercury_rpq::analysis::unique_signature_count;
 use mercury_rpq::{SignPlan, Signature, SignatureGenerator};
@@ -27,19 +28,22 @@ use mercury_tensor::{kernel, ops, Tensor, TensorError};
 /// cache's raw `data_reads`/`data_writes` counters reflect the
 /// deduplicated software accesses, not per-consumer hardware traffic.
 ///
+/// Both modes hold the same cache type, a
+/// [`BankedMCache`](mercury_mcache::banked::BankedMCache): a batch engine
+/// ([`ConvEngine::try_new`]) holds one bank and restarts it per channel.
 /// In **persistent mode** ([`ConvEngine::persistent`], the mode
-/// [`MercurySession`](crate::MercurySession) uses) the MCACHE is banked
-/// (§V) and survives across channels and submits: signatures repeated
-/// from earlier requests classify as HITs immediately. A HIT whose
-/// producer value is not resident this pass promotes its first consumer
-/// to producer — it computes (charged as an MAU in the cycle accounting)
-/// and fans its value out to the remaining consumers. Eviction happens
-/// only at [`end_epoch`](ReuseEngine::end_epoch).
+/// [`MercurySession`](crate::MercurySession) uses) the cache is split
+/// across banks (§V) and survives across channels and submits: signatures
+/// repeated from earlier requests classify as HITs immediately. A HIT
+/// whose producer value is not resident this pass promotes its first
+/// consumer to producer — it computes (charged as an MAU in the cycle
+/// accounting) and fans its value out to the remaining consumers.
+/// Eviction happens only at [`end_epoch`](ReuseEngine::end_epoch).
 ///
 /// See the [crate docs](crate) for the full pipeline and an example.
 #[derive(Debug)]
 pub struct ConvEngine {
-    base: EngineBase,
+    pub(crate) base: EngineBase,
 }
 
 impl ConvEngine {
@@ -51,9 +55,8 @@ impl ConvEngine {
     ///
     /// Returns the [`ConfigError`] the configuration violates.
     pub fn try_new(config: MercuryConfig, seed: u64) -> Result<Self, ConfigError> {
-        Ok(ConvEngine {
-            base: EngineBase::new(config, seed)?,
-        })
+        EngineBase::new(config, seed, Executor::from_kind(config.executor), 1, false)
+            .map(|base| ConvEngine { base })
     }
 
     /// Creates a persistent engine: the MCACHE is split across `banks`
@@ -65,23 +68,14 @@ impl ConvEngine {
     /// Returns a [`ConfigError`] for an invalid configuration or a bank
     /// count that does not divide the cache's set count.
     pub fn persistent(config: MercuryConfig, seed: u64, banks: usize) -> Result<Self, ConfigError> {
-        Ok(ConvEngine {
-            base: EngineBase::persistent(config, seed, banks)?,
-        })
-    }
-
-    /// [`persistent`](Self::persistent) scheduling on a caller-provided
-    /// executor: cloned executors share one worker pool, which is how
-    /// `MercurySession` hands a single pool to every layer engine.
-    pub(crate) fn persistent_on(
-        config: MercuryConfig,
-        seed: u64,
-        banks: usize,
-        exec: mercury_tensor::exec::Executor,
-    ) -> Result<Self, ConfigError> {
-        Ok(ConvEngine {
-            base: EngineBase::persistent_on(config, seed, banks, exec)?,
-        })
+        EngineBase::new(
+            config,
+            seed,
+            Executor::from_kind(config.executor),
+            banks,
+            true,
+        )
+        .map(|base| ConvEngine { base })
     }
 
     fn run(
@@ -277,7 +271,10 @@ impl ConvEngine {
             exec.map(
                 0..c,
                 |_| channel_work,
-                || (EngineCache::mono(cache_cfg), ConvScratch::default()),
+                || {
+                    let cache = BankedMCache::new(1, cache_cfg).expect("one bank is positive");
+                    (cache, ConvScratch::default())
+                },
                 move |ch, state| {
                     #[cfg(feature = "fault-inject")]
                     channel_fault_pre(channel_faults, ch);
@@ -503,7 +500,7 @@ struct ChannelOut {
 fn conv_channel(
     ctx: &ChannelCtx<'_>,
     ch: usize,
-    cache: &mut EngineCache,
+    cache: &mut BankedMCache,
     clear_scope: bool,
     exec: &Executor,
     scratch: &mut ConvScratch,
@@ -593,7 +590,7 @@ fn conv_channel(
     }
     cache.begin_insert_batch();
     let conflicts_before = cache.stats().insert_conflicts;
-    cache.probe_insert_batch_into(sigs, exec, &mut scratch.probe_buf);
+    crate::base::probe_batch(cache, sigs, exec, &mut scratch.probe_buf);
     let outcomes = &scratch.probe_buf;
     let conflicts = cache.stats().insert_conflicts - conflicts_before;
 
@@ -611,8 +608,8 @@ fn conv_channel(
     // joins the compute plan exactly like an MAU (and is charged as one),
     // so a group forms only once a second same-entry HIT actually has
     // something to reuse.
-    let ways = cache.ways();
-    let cache_entries = cache.total_entries();
+    let ways = cache.bank_config().ways;
+    let cache_entries = cache.entries();
     scratch.groups.clear();
     scratch.compute_rows.clear();
     let mut stale_producers: Vec<usize> = Vec::new();

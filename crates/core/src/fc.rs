@@ -28,14 +28,14 @@ struct RowPlan {
 /// survives from an earlier pass has no producer row in this pass; its
 /// first consumer is promoted to producer so later duplicates still reuse.
 ///
-/// Probing goes through the batched path, so a persistent (banked) cache
-/// fans the probes out across its bank shards on a parallel executor —
-/// outcomes are identical to the serial loop either way.
+/// Probing goes through the batched path, so a multi-bank cache fans the
+/// probes out across its banks on a parallel executor — outcomes are
+/// identical to the serial loop either way.
 fn probe_rows(base: &mut EngineBase, sigs: &[Signature]) -> RowPlan {
     base.begin_reuse_scope();
     let exec = base.exec.clone();
     let conflicts_before = base.cache.stats().insert_conflicts;
-    let ways = base.cache.ways();
+    let ways = base.cache.bank_config().ways;
     let n = sigs.len();
     let mut producer: HashMap<usize, usize> = HashMap::new();
     let mut plan = RowPlan {
@@ -44,7 +44,8 @@ fn probe_rows(base: &mut EngineBase, sigs: &[Signature]) -> RowPlan {
         row_source: Vec::with_capacity(n),
         conflicts: 0,
     };
-    let probe_outcomes = base.cache.probe_insert_batch(sigs, &exec);
+    let mut probe_outcomes = Vec::with_capacity(n);
+    crate::base::probe_batch(&mut base.cache, sigs, &exec, &mut probe_outcomes);
     for (i, out) in probe_outcomes.into_iter().enumerate() {
         plan.outcomes.push(out.kind);
         match out.kind {
@@ -138,7 +139,7 @@ fn producer_rows_into<F>(
 /// [`LayerOp::Fc`] requests; attention lives in [`AttentionEngine`].
 #[derive(Debug)]
 pub struct FcEngine {
-    base: EngineBase,
+    pub(crate) base: EngineBase,
 }
 
 impl FcEngine {
@@ -149,9 +150,8 @@ impl FcEngine {
     ///
     /// Returns the [`ConfigError`] the configuration violates.
     pub fn try_new(config: MercuryConfig, seed: u64) -> Result<Self, ConfigError> {
-        Ok(FcEngine {
-            base: EngineBase::new(config, seed)?,
-        })
+        EngineBase::new(config, seed, Executor::from_kind(config.executor), 1, false)
+            .map(|base| FcEngine { base })
     }
 
     /// Creates a persistent FC engine: a banked MCACHE survives across
@@ -162,22 +162,14 @@ impl FcEngine {
     /// Returns a [`ConfigError`] for an invalid configuration or bank
     /// split.
     pub fn persistent(config: MercuryConfig, seed: u64, banks: usize) -> Result<Self, ConfigError> {
-        Ok(FcEngine {
-            base: EngineBase::persistent(config, seed, banks)?,
-        })
-    }
-
-    /// [`persistent`](Self::persistent) scheduling on a caller-provided
-    /// executor (clones share one worker pool; see `MercurySession`).
-    pub(crate) fn persistent_on(
-        config: MercuryConfig,
-        seed: u64,
-        banks: usize,
-        exec: mercury_tensor::exec::Executor,
-    ) -> Result<Self, ConfigError> {
-        Ok(FcEngine {
-            base: EngineBase::persistent_on(config, seed, banks, exec)?,
-        })
+        EngineBase::new(
+            config,
+            seed,
+            Executor::from_kind(config.executor),
+            banks,
+            true,
+        )
+        .map(|base| FcEngine { base })
     }
 
     fn run(
@@ -350,7 +342,7 @@ impl ReuseEngine for FcEngine {
 /// API.
 #[derive(Debug)]
 pub struct AttentionEngine {
-    base: EngineBase,
+    pub(crate) base: EngineBase,
 }
 
 impl AttentionEngine {
@@ -360,9 +352,8 @@ impl AttentionEngine {
     ///
     /// Returns the [`ConfigError`] the configuration violates.
     pub fn try_new(config: MercuryConfig, seed: u64) -> Result<Self, ConfigError> {
-        Ok(AttentionEngine {
-            base: EngineBase::new(config, seed)?,
-        })
+        EngineBase::new(config, seed, Executor::from_kind(config.executor), 1, false)
+            .map(|base| AttentionEngine { base })
     }
 
     /// Creates a persistent attention engine (banked MCACHE, evicted by
@@ -373,22 +364,14 @@ impl AttentionEngine {
     /// Returns a [`ConfigError`] for an invalid configuration or bank
     /// split.
     pub fn persistent(config: MercuryConfig, seed: u64, banks: usize) -> Result<Self, ConfigError> {
-        Ok(AttentionEngine {
-            base: EngineBase::persistent(config, seed, banks)?,
-        })
-    }
-
-    /// [`persistent`](Self::persistent) scheduling on a caller-provided
-    /// executor (clones share one worker pool; see `MercurySession`).
-    pub(crate) fn persistent_on(
-        config: MercuryConfig,
-        seed: u64,
-        banks: usize,
-        exec: mercury_tensor::exec::Executor,
-    ) -> Result<Self, ConfigError> {
-        Ok(AttentionEngine {
-            base: EngineBase::persistent_on(config, seed, banks, exec)?,
-        })
+        EngineBase::new(
+            config,
+            seed,
+            Executor::from_kind(config.executor),
+            banks,
+            true,
+        )
+        .map(|base| AttentionEngine { base })
     }
 
     fn run(

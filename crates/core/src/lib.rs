@@ -22,10 +22,10 @@
 //! [`AttentionEngine`] — implements the [`ReuseEngine`] trait: one
 //! [`LayerOp`] request in, one [`LayerForward`] (output + [`ReuseReport`])
 //! out. For one-shot, batch-shaped use, construct an engine directly with
-//! `try_new` (the monolithic MCACHE restarts per reuse scope, §III-B3).
+//! `try_new` (a one-bank MCACHE restarts per reuse scope, §III-B3).
 //!
 //! For service-style workloads, drive a [`MercurySession`] instead: it
-//! owns one *persistent* engine per registered layer, keeps the banked
+//! owns one *persistent* engine per registered layer, keeps its banked
 //! MCACHE (§V) alive across an unbounded stream of
 //! [`submit`](MercurySession::submit) calls, and evicts by epoch rather
 //! than per forward pass. [`AdaptiveController`] implements the §III-D

@@ -191,15 +191,16 @@ impl LayerForward {
 /// engine an op family it does not implement returns
 /// [`MercuryError::UnsupportedOp`].
 ///
-/// Engines come in two cache lifetimes:
+/// Engines come in two cache lifetimes over one cache type,
+/// [`BankedMCache`](mercury_mcache::banked::BankedMCache):
 ///
-/// * **batch mode** (`try_new`) — the monolithic MCACHE restarts at every
+/// * **batch mode** (`try_new`) — a one-bank MCACHE restarts at every
 ///   reuse scope (channel for conv, call for FC/attention), the paper's
 ///   §III-B3 behaviour;
-/// * **persistent mode** (`persistent`) — a banked MCACHE (§V) survives
-///   across passes and is evicted only by [`end_epoch`](Self::end_epoch),
-///   the behaviour [`MercurySession`](crate::MercurySession) streams
-///   through.
+/// * **persistent mode** (`persistent`) — an MCACHE split across banks
+///   (§V) survives across passes and is evicted only by
+///   [`end_epoch`](Self::end_epoch), the behaviour
+///   [`MercurySession`](crate::MercurySession) streams through.
 ///
 /// Engines are [`Send`] by contract: a [`MercurySession`](crate::MercurySession) fans
 /// independent per-layer engines out across its executor's workers

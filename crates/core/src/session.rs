@@ -3,9 +3,11 @@
 //! MERCURY's value proposition is a *persistent* detect-and-reuse
 //! pipeline: signatures and MCACHE state outlive any single minibatch
 //! (paper §IV–V). A [`MercurySession`] makes that lifetime explicit: it
-//! owns one persistent [`ReuseEngine`] per registered layer, keeps each
-//! engine's banked MCACHE (§V) alive across an unbounded stream of
-//! [`submit`](MercurySession::submit) calls, and evicts by *epoch* —
+//! owns one persistent [`ReuseEngine`] per registered layer, all on the
+//! session's one executor, and keeps each engine's MCACHE alive across an
+//! unbounded stream of [`submit`](MercurySession::submit) calls. The
+//! session picks the bank split itself: 8 banks (§V) when the configured
+//! set count divides by 8, one bank otherwise. It evicts by *epoch* —
 //! [`advance_epoch`](MercurySession::advance_epoch) flash-clears every
 //! engine's cache in O(sets) (a per-set occupancy reset plus an O(1)
 //! version-epoch bump; no per-entry walk) — instead of clearing per
@@ -40,6 +42,7 @@
 //! # }
 //! ```
 
+use crate::base::EngineBase;
 use crate::config::{ConfigError, NonfinitePolicy};
 use crate::fc::{AttentionEngine, FcEngine};
 use crate::reuse::{LayerForward, LayerOp, ReuseEngine};
@@ -336,9 +339,8 @@ pub struct MercurySession {
 }
 
 impl MercurySession {
-    /// Creates a session with a default bank split: 8 banks when the
-    /// configured set count divides evenly (the paper-default 64-set cache
-    /// does), otherwise a single bank.
+    /// Creates a session scheduling on the executor `config.executor`
+    /// names (see [`new_on`](Self::new_on)).
     ///
     /// Layer `i`'s engine draws its projection matrices from
     /// `Rng::new(seed.wrapping_add(i))`, so a session is fully pinned by
@@ -348,8 +350,7 @@ impl MercurySession {
     ///
     /// Returns the [`ConfigError`] the configuration violates.
     pub fn new(config: MercuryConfig, seed: u64) -> Result<Self, ConfigError> {
-        let banks = if config.cache.sets % 8 == 0 { 8 } else { 1 };
-        Self::with_banks(config, seed, banks)
+        Self::new_on(config, seed, Executor::from_kind(config.executor))
     }
 
     /// [`new`](Self::new) scheduling on a caller-provided executor: cloned
@@ -358,40 +359,16 @@ impl MercurySession {
     /// same pool to every session it creates, overriding each session
     /// config's own `executor` field.
     ///
+    /// Every layer engine splits its MCACHE across 8 banks when the
+    /// configured set count divides by 8 (the paper-default 64-set cache
+    /// does), otherwise it keeps one bank.
+    ///
     /// # Errors
     ///
     /// Returns the [`ConfigError`] the configuration violates.
     pub fn new_on(config: MercuryConfig, seed: u64, exec: Executor) -> Result<Self, ConfigError> {
-        let banks = if config.cache.sets % 8 == 0 { 8 } else { 1 };
-        Self::with_banks_on(config, seed, banks, exec)
-    }
-
-    /// Creates a session with an explicit MCACHE bank count (the §V
-    /// banked-cache knob; `ablation_banked_cache` measures the trade-off).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] for an invalid configuration, zero banks,
-    /// or a bank count that does not divide the cache's set count.
-    pub fn with_banks(config: MercuryConfig, seed: u64, banks: usize) -> Result<Self, ConfigError> {
-        Self::with_banks_on(config, seed, banks, Executor::from_kind(config.executor))
-    }
-
-    /// [`with_banks`](Self::with_banks) scheduling on a caller-provided
-    /// executor (see [`new_on`](Self::new_on) for the sharing rationale).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] for an invalid configuration, zero banks,
-    /// or a bank count that does not divide the cache's set count.
-    pub fn with_banks_on(
-        config: MercuryConfig,
-        seed: u64,
-        banks: usize,
-        exec: Executor,
-    ) -> Result<Self, ConfigError> {
         config.validate()?;
-        crate::base::validate_bank_split(config.cache.sets, banks)?;
+        let banks = if config.cache.sets % 8 == 0 { 8 } else { 1 };
         Ok(MercurySession {
             config,
             seed,
@@ -403,8 +380,11 @@ impl MercurySession {
         })
     }
 
-    fn next_seed(&self) -> u64 {
-        self.seed.wrapping_add(self.layers.len() as u64)
+    /// The state of the next layer's persistent engine, on the session's
+    /// shared executor.
+    fn next_engine_base(&self) -> Result<EngineBase, ConfigError> {
+        let seed = self.seed.wrapping_add(self.layers.len() as u64);
+        EngineBase::new(self.config, seed, self.exec.clone(), self.banks, true)
     }
 
     /// Resolves an id to this session's layer slot, rejecting ids issued
@@ -454,12 +434,9 @@ impl MercurySession {
             }
             .into());
         }
-        let engine = ConvEngine::persistent_on(
-            self.config,
-            self.next_seed(),
-            self.banks,
-            self.exec.clone(),
-        )?;
+        let engine = ConvEngine {
+            base: self.next_engine_base()?,
+        };
         Ok(self.push_layer(
             Box::new(engine),
             LayerParams::Conv {
@@ -484,8 +461,9 @@ impl MercurySession {
             }
             .into());
         }
-        let engine =
-            FcEngine::persistent_on(self.config, self.next_seed(), self.banks, self.exec.clone())?;
+        let engine = FcEngine {
+            base: self.next_engine_base()?,
+        };
         Ok(self.push_layer(Box::new(engine), LayerParams::Fc { weights }))
     }
 
@@ -498,12 +476,9 @@ impl MercurySession {
     /// construction fails (the session's config was validated at
     /// creation, so this is effectively infallible).
     pub fn register_attention(&mut self) -> Result<LayerId, MercuryError> {
-        let engine = AttentionEngine::persistent_on(
-            self.config,
-            self.next_seed(),
-            self.banks,
-            self.exec.clone(),
-        )?;
+        let engine = AttentionEngine {
+            base: self.next_engine_base()?,
+        };
         Ok(self.push_layer(Box::new(engine), LayerParams::Attention))
     }
 
@@ -742,7 +717,8 @@ impl MercurySession {
         &self.config
     }
 
-    /// The MCACHE bank count each engine was built with.
+    /// The MCACHE bank count each engine was built with: 8 when the
+    /// configured set count divides by 8, otherwise 1.
     pub fn banks(&self) -> usize {
         self.banks
     }
@@ -868,13 +844,24 @@ mod tests {
 
     #[test]
     fn rejects_bad_bank_splits() {
+        // The session derives its bank count, so every geometry it accepts
+        // splits evenly; the one engine constructor it builds through
+        // refuses the splits it never asks for.
+        for sets in 1..=64 {
+            let cfg = MercuryConfig {
+                cache: mercury_mcache::MCacheConfig::new(sets, 2, 1).unwrap(),
+                ..MercuryConfig::default()
+            };
+            let s = MercurySession::new(cfg, 1).unwrap();
+            assert_eq!(sets % s.banks(), 0, "{sets} sets, {} banks", s.banks());
+        }
         let cfg = MercuryConfig::default();
         assert_eq!(
-            MercurySession::with_banks(cfg, 1, 0).unwrap_err(),
+            ConvEngine::persistent(cfg, 1, 0).unwrap_err(),
             ConfigError::ZeroBanks
         );
         assert_eq!(
-            MercurySession::with_banks(cfg, 1, 7).unwrap_err(),
+            FcEngine::persistent(cfg, 1, 7).unwrap_err(),
             ConfigError::BankSplit { sets: 64, banks: 7 }
         );
     }

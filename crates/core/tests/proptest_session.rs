@@ -13,8 +13,6 @@ use mercury_tensor::rng::Rng;
 use mercury_tensor::Tensor;
 use proptest::prelude::*;
 
-const BANKS: usize = 8;
-
 /// Replays the session's documented determinism contract by hand: layer 0
 /// of a session seeded `seed` draws its projections from `Rng::new(seed)`,
 /// and an FC submit generates one signature per input row at the initial
@@ -42,12 +40,13 @@ proptest! {
         duplicate_rows in 0usize..2,
     ) {
         let config = MercuryConfig::default();
-        let mut session = MercurySession::with_banks(config, seed, BANKS).unwrap();
+        let mut session = MercurySession::new(config, seed).unwrap();
         let weights = Tensor::randn(&[l, 3], &mut Rng::new(seed ^ 0xABCD));
         let fc = session.register_fc(weights).unwrap();
 
-        let per_bank = MCacheConfig::new(config.cache.sets / BANKS, config.cache.ways, 1).unwrap();
-        let mut manual = BankedMCache::new(BANKS, per_bank).unwrap();
+        let banks = session.banks();
+        let per_bank = MCacheConfig::new(config.cache.sets / banks, config.cache.ways, 1).unwrap();
+        let mut manual = BankedMCache::new(banks, per_bank).unwrap();
 
         let mut workload_rng = Rng::new(seed ^ 0x9999);
         for _ in 0..epochs {
@@ -67,7 +66,7 @@ proptest! {
                 let sigs = manual_signatures(seed, &inputs, config.initial_signature_bits);
                 let mut want = (0u64, 0u64, 0u64);
                 for &sig in &sigs {
-                    match manual.probe_insert(sig).kind() {
+                    match manual.probe_insert(sig).kind {
                         HitKind::Hit => want.0 += 1,
                         HitKind::Mau => want.1 += 1,
                         HitKind::Mnu => want.2 += 1,
@@ -106,7 +105,7 @@ proptest! {
             for w in 0..writes_per_epoch {
                 let sig = pool[rng.next_below(pool.len())];
                 let out = cache.probe_insert(sig);
-                if let Some(id) = out.entry() {
+                if let Some(id) = out.entry {
                     // Before this epoch's write, the line must never expose
                     // a previous epoch's value (tagged by epoch number).
                     if let Some(v) = cache.read(id, 0) {

@@ -1,27 +1,29 @@
-//! Banked MCACHE — the ASIC-oriented variant the paper sketches in §V
-//! ("for an ASIC accelerator, similar techniques such as banked cache,
-//! multi-signature cache line, and PE set wise smaller cache can be used").
+//! Banked MCACHE — the cache every reuse engine holds. The paper restarts
+//! one MCACHE per channel on the FPGA (§III-B3) and sketches a banked
+//! cache for an ASIC (§V: "for an ASIC accelerator, similar techniques
+//! such as banked cache, multi-signature cache line, and PE set wise
+//! smaller cache can be used"); a one-bank [`BankedMCache`] is the FPGA
+//! design.
 //!
 //! A [`BankedMCache`] splits the entry budget across `B` independent banks
 //! selected by signature bits. Each bank serializes its own insertions, so
 //! inserts to different banks never conflict — trading some aliasing (a
 //! signature can only live in its home bank) for insertion parallelism.
-//! The `ablation_banked_cache` bench compares this against the monolithic
-//! design.
+//! Callers address lines through flat [`EntryId`]s: bank `b`, set `s`
+//! is flat set `b * sets_per_bank + s`, so per-entry scratch arrays never
+//! need to know the bank count.
+//!
+//! The `ablation_banked_cache` bench does not drive this type: it splits
+//! a stream round-robin by PE set across private [`MCache`] banks and
+//! measures the hit rate lost to those private slices against the
+//! insertion conflicts they save. Signature-homed banks lose no reuse
+//! that way — a repeated signature always probes the same bank.
 
 use crate::{AccessOutcome, EntryId, HitKind, MCache, MCacheConfig, MCacheStats, McacheError};
 use mercury_rpq::Signature;
+use mercury_tensor::exec::Executor;
 
-/// Identifies a line within a [`BankedMCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BankedEntryId {
-    /// Which bank holds the line.
-    pub bank: usize,
-    /// The line within that bank.
-    pub entry: EntryId,
-}
-
-/// A bank-partitioned MCACHE.
+/// A bank-partitioned MCACHE addressed through flat entry ids.
 ///
 /// # Examples
 ///
@@ -33,14 +35,23 @@ pub struct BankedEntryId {
 /// # fn main() -> Result<(), mercury_mcache::McacheError> {
 /// let mut cache = BankedMCache::new(4, MCacheConfig::new(16, 16, 1)?)?;
 /// let sig = Signature::from_bits(0x3F, 20);
-/// assert_eq!(cache.probe_insert(sig).kind(), HitKind::Mau);
-/// assert_eq!(cache.probe_insert(sig).kind(), HitKind::Hit);
+/// let first = cache.probe_insert(sig);
+/// assert_eq!(first.kind, HitKind::Mau);
+/// let id = first.entry.unwrap();
+/// assert!(id.set < 4 * 16, "flat sets span every bank");
+/// cache.write(id, 0, 1.5)?;
+/// assert_eq!(cache.probe_insert(sig).kind, HitKind::Hit);
+/// assert_eq!(cache.read(id, 0), Some(1.5));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct BankedMCache {
     banks: Vec<MCache>,
+    /// Sets per bank: the stride of the flat set index.
+    sets_per_bank: usize,
+    /// Ways per set, shared by every bank.
+    ways: usize,
 }
 
 impl BankedMCache {
@@ -57,12 +68,9 @@ impl BankedMCache {
         }
         Ok(BankedMCache {
             banks: (0..num_banks).map(|_| MCache::new(per_bank)).collect(),
+            sets_per_bank: per_bank.sets,
+            ways: per_bank.ways,
         })
-    }
-
-    /// Number of banks.
-    pub fn num_banks(&self) -> usize {
-        self.banks.len()
     }
 
     /// The per-bank geometry (all banks share one configuration).
@@ -75,71 +83,150 @@ impl BankedMCache {
         self.banks.iter().map(|b| b.config().entries()).sum()
     }
 
-    /// The bank a signature homes to. High bits of the mixed hash pick
-    /// the bank; low bits pick the set inside the bank, keeping the two
-    /// choices decorrelated. Public so batch drivers can partition a
-    /// probe stream by bank and hand each partition to its
-    /// [`shard`](Self::shards) — the lock-free concurrent probing path.
-    pub fn bank_of_sig(&self, sig: Signature) -> usize {
-        ((sig.mix64() >> 48) % self.banks.len() as u64) as usize
+    /// The home bank of a signature's `mix64` hash. High bits pick the
+    /// bank; low bits pick the set inside the bank, keeping the two
+    /// choices decorrelated.
+    #[inline]
+    fn bank_of_hash(&self, h: u64) -> usize {
+        let banks = self.banks.len() as u64;
+        // Same value either way; the mask avoids a hardware divide on the
+        // power-of-two bank counts the engines use.
+        if banks.is_power_of_two() {
+            ((h >> 48) & (banks - 1)) as usize
+        } else {
+            ((h >> 48) % banks) as usize
+        }
     }
 
-    /// Probes/inserts a signature in its home bank.
-    pub fn probe_insert(&mut self, sig: Signature) -> BankedAccessOutcome {
+    /// Rewrites a bank-local outcome into the flat id space.
+    #[inline]
+    fn flatten(sets_per_bank: usize, bank: usize, out: AccessOutcome) -> AccessOutcome {
+        AccessOutcome {
+            kind: out.kind,
+            entry: out.entry.map(|id| EntryId {
+                set: bank * sets_per_bank + id.set,
+                way: id.way,
+            }),
+        }
+    }
+
+    /// Splits a flat id into its bank and bank-local id; `None` when the
+    /// id lies outside the cache.
+    #[inline]
+    fn locate(&self, id: EntryId) -> Option<(usize, EntryId)> {
+        let spb = self.sets_per_bank;
+        // Same split either way; shift and mask avoid two hardware divides
+        // per access on power-of-two geometries.
+        let (bank, set) = if spb.is_power_of_two() {
+            (id.set >> spb.trailing_zeros(), id.set & (spb - 1))
+        } else {
+            (id.set / spb, id.set % spb)
+        };
+        if bank >= self.banks.len() || id.way >= self.ways {
+            return None;
+        }
+        Some((bank, EntryId { set, way: id.way }))
+    }
+
+    /// Probes a signature in its home bank, inserting it on a miss when the
+    /// set has a free way (see [`MCache::probe_insert`]). The entry comes
+    /// back as a flat id.
+    #[inline]
+    pub fn probe_insert(&mut self, sig: Signature) -> AccessOutcome {
         // One mix per probe: the same hash routes the bank and probes the
         // set inside it.
         let h = sig.mix64();
-        let bank = ((h >> 48) % self.banks.len() as u64) as usize;
+        let bank = self.bank_of_hash(h);
         let out = self.banks[bank].probe_insert_hashed(sig, h);
-        BankedAccessOutcome { bank, outcome: out }
+        Self::flatten(self.sets_per_bank, bank, out)
     }
 
-    /// Disjoint mutable views, one per bank, for concurrent probing
-    /// **without locks**: each bank is an independent cache (a signature's
-    /// home bank is a pure function of the signature), so a driver that
-    /// partitions its probe stream by [`bank_of_sig`](Self::bank_of_sig)
-    /// and keeps each partition in stream order can probe all shards in
-    /// parallel and observe exactly the outcomes the serial interleaving
-    /// would produce — every set, tag, and conflict counter lives in
-    /// exactly one shard (single writer per shard by construction).
-    pub fn shards(&mut self) -> Vec<BankShard<'_>> {
-        self.banks
-            .iter_mut()
-            .enumerate()
-            .map(|(bank, cache)| BankShard { bank, cache })
-            .collect()
+    /// Probes a whole signature stream, writing one outcome per signature
+    /// into `out` (cleared first) in stream order.
+    ///
+    /// A one-bank cache, a serial executor, or a stream shorter than the
+    /// executor's `parallel_probe_min` takes the serial loop. Otherwise
+    /// the stream is partitioned by home bank and the banks probe
+    /// concurrently without locks: every set, tag and conflict counter
+    /// lives in exactly one bank and each bank sees its probes in stream
+    /// order, so outcomes and statistics are identical to the serial loop.
+    /// Each bank's work hint is its probe count times the executor's
+    /// `probe_work_units`, so a batch whose probes all land in one bank
+    /// runs inline — a second thread could not share that bank.
+    pub fn probe_insert_batch(
+        &mut self,
+        sigs: &[Signature],
+        exec: &Executor,
+        out: &mut Vec<AccessOutcome>,
+    ) {
+        out.clear();
+        let tuning = exec.tuning();
+        if self.banks.len() == 1 || !exec.is_parallel() || sigs.len() < tuning.parallel_probe_min {
+            out.extend(sigs.iter().map(|&sig| self.probe_insert(sig)));
+            return;
+        }
+        let mut per_bank: Vec<Vec<(u32, Signature, u64)>> = vec![Vec::new(); self.banks.len()];
+        for (i, &sig) in sigs.iter().enumerate() {
+            let h = sig.mix64();
+            per_bank[self.bank_of_hash(h)].push((i as u32, sig, h));
+        }
+        let sets_per_bank = self.sets_per_bank;
+        let results = exec.map(
+            self.banks.iter_mut().enumerate().zip(per_bank),
+            |(_, probes)| probes.len().saturating_mul(tuning.probe_work_units),
+            || (),
+            |((bank, cache), probes), ()| {
+                probes
+                    .into_iter()
+                    .map(|(i, sig, h)| {
+                        let o = cache.probe_insert_hashed(sig, h);
+                        (i, Self::flatten(sets_per_bank, bank, o))
+                    })
+                    .collect::<Vec<_>>()
+            },
+        );
+        out.resize(
+            sigs.len(),
+            AccessOutcome {
+                kind: HitKind::Mnu,
+                entry: None,
+            },
+        );
+        for (i, o) in results.into_iter().flatten() {
+            out[i as usize] = o;
+        }
     }
 
-    /// Reads a data version through a banked entry id.
-    pub fn read(&self, id: BankedEntryId, version: usize) -> Option<f32> {
-        self.banks.get(id.bank)?.read(id.entry, version)
+    /// Reads a data version through a flat entry id; `None` when VD is
+    /// unset or the id lies outside the cache.
+    #[inline]
+    pub fn read(&self, id: EntryId, version: usize) -> Option<f32> {
+        let (bank, local) = self.locate(id)?;
+        self.banks[bank].read(local, version)
     }
 
     /// Reads with statistics: counts a data hit or miss on the owning bank.
-    /// An out-of-range bank reads as `None` without touching any counter.
-    pub fn read_counted(&mut self, id: BankedEntryId, version: usize) -> Option<f32> {
-        self.banks
-            .get_mut(id.bank)
-            .and_then(|bank| bank.read_counted(id.entry, version))
+    /// An id outside the cache reads as `None` without moving any counter.
+    #[inline]
+    pub fn read_counted(&mut self, id: EntryId, version: usize) -> Option<f32> {
+        let (bank, local) = self.locate(id)?;
+        self.banks[bank].read_counted(local, version)
     }
 
-    /// Writes a data version through a banked entry id.
+    /// Writes a data version through a flat entry id.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying bank's error; an out-of-range bank reports
-    /// [`McacheError::BadEntry`].
-    pub fn write(
-        &mut self,
-        id: BankedEntryId,
-        version: usize,
-        value: f32,
-    ) -> Result<(), McacheError> {
-        let bank = self.banks.get_mut(id.bank).ok_or(McacheError::BadEntry {
-            set: id.bank,
-            way: 0,
+    /// [`McacheError::BadEntry`] naming the caller's own set and way for an
+    /// id outside the cache; otherwise the owning bank's
+    /// [`MCache::write`] errors.
+    #[inline]
+    pub fn write(&mut self, id: EntryId, version: usize, value: f32) -> Result<(), McacheError> {
+        let (bank, local) = self.locate(id).ok_or(McacheError::BadEntry {
+            set: id.set,
+            way: id.way,
         })?;
-        bank.write(id.entry, version, value)
+        self.banks[bank].write(local, version, value)
     }
 
     /// Flash-clears all VD bits in every bank.
@@ -188,58 +275,6 @@ impl BankedMCache {
     }
 }
 
-/// A mutable view of one bank of a [`BankedMCache`], produced by
-/// [`BankedMCache::shards`]. Shards of one cache are disjoint (`&mut`
-/// borrows of distinct banks), so a thread scope may drive all of them
-/// concurrently; each shard serializes its own probes exactly like the
-/// whole cache would.
-#[derive(Debug)]
-pub struct BankShard<'a> {
-    bank: usize,
-    cache: &'a mut MCache,
-}
-
-impl BankShard<'_> {
-    /// The bank index this shard views.
-    pub fn bank(&self) -> usize {
-        self.bank
-    }
-
-    /// Probes/inserts a signature in this bank. The caller is responsible
-    /// for routing: the outcome is only meaningful for signatures whose
-    /// [`BankedMCache::bank_of_sig`] equals [`bank`](Self::bank).
-    pub fn probe_insert(&mut self, sig: Signature) -> BankedAccessOutcome {
-        BankedAccessOutcome {
-            bank: self.bank,
-            outcome: self.cache.probe_insert(sig),
-        }
-    }
-}
-
-/// Outcome of a banked probe: the bank plus the inner outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BankedAccessOutcome {
-    /// Bank that served the probe.
-    pub bank: usize,
-    /// The underlying access outcome.
-    pub outcome: AccessOutcome,
-}
-
-impl BankedAccessOutcome {
-    /// HIT / MAU / MNU classification.
-    pub fn kind(&self) -> HitKind {
-        self.outcome.kind
-    }
-
-    /// Banked entry id, when the probe resolved to a line.
-    pub fn entry(&self) -> Option<BankedEntryId> {
-        self.outcome.entry.map(|entry| BankedEntryId {
-            bank: self.bank,
-            entry,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,24 +287,30 @@ mod tests {
         BankedMCache::new(banks, MCacheConfig::new(4, 2, 1).unwrap()).unwrap()
     }
 
+    /// The bank a probe outcome landed in (4 sets per bank in [`cache`]).
+    fn bank_of(out: AccessOutcome) -> usize {
+        out.entry.expect("probe resolved to a line").set / 4
+    }
+
     #[test]
     fn probe_hit_roundtrip() {
         let mut c = cache(4);
         let first = c.probe_insert(sig(0x123));
-        assert_eq!(first.kind(), HitKind::Mau);
-        let id = first.entry().unwrap();
+        assert_eq!(first.kind, HitKind::Mau);
+        let id = first.entry.unwrap();
         c.write(id, 0, 6.5).unwrap();
         let second = c.probe_insert(sig(0x123));
-        assert_eq!(second.kind(), HitKind::Hit);
-        assert_eq!(c.read(second.entry().unwrap(), 0), Some(6.5));
+        assert_eq!(second.kind, HitKind::Hit);
+        assert_eq!(second.entry, Some(id));
+        assert_eq!(c.read(id, 0), Some(6.5));
     }
 
     #[test]
     fn signatures_spread_across_banks() {
-        let mut c = cache(8);
+        let mut c = BankedMCache::new(8, MCacheConfig::new(4, 64, 1).unwrap()).unwrap();
         let mut banks_used = std::collections::HashSet::new();
         for i in 0..200 {
-            banks_used.insert(c.probe_insert(sig(i)).bank);
+            banks_used.insert(bank_of(c.probe_insert(sig(i))));
         }
         assert!(
             banks_used.len() >= 6,
@@ -281,8 +322,8 @@ mod tests {
     #[test]
     fn same_signature_same_bank() {
         let mut c = cache(8);
-        let a = c.probe_insert(sig(77)).bank;
-        let b = c.probe_insert(sig(77)).bank;
+        let a = bank_of(c.probe_insert(sig(77)));
+        let b = bank_of(c.probe_insert(sig(77)));
         assert_eq!(a, b);
     }
 
@@ -305,32 +346,39 @@ mod tests {
     #[test]
     fn clear_and_invalidate() {
         let mut c = cache(2);
-        let id = c.probe_insert(sig(5)).entry().unwrap();
+        let id = c.probe_insert(sig(5)).entry.unwrap();
         c.write(id, 0, 1.0).unwrap();
         c.invalidate_all_data();
         assert_eq!(c.read(id, 0), None);
-        assert_eq!(c.probe_insert(sig(5)).kind(), HitKind::Hit);
+        assert_eq!(c.probe_insert(sig(5)).kind, HitKind::Hit);
         c.clear();
-        assert_eq!(c.probe_insert(sig(5)).kind(), HitKind::Mau);
+        assert_eq!(c.probe_insert(sig(5)).kind, HitKind::Mau);
     }
 
     #[test]
     fn read_counted_tracks_aggregate_stats() {
         let mut c = cache(2);
-        let id = c.probe_insert(sig(3)).entry().unwrap();
+        let id = c.probe_insert(sig(3)).entry.unwrap();
         assert_eq!(c.read_counted(id, 0), None);
         c.write(id, 0, 2.0).unwrap();
         assert_eq!(c.read_counted(id, 0), Some(2.0));
         let s = c.stats();
         assert_eq!((s.data_misses, s.data_reads), (1, 1));
         assert_eq!(c.bank_config().ways, 2);
-        // Out-of-range bank: None, no counter movement.
-        let bogus = BankedEntryId {
-            bank: 99,
-            entry: id.entry,
-        };
-        assert_eq!(c.read_counted(bogus, 0), None);
-        assert_eq!(c.stats().data_misses, 1);
+        // Ids outside the cache (past the last bank, or past the ways):
+        // `None`, no counter movement, and writes name the caller's id.
+        for bogus in [EntryId { set: 8, way: 0 }, EntryId { set: 0, way: 2 }] {
+            assert_eq!(c.read(bogus, 0), None);
+            assert_eq!(c.read_counted(bogus, 0), None);
+            assert_eq!(
+                c.write(bogus, 0, 1.0),
+                Err(McacheError::BadEntry {
+                    set: bogus.set,
+                    way: bogus.way
+                })
+            );
+        }
+        assert_eq!(c.stats(), s);
     }
 
     #[test]
@@ -352,38 +400,47 @@ mod tests {
 
     #[test]
     fn sharded_probing_matches_serial_interleaving() {
-        // Partitioning a probe stream by home bank and driving each shard
-        // independently (here sequentially; the engines do it from worker
-        // threads) must reproduce the serial interleaved outcomes and
-        // stats exactly.
-        let mut serial = cache(4);
-        let mut sharded = cache(4);
+        // Partitioning a probe stream by home bank and probing the banks
+        // from worker threads must reproduce the serial interleaved
+        // outcomes and stats exactly. 120 probes clear the default
+        // parallel-probe cutoff.
         let stream: Vec<Signature> = (0..120).map(|i| sig(i % 37)).collect();
-
-        let serial_out: Vec<_> = stream
-            .iter()
-            .map(|&s| {
-                let o = serial.probe_insert(s);
-                (o.kind(), o.entry())
-            })
-            .collect();
-
-        let mut per_bank: Vec<Vec<(usize, Signature)>> = vec![Vec::new(); 4];
-        for (i, &s) in stream.iter().enumerate() {
-            per_bank[sharded.bank_of_sig(s)].push((i, s));
+        let mut serial = cache(4);
+        let serial_out: Vec<_> = stream.iter().map(|&s| serial.probe_insert(s)).collect();
+        for exec in [Executor::serial(), Executor::threaded(4)] {
+            let mut sharded = cache(4);
+            let mut out = vec![AccessOutcome {
+                kind: HitKind::Hit,
+                entry: None,
+            }];
+            sharded.probe_insert_batch(&stream, &exec, &mut out);
+            assert_eq!(serial_out, out);
+            assert_eq!(serial.stats(), sharded.stats());
         }
-        let mut sharded_out: Vec<Option<(HitKind, Option<BankedEntryId>)>> =
-            vec![None; stream.len()];
-        for shard in sharded.shards() {
-            let mut shard = shard;
-            for &(i, s) in &per_bank[shard.bank()] {
-                let o = shard.probe_insert(s);
-                sharded_out[i] = Some((o.kind(), o.entry()));
+    }
+
+    #[test]
+    fn one_bank_matches_the_monolithic_cache() {
+        // The FPGA design is a one-bank cache: every outcome, flat id and
+        // counter equals a plain `MCache` of the same geometry.
+        let cfg = MCacheConfig::new(4, 2, 1).unwrap();
+        let mut banked = BankedMCache::new(1, cfg).unwrap();
+        let mut mono = MCache::new(cfg);
+        banked.begin_insert_batch();
+        mono.begin_insert_batch();
+        for i in 0..64 {
+            let (b, m) = (
+                banked.probe_insert(sig(i % 23)),
+                mono.probe_insert(sig(i % 23)),
+            );
+            assert_eq!(b, m);
+            if let Some(id) = m.entry {
+                assert_eq!(banked.write(id, 0, i as f32), mono.write(id, 0, i as f32));
+                assert_eq!(banked.read_counted(id, 0), mono.read_counted(id, 0));
             }
         }
-        let sharded_out: Vec<_> = sharded_out.into_iter().map(|o| o.unwrap()).collect();
-        assert_eq!(serial_out, sharded_out);
-        assert_eq!(serial.stats(), sharded.stats());
+        assert_eq!(banked.stats(), mono.stats());
+        assert_eq!(banked.resident_bytes(), mono.resident_bytes());
     }
 
     #[test]

@@ -260,6 +260,7 @@ impl MCache {
     /// [`probe_insert`](Self::probe_insert) with the signature's `mix64`
     /// supplied by the caller, so routing layers that already hashed for
     /// bank selection don't pay the mix twice per probe.
+    #[inline]
     pub(crate) fn probe_insert_hashed(&mut self, sig: Signature, h: u64) -> AccessOutcome {
         debug_assert_eq!(h, sig.mix64());
         let set = self.set_of_hash(h);

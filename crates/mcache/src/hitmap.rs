@@ -1,7 +1,10 @@
-use crate::EntryId;
 use std::fmt;
 
-/// Outcome of an MCACHE probe for one input vector (paper Figure 9).
+/// Outcome of an MCACHE probe for one input vector (paper Figure 9) — one
+/// entry of the paper's hit map, which every PE set consults before it
+/// would begin a dot product. Reuse decisions are all made before the
+/// convolution starts, so the accelerator's streaming pattern never
+/// branches mid-flight (§III-C1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HitKind {
     /// The signature was already cached: the PE set skips its dot products
@@ -25,148 +28,9 @@ impl fmt::Display for HitKind {
     }
 }
 
-/// Per-input-vector record of the MCACHE probe outcome, consulted by every
-/// PE set right before it would begin a dot product.
-///
-/// The Hitmap is what keeps MERCURY's dataflow *regular*: reuse decisions
-/// are all made before the convolution starts, so the filter/input
-/// streaming pattern of the accelerator never has to branch mid-flight
-/// (paper §III-C1).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Hitmap {
-    entries: Vec<(HitKind, Option<EntryId>)>,
-}
-
-impl Hitmap {
-    /// Creates an empty hitmap.
-    pub fn new() -> Self {
-        Hitmap::default()
-    }
-
-    /// Creates an empty hitmap with room for `n` vectors.
-    pub fn with_capacity(n: usize) -> Self {
-        Hitmap {
-            entries: Vec::with_capacity(n),
-        }
-    }
-
-    /// Appends the outcome for the next input vector.
-    pub fn push(&mut self, kind: HitKind, entry: Option<EntryId>) {
-        self.entries.push((kind, entry));
-    }
-
-    /// Outcome for input vector `i`, or `None` past the end.
-    pub fn get(&self, i: usize) -> Option<HitKind> {
-        self.entries.get(i).map(|&(k, _)| k)
-    }
-
-    /// Cache entry id for input vector `i` (present for HIT and MAU).
-    pub fn entry(&self, i: usize) -> Option<EntryId> {
-        self.entries.get(i).and_then(|&(_, e)| e)
-    }
-
-    /// Kind and entry id for input vector `i` in one lookup, or `None` past
-    /// the end. Hot loops should prefer this over calling [`get`](Self::get)
-    /// and [`entry`](Self::entry) back to back, which indexes the map twice.
-    pub fn outcome(&self, i: usize) -> Option<(HitKind, Option<EntryId>)> {
-        self.entries.get(i).copied()
-    }
-
-    /// Number of recorded vectors.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no outcomes are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Clears all outcomes (start of a new channel).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Iterates over `(kind, entry)` pairs in vector order.
-    pub fn iter(&self) -> impl Iterator<Item = (HitKind, Option<EntryId>)> + '_ {
-        self.entries.iter().copied()
-    }
-
-    /// Counts of (HIT, MAU, MNU) — the mix plotted in Figure 15a.
-    pub fn counts(&self) -> (usize, usize, usize) {
-        let mut hit = 0;
-        let mut mau = 0;
-        let mut mnu = 0;
-        for (k, _) in self.iter() {
-            match k {
-                HitKind::Hit => hit += 1,
-                HitKind::Mau => mau += 1,
-                HitKind::Mnu => mnu += 1,
-            }
-        }
-        (hit, mau, mnu)
-    }
-
-    /// Fraction of vectors that hit — the reuse rate.
-    pub fn hit_rate(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let (hit, _, _) = self.counts();
-        hit as f64 / self.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn id(set: usize, way: usize) -> EntryId {
-        EntryId { set, way }
-    }
-
-    #[test]
-    fn push_and_get() {
-        let mut map = Hitmap::new();
-        map.push(HitKind::Mau, Some(id(0, 1)));
-        map.push(HitKind::Hit, Some(id(0, 1)));
-        map.push(HitKind::Mnu, None);
-        assert_eq!(map.len(), 3);
-        assert_eq!(map.get(0), Some(HitKind::Mau));
-        assert_eq!(map.get(1), Some(HitKind::Hit));
-        assert_eq!(map.get(2), Some(HitKind::Mnu));
-        assert_eq!(map.get(3), None);
-        assert_eq!(map.entry(1), Some(id(0, 1)));
-        assert_eq!(map.entry(2), None);
-        assert_eq!(map.outcome(0), Some((HitKind::Mau, Some(id(0, 1)))));
-        assert_eq!(map.outcome(2), Some((HitKind::Mnu, None)));
-        assert_eq!(map.outcome(3), None);
-    }
-
-    #[test]
-    fn counts_and_hit_rate() {
-        let mut map = Hitmap::new();
-        for _ in 0..3 {
-            map.push(HitKind::Hit, Some(id(0, 0)));
-        }
-        map.push(HitKind::Mau, Some(id(0, 1)));
-        map.push(HitKind::Mnu, None);
-        assert_eq!(map.counts(), (3, 1, 1));
-        assert!((map.hit_rate() - 0.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_hit_rate_is_zero() {
-        assert_eq!(Hitmap::new().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut map = Hitmap::new();
-        map.push(HitKind::Hit, None);
-        map.clear();
-        assert!(map.is_empty());
-    }
 
     #[test]
     fn display_of_kinds() {

@@ -20,11 +20,12 @@
 //! flash-clear invalidates one version (filter reload) or all versions
 //! (synchronous filter advance) in a single operation.
 //!
-//! Access outcomes are summarized per input vector in a [`Hitmap`]
-//! (HIT / MAU / MNU), and the [`SignatureTable`] maps input-vector numbers
-//! to their signatures and cache entry ids — both structures are consulted
-//! by the PE sets during the convolution so the dataflow never stalls on
-//! similarity bookkeeping.
+//! Every probe classifies its input vector as a [`HitKind`] (HIT / MAU /
+//! MNU). [`MCache`] is one cache: the FPGA design the accelerator model
+//! and the ablation bins use. [`banked::BankedMCache`] splits one across
+//! signature-homed banks and is the cache every reuse engine holds — a
+//! one-bank instance for per-scope batch engines, several banks for the
+//! persistent engines a session streams through.
 //!
 //! # Examples
 //!
@@ -57,9 +58,7 @@ pub mod banked;
 mod cache;
 mod error;
 mod hitmap;
-mod sigtable;
 
 pub use cache::{AccessOutcome, EntryId, MCache, MCacheConfig, MCacheStats};
 pub use error::McacheError;
-pub use hitmap::{HitKind, Hitmap};
-pub use sigtable::SignatureTable;
+pub use hitmap::HitKind;

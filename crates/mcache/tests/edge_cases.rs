@@ -1,9 +1,8 @@
 //! Edge-case tests for MCACHE: empty-cache behaviour, full sets and full
-//! banks under the no-replacement policy, and the signature-collision path
-//! through the [`SignatureTable`].
+//! banks under the no-replacement policy, and length-sensitive tags.
 
 use mercury_mcache::banked::BankedMCache;
-use mercury_mcache::{HitKind, MCache, MCacheConfig, SignatureTable};
+use mercury_mcache::{HitKind, MCache, MCacheConfig};
 use mercury_rpq::Signature;
 
 fn sig(bits: u128) -> Signature {
@@ -61,9 +60,10 @@ fn full_bank_rejects_while_other_banks_accept() {
     // while signatures homed in other banks still insert fine.
     let mut cache = BankedMCache::new(4, MCacheConfig::new(1, 1, 1).unwrap()).unwrap();
 
+    // One set per bank, so a flat entry's set index is its bank.
     let first = cache.probe_insert(sig(0));
-    assert_eq!(first.kind(), HitKind::Mau);
-    let home = first.entry().unwrap().bank;
+    assert_eq!(first.kind, HitKind::Mau);
+    let home = first.entry.unwrap().set;
 
     // Find more signatures that land in the same bank and one that lands
     // elsewhere, by probing distinct raw patterns.
@@ -71,12 +71,12 @@ fn full_bank_rejects_while_other_banks_accept() {
     let mut other_bank_mau = 0;
     for raw in 1..64u128 {
         let out = cache.probe_insert(sig(raw));
-        match out.kind() {
+        match out.kind {
             HitKind::Mnu => {
                 same_bank_mnu += 1;
             }
             HitKind::Mau => {
-                let bank = out.entry().unwrap().bank;
+                let bank = out.entry.unwrap().set;
                 assert_ne!(bank, home, "home bank is full; MAU must be elsewhere");
                 other_bank_mau += 1;
             }
@@ -92,62 +92,7 @@ fn full_bank_rejects_while_other_banks_accept() {
     assert!(cache.stats().maus <= 4);
 
     // The original resident still hits in its bank.
-    assert_eq!(cache.probe_insert(sig(0)).kind(), HitKind::Hit);
-}
-
-#[test]
-fn sigtable_collision_path_shares_the_producer_entry() {
-    // Two *different* input vectors whose RPQ signatures collide: the
-    // second probe is a HIT, and recording its entry in the signature
-    // table routes the consumer to the producer's cached result — the
-    // approximation MERCURY deliberately accepts.
-    let mut cache = MCache::new(MCacheConfig::new(8, 2, 1).unwrap());
-    let mut table = SignatureTable::new();
-    let shared = sig(0b1011);
-
-    // Vector 0 (producer): MAU, then its dot-product result is written.
-    let v0 = cache.probe_insert(shared);
-    assert_eq!(v0.kind, HitKind::Mau);
-    table.push(shared, v0.entry);
-    cache.write(v0.entry.unwrap(), 0, 7.25).unwrap();
-
-    // Vector 1 (collider): same signature, distinct vector. HIT on the
-    // same line.
-    let v1 = cache.probe_insert(shared);
-    assert_eq!(v1.kind, HitKind::Hit);
-    assert_eq!(v1.entry, v0.entry);
-    table.push(shared, v1.entry);
-
-    // The table resolves both vectors to the same entry, and the consumer
-    // reads the producer's value through it.
-    assert_eq!(table.len(), 2);
-    assert_eq!(table.entry(0), table.entry(1));
-    assert_eq!(cache.read(table.entry(1).unwrap(), 0), Some(7.25));
-}
-
-#[test]
-fn sigtable_records_unresolved_mnu_vectors() {
-    // An MNU vector has a signature but no cache entry; the table must
-    // keep the signature (for the hitmap) with entry `None`.
-    let mut cache = MCache::new(MCacheConfig::new(1, 1, 1).unwrap());
-    let mut table = SignatureTable::new();
-
-    let first = cache.probe_insert(sig(1));
-    table.push(sig(1), first.entry);
-    let rejected = cache.probe_insert(sig(2));
-    assert_eq!(rejected.kind, HitKind::Mnu);
-    table.push(sig(2), rejected.entry);
-
-    assert_eq!(table.signature(1), Some(sig(2)));
-    assert_eq!(table.entry(1), None);
-
-    // Late resolution (e.g. after a channel clear) is possible via
-    // set_entry.
-    cache.clear();
-    let retry = cache.probe_insert(sig(2));
-    assert_eq!(retry.kind, HitKind::Mau);
-    table.set_entry(1, retry.entry);
-    assert_eq!(table.entry(1), retry.entry);
+    assert_eq!(cache.probe_insert(sig(0)).kind, HitKind::Hit);
 }
 
 #[test]
