@@ -1,7 +1,10 @@
 //! End-to-end benchmarks of the MERCURY convolution engine against exact
 //! convolution, on high- and low-similarity inputs — in batch mode
 //! (MCACHE cleared per forward, the PR 2 numbers) and in session mode
-//! (persistent banked MCACHE, no per-forward clear, eviction by epoch).
+//! (persistent banked MCACHE, no per-forward clear, eviction by epoch) —
+//! and at the layer shapes the reuse pass is tuned against: the reduced
+//! VGG-13 layers the `train-reuse` benchmark trains, and a 128-wide layer
+//! at the paper's widths.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mercury_core::{ConvEngine, LayerOp, MercuryConfig, MercurySession, ReuseEngine};
@@ -79,5 +82,41 @@ fn bench_exact_vs_mercury(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_exact_vs_mercury);
+/// One group per layer-shape family: for each `(channels, filters, side)`
+/// shape, the exact convolution beside a batch engine on constant input
+/// (every vector but one per channel HITs) and on random input (few do).
+fn bench_shapes(c: &mut Criterion, group_name: &str, shapes: &[(usize, usize, usize)]) {
+    let mut group = c.benchmark_group(group_name);
+    group.sample_size(10);
+    let mut rng = Rng::new(6);
+    for &(ch, f, side) in shapes {
+        let kernels = Tensor::randn(&[f, ch, 3, 3], &mut rng);
+        let random_input = Tensor::randn(&[ch, side, side], &mut rng);
+        let smooth_input = Tensor::full(&[ch, side, side], 0.7);
+        let shape = format!("{ch}to{f}_{side}x{side}");
+        group.bench_function(format!("{shape}/exact"), |b| {
+            b.iter(|| conv2d_multi(black_box(&random_input), &kernels, 1, 1).unwrap())
+        });
+        for (name, input) in [("smooth", &smooth_input), ("random", &random_input)] {
+            group.bench_function(format!("{shape}/mercury_{name}_input"), |b| {
+                let mut engine = ConvEngine::try_new(MercuryConfig::default(), 3).unwrap();
+                b.iter(|| {
+                    engine
+                        .forward(LayerOp::conv(black_box(input), &kernels, 1, 1))
+                        .unwrap()
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+fn bench_layer_shapes(c: &mut Criterion) {
+    // conv2 (8 → 8 at 16×16) and conv4 (12 → 12 at 8×8) of the reduced
+    // VGG-13 `train-reuse` runs.
+    bench_shapes(c, "conv_train_reuse_shapes", &[(8, 8, 16), (12, 12, 8)]);
+    bench_shapes(c, "conv_128x16x16_128f", &[(128, 128, 16)]);
+}
+
+criterion_group!(benches, bench_exact_vs_mercury, bench_layer_shapes);
 criterion_main!(benches);

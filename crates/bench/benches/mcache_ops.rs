@@ -1,11 +1,7 @@
-//! Micro-benchmarks of MCACHE probe/insert/read — the per-vector overhead
-//! of similarity bookkeeping. The `*_rw` cases add the write and counted
-//! read an engine performs per resolved entry, on a plain `MCache` and on
-//! the one- and eight-bank `BankedMCache` the engines hold, so the cost of
-//! flat entry ids is measured beside the monolithic cache.
+//! Micro-benchmarks of MCACHE probe/insert and lookup — the per-vector
+//! overhead of similarity bookkeeping.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mercury_mcache::banked::BankedMCache;
 use mercury_mcache::{MCache, MCacheConfig};
 use mercury_rpq::Signature;
 use mercury_tensor::rng::Rng;
@@ -30,36 +26,6 @@ fn bench_probe_insert(c: &mut Criterion) {
                 })
             },
         );
-    }
-    let mut rng = Rng::new(3);
-    let sigs: Vec<Signature> = (0..1000)
-        .map(|_| Signature::from_bits(rng.next_u64() as u128, 20))
-        .collect();
-    let config = MCacheConfig::paper_default();
-    group.bench_function("mcache_64x16_rw", |b| {
-        b.iter(|| {
-            let mut cache = MCache::new(config);
-            for &s in &sigs {
-                if let Some(id) = cache.probe_insert(s).entry {
-                    cache.write(id, 0, 1.0).unwrap();
-                    black_box(cache.read_counted(id, 0));
-                }
-            }
-        })
-    });
-    for banks in [1usize, 8] {
-        let per_bank = MCacheConfig::new(config.sets / banks, config.ways, 1).unwrap();
-        group.bench_function(format!("banked{banks}_64x16_rw"), |b| {
-            b.iter(|| {
-                let mut cache = BankedMCache::new(banks, per_bank).unwrap();
-                for &s in &sigs {
-                    if let Some(id) = cache.probe_insert(s).entry {
-                        cache.write(id, 0, 1.0).unwrap();
-                        black_box(cache.read_counted(id, 0));
-                    }
-                }
-            })
-        });
     }
     group.finish();
 }

@@ -8,12 +8,15 @@
 //! [`MercurySession`](crate::MercurySession) streams through, splits the
 //! cache across banks (§V) and keeps it across scopes until an epoch
 //! boundary evicts it. Both run the same hot path; only the bank count and
-//! the clear-per-scope flag differ.
+//! the clear-per-scope flag differ. Every engine turns its probe outcomes
+//! into a [`ReusePlan`].
 
 use crate::config::ConfigError;
+use crate::stats::LayerStats;
 use crate::MercuryConfig;
 use mercury_mcache::banked::BankedMCache;
-use mercury_mcache::{AccessOutcome, MCacheConfig};
+use mercury_mcache::{AccessOutcome, HitKind, MCacheConfig};
+use mercury_rpq::analysis::unique_signature_count;
 use mercury_rpq::{ProjectionMatrix, Signature, SignatureGenerator};
 use mercury_tensor::exec::Executor;
 use mercury_tensor::rng::Rng;
@@ -134,6 +137,114 @@ fn bank_probe_faults(sigs: &[Signature]) -> Option<Vec<Signature>> {
     Some(copy)
 }
 
+/// Marks a cache entry with no producer in the current pass.
+const NO_ROW: u32 = u32::MAX;
+
+/// The reuse plan of one probe stream: which vectors compute, and whose
+/// result every vector takes (§III-C1). The conv, FC and attention engines
+/// all build it the same way.
+///
+/// A MAU or MNU vector computes. A HIT takes the result of the vector that
+/// computed for its cache entry earlier in the pass. A HIT on a tag that
+/// persisted from an earlier pass has no such producer: its first
+/// consumer is promoted to producer. It computes, and the cycle model
+/// charges it as an MAU.
+#[derive(Debug, Default)]
+pub(crate) struct ReusePlan {
+    /// `source[v]`: the compute row whose result vector `v` takes, as an
+    /// index into [`compute`](Self::compute).
+    pub source: Vec<u32>,
+    /// The vectors that compute, in stream order.
+    pub compute: Vec<usize>,
+    /// The raw probe outcomes, one per vector.
+    outcomes: Vec<AccessOutcome>,
+    /// The promoted stale-HIT producers, in stream order.
+    promoted: Vec<usize>,
+    /// The signatures of the MNU vectors.
+    mnu_sigs: Vec<Signature>,
+    /// Per flat cache entry, the compute row of its producer this pass
+    /// ([`NO_ROW`] for none). A pass resets only the entries it touched,
+    /// so a short stream never pays for a fill of the whole cache.
+    entry_row: Vec<u32>,
+}
+
+impl ReusePlan {
+    /// Probes `sigs` against `cache` through [`probe_batch`] and plans the
+    /// pass in one walk over the outcomes. Returns the insertion conflicts
+    /// the probes met.
+    pub fn probe(&mut self, cache: &mut BankedMCache, sigs: &[Signature], exec: &Executor) -> u64 {
+        let conflicts_before = cache.stats().insert_conflicts;
+        probe_batch(cache, sigs, exec, &mut self.outcomes);
+        let ways = cache.bank_config().ways;
+        if self.entry_row.len() < cache.entries() {
+            self.entry_row.resize(cache.entries(), NO_ROW);
+        }
+        self.source.clear();
+        self.compute.clear();
+        self.promoted.clear();
+        self.mnu_sigs.clear();
+        for (v, outcome) in self.outcomes.iter().enumerate() {
+            let row = self.compute.len() as u32;
+            let source = match outcome.entry {
+                // An MNU names no line: the vector computes for itself.
+                None => {
+                    self.mnu_sigs.push(sigs[v]);
+                    self.compute.push(v);
+                    row
+                }
+                Some(id) => {
+                    let hit = outcome.kind == HitKind::Hit;
+                    let producer = &mut self.entry_row[id.set * ways + id.way];
+                    if hit && *producer != NO_ROW {
+                        *producer
+                    } else {
+                        if hit {
+                            self.promoted.push(v);
+                        }
+                        *producer = row;
+                        self.compute.push(v);
+                        row
+                    }
+                }
+            };
+            self.source.push(source);
+        }
+        for &v in &self.compute {
+            if let Some(id) = self.outcomes[v].entry {
+                self.entry_row[id.set * ways + id.way] = NO_ROW;
+            }
+        }
+        cache.stats().insert_conflicts - conflicts_before
+    }
+
+    /// The outcome of every vector as the cycle model is charged with it:
+    /// the probe outcome, except that a promoted producer computed as an
+    /// MAU.
+    pub fn charged_kinds(&self) -> Vec<HitKind> {
+        let mut kinds: Vec<HitKind> = self.outcomes.iter().map(|o| o.kind).collect();
+        for &v in &self.promoted {
+            kinds[v] = HitKind::Mau;
+        }
+        kinds
+    }
+
+    /// Adds the raw probe outcomes and the distinct-signature count to
+    /// `stats`. A signature owns at most one cache entry and an MNU
+    /// signature is never resident, so the distinct signatures are the
+    /// computing entries plus the distinct MNU signatures.
+    pub fn tally(&self, stats: &mut LayerStats) {
+        let mnus = self.mnu_sigs.len();
+        let maus = self.compute.len() - mnus - self.promoted.len();
+        stats.hits += (self.source.len() - maus - mnus) as u64;
+        stats.maus += maus as u64;
+        stats.mnus += mnus as u64;
+        stats.unique_vectors += (self.compute.len() - mnus) as u64;
+        if mnus > 0 {
+            stats.unique_vectors += unique_signature_count(&self.mnu_sigs) as u64;
+        }
+    }
+}
+
 /// State shared by every engine family — the fields the old `ConvEngine` /
 /// `FcEngine` pair used to copy-paste.
 #[derive(Debug)]
@@ -152,6 +263,9 @@ pub(crate) struct EngineBase {
     projections: HashMap<usize, ProjectionMatrix>,
     pub signature_bits: usize,
     pub detection_enabled: bool,
+    /// The FC and attention engines' reuse plan, kept across calls so its
+    /// per-entry index is filled once.
+    pub plan: ReusePlan,
 }
 
 impl EngineBase {
@@ -195,6 +309,7 @@ impl EngineBase {
             projections: HashMap::new(),
             signature_bits: config.initial_signature_bits,
             detection_enabled: true,
+            plan: ReusePlan::default(),
         })
     }
 
@@ -246,14 +361,6 @@ impl EngineBase {
         proj
     }
 
-    /// Immutable view of an already-materialized projection matrix. Call
-    /// [`projection_for`](Self::projection_for) first to generate/extend
-    /// it; this split lets the parallel conv path hold `&self` borrows
-    /// (projection + executor) while channel workers run.
-    pub fn projection(&self, len: usize) -> Option<&ProjectionMatrix> {
-        self.projections.get(&len)
-    }
-
     /// Signatures for the rows of a `[n, len]` tensor at the current
     /// signature length.
     pub fn signatures_for_rows(&mut self, rows: &Tensor) -> Vec<Signature> {
@@ -268,7 +375,6 @@ impl EngineBase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mercury_mcache::HitKind;
 
     fn sig(bits: u128) -> Signature {
         Signature::from_bits(bits, 20)
@@ -319,10 +425,7 @@ mod tests {
             let out = cache.probe_insert(sig(i));
             if let Some(entry) = out.entry {
                 assert!(entry.set < 8, "flat set {} out of range", entry.set);
-                if out.kind == HitKind::Mau {
-                    cache.write(entry, 0, i as f32).unwrap();
-                    assert_eq!(cache.read_counted(entry, 0), Some(i as f32));
-                }
+                assert!(entry.way < 2, "way {} out of range", entry.way);
             }
         }
         // Same signature must flatten to the same entry again.

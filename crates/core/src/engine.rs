@@ -1,14 +1,13 @@
-use crate::base::EngineBase;
+use crate::base::{EngineBase, ReusePlan};
 use crate::config::ConfigError;
 use crate::reuse::{LayerForward, LayerOp, ReuseEngine, ReuseReport, ReuseSignatures};
 use crate::stats::LayerStats;
 use crate::{MercuryConfig, MercuryError, SavedSignatures};
 use mercury_accel::sim::{ChannelWork, LayerSim};
 use mercury_mcache::banked::BankedMCache;
-use mercury_mcache::{AccessOutcome, EntryId, HitKind};
-use mercury_rpq::analysis::unique_signature_count;
+use mercury_mcache::HitKind;
 use mercury_rpq::{SignPlan, Signature, SignatureGenerator};
-use mercury_tensor::conv::{extract_patches_into, ConvGeometry};
+use mercury_tensor::conv::{self, extract_patches_into, ConvGeometry};
 use mercury_tensor::exec::Executor;
 use mercury_tensor::scratch::ScratchF32;
 use mercury_tensor::{kernel, ops, Tensor, TensorError};
@@ -18,15 +17,12 @@ use mercury_tensor::{kernel, ops, Tensor, TensorError};
 /// shared across calls. Implements [`ReuseEngine`] for
 /// [`LayerOp::Conv`] requests.
 ///
-/// The engine's internal MCACHE data path is an optimized software
-/// realization of the hardware dataflow: a producer's value is written
-/// and read once per filter and fanned out to all its HIT consumers, and
-/// producers with no consumers skip the (dead) write. Outputs, HIT/MAU/
-/// MNU statistics, and cycle accounting are identical to the one-access-
-/// per-PE-set hardware schedule — [`LayerSim`] charges one MCACHE read
-/// per HIT consumer and one write per MAU — but the engine's private
-/// cache's raw `data_reads`/`data_writes` counters reflect the
-/// deduplicated software accesses, not per-consumer hardware traffic.
+/// Per channel, the vectors that miss compute in one GEMM, and every HIT
+/// takes its producer's result — the value the hardware reads back from
+/// MCACHE. [`LayerSim`] charges that data traffic: one MCACHE read per
+/// HIT and one write per MAU. With detection off the engine is the exact
+/// layer: it runs [`conv2d_multi`](mercury_tensor::conv::conv2d_multi)
+/// and books every vector as an MNU.
 ///
 /// Both modes hold the same cache type, a
 /// [`BankedMCache`](mercury_mcache::banked::BankedMCache): a batch engine
@@ -118,55 +114,51 @@ impl ConvEngine {
         let (oh, ow) = (geom.out_h(), geom.out_w());
         let patches_n = geom.num_patches();
         let plen = geom.patch_len();
-
-        let spatial = oh * ow;
-        let mut output = Tensor::zeros(&[f, oh, ow]);
-        let mut stats = LayerStats {
-            detection_enabled: self.base.detection_enabled,
-            ..LayerStats::default()
-        };
+        let bits = self.base.signature_bits;
         let mut sim = LayerSim::new(self.base.config.accelerator);
-        let mut saved_out: Vec<Vec<Signature>> = Vec::with_capacity(c);
 
-        // Saved signatures are only consulted while detection is on; with
-        // detection off the pass neither reads nor produces signatures.
-        // Reuse also requires one saved list per input channel —
-        // `compatible` cannot check that (it does not know `c`), and a
-        // shorter `per_channel` would otherwise be indexed out of bounds.
-        let reuse_saved = self.base.detection_enabled
-            && saved
-                .map(|s| {
-                    s.per_channel.len() == c
-                        && s.compatible((kh, kw), patches_n)
-                        && s.bits == self.base.signature_bits
-                })
-                .unwrap_or(false);
-
-        // Materialize the projection matrix for this patch length before
-        // any channel runs (it is shared by all channels; generating it
-        // inside the loop would need `&mut self` per channel and block the
-        // sharded path below).
-        if self.base.detection_enabled && !reuse_saved {
-            self.base.projection_for(plen);
+        if !self.base.detection_enabled {
+            return self.run_exact(input, kernels, &geom, sim);
         }
+
+        // Reuse of saved signatures requires one saved list per input
+        // channel — `compatible` cannot check that (it does not know `c`),
+        // and a shorter `per_channel` would otherwise be indexed out of
+        // bounds.
+        let saved = saved.filter(|s| {
+            s.per_channel.len() == c && s.compatible((kh, kw), patches_n) && s.bits == bits
+        });
 
         // The sign-quantization plan packs the projection's filter panels
         // once per forward; every channel (on every worker — the plan is
         // read-only) signs its patch rows against the same packed panels
         // instead of re-packing per channel.
-        let plan: Option<SignPlan> = if self.base.detection_enabled && !reuse_saved {
-            let proj = self
-                .base
-                .projection(plen)
-                .expect("projection materialized above");
-            Some(SignatureGenerator::new(proj).sign_plan(self.base.signature_bits))
-        } else {
-            None
+        let plan: Option<SignPlan> = match saved {
+            Some(_) => None,
+            None => Some(SignatureGenerator::new(self.base.projection_for(plen)).sign_plan(bits)),
         };
 
-        let bits = self.base.signature_bits;
-        let detection = self.base.detection_enabled;
+        // Every channel's `[F, plen]` filter panel, gathered once per
+        // forward: channel `ch` owns `filt[ch·F·plen..(ch + 1)·F·plen]`.
+        let mut filt = Vec::with_capacity(c * f * plen);
+        for ch in 0..c {
+            for fi in 0..f {
+                filt.extend_from_slice(
+                    &kernels.data()[(fi * c + ch) * plen..(fi * c + ch + 1) * plen],
+                );
+            }
+        }
+
         let exec = self.base.exec.clone();
+        let ctx = ChannelCtx {
+            input,
+            geom: &geom,
+            f,
+            filt: &filt,
+            plan: plan.as_ref(),
+            saved,
+        };
+        let mut output = Tensor::zeros(&[f, oh, ow]);
 
         // ---- Per-channel execution ---------------------------------------
         //
@@ -186,24 +178,7 @@ impl ConvEngine {
         // channel loop stays sequential; their parallelism comes from the
         // banked concurrent probe fan-out and the row-sharded GEMMs inside
         // each channel instead.
-        macro_rules! make_ctx {
-            () => {
-                ChannelCtx {
-                    input,
-                    kernels,
-                    geom: &geom,
-                    h,
-                    w,
-                    f,
-                    kc,
-                    plen,
-                    patches_n,
-                    detection,
-                    plan: plan.as_ref(),
-                    saved: if reuse_saved { saved } else { None },
-                }
-            };
-        }
+        //
         // Fault events are drawn here on the dispatching thread, one per
         // channel in channel order, BEFORE any fan-out — which channel
         // faults never depends on the executor or pool scheduling.
@@ -226,34 +201,24 @@ impl ConvEngine {
             // batch mode restarts the cache per channel (clear_scope).
             let clear_scope = !self.base.persistent;
             let cache = &mut self.base.cache;
-            let ctx = make_ctx!();
             let mut scratch = ConvScratch::default();
             let od = output.data_mut();
             (0..c)
                 .map(|ch| {
                     #[cfg(feature = "fault-inject")]
                     channel_fault_pre(channel_faults, ch);
-                    let res = conv_channel(
-                        &ctx,
-                        ch,
-                        cache,
-                        clear_scope,
-                        &exec,
-                        &mut scratch,
-                        &mut od[..f * patches_n],
-                        true,
-                    )
-                    .map(|out| (out, Vec::new()));
+                    let res =
+                        conv_channel(&ctx, ch, cache, clear_scope, &exec, &mut scratch, od, true)
+                            .map(|out| (out, Vec::new()));
                     #[cfg(feature = "fault-inject")]
                     if res.is_ok() {
-                        channel_fault_post(channel_faults, ch, &mut od[..f * patches_n]);
+                        channel_fault_post(channel_faults, ch, od);
                     }
                     res
                 })
                 .collect()
         } else {
             let cache_cfg = self.base.config.cache;
-            let ctx = make_ctx!();
             // Channels already fan out across the pool; the work inside
             // each channel stays on its worker (no nested parallelism).
             // Workers probe their own scratch caches, so the engine's
@@ -294,72 +259,40 @@ impl ConvEngine {
         // and the statistics in channel order — the exact add sequence the
         // serial reference performs — so scheduling never shows up in any
         // observable number.
+        let mut stats = LayerStats {
+            detection_enabled: true,
+            ..LayerStats::default()
+        };
+        let mut saved_out: Vec<Vec<Signature>> = Vec::with_capacity(c);
         for out in channel_outs {
             let (out, contrib) = out?;
             // Batch channels return their contribution block (persistent
             // ones accumulated in place and return an empty one).
-            if !contrib.is_empty() {
-                let od = output.data_mut();
-                for fi in 0..f {
-                    let orow = &mut od[fi * spatial..fi * spatial + patches_n];
-                    for (o, &x) in orow
-                        .iter_mut()
-                        .zip(&contrib[fi * patches_n..(fi + 1) * patches_n])
-                    {
-                        *o += x;
-                    }
-                }
+            for (o, &x) in output.data_mut().iter_mut().zip(&contrib) {
+                *o += x;
             }
-
-            if !detection {
-                let work = ChannelWork::new(&out.outcomes, f, kh, 0);
-                sim.push_channel(&work);
-                stats.mnus += patches_n as u64;
-                stats.unique_vectors += out.unique;
-                saved_out.push(Vec::new());
-                continue;
-            }
-
             // Statistics report the raw probe outcomes (cross-pass repeats
             // are HITs — the similarity the hardware observed); the cycle
-            // simulator is charged with promoted producers flipped to MAU,
-            // since those vectors computed and wrote rather than reused.
-            let mut hits = 0u64;
-            let mut maus = 0u64;
-            let mut mnus = 0u64;
-            for &kind in &out.outcomes {
-                match kind {
-                    HitKind::Hit => hits += 1,
-                    HitKind::Mau => maus += 1,
-                    HitKind::Mnu => mnus += 1,
-                }
-            }
-            let mut sim_outcomes = out.outcomes;
-            for &v in &out.stale_producers {
-                sim_outcomes[v] = HitKind::Mau;
-            }
+            // simulator is charged with promoted producers as MAUs, since
+            // those vectors computed and wrote rather than reused.
             let mut work =
-                ChannelWork::new(&sim_outcomes, f, kh, bits).with_insert_conflicts(out.conflicts);
-            if reuse_saved {
+                ChannelWork::new(&out.charged, f, kh, bits).with_insert_conflicts(out.conflicts);
+            if saved.is_some() {
                 work = work.with_precomputed_signatures();
             }
             sim.push_channel(&work);
-            stats.hits += hits;
-            stats.maus += maus;
-            stats.mnus += mnus;
-            stats.unique_vectors += out.unique;
+            stats.accumulate(&out.counts);
             if let Some(s) = out.sigs {
                 saved_out.push(s);
             }
         }
 
         stats.cycles = sim.finish();
-        let per_channel = if reuse_saved {
+        let per_channel = match saved {
             // The pass consumed the saved signatures unchanged; clone them
             // once here, outside the per-channel hot path.
-            saved.unwrap().per_channel.clone()
-        } else {
-            saved_out
+            Some(s) => s.per_channel.clone(),
+            None => saved_out,
         };
         Ok(LayerForward {
             output,
@@ -367,8 +300,58 @@ impl ConvEngine {
                 stats,
                 signatures: ReuseSignatures::Conv(SavedSignatures {
                     kernel: (kh, kw),
-                    bits: self.base.signature_bits,
+                    bits,
                     per_channel,
+                }),
+                degraded: false,
+            },
+        })
+    }
+
+    /// The detection-off forward: exactly [`conv::conv2d_multi`], booked as
+    /// one all-MNU channel per input channel with no signature cost and
+    /// one empty signature list per channel. `run` has validated the
+    /// operands, and `sim` is the layer's fresh cycle simulator.
+    fn run_exact(
+        &self,
+        input: &Tensor,
+        kernels: &Tensor,
+        geom: &ConvGeometry,
+        mut sim: LayerSim,
+    ) -> Result<LayerForward, MercuryError> {
+        let c = input.shape()[0];
+        let f = kernels.shape()[0];
+        // The channel fault events keep their order and their target slot.
+        #[cfg(feature = "fault-inject")]
+        let channel_faults = channel_shard_faults(c);
+        #[cfg(feature = "fault-inject")]
+        (0..c).for_each(|ch| channel_fault_pre(&channel_faults, ch));
+        let output = conv::conv2d_multi(input, kernels, geom.stride, geom.pad)?;
+        #[cfg(feature = "fault-inject")]
+        let output = {
+            let mut output = output;
+            (0..c).for_each(|ch| channel_fault_post(&channel_faults, ch, output.data_mut()));
+            output
+        };
+
+        let mnus = vec![HitKind::Mnu; geom.num_patches()];
+        for _ in 0..c {
+            sim.push_channel(&ChannelWork::new(&mnus, f, geom.kernel_h, 0));
+        }
+        let vectors = (c * mnus.len()) as u64;
+        Ok(LayerForward {
+            output,
+            report: ReuseReport {
+                stats: LayerStats {
+                    mnus: vectors,
+                    unique_vectors: vectors,
+                    cycles: sim.finish(),
+                    ..LayerStats::default()
+                },
+                signatures: ReuseSignatures::Conv(SavedSignatures {
+                    kernel: (geom.kernel_h, geom.kernel_w),
+                    bits: self.base.signature_bits,
+                    per_channel: vec![Vec::new(); c],
                 }),
                 degraded: false,
             },
@@ -429,15 +412,10 @@ fn channel_fault_post(faults: &[Option<mercury_faults::FaultAction>], ch: usize,
 /// [`ConvEngine::run`] call.
 struct ChannelCtx<'a> {
     input: &'a Tensor,
-    kernels: &'a Tensor,
     geom: &'a ConvGeometry,
-    h: usize,
-    w: usize,
     f: usize,
-    kc: usize,
-    plen: usize,
-    patches_n: usize,
-    detection: bool,
+    /// Every channel's `[f, plen]` filter panel, channel-major.
+    filt: &'a [f32],
     /// The packed sign-quantization plan for `plen`-element patches;
     /// `Some` exactly when fresh signatures will be generated.
     plan: Option<&'a SignPlan>,
@@ -445,40 +423,33 @@ struct ChannelCtx<'a> {
     saved: Option<&'a SavedSignatures>,
 }
 
-/// Reusable per-worker buffers: the im2col patch matrix, the channel's
-/// filter rows as a dense `[f, plen]` matrix, the packed to-compute
-/// submatrix in `[plen, rows]` (transposed) layout, its `[f, rows]` GEMM
-/// output, and per-cache-entry maps from entry to producer packed row /
-/// consumer group. A worker allocates these once and reuses them across
-/// every channel it claims; the `f32` buffers draw from the per-thread
-/// [`ScratchF32`] arena, so a pool worker's *next* region recycles the
-/// same allocations instead of contending on the global allocator (the
-/// scratch is created and dropped inside the worker's runner closure, so
-/// take and return land on the same thread-local free list).
+/// Reusable per-worker buffers: the im2col patch matrix, the packed
+/// to-compute submatrix in `[plen, rows]` (transposed) layout, its
+/// `[f, rows]` GEMM output, and the reuse plan. A worker allocates these
+/// once and reuses them across every channel it claims; the `f32`
+/// buffers draw from the per-thread [`ScratchF32`] arena, so a pool
+/// worker's *next* region recycles the same allocations instead of
+/// contending on the global allocator (the scratch is created and dropped
+/// inside the worker's runner closure, so take and return land on the
+/// same thread-local free list).
 #[derive(Default)]
 struct ConvScratch {
     patch_buf: ScratchF32,
-    filt_rows: ScratchF32,
     packed_t: ScratchF32,
     contrib_t: ScratchF32,
-    probe_buf: Vec<AccessOutcome>,
     sig_words: Vec<u128>,
-    entry_row: Vec<u32>,
-    entry_group: Vec<u32>,
-    groups: Vec<(EntryId, usize, Vec<usize>)>,
-    compute_rows: Vec<usize>,
+    plan: ReusePlan,
 }
 
 /// Everything one channel reports to the deterministic reduce besides its
-/// output block: the raw probe outcomes, the promoted stale-hit producers
-/// (flipped to MAU for the cycle simulator), the insertion-conflict
-/// count, the distinct-signature count, and the signatures to save
-/// (`None` when saved signatures were reused).
+/// output block: the outcomes the cycle simulator is charged with, the
+/// raw outcome and distinct-signature counts, the insertion-conflict
+/// count, and the signatures to save (`None` when saved signatures were
+/// reused).
 struct ChannelOut {
-    outcomes: Vec<HitKind>,
-    stale_producers: Vec<usize>,
+    charged: Vec<HitKind>,
+    counts: LayerStats,
     conflicts: u64,
-    unique: u64,
     sigs: Option<Vec<Signature>>,
 }
 
@@ -493,7 +464,7 @@ struct ChannelOut {
 /// The channel's `[f, patches_n]` output lands in `dest`: with
 /// `accumulate` it adds in place (the persistent path hands the layer
 /// output directly — one add per element per channel, the hardware's
-/// fan-out order); without, it stores into the caller-zeroed block (the
+/// fan-out order); without, it stores into the caller's block (the
 /// sharded batch path, whose blocks fold into the output afterwards in
 /// channel order).
 #[allow(clippy::too_many_arguments)]
@@ -507,65 +478,15 @@ fn conv_channel(
     dest: &mut [f32],
     accumulate: bool,
 ) -> Result<ChannelOut, MercuryError> {
-    let &ChannelCtx {
-        h,
-        w,
-        f,
-        kc,
-        plen,
-        patches_n,
-        detection,
-        ..
-    } = ctx;
+    let geom = ctx.geom;
+    let (f, plen, patches_n) = (ctx.f, geom.patch_len(), geom.num_patches());
+    let hw = geom.height * geom.width;
     extract_patches_into(
-        &ctx.input.data()[ch * h * w..(ch + 1) * h * w],
-        ctx.geom,
+        &ctx.input.data()[ch * hw..(ch + 1) * hw],
+        geom,
         &mut scratch.patch_buf,
     )
     .map_err(MercuryError::Tensor)?;
-    scratch.filt_rows.resize(f * plen, 0.0);
-    for fi in 0..f {
-        let src = &ctx.kernels.data()[(fi * kc + ch) * plen..(fi * kc + ch + 1) * plen];
-        scratch.filt_rows[fi * plen..(fi + 1) * plen].copy_from_slice(src);
-    }
-
-    if !detection {
-        // Detection off: plain exact convolution at baseline cost, as one
-        // dense [f, plen] × [plen, n] product. The block is always
-        // computed from zero in scratch and folded into `dest` with one
-        // add (or store) per element, so both store modes produce the
-        // same bits: a GEMM accumulating straight into a non-zero `dest`
-        // would round differently from block-then-add.
-        scratch.packed_t.clear();
-        scratch.packed_t.resize(plen * patches_n, 0.0);
-        kernel::pack::transpose_pack(&mut scratch.packed_t, &scratch.patch_buf, patches_n, plen);
-        scratch.contrib_t.clear();
-        scratch.contrib_t.resize(f * patches_n, 0.0);
-        ops::gemm_blocked_on(
-            exec,
-            &mut scratch.contrib_t,
-            &scratch.filt_rows,
-            &scratch.packed_t,
-            f,
-            plen,
-            patches_n,
-            patches_n,
-        );
-        if accumulate {
-            for (o, &x) in dest.iter_mut().zip(scratch.contrib_t.iter()) {
-                *o += x;
-            }
-        } else {
-            dest.copy_from_slice(&scratch.contrib_t);
-        }
-        return Ok(ChannelOut {
-            outcomes: vec![HitKind::Mnu; patches_n],
-            stale_producers: Vec::new(),
-            conflicts: 0,
-            unique: patches_n as u64,
-            sigs: Some(Vec::new()),
-        });
-    }
 
     // ---- Similarity detection --------------------------------------------
     // Fresh signatures come from one batched GEMM + sign quantization;
@@ -589,83 +510,29 @@ fn conv_channel(
         cache.clear();
     }
     cache.begin_insert_batch();
-    let conflicts_before = cache.stats().insert_conflicts;
-    crate::base::probe_batch(cache, sigs, exec, &mut scratch.probe_buf);
-    let outcomes = &scratch.probe_buf;
-    let conflicts = cache.stats().insert_conflicts - conflicts_before;
+    let plan = &mut scratch.plan;
+    let conflicts = plan.probe(cache, sigs, exec);
 
-    // ---- Reuse plan --------------------------------------------------------
-    // Partition the vector indices by outcome once, hoisting every entry
-    // resolution out of the per-filter loop. MAU and MNU rows — the ones
-    // that actually compute — become rows of a dense packed submatrix; HIT
-    // rows are grouped by producer entry, so each producer's value is
-    // written to and read from MCACHE once per filter and fanned out to
-    // all its consumers. Producers nobody consumes skip the cache write
-    // entirely (the write is dead: batch engines reset tags at the next
-    // channel, and persistent entries are rewritten before any later
-    // read). A HIT on a tag that persisted from an earlier pass has no
-    // producer row here; its first consumer is promoted to producer — it
-    // joins the compute plan exactly like an MAU (and is charged as one),
-    // so a group forms only once a second same-entry HIT actually has
-    // something to reuse.
-    let ways = cache.bank_config().ways;
-    let cache_entries = cache.entries();
-    scratch.groups.clear();
-    scratch.compute_rows.clear();
-    let mut stale_producers: Vec<usize> = Vec::new();
-    scratch.entry_row.resize(cache_entries, u32::MAX);
-    scratch.entry_group.resize(cache_entries, u32::MAX);
-    scratch.entry_row[..cache_entries].fill(u32::MAX);
-    scratch.entry_group[..cache_entries].fill(u32::MAX);
-    for (v, outcome) in outcomes.iter().enumerate() {
-        match outcome.kind {
-            HitKind::Hit => {
-                let entry = outcome.entry.expect("hit entries resolve");
-                let e = entry.set * ways + entry.way;
-                let g = scratch.entry_group[e];
-                if g != u32::MAX {
-                    scratch.groups[g as usize].2.push(v);
-                } else if scratch.entry_row[e] != u32::MAX {
-                    scratch.entry_group[e] = scratch.groups.len() as u32;
-                    scratch
-                        .groups
-                        .push((entry, scratch.entry_row[e] as usize, vec![v]));
-                } else {
-                    // Persistent tag without a producer this pass: promote
-                    // this consumer to MAU-shaped producer.
-                    scratch.entry_row[e] = scratch.compute_rows.len() as u32;
-                    stale_producers.push(v);
-                    scratch.compute_rows.push(v);
-                }
-            }
-            HitKind::Mau => {
-                let entry = outcome.entry.expect("mau entries resolve");
-                scratch.entry_row[entry.set * ways + entry.way] = scratch.compute_rows.len() as u32;
-                scratch.compute_rows.push(v);
-            }
-            HitKind::Mnu => scratch.compute_rows.push(v),
-        }
-    }
-    let rows = scratch.compute_rows.len();
+    // ---- Reuse-aware computation -------------------------------------------
+    // Every dot product the channel actually performs, across all filters,
+    // in one dense [f, plen] × [plen, rows] product over the packed
+    // compute rows (row-sharded over the executor; bit-identical to the
+    // serial GEMM).
+    let rows = plan.compute.len();
     scratch.packed_t.clear();
     scratch.packed_t.resize(plen * rows, 0.0);
     kernel::pack::gather_pack(
         &mut scratch.packed_t,
         &scratch.patch_buf,
-        &scratch.compute_rows,
+        &plan.compute,
         plen,
     );
-
-    // ---- Reuse-aware computation -------------------------------------------
-    // Every dot product the channel actually performs, across all filters,
-    // in one dense [f, plen] × [plen, rows] product (row-sharded over the
-    // executor; bit-identical to the serial GEMM).
     scratch.contrib_t.clear();
     scratch.contrib_t.resize(f * rows, 0.0);
     ops::gemm_blocked_on(
         exec,
         &mut scratch.contrib_t,
-        &scratch.filt_rows,
+        &ctx.filt[ch * f * plen..(ch + 1) * f * plen],
         &scratch.packed_t,
         f,
         plen,
@@ -673,75 +540,31 @@ fn conv_channel(
         rows,
     );
 
-    if rows == patches_n {
-        // Identity plan: no patch consumed another's value, so every group
-        // is empty and `compute_rows` is `0..patches_n` in order — the
-        // `[f, rows]` GEMM block already has `dest`'s layout. Fold it in
-        // contiguously instead of scattering element by element. The
-        // filter loop's remaining effect, the per-filter VD flash-clear,
-        // is unobservable this pass: the channel performs no cache writes
-        // or reads (every read in the group loop is preceded by its own
-        // filter's write), and later passes re-clear before any group
-        // read of their own.
+    // ---- Fan-out -----------------------------------------------------------
+    // Every vector takes its compute row's result, filter by filter: one
+    // add (or store) per output element per channel, so each element sees
+    // the same operations whatever the plan.
+    for (drow, crow) in dest[..f * patches_n]
+        .chunks_exact_mut(patches_n)
+        .zip(scratch.contrib_t.chunks_exact(rows))
+    {
         if accumulate {
-            for (o, &x) in dest[..f * patches_n]
-                .iter_mut()
-                .zip(scratch.contrib_t.iter())
-            {
-                *o += x;
+            for (d, &r) in drow.iter_mut().zip(&plan.source) {
+                *d += crow[r as usize];
             }
         } else {
-            dest[..f * patches_n].copy_from_slice(&scratch.contrib_t);
-        }
-        return Ok(ChannelOut {
-            outcomes: outcomes.iter().map(|o| o.kind).collect(),
-            stale_producers,
-            conflicts,
-            unique: unique_signature_count(sigs) as u64,
-            sigs: sigs_owned,
-        });
-    }
-
-    for fi in 0..f {
-        // Filter change: flash-clear VD bits, keep tags (§III-C1).
-        cache.invalidate_all_data();
-        // Each producer (MAU or promoted consumer) writes its result
-        // before its consumers (HITs) read; within a channel every
-        // producer precedes its consumers in stream order, so grouping
-        // preserves the stream-order data dependencies. Every vector index
-        // lands in exactly one of {group consumer, compute row}, so the
-        // two store modes write each element exactly once per channel.
-        for &(entry, row, ref consumers) in &scratch.groups {
-            let value = scratch.contrib_t[fi * rows + row];
-            cache.write(entry, 0, value)?;
-            let value = cache.read_counted(entry, 0).unwrap_or(value);
-            if accumulate {
-                for &v in consumers {
-                    dest[fi * patches_n + v] += value;
-                }
-            } else {
-                for &v in consumers {
-                    dest[fi * patches_n + v] = value;
-                }
-            }
-        }
-        let crow = &scratch.contrib_t[fi * rows..(fi + 1) * rows];
-        if accumulate {
-            for (&v, &x) in scratch.compute_rows.iter().zip(crow) {
-                dest[fi * patches_n + v] += x;
-            }
-        } else {
-            for (&v, &x) in scratch.compute_rows.iter().zip(crow) {
-                dest[fi * patches_n + v] = x;
+            for (d, &r) in drow.iter_mut().zip(&plan.source) {
+                *d = crow[r as usize];
             }
         }
     }
 
+    let mut counts = LayerStats::default();
+    plan.tally(&mut counts);
     Ok(ChannelOut {
-        outcomes: outcomes.iter().map(|o| o.kind).collect(),
-        stale_producers,
+        charged: plan.charged_kinds(),
+        counts,
         conflicts,
-        unique: unique_signature_count(sigs) as u64,
         sigs: sigs_owned,
     })
 }
@@ -891,6 +714,29 @@ mod tests {
         let want = conv2d_multi(&input, &kernels, 1, 0).unwrap();
         for (g, w) in out.output.data().iter().zip(want.data()) {
             assert!((g - w).abs() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn detection_off_forward_is_conv2d_multi_bit_for_bit() {
+        // Off means the exact layer: the same bits as `conv2d_multi`,
+        // which accumulates channel by channel in place, on every
+        // executor.
+        let mut rng = Rng::new(15);
+        let input = Tensor::randn(&[4, 9, 9], &mut rng);
+        let kernels = Tensor::randn(&[5, 4, 3, 3], &mut rng);
+        let want = conv2d_multi(&input, &kernels, 1, 1).unwrap();
+        for kind in [
+            mercury_tensor::exec::ExecutorKind::Serial,
+            mercury_tensor::exec::ExecutorKind::Threaded { threads: 2 },
+        ] {
+            let config = MercuryConfig::builder().executor(kind).build().unwrap();
+            let mut e = ConvEngine::try_new(config, 15).unwrap();
+            e.set_detection(false);
+            let out = forward(&mut e, &input, &kernels, 1, 1);
+            assert_eq!(out.output, want, "{kind:?}");
+            assert_eq!(out.stats().mnus, 4 * 81);
+            assert_eq!(out.stats().unique_vectors, 4 * 81);
         }
     }
 

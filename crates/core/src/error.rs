@@ -1,6 +1,5 @@
 use crate::config::ConfigError;
 use crate::session::LayerId;
-use mercury_mcache::McacheError;
 use mercury_tensor::TensorError;
 use std::error::Error;
 use std::fmt;
@@ -10,8 +9,6 @@ use std::fmt;
 pub enum MercuryError {
     /// An underlying tensor operation failed (shape mismatch etc.).
     Tensor(TensorError),
-    /// An underlying MCACHE operation failed.
-    Cache(McacheError),
     /// The engine configuration is invalid.
     Config(ConfigError),
     /// A [`ReuseEngine`](crate::ReuseEngine) was handed a
@@ -78,7 +75,6 @@ impl fmt::Display for MercuryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MercuryError::Tensor(e) => write!(f, "tensor error: {e}"),
-            MercuryError::Cache(e) => write!(f, "mcache error: {e}"),
             MercuryError::Config(e) => write!(f, "invalid mercury configuration: {e}"),
             MercuryError::UnsupportedOp { engine, op } => {
                 write!(f, "{engine} engine does not support {op} ops")
@@ -132,7 +128,6 @@ impl Error for MercuryError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             MercuryError::Tensor(e) => Some(e),
-            MercuryError::Cache(e) => Some(e),
             MercuryError::Config(e) => Some(e),
             MercuryError::UnsupportedOp { .. }
             | MercuryError::UnknownLayer(_)
@@ -149,13 +144,6 @@ impl Error for MercuryError {
 impl From<TensorError> for MercuryError {
     fn from(e: TensorError) -> Self {
         MercuryError::Tensor(e)
-    }
-}
-
-#[doc(hidden)]
-impl From<McacheError> for MercuryError {
-    fn from(e: McacheError) -> Self {
-        MercuryError::Cache(e)
     }
 }
 

@@ -1,91 +1,33 @@
-use crate::base::EngineBase;
+use crate::base::{EngineBase, ReusePlan};
 use crate::config::ConfigError;
 use crate::reuse::{LayerForward, LayerOp, ReuseEngine, ReuseReport, ReuseSignatures};
 use crate::stats::LayerStats;
 use crate::{MercuryConfig, MercuryError};
 use mercury_accel::fc::{simulate_attention, simulate_fc, FcWork};
 use mercury_mcache::HitKind;
-use mercury_rpq::analysis::unique_signature_count;
 use mercury_rpq::Signature;
 use mercury_tensor::exec::Executor;
 use mercury_tensor::{ops, Tensor, TensorError};
-use std::collections::HashMap;
 
-/// The per-row reuse plan shared by the FC and attention engines: raw
-/// probe outcomes (what the stats report), the outcomes to charge the
-/// cycle simulator with (promoted stale-hit producers flipped to MAU —
-/// they compute rather than reuse), and each row's producer index
-/// (`row_source[i] == i` means row `i` computes).
-struct RowPlan {
-    outcomes: Vec<HitKind>,
-    sim_outcomes: Vec<HitKind>,
-    row_source: Vec<usize>,
-    conflicts: u64,
-}
-
-/// Probes one signature per row against the engine cache and builds the
-/// whole-row reuse plan. On a persistent cache, a HIT on a tag that
-/// survives from an earlier pass has no producer row in this pass; its
-/// first consumer is promoted to producer so later duplicates still reuse.
+/// Opens a reuse scope, probes one signature per row against the engine
+/// cache and builds the engine's [`ReusePlan`](crate::base::ReusePlan)
+/// from the outcomes. Returns the insertion conflicts the probes met.
 ///
 /// Probing goes through the batched path, so a multi-bank cache fans the
 /// probes out across its banks on a parallel executor — outcomes are
 /// identical to the serial loop either way.
-fn probe_rows(base: &mut EngineBase, sigs: &[Signature]) -> RowPlan {
+fn probe_rows(base: &mut EngineBase, sigs: &[Signature]) -> u64 {
     base.begin_reuse_scope();
-    let exec = base.exec.clone();
-    let conflicts_before = base.cache.stats().insert_conflicts;
-    let ways = base.cache.bank_config().ways;
-    let n = sigs.len();
-    let mut producer: HashMap<usize, usize> = HashMap::new();
-    let mut plan = RowPlan {
-        outcomes: Vec::with_capacity(n),
-        sim_outcomes: Vec::with_capacity(n),
-        row_source: Vec::with_capacity(n),
-        conflicts: 0,
-    };
-    let mut probe_outcomes = Vec::with_capacity(n);
-    crate::base::probe_batch(&mut base.cache, sigs, &exec, &mut probe_outcomes);
-    for (i, out) in probe_outcomes.into_iter().enumerate() {
-        plan.outcomes.push(out.kind);
-        match out.kind {
-            HitKind::Hit => {
-                let id = out.entry.expect("hit entries resolve");
-                match producer.get(&(id.set * ways + id.way)) {
-                    Some(&src) => {
-                        plan.row_source.push(src);
-                        plan.sim_outcomes.push(HitKind::Hit);
-                    }
-                    None => {
-                        // Persistent tag without a producer this pass.
-                        producer.insert(id.set * ways + id.way, i);
-                        plan.row_source.push(i);
-                        plan.sim_outcomes.push(HitKind::Mau);
-                    }
-                }
-            }
-            HitKind::Mau => {
-                let id = out.entry.expect("mau entries resolve");
-                producer.insert(id.set * ways + id.way, i);
-                plan.row_source.push(i);
-                plan.sim_outcomes.push(HitKind::Mau);
-            }
-            HitKind::Mnu => {
-                plan.row_source.push(i);
-                plan.sim_outcomes.push(HitKind::Mnu);
-            }
-        }
-    }
-    plan.conflicts = base.cache.stats().insert_conflicts - conflicts_before;
-    plan
+    base.plan.probe(&mut base.cache, sigs, &base.exec)
 }
 
-fn tally(stats: &mut LayerStats, outcomes: &[HitKind]) {
-    for &o in outcomes {
-        match o {
-            HitKind::Hit => stats.hits += 1,
-            HitKind::Mau => stats.maus += 1,
-            HitKind::Mnu => stats.mnus += 1,
+/// Copies every consumer row of a row-major `[n, width]` matrix from its
+/// producer: the earlier PE forwards its results in stream order.
+fn forward_rows(out: &mut [f32], width: usize, plan: &ReusePlan) {
+    for (i, &r) in plan.source.iter().enumerate() {
+        let src = plan.compute[r as usize];
+        if src != i {
+            out.copy_within(src * width..(src + 1) * width, i * width);
         }
     }
 }
@@ -236,24 +178,23 @@ impl FcEngine {
             self.base.signatures_for_rows(inputs)
         };
 
-        let plan = probe_rows(&mut self.base, &sigs);
+        let conflicts = probe_rows(&mut self.base, &sigs);
+        let plan = &self.base.plan;
 
         // Producer rows — the ones that actually compute — are mutually
         // independent, so they shard across the executor; each row's
         // accumulation order is unchanged, keeping the threaded backend
         // bit-identical to serial. Consumers then copy their producer's
         // row in stream order (a producer always precedes its consumers).
-        let exec = self.base.exec.clone();
-        let compute: Vec<usize> = (0..n).filter(|&i| plan.row_source[i] == i).collect();
         let (id, wd) = (inputs.data(), weights.data());
         let od = output.data_mut();
         // Work-size hint: one producer row costs a [1, l] x [l, m] product
         // (saturating, so overflow-shaped layers can't wrap the hint).
         producer_rows_into(
-            &exec,
+            &self.base.exec,
             od,
             m,
-            &compute,
+            &plan.compute,
             crate::base::dense_work(1, l, m),
             |i, out_row| {
                 let row = &id[i * l..(i + 1) * l];
@@ -266,25 +207,18 @@ impl FcEngine {
                 }
             },
         );
-        for i in 0..n {
-            let src = plan.row_source[i];
-            if src != i {
-                // The earlier PE forwards its per-weight results.
-                let row: Vec<f32> = od[src * m..(src + 1) * m].to_vec();
-                od[i * m..(i + 1) * m].copy_from_slice(&row);
-            }
-        }
+        forward_rows(od, m, plan);
 
-        tally(&mut stats, &plan.outcomes);
-        stats.unique_vectors = unique_signature_count(&sigs) as u64;
-        let mut work = FcWork::new(&plan.sim_outcomes, m, l, self.base.signature_bits);
+        plan.tally(&mut stats);
+        let charged = plan.charged_kinds();
+        let mut work = FcWork::new(&charged, m, l, self.base.signature_bits);
         if reuse_saved {
             work = work.with_precomputed_signatures();
         }
         stats.cycles = simulate_fc(&self.base.config.accelerator, &work);
         // Insertion conflicts serialize through the per-set queues like the
         // conv path; charge them to the signature phase.
-        stats.cycles.signature += plan.conflicts
+        stats.cycles.signature += conflicts
             * self
                 .base
                 .config
@@ -418,13 +352,14 @@ impl AttentionEngine {
         } else {
             self.base.signatures_for_rows(x)
         };
-        let plan = probe_rows(&mut self.base, &sigs);
+        let conflicts = probe_rows(&mut self.base, &sigs);
+        let plan = &self.base.plan;
 
         // Producer rows shard across the executor for both products; row
         // arithmetic is unchanged, so the threaded backend stays
         // bit-identical to serial. Consumers copy in stream order after.
-        let exec = self.base.exec.clone();
-        let compute: Vec<usize> = (0..t).filter(|&i| plan.row_source[i] == i).collect();
+        let exec = &self.base.exec;
+        let compute = &plan.compute;
         let xd = x.data();
 
         // W = X·Xᵀ with row reuse. Work-size hint: one producer row is t
@@ -432,10 +367,10 @@ impl AttentionEngine {
         let mut w = Tensor::zeros(&[t, t]);
         let wd = w.data_mut();
         producer_rows_into(
-            &exec,
+            exec,
             wd,
             t,
-            &compute,
+            compute,
             crate::base::dense_work(1, k, t),
             |i, row| {
                 let xi = &xd[i * k..(i + 1) * k];
@@ -444,22 +379,17 @@ impl AttentionEngine {
                 }
             },
         );
-        for (i, &src) in plan.row_source.iter().enumerate() {
-            if src != i {
-                let row: Vec<f32> = wd[src * t..(src + 1) * t].to_vec();
-                wd[i * t..(i + 1) * t].copy_from_slice(&row);
-            }
-        }
+        forward_rows(wd, t, plan);
 
         // Y = W·X with the same row reuse (identical xᵢ ⇒ identical rows).
         let mut y = Tensor::zeros(&[t, k]);
         let wd = w.data();
         let yd = y.data_mut();
         producer_rows_into(
-            &exec,
+            exec,
             yd,
             k,
-            &compute,
+            compute,
             crate::base::dense_work(1, t, k),
             |i, row| {
                 for (j, o) in row.iter_mut().enumerate() {
@@ -471,22 +401,16 @@ impl AttentionEngine {
                 }
             },
         );
-        for (i, &src) in plan.row_source.iter().enumerate() {
-            if src != i {
-                let row: Vec<f32> = yd[src * k..(src + 1) * k].to_vec();
-                yd[i * k..(i + 1) * k].copy_from_slice(&row);
-            }
-        }
+        forward_rows(yd, k, plan);
 
         let mut stats = LayerStats {
             detection_enabled: true,
-            unique_vectors: unique_signature_count(&sigs) as u64,
             ..LayerStats::default()
         };
-        tally(&mut stats, &plan.outcomes);
+        plan.tally(&mut stats);
         stats.cycles = simulate_attention(
             &self.base.config.accelerator,
-            &plan.sim_outcomes,
+            &plan.charged_kinds(),
             t,
             k,
             if reuse_saved {
@@ -497,7 +421,7 @@ impl AttentionEngine {
         );
         // Same-window insertion conflicts serialize through the per-set
         // queues exactly as in the FC path; charge them identically.
-        stats.cycles.signature += plan.conflicts
+        stats.cycles.signature += conflicts
             * self
                 .base
                 .config

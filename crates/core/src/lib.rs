@@ -6,11 +6,11 @@
 //!
 //! 1. extract input vectors from a layer's input ([`mercury_tensor`]),
 //! 2. generate RPQ signatures on the PE array ([`mercury_rpq`]),
-//! 3. probe/populate MCACHE and build the Hitmap ([`mercury_mcache`]),
+//! 3. probe/populate MCACHE and build the reuse plan ([`mercury_mcache`]),
 //! 4. perform the layer's dot products, *skipping* the ones whose results
-//!    are already cached — producing both the (slightly approximate)
-//!    numeric output and the exact cycle accounting from the accelerator
-//!    simulator ([`mercury_accel`]),
+//!    an earlier vector already computed — producing both the (slightly
+//!    approximate) numeric output and the exact cycle accounting from the
+//!    accelerator simulator ([`mercury_accel`]),
 //! 5. save forward-pass signatures for reuse in the backward pass, and
 //! 6. adapt at run time: grow the signature one bit per loss plateau and
 //!    switch similarity detection off per layer when it stops paying for

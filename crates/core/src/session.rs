@@ -9,9 +9,8 @@
 //! session picks the bank split itself: 8 banks (§V) when the configured
 //! set count divides by 8, one bank otherwise. It evicts by *epoch* —
 //! [`advance_epoch`](MercurySession::advance_epoch) flash-clears every
-//! engine's cache in O(sets) (a per-set occupancy reset plus an O(1)
-//! version-epoch bump; no per-entry walk) — instead of clearing per
-//! forward pass.
+//! engine's cache in O(sets) (a per-set occupancy reset; no per-entry
+//! walk) — instead of clearing per forward pass.
 //!
 //! # Examples
 //!
@@ -684,10 +683,10 @@ impl MercurySession {
         self.layers.iter().map(|l| l.engine.cache_bytes()).sum()
     }
 
-    /// Ends the current epoch: every engine's MCACHE is evicted (tags and
-    /// data) via the banked flash-clear — O(sets) occupancy reset plus an
-    /// O(1) data-version epoch bump, never a per-entry walk — and the
-    /// epoch counter advances. Returns the new epoch number.
+    /// Ends the current epoch: every engine's MCACHE is evicted via the
+    /// banked flash-clear — an O(sets) occupancy reset, never a per-entry
+    /// walk — and the epoch counter advances. Returns the new epoch
+    /// number.
     ///
     /// Poisoned layers stay poisoned: the epoch clear evicts their caches
     /// too, but re-entering service is an explicit per-layer decision via

@@ -1,9 +1,7 @@
 //! Property-based pinning of the `MercurySession` streaming semantics:
 //! the session's hit/miss outcomes across a multi-epoch stream are exactly
 //! what manually driving a `BankedMCache` with the same signature stream
-//! produces, and the epoch flash-clear machinery (an O(1) data-version
-//! epoch bump — not a data wipe) never resurrects a
-//! stale value.
+//! produces.
 
 use mercury_core::{MercuryConfig, MercurySession};
 use mercury_mcache::banked::BankedMCache;
@@ -81,60 +79,4 @@ proptest! {
             manual.clear();
         }
     }
-
-    /// The data half of the epoch flash-clear is an O(1) epoch-counter
-    /// bump, not a data wipe — so this pins that no value written in an
-    /// earlier epoch can
-    /// ever be read back after the boundary, no matter how the epochs
-    /// interleave probes, writes, and clears.
-    #[test]
-    fn epoch_flash_clear_never_resurrects_values(
-        seed in 0u64..500,
-        epochs in 1usize..5,
-        writes_per_epoch in 1usize..8,
-        sig_pool in 1usize..6,
-    ) {
-        let per_bank = MCacheConfig::new(4, 2, 1).unwrap();
-        let mut cache = BankedMCache::new(4, per_bank).unwrap();
-        let mut rng = Rng::new(seed);
-        let pool: Vec<mercury_rpq::Signature> = (0..sig_pool)
-            .map(|_| mercury_rpq::Signature::from_bits(rng.next_u64() as u128, 20))
-            .collect();
-
-        for epoch in 0..epochs {
-            for w in 0..writes_per_epoch {
-                let sig = pool[rng.next_below(pool.len())];
-                let out = cache.probe_insert(sig);
-                if let Some(id) = out.entry {
-                    // Before this epoch's write, the line must never expose
-                    // a previous epoch's value (tagged by epoch number).
-                    if let Some(v) = cache.read(id, 0) {
-                        let (got_epoch, _) = decode(v);
-                        prop_assert_eq!(
-                            got_epoch, epoch as u32,
-                            "stale value resurrected across an epoch clear"
-                        );
-                    }
-                    cache.write(id, 0, encode(epoch as u32, w as u32)).unwrap();
-                    prop_assert_eq!(cache.read(id, 0), Some(encode(epoch as u32, w as u32)));
-                }
-            }
-            // Epoch boundary: flash clears (data version epochs bumped in
-            // O(1), set occupancies reset in O(sets); no per-entry walk),
-            // exactly what `MercurySession::advance_epoch`
-            // drives per engine.
-            cache.invalidate_all_data();
-            cache.clear();
-        }
-    }
-}
-
-/// Packs `(epoch, serial)` into an exactly-representable f32 payload.
-fn encode(epoch: u32, serial: u32) -> f32 {
-    (epoch * 1024 + serial) as f32
-}
-
-fn decode(v: f32) -> (u32, u32) {
-    let raw = v as u32;
-    (raw / 1024, raw % 1024)
 }

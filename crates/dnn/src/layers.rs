@@ -712,6 +712,36 @@ mod tests {
     }
 
     #[test]
+    fn detection_off_conv_is_the_exact_layer_bit_for_bit() {
+        // A conv layer whose engine has detection off computes what the
+        // engine-less layer computes: the forward is `conv2d_multi` and
+        // the input gradient `conv2d_backward_input`, bit for bit, on
+        // every executor.
+        let mut r = rng();
+        let x = Tensor::randn(&[3, 8, 8], &mut r);
+        let dout = Tensor::randn(&[4, 8, 8], &mut r);
+        let mut exact = Conv2d::new(4, 3, 3, 1, &mut Rng::new(7));
+        let want_y = exact.forward(&x).unwrap();
+        let want_dx = exact.backward(&dout).unwrap();
+        for kind in [
+            mercury_core::ExecutorKind::Serial,
+            mercury_core::ExecutorKind::Threaded { threads: 2 },
+        ] {
+            let config = MercuryConfig::builder().executor(kind).build().unwrap();
+            let mut off = Layer::Conv2d(Conv2d::new(4, 3, 3, 1, &mut Rng::new(7)));
+            off.attach_engine(config, 9);
+            off.set_detection(false);
+            assert_eq!(off.forward(&x).unwrap(), want_y, "{kind:?} forward");
+            assert_eq!(
+                off.backward(&dout).unwrap(),
+                want_dx,
+                "{kind:?} input gradient"
+            );
+            assert_eq!(off.last_stats().unwrap().hits, 0);
+        }
+    }
+
+    #[test]
     fn sgd_step_moves_parameters() {
         let mut r = rng();
         let mut layer = Conv2d::new(1, 1, 3, 0, &mut r);

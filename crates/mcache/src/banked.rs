@@ -39,9 +39,9 @@ use mercury_tensor::exec::Executor;
 /// assert_eq!(first.kind, HitKind::Mau);
 /// let id = first.entry.unwrap();
 /// assert!(id.set < 4 * 16, "flat sets span every bank");
-/// cache.write(id, 0, 1.5)?;
-/// assert_eq!(cache.probe_insert(sig).kind, HitKind::Hit);
-/// assert_eq!(cache.read(id, 0), Some(1.5));
+/// let again = cache.probe_insert(sig);
+/// assert_eq!(again.kind, HitKind::Hit);
+/// assert_eq!(again.entry, Some(id), "a signature keeps its line");
 /// # Ok(())
 /// # }
 /// ```
@@ -50,8 +50,6 @@ pub struct BankedMCache {
     banks: Vec<MCache>,
     /// Sets per bank: the stride of the flat set index.
     sets_per_bank: usize,
-    /// Ways per set, shared by every bank.
-    ways: usize,
 }
 
 impl BankedMCache {
@@ -69,7 +67,6 @@ impl BankedMCache {
         Ok(BankedMCache {
             banks: (0..num_banks).map(|_| MCache::new(per_bank)).collect(),
             sets_per_bank: per_bank.sets,
-            ways: per_bank.ways,
         })
     }
 
@@ -108,24 +105,6 @@ impl BankedMCache {
                 way: id.way,
             }),
         }
-    }
-
-    /// Splits a flat id into its bank and bank-local id; `None` when the
-    /// id lies outside the cache.
-    #[inline]
-    fn locate(&self, id: EntryId) -> Option<(usize, EntryId)> {
-        let spb = self.sets_per_bank;
-        // Same split either way; shift and mask avoid two hardware divides
-        // per access on power-of-two geometries.
-        let (bank, set) = if spb.is_power_of_two() {
-            (id.set >> spb.trailing_zeros(), id.set & (spb - 1))
-        } else {
-            (id.set / spb, id.set % spb)
-        };
-        if bank >= self.banks.len() || id.way >= self.ways {
-            return None;
-        }
-        Some((bank, EntryId { set, way: id.way }))
     }
 
     /// Probes a signature in its home bank, inserting it on a miss when the
@@ -197,45 +176,6 @@ impl BankedMCache {
         }
     }
 
-    /// Reads a data version through a flat entry id; `None` when VD is
-    /// unset or the id lies outside the cache.
-    #[inline]
-    pub fn read(&self, id: EntryId, version: usize) -> Option<f32> {
-        let (bank, local) = self.locate(id)?;
-        self.banks[bank].read(local, version)
-    }
-
-    /// Reads with statistics: counts a data hit or miss on the owning bank.
-    /// An id outside the cache reads as `None` without moving any counter.
-    #[inline]
-    pub fn read_counted(&mut self, id: EntryId, version: usize) -> Option<f32> {
-        let (bank, local) = self.locate(id)?;
-        self.banks[bank].read_counted(local, version)
-    }
-
-    /// Writes a data version through a flat entry id.
-    ///
-    /// # Errors
-    ///
-    /// [`McacheError::BadEntry`] naming the caller's own set and way for an
-    /// id outside the cache; otherwise the owning bank's
-    /// [`MCache::write`] errors.
-    #[inline]
-    pub fn write(&mut self, id: EntryId, version: usize, value: f32) -> Result<(), McacheError> {
-        let (bank, local) = self.locate(id).ok_or(McacheError::BadEntry {
-            set: id.set,
-            way: id.way,
-        })?;
-        self.banks[bank].write(local, version, value)
-    }
-
-    /// Flash-clears all VD bits in every bank.
-    pub fn invalidate_all_data(&mut self) {
-        for bank in &mut self.banks {
-            bank.invalidate_all_data();
-        }
-    }
-
     /// Clears every bank (channel boundary).
     pub fn clear(&mut self) {
         for bank in &mut self.banks {
@@ -266,9 +206,6 @@ impl BankedMCache {
             total.hits += s.hits;
             total.maus += s.maus;
             total.mnus += s.mnus;
-            total.data_reads += s.data_reads;
-            total.data_misses += s.data_misses;
-            total.data_writes += s.data_writes;
             total.insert_conflicts += s.insert_conflicts;
         }
         total
@@ -298,11 +235,9 @@ mod tests {
         let first = c.probe_insert(sig(0x123));
         assert_eq!(first.kind, HitKind::Mau);
         let id = first.entry.unwrap();
-        c.write(id, 0, 6.5).unwrap();
         let second = c.probe_insert(sig(0x123));
         assert_eq!(second.kind, HitKind::Hit);
         assert_eq!(second.entry, Some(id));
-        assert_eq!(c.read(id, 0), Some(6.5));
     }
 
     #[test]
@@ -346,39 +281,10 @@ mod tests {
     #[test]
     fn clear_and_invalidate() {
         let mut c = cache(2);
-        let id = c.probe_insert(sig(5)).entry.unwrap();
-        c.write(id, 0, 1.0).unwrap();
-        c.invalidate_all_data();
-        assert_eq!(c.read(id, 0), None);
+        c.probe_insert(sig(5));
         assert_eq!(c.probe_insert(sig(5)).kind, HitKind::Hit);
         c.clear();
         assert_eq!(c.probe_insert(sig(5)).kind, HitKind::Mau);
-    }
-
-    #[test]
-    fn read_counted_tracks_aggregate_stats() {
-        let mut c = cache(2);
-        let id = c.probe_insert(sig(3)).entry.unwrap();
-        assert_eq!(c.read_counted(id, 0), None);
-        c.write(id, 0, 2.0).unwrap();
-        assert_eq!(c.read_counted(id, 0), Some(2.0));
-        let s = c.stats();
-        assert_eq!((s.data_misses, s.data_reads), (1, 1));
-        assert_eq!(c.bank_config().ways, 2);
-        // Ids outside the cache (past the last bank, or past the ways):
-        // `None`, no counter movement, and writes name the caller's id.
-        for bogus in [EntryId { set: 8, way: 0 }, EntryId { set: 0, way: 2 }] {
-            assert_eq!(c.read(bogus, 0), None);
-            assert_eq!(c.read_counted(bogus, 0), None);
-            assert_eq!(
-                c.write(bogus, 0, 1.0),
-                Err(McacheError::BadEntry {
-                    set: bogus.set,
-                    way: bogus.way
-                })
-            );
-        }
-        assert_eq!(c.stats(), s);
     }
 
     #[test]
@@ -434,10 +340,6 @@ mod tests {
                 mono.probe_insert(sig(i % 23)),
             );
             assert_eq!(b, m);
-            if let Some(id) = m.entry {
-                assert_eq!(banked.write(id, 0, i as f32), mono.write(id, 0, i as f32));
-                assert_eq!(banked.read_counted(id, 0), mono.read_counted(id, 0));
-            }
         }
         assert_eq!(banked.stats(), mono.stats());
         assert_eq!(banked.resident_bytes(), mono.resident_bytes());

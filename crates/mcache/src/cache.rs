@@ -21,7 +21,8 @@ pub struct MCacheConfig {
     /// Associativity (ways per set).
     pub ways: usize,
     /// Data versions per line — 1 for the synchronous design, `M` (the
-    /// number of in-flight filters) for the asynchronous design.
+    /// number of in-flight filters) for the asynchronous design. Geometry
+    /// only: it sizes the line [`MCache::resident_bytes`] meters.
     pub versions: usize,
 }
 
@@ -80,12 +81,6 @@ pub struct MCacheStats {
     pub maus: u64,
     /// Probes rejected because the set was full (miss-no-update).
     pub mnus: u64,
-    /// Data reads that found a valid version.
-    pub data_reads: u64,
-    /// Data reads that found the version invalid (producer not done yet).
-    pub data_misses: u64,
-    /// Data writes.
-    pub data_writes: u64,
     /// Number of per-set insertion conflicts: inserts that found another
     /// insert already queued on the same set in the same batch window. The
     /// FPGA design serializes these through a per-set queue (paper §V).
@@ -102,14 +97,13 @@ impl MCacheStats {
 /// The MERCURY memoization cache (see the [crate docs](crate) for the
 /// design rationale).
 ///
-/// Storage is structure-of-arrays — one flat buffer per field across all
-/// `sets × ways` lines — so set scans touch contiguous memory, and VD
-/// ("valid data") bits are epoch counters: a version is valid when its
-/// line's epoch matches the version's current epoch, which makes the
-/// hardware's flash-clear (`invalidate_all_data`, one bitline in the FPGA)
-/// an O(1) epoch bump instead of a walk over every line. These are
-/// representation choices only; observable behaviour is identical to the
-/// naive line-array model.
+/// This is the tag half of the hardware cache: it classifies every probe
+/// and hands out the entry ids that group same-signature vectors. The
+/// data half holds no state here — a reuse engine takes a HIT's result
+/// straight from its producer's computed row, and the cycle model charges
+/// the data traffic the hardware would spend. Storage is
+/// structure-of-arrays — one flat buffer per field across all
+/// `sets × ways` lines — so set scans touch contiguous memory.
 ///
 /// # Examples
 ///
@@ -129,14 +123,6 @@ pub struct MCache {
     /// are exactly the prefix `0..set_len[set]` — a set scan never needs
     /// per-way valid bits.
     set_len: Vec<u32>,
-    /// Data versions, `sets × ways × versions`, version fastest.
-    data: Vec<f32>,
-    /// Per-(line, version) epoch; the version is valid iff this equals
-    /// `version_epoch[version]`. Zero is reserved as "never valid".
-    vd_epoch: Vec<u64>,
-    /// Current epoch per version, starting at 1; bumping one invalidates
-    /// that version everywhere at once.
-    version_epoch: Vec<u64>,
     stats: MCacheStats,
     /// Per-set count of inserts in the current batch window, for modelling
     /// the per-set insertion queue of the FPGA implementation.
@@ -167,9 +153,6 @@ impl MCache {
             tag_bits: vec![0; config.entries()],
             tag_len: vec![0; config.entries()],
             set_len: vec![0; config.sets],
-            data: vec![0.0; config.entries() * config.versions],
-            vd_epoch: vec![0; config.entries() * config.versions],
-            version_epoch: vec![1; config.versions],
             stats: MCacheStats::default(),
             batch_inserts: vec![0; config.sets],
             set_prefix: vec![0; config.sets],
@@ -200,16 +183,6 @@ impl MCache {
         } else {
             (h % sets) as usize
         }
-    }
-
-    fn line_index(&self, id: EntryId) -> Result<usize, McacheError> {
-        if id.set >= self.config.sets || id.way >= self.config.ways {
-            return Err(McacheError::BadEntry {
-                set: id.set,
-                way: id.way,
-            });
-        }
-        Ok(id.set * self.config.ways + id.way)
     }
 
     /// Scans the occupied prefix of a set for a tag match. The hot scan
@@ -286,7 +259,6 @@ impl MCache {
             self.tag_len[line] = sig.len() as u8;
             self.set_len[set] += 1;
             self.set_prefix[set] |= prefix;
-            self.vd_epoch[line * self.config.versions..(line + 1) * self.config.versions].fill(0);
             self.stats.maus += 1;
             if self.batch_inserts[set] > 0 {
                 self.stats.insert_conflicts += 1;
@@ -310,89 +282,11 @@ impl MCache {
         self.batch_inserts.fill(0);
     }
 
-    /// Reads data version `version` of a line; `None` when VD is unset.
-    ///
-    /// Out-of-range ids or versions also read as `None` — the hardware
-    /// cannot fabricate data for them.
-    pub fn read(&self, id: EntryId, version: usize) -> Option<f32> {
-        let line = self.line_index(id).ok()?;
-        if version >= self.config.versions {
-            return None;
-        }
-        let idx = line * self.config.versions + version;
-        if self.vd_epoch[idx] != self.version_epoch[version] {
-            return None;
-        }
-        Some(self.data[idx])
-    }
-
-    /// Reads with statistics: counts a data hit or miss.
-    pub fn read_counted(&mut self, id: EntryId, version: usize) -> Option<f32> {
-        let value = self.read(id, version);
-        if value.is_some() {
-            self.stats.data_reads += 1;
-        } else {
-            self.stats.data_misses += 1;
-        }
-        value
-    }
-
-    /// Writes a computed result into data version `version` and sets VD.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`McacheError::BadEntry`] / [`McacheError::BadVersion`] for
-    /// out-of-range targets, and [`McacheError::TagNotValid`] when the line
-    /// has no valid tag (the hardware never writes data before a tag).
-    pub fn write(&mut self, id: EntryId, version: usize, value: f32) -> Result<(), McacheError> {
-        let versions = self.config.versions;
-        let line = self.line_index(id)?;
-        if version >= versions {
-            return Err(McacheError::BadVersion { version, versions });
-        }
-        if id.way >= self.set_len[id.set] as usize {
-            return Err(McacheError::TagNotValid);
-        }
-        let idx = line * versions + version;
-        self.data[idx] = value;
-        self.vd_epoch[idx] = self.version_epoch[version];
-        self.stats.data_writes += 1;
-        Ok(())
-    }
-
-    /// Flash-clears every VD bit ("a bitline connecting all VD bits is used
-    /// for this purpose") while keeping tags — the synchronous design's
-    /// filter advance. O(1): bumps every version's epoch rather than
-    /// touching any line.
-    pub fn invalidate_all_data(&mut self) {
-        for epoch in &mut self.version_epoch {
-            *epoch += 1;
-        }
-    }
-
-    /// Flash-clears the VD bits of one data version — the asynchronous
-    /// design reloading one filter slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`McacheError::BadVersion`] for an out-of-range version.
-    pub fn invalidate_version(&mut self, version: usize) -> Result<(), McacheError> {
-        if version >= self.config.versions {
-            return Err(McacheError::BadVersion {
-                version,
-                versions: self.config.versions,
-            });
-        }
-        self.version_epoch[version] += 1;
-        Ok(())
-    }
-
-    /// Clears tags and data — a channel boundary, after which signatures
-    /// are recalculated from scratch.
+    /// Clears every tag — a channel boundary, after which signatures are
+    /// recalculated from scratch.
     pub fn clear(&mut self) {
         self.set_len.fill(0);
         self.set_prefix.fill(0);
-        self.invalidate_all_data();
         self.batch_inserts.fill(0);
     }
 
@@ -402,12 +296,13 @@ impl MCache {
     }
 
     /// Bytes of cache state the resident tags pin: per occupied line, the
-    /// packed tag (bits + length) plus every data version's payload and
-    /// VD epoch. Occupancy-sensitive by design — [`clear`](Self::clear)
-    /// (the flash-clear an eviction performs) drops the figure to zero
-    /// even though the backing buffers stay allocated, because this is
-    /// the *logical* working set a serving tier's memory budget meters,
-    /// not the allocator's view.
+    /// packed tag (bits + length) plus, per data version, the `f32`
+    /// payload and 8-byte VD word of the hardware line — the line's size,
+    /// although this type stores only the tag. Occupancy-sensitive by
+    /// design — [`clear`](Self::clear) (the flash-clear an eviction
+    /// performs) drops the figure to zero even though the backing buffers
+    /// stay allocated, because this is the *logical* working set a
+    /// serving tier's memory budget meters, not the allocator's view.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         let per_line = size_of::<u128>()
@@ -470,39 +365,9 @@ mod tests {
     fn no_replacement_policy() {
         let mut cache = small_cache(1, 1, 1);
         let a = cache.probe_insert(sig(1)).entry.unwrap();
-        cache.write(a, 0, 9.0).unwrap();
         // sig(2) cannot evict sig(1).
         assert_eq!(cache.probe_insert(sig(2)).kind, HitKind::Mnu);
-        assert_eq!(cache.read(a, 0), Some(9.0));
-    }
-
-    #[test]
-    fn data_valid_bit_lifecycle() {
-        let mut cache = small_cache(4, 2, 1);
-        let out = cache.probe_insert(sig(7));
-        let id = out.entry.unwrap();
-        // Tag valid, data not yet.
-        assert_eq!(cache.read(id, 0), None);
-        cache.write(id, 0, 2.5).unwrap();
-        assert_eq!(cache.read(id, 0), Some(2.5));
-        // Filter advance clears VD but not VT.
-        cache.invalidate_all_data();
-        assert_eq!(cache.read(id, 0), None);
-        assert_eq!(cache.probe_insert(sig(7)).kind, HitKind::Hit);
-    }
-
-    #[test]
-    fn multi_version_data_is_independent() {
-        let mut cache = small_cache(4, 2, 3);
-        let id = cache.probe_insert(sig(5)).entry.unwrap();
-        cache.write(id, 0, 1.0).unwrap();
-        cache.write(id, 2, 3.0).unwrap();
-        assert_eq!(cache.read(id, 0), Some(1.0));
-        assert_eq!(cache.read(id, 1), None);
-        assert_eq!(cache.read(id, 2), Some(3.0));
-        cache.invalidate_version(2).unwrap();
-        assert_eq!(cache.read(id, 0), Some(1.0));
-        assert_eq!(cache.read(id, 2), None);
+        assert_eq!(cache.lookup(sig(1)), Some(a));
     }
 
     #[test]
@@ -513,39 +378,6 @@ mod tests {
         cache.clear();
         assert_eq!(cache.occupancy(), 0);
         assert_eq!(cache.probe_insert(sig(9)).kind, HitKind::Mau);
-    }
-
-    #[test]
-    fn write_requires_valid_tag() {
-        let mut cache = small_cache(2, 2, 1);
-        let err = cache.write(EntryId { set: 0, way: 0 }, 0, 1.0).unwrap_err();
-        assert_eq!(err, McacheError::TagNotValid);
-    }
-
-    #[test]
-    fn write_validates_bounds() {
-        let mut cache = small_cache(2, 2, 2);
-        let id = cache.probe_insert(sig(1)).entry.unwrap();
-        assert!(matches!(
-            cache.write(EntryId { set: 5, way: 0 }, 0, 1.0).unwrap_err(),
-            McacheError::BadEntry { .. }
-        ));
-        assert!(matches!(
-            cache.write(id, 2, 1.0).unwrap_err(),
-            McacheError::BadVersion { .. }
-        ));
-    }
-
-    #[test]
-    fn read_counted_tracks_stats() {
-        let mut cache = small_cache(2, 2, 1);
-        let id = cache.probe_insert(sig(3)).entry.unwrap();
-        assert_eq!(cache.read_counted(id, 0), None);
-        cache.write(id, 0, 4.0).unwrap();
-        assert_eq!(cache.read_counted(id, 0), Some(4.0));
-        assert_eq!(cache.stats().data_misses, 1);
-        assert_eq!(cache.stats().data_reads, 1);
-        assert_eq!(cache.stats().data_writes, 1);
     }
 
     #[test]
@@ -610,12 +442,9 @@ mod tests {
         assert_eq!(cache.resident_bytes(), 0);
         cache.probe_insert(sig(1));
         cache.probe_insert(sig(2));
-        let per_line = 16 + 1 + 2 * (4 + 8); // u128 tag + u8 len + 2×(f32 + u64 epoch)
+        let per_line = 16 + 1 + 2 * (4 + 8); // u128 tag + u8 len + 2×(f32 + VD word)
         assert_eq!(cache.resident_bytes(), cache.occupancy() * per_line);
         assert!(cache.resident_bytes() > 0);
-        // Data invalidation keeps tags resident; only clear() releases.
-        cache.invalidate_all_data();
-        assert_eq!(cache.resident_bytes(), cache.occupancy() * per_line);
         cache.clear();
         assert_eq!(cache.resident_bytes(), 0);
     }

@@ -1,43 +1,17 @@
 use std::error::Error;
 use std::fmt;
 
-/// Error type for MCACHE configuration and access.
+/// Error type for MCACHE configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum McacheError {
     /// A configuration parameter was zero or otherwise unusable.
     InvalidConfig(String),
-    /// An [`EntryId`](crate::EntryId) referred to a line outside the cache.
-    BadEntry {
-        /// Set index of the offending id.
-        set: usize,
-        /// Way index of the offending id.
-        way: usize,
-    },
-    /// A data version index exceeded the configured number of versions.
-    BadVersion {
-        /// The requested version.
-        version: usize,
-        /// Number of versions the cache was configured with.
-        versions: usize,
-    },
-    /// Attempted to write data into a line whose tag is not valid.
-    TagNotValid,
 }
 
 impl fmt::Display for McacheError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             McacheError::InvalidConfig(msg) => write!(f, "invalid mcache configuration: {msg}"),
-            McacheError::BadEntry { set, way } => {
-                write!(f, "entry id (set {set}, way {way}) is out of range")
-            }
-            McacheError::BadVersion { version, versions } => {
-                write!(
-                    f,
-                    "data version {version} out of range (cache has {versions})"
-                )
-            }
-            McacheError::TagNotValid => write!(f, "line has no valid tag"),
         }
     }
 }
@@ -50,15 +24,11 @@ mod tests {
 
     #[test]
     fn messages_are_informative() {
-        assert!(McacheError::BadEntry { set: 3, way: 9 }
-            .to_string()
-            .contains("set 3"));
-        assert!(McacheError::BadVersion {
-            version: 5,
-            versions: 2
-        }
-        .to_string()
-        .contains("version 5"));
+        let e = McacheError::InvalidConfig("need at least one bank".to_string());
+        assert_eq!(
+            e.to_string(),
+            "invalid mcache configuration: need at least one bank"
+        );
     }
 
     #[test]

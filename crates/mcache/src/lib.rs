@@ -8,21 +8,22 @@
 //!
 //! 1. **Split valid bits.** A signature (tag) arrives before any result
 //!    (data) exists, so each line carries a Valid-Tag (VT) bit and one
-//!    Valid-Data (VD) bit *per data version*. Inserting a signature sets VT
-//!    only; the data and its VD are filled in when a PE set finishes the
-//!    corresponding dot product.
+//!    Valid-Data (VD) bit *per data version*, one version per in-flight
+//!    filter.
 //! 2. **No replacement.** Once a set is full, new signatures are not
 //!    inserted (the access is recorded as *miss-no-update*). Lines live
 //!    until the whole cache is cleared at a channel boundary.
 //!
-//! The *multi-version* data portion supports the asynchronous design: each
-//! of the `M` in-flight filters owns one data slot per line, and a "bitline"
-//! flash-clear invalidates one version (filter reload) or all versions
-//! (synchronous filter advance) in a single operation.
+//! This crate models the tag half, which decides every reuse: each probe
+//! classifies its input vector as a [`HitKind`] (HIT / MAU / MNU) and
+//! names the line it maps to. The data half keeps no state in software.
+//! A reuse engine hands a HIT the result its producer just computed, which
+//! is the value the hardware would read back, and the `mercury-accel`
+//! cycle model charges the data traffic. The data versions remain
+//! geometry: they size the line [`MCache::resident_bytes`] meters.
 //!
-//! Every probe classifies its input vector as a [`HitKind`] (HIT / MAU /
-//! MNU). [`MCache`] is one cache: the FPGA design the accelerator model
-//! and the ablation bins use. [`banked::BankedMCache`] splits one across
+//! [`MCache`] is one cache: the FPGA design the accelerator model and the
+//! ablation bins use. [`banked::BankedMCache`] splits one across
 //! signature-homed banks and is the cache every reuse engine holds — a
 //! one-bank instance for per-scope batch engines, several banks for the
 //! persistent engines a session streams through.
@@ -37,17 +38,16 @@
 //! let mut cache = MCache::new(MCacheConfig::new(64, 16, 1)?);
 //! let sig = Signature::from_bits(0b1011, 20);
 //!
-//! // First access inserts the tag: miss-and-update.
+//! // First access inserts the tag: miss-and-update. This vector's PE set
+//! // computes the dot products.
 //! let first = cache.probe_insert(sig);
 //! assert_eq!(first.kind, HitKind::Mau);
 //!
-//! // The PE set computes the dot product and stores it.
-//! cache.write(first.entry.unwrap(), 0, 3.25)?;
-//!
-//! // A later vector with the same signature hits and reuses the result.
+//! // A later vector with the same signature hits the same line and
+//! // reuses the producer's results.
 //! let second = cache.probe_insert(sig);
 //! assert_eq!(second.kind, HitKind::Hit);
-//! assert_eq!(cache.read(second.entry.unwrap(), 0), Some(3.25));
+//! assert_eq!(second.entry, first.entry);
 //! # Ok(())
 //! # }
 //! ```

@@ -49,34 +49,6 @@ proptest! {
         prop_assert_eq!(stats.probes(), bits.len() as u64);
     }
 
-    /// Written data reads back exactly until invalidated; tags survive a
-    /// data invalidation.
-    #[test]
-    fn write_read_invalidate_cycle(
-        bits in proptest::collection::vec(0u128..100, 1..50),
-        value in -1000i32..1000
-    ) {
-        let value = value as f32 / 7.0;
-        let mut cache = MCache::new(MCacheConfig::new(16, 4, 1).unwrap());
-        let mut inserted = Vec::new();
-        for &b in &bits {
-            let out = cache.probe_insert(sig(b));
-            if out.kind == HitKind::Mau {
-                let id = out.entry.unwrap();
-                cache.write(id, 0, value).unwrap();
-                inserted.push((b, id));
-            }
-        }
-        for &(_, id) in &inserted {
-            prop_assert_eq!(cache.read(id, 0), Some(value));
-        }
-        cache.invalidate_all_data();
-        for &(b, id) in &inserted {
-            prop_assert_eq!(cache.read(id, 0), None);
-            prop_assert_eq!(cache.probe_insert(sig(b)).kind, HitKind::Hit);
-        }
-    }
-
     /// After clear() the cache behaves like new.
     #[test]
     fn clear_resets_to_fresh(bits in proptest::collection::vec(0u128..100, 1..60)) {
@@ -90,24 +62,6 @@ proptest! {
         if let Some(&b) = bits.first() {
             let k = cache.probe_insert(sig(b)).kind;
             prop_assert_ne!(k, HitKind::Hit);
-        }
-    }
-
-    /// Multi-version writes never interfere across versions.
-    #[test]
-    fn versions_are_isolated(
-        v0 in -100i32..100,
-        v1 in -100i32..100,
-        versions in 2usize..6
-    ) {
-        let mut cache = MCache::new(MCacheConfig::new(4, 2, versions).unwrap());
-        let id = cache.probe_insert(sig(42)).entry.unwrap();
-        cache.write(id, 0, v0 as f32).unwrap();
-        cache.write(id, versions - 1, v1 as f32).unwrap();
-        prop_assert_eq!(cache.read(id, 0), Some(v0 as f32));
-        prop_assert_eq!(cache.read(id, versions - 1), Some(v1 as f32));
-        for mid in 1..versions - 1 {
-            prop_assert_eq!(cache.read(id, mid), None);
         }
     }
 }

@@ -223,23 +223,49 @@ pub fn extract_patches_into(
             // Interior columns: full-width windows, stride apart, starting
             // at `lo·stride - pad` (non-negative by the choice of `lo`).
             if lo < hi {
-                let windows = srow[lo * geom.stride - geom.pad..]
-                    .windows(kw)
-                    .step_by(geom.stride);
-                for (patch, win) in drows[lo * plen..hi * plen]
-                    .chunks_exact_mut(plen)
-                    .zip(windows)
-                {
-                    // Tiny fixed-width copy: an element loop inlines where
-                    // `copy_from_slice` would pay a `memcpy` call per patch.
-                    for (d, &s) in patch[ky * kw..ky * kw + kw].iter_mut().zip(win) {
-                        *d = s;
+                let dst = &mut drows[lo * plen..hi * plen];
+                let src = &srow[lo * geom.stride - geom.pad..];
+                if kw == 3 {
+                    copy_windows::<3>(dst, src, plen, ky * 3, geom.stride);
+                } else {
+                    let windows = src.windows(kw).step_by(geom.stride);
+                    for (patch, win) in dst.chunks_exact_mut(plen).zip(windows) {
+                        // Tiny copy: an element loop inlines where
+                        // `copy_from_slice` would pay a `memcpy` call per
+                        // patch.
+                        for (d, &s) in patch[ky * kw..ky * kw + kw].iter_mut().zip(win) {
+                            *d = s;
+                        }
                     }
                 }
             }
         }
     }
     Ok(())
+}
+
+/// The interior copy of [`extract_patches_into`] for a kernel `KW` wide:
+/// the `i`-th `plen`-element patch of `dst` takes the `KW` elements of
+/// `src` starting at `i·stride` into its slots `off..off + KW`. A
+/// compile-time width turns each patch's copy into one fixed-size move.
+#[inline]
+fn copy_windows<const KW: usize>(
+    dst: &mut [f32],
+    src: &[f32],
+    plen: usize,
+    off: usize,
+    stride: usize,
+) {
+    for (patch, win) in dst
+        .chunks_exact_mut(plen)
+        .zip(src.windows(KW).step_by(stride))
+    {
+        let win: &[f32; KW] = win.try_into().expect("windows are KW wide");
+        let slot: &mut [f32; KW] = (&mut patch[off..off + KW])
+            .try_into()
+            .expect("a KW-wide slot");
+        *slot = *win;
+    }
 }
 
 /// Convolves a `[C, H, W]` input with one `[C, k1, k2]` kernel, producing a

@@ -118,22 +118,41 @@ proptest! {
     }
 
     /// Patch extraction must produce exactly the vectors the direct
-    /// definition describes.
+    /// definition describes, on both sides of the width-3 copy: kernel
+    /// widths 1, 2, 3 and 5, strides 1 and 2, and every padding narrower
+    /// than the kernel.
     #[test]
-    fn patches_agree_with_definition(seed in 0u64..500, h in 3usize..9, w in 3usize..9) {
+    fn patches_agree_with_definition(
+        seed in 0u64..500,
+        h in 3usize..9,
+        w in 3usize..9,
+        kh in 1usize..4,
+        kw_pick in 0usize..4,
+        stride in 1usize..3,
+        pad_pick in 0usize..5,
+    ) {
+        let kw = [1, 2, 3, 5][kw_pick];
+        let pad = pad_pick % kw;
         let mut rng = Rng::new(seed);
         let channel = Tensor::randn(&[h, w], &mut rng);
-        let geom = ConvGeometry::new(h, w, 3, 3, 1, 0).unwrap();
+        let geom = ConvGeometry::new(h, w, kh, kw, stride, pad);
+        prop_assume!(geom.is_ok());
+        let geom = geom.unwrap();
         let patches = conv::extract_patches(&channel, &geom).unwrap();
         for oy in 0..geom.out_h() {
             for ox in 0..geom.out_w() {
                 let row = oy * geom.out_w() + ox;
-                for ky in 0..3 {
-                    for kx in 0..3 {
-                        prop_assert_eq!(
-                            patches.at(&[row, ky * 3 + kx]),
-                            channel.at(&[oy + ky, ox + kx])
-                        );
+                for ky in 0..kh {
+                    for kx in 0..kw {
+                        let y = (oy * stride + ky) as isize - pad as isize;
+                        let x = (ox * stride + kx) as isize - pad as isize;
+                        let inside = (0..h as isize).contains(&y) && (0..w as isize).contains(&x);
+                        let want = if inside {
+                            channel.at(&[y as usize, x as usize])
+                        } else {
+                            0.0
+                        };
+                        prop_assert_eq!(patches.at(&[row, ky * kw + kx]).to_bits(), want.to_bits());
                     }
                 }
             }

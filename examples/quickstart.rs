@@ -85,8 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Epoch boundary: flash-clear every engine's cache (O(sets) occupancy
-    // reset + O(1) data-version epoch bump, no per-entry walk); the
-    // next request starts cold again.
+    // reset, no per-entry walk); the next request starts cold again.
     session.advance_epoch();
     let evicted = session.submit(conv, &image)?;
     println!(
