@@ -14,13 +14,13 @@
 use crate::config::AcceleratorConfig;
 use crate::sim::ChannelCycles;
 use crate::timing;
-use mercury_mcache::HitKind;
+use mercury_mcache::OutcomeMix;
 
 /// Work description for one fully-connected layer over a minibatch.
-#[derive(Debug, Clone)]
-pub struct FcWork<'a> {
-    /// Per-input MCACHE outcomes, in minibatch order.
-    pub outcomes: &'a [HitKind],
+#[derive(Debug, Clone, Copy)]
+pub struct FcWork {
+    /// Counts of the per-input MCACHE outcomes over the minibatch.
+    pub mix: OutcomeMix,
     /// Number of weight columns (`M` in Figure 12).
     pub num_weights: usize,
     /// Input vector length.
@@ -31,16 +31,16 @@ pub struct FcWork<'a> {
     pub signatures_precomputed: bool,
 }
 
-impl<'a> FcWork<'a> {
+impl FcWork {
     /// Creates an FC work description with a fresh signature phase.
     pub fn new(
-        outcomes: &'a [HitKind],
+        mix: OutcomeMix,
         num_weights: usize,
         input_len: usize,
         signature_bits: usize,
     ) -> Self {
         FcWork {
-            outcomes,
+            mix,
             num_weights,
             input_len,
             signature_bits,
@@ -66,7 +66,7 @@ impl<'a> FcWork<'a> {
 /// the cost of a single input's weight sweep split across the array.
 /// Producers additionally stall when their result sends to followers
 /// outpace their own compute.
-pub fn simulate_fc(cfg: &AcceleratorConfig, work: &FcWork<'_>) -> ChannelCycles {
+pub fn simulate_fc(cfg: &AcceleratorConfig, work: &FcWork) -> ChannelCycles {
     let p = cfg.num_pes.max(1) as u64;
     let m = work.num_weights.max(1) as u64;
     let dot = timing::fc_dot_cycles(work.input_len.max(1));
@@ -81,32 +81,24 @@ pub fn simulate_fc(cfg: &AcceleratorConfig, work: &FcWork<'_>) -> ChannelCycles 
     };
 
     // Producer send-stall: followers per producer over the whole batch.
-    let hits_total = work.outcomes.iter().filter(|&&o| o == HitKind::Hit).count() as u64;
-    let n = work.outcomes.len() as u64;
+    let hits_total = work.mix.hits as u64;
+    let n = work.mix.total() as u64;
     let producers_total = n.saturating_sub(hits_total).max(1);
     let avg_followers = hits_total.div_ceil(producers_total);
     let send_stall = (avg_followers * m * fwd).saturating_sub(m * dot);
 
-    let mut totals = ChannelCycles::default();
-    let mut total_work = 0u64;
-    let mut total_sig = 0u64;
-
-    for &o in work.outcomes {
-        total_sig += sig_per_input;
-        total_work += match o {
-            HitKind::Hit => m * fwd + cfg.timing.mcache_read_cycles,
-            HitKind::Mau | HitKind::Mnu => m * dot + send_stall,
-        };
-        match o {
-            HitKind::Hit => totals.reused_dots += m,
-            _ => totals.computed_dots += m,
-        }
+    // A HIT input forwards its producer's results; every other input
+    // computes its whole weight sweep and pays the send-stall.
+    let computed = n - hits_total;
+    let total_work =
+        hits_total * (m * fwd + cfg.timing.mcache_read_cycles) + computed * (m * dot + send_stall);
+    ChannelCycles {
+        signature: (n * sig_per_input).div_ceil(p),
+        compute: total_work.div_ceil(p),
+        baseline: (n * m * dot).div_ceil(p),
+        reused_dots: hits_total * m,
+        computed_dots: computed * m,
     }
-
-    totals.signature = total_sig.div_ceil(p);
-    totals.compute = total_work.div_ceil(p);
-    totals.baseline = (n * m * dot).div_ceil(p);
-    totals
 }
 
 /// Simulates one self-attention layer over `seq_len` input vectors of
@@ -114,20 +106,17 @@ pub fn simulate_fc(cfg: &AcceleratorConfig, work: &FcWork<'_>) -> ChannelCycles 
 /// both reusing the similarity among the `xᵢ` (paper §III-C4).
 pub fn simulate_attention(
     cfg: &AcceleratorConfig,
-    outcomes: &[HitKind],
+    mix: OutcomeMix,
     seq_len: usize,
     head_dim: usize,
     signature_bits: usize,
 ) -> ChannelCycles {
     // First product: each input row is dotted with all seq_len other rows.
-    let first = simulate_fc(
-        cfg,
-        &FcWork::new(outcomes, seq_len, head_dim, signature_bits),
-    );
+    let first = simulate_fc(cfg, &FcWork::new(mix, seq_len, head_dim, signature_bits));
     // Second product reuses the same signatures (already computed).
     let second = simulate_fc(
         cfg,
-        &FcWork::new(outcomes, seq_len, head_dim, signature_bits).with_precomputed_signatures(),
+        &FcWork::new(mix, seq_len, head_dim, signature_bits).with_precomputed_signatures(),
     );
     let mut total = first;
     total.accumulate(&second);
@@ -138,6 +127,7 @@ pub fn simulate_attention(
 mod tests {
     use super::*;
     use crate::config::AcceleratorConfig;
+    use mercury_mcache::HitKind;
 
     fn cfg() -> AcceleratorConfig {
         AcceleratorConfig {
@@ -146,16 +136,16 @@ mod tests {
         }
     }
 
-    fn outcomes(hits: usize, maus: usize) -> Vec<HitKind> {
+    fn outcomes(hits: usize, maus: usize) -> OutcomeMix {
         let mut v = vec![HitKind::Mau; maus];
         v.extend(std::iter::repeat_n(HitKind::Hit, hits));
-        v
+        OutcomeMix::from_outcomes(&v)
     }
 
     #[test]
     fn baseline_closed_form() {
         let o = outcomes(0, 16); // 2 blocks of 8
-        let work = FcWork::new(&o, 10, 64, 20);
+        let work = FcWork::new(o, 10, 64, 20);
         let c = simulate_fc(&cfg(), &work);
         // blocks(2) × weights(10) × (64+1)
         assert_eq!(c.baseline, 2 * 10 * 65);
@@ -165,8 +155,8 @@ mod tests {
     fn hits_accelerate_fc() {
         let o_all_miss = outcomes(0, 16);
         let o_mostly_hit = outcomes(14, 2);
-        let miss = simulate_fc(&cfg(), &FcWork::new(&o_all_miss, 256, 64, 20));
-        let hit = simulate_fc(&cfg(), &FcWork::new(&o_mostly_hit, 256, 64, 20));
+        let miss = simulate_fc(&cfg(), &FcWork::new(o_all_miss, 256, 64, 20));
+        let hit = simulate_fc(&cfg(), &FcWork::new(o_mostly_hit, 256, 64, 20));
         assert!(hit.total() < miss.total());
         assert!(hit.speedup() > 1.0, "speedup {}", hit.speedup());
     }
@@ -174,17 +164,17 @@ mod tests {
     #[test]
     fn no_reuse_fc_pays_signature_overhead() {
         let o = outcomes(0, 8);
-        let c = simulate_fc(&cfg(), &FcWork::new(&o, 32, 64, 20));
+        let c = simulate_fc(&cfg(), &FcWork::new(o, 32, 64, 20));
         assert!(c.total() > c.baseline);
     }
 
     #[test]
     fn precomputed_signatures_skip_phase() {
         let o = outcomes(4, 4);
-        let fresh = simulate_fc(&cfg(), &FcWork::new(&o, 32, 64, 20));
+        let fresh = simulate_fc(&cfg(), &FcWork::new(o, 32, 64, 20));
         let reloaded = simulate_fc(
             &cfg(),
-            &FcWork::new(&o, 32, 64, 20).with_precomputed_signatures(),
+            &FcWork::new(o, 32, 64, 20).with_precomputed_signatures(),
         );
         assert_eq!(reloaded.signature, 0);
         assert!(reloaded.total() < fresh.total());
@@ -196,15 +186,15 @@ mod tests {
         // weight count dominates.
         let o_hit = outcomes(8, 0);
         let o_miss = outcomes(0, 8);
-        let hit = simulate_fc(&cfg(), &FcWork::new(&o_hit, 1024, 64, 20));
-        let miss = simulate_fc(&cfg(), &FcWork::new(&o_miss, 1024, 64, 20));
+        let hit = simulate_fc(&cfg(), &FcWork::new(o_hit, 1024, 64, 20));
+        let miss = simulate_fc(&cfg(), &FcWork::new(o_miss, 1024, 64, 20));
         assert!(hit.total() < miss.total());
     }
 
     #[test]
     fn dot_counters_partition_work() {
         let o = outcomes(5, 11);
-        let c = simulate_fc(&cfg(), &FcWork::new(&o, 7, 16, 20));
+        let c = simulate_fc(&cfg(), &FcWork::new(o, 7, 16, 20));
         assert_eq!(c.reused_dots, 5 * 7);
         assert_eq!(c.computed_dots, 11 * 7);
     }
@@ -212,8 +202,8 @@ mod tests {
     #[test]
     fn attention_runs_two_products() {
         let o = outcomes(6, 2);
-        let att = simulate_attention(&cfg(), &o, 8, 32, 20);
-        let one = simulate_fc(&cfg(), &FcWork::new(&o, 8, 32, 20));
+        let att = simulate_attention(&cfg(), o, 8, 32, 20);
+        let one = simulate_fc(&cfg(), &FcWork::new(o, 8, 32, 20));
         assert!(att.baseline > one.baseline);
         assert_eq!(att.reused_dots, 2 * one.reused_dots);
     }
@@ -221,14 +211,14 @@ mod tests {
     #[test]
     fn attention_with_similarity_beats_baseline() {
         let o = outcomes(48, 16);
-        let att = simulate_attention(&cfg(), &o, 256, 64, 20);
+        let att = simulate_attention(&cfg(), o, 256, 64, 20);
         assert!(att.speedup() > 1.0, "attention speedup {}", att.speedup());
     }
 
     #[test]
     fn empty_minibatch_is_free() {
-        let o: Vec<HitKind> = vec![];
-        let c = simulate_fc(&cfg(), &FcWork::new(&o, 8, 8, 8));
+        let o = OutcomeMix::from_outcomes(&[]);
+        let c = simulate_fc(&cfg(), &FcWork::new(o, 8, 8, 8));
         assert_eq!(c.total(), 0);
         assert_eq!(c.baseline, 0);
     }

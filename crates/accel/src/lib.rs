@@ -11,10 +11,11 @@
 //! * [`config`] — array geometry (168 PEs), dataflow selection
 //!   (row/weight/input-stationary, §IV) and the synchronous/asynchronous
 //!   PE-set designs (§III-C1).
-//! * [`sim`] — channel-level execution: given the per-input-vector
-//!   HIT/MAU/MNU outcomes (from [`mercury_mcache`]), computes baseline and
-//!   MERCURY cycle counts, modelling per-filter barriers (sync) or the
-//!   M-slot shared filter buffer with double input buffering (async).
+//! * [`sim`] — channel-level execution: given the counts of the channel's
+//!   HIT/MAU/MNU outcomes (an [`OutcomeMix`](mercury_mcache::OutcomeMix)),
+//!   computes baseline and MERCURY cycle counts, modelling per-filter
+//!   barriers (sync) or the M-slot shared filter buffer with double input
+//!   buffering (async).
 //! * [`fc`] — fully-connected and attention layer timing (§III-C3/4) with
 //!   earlier-PE result forwarding.
 //!
@@ -26,15 +27,15 @@
 //! ```
 //! use mercury_accel::config::{AcceleratorConfig, Design};
 //! use mercury_accel::sim::{simulate_channel, ChannelWork};
-//! use mercury_mcache::HitKind;
+//! use mercury_mcache::{HitKind, OutcomeMix};
 //!
 //! let cfg = AcceleratorConfig::paper_default();
 //! // 6 input vectors: four of them hit in MCACHE.
-//! let outcomes = vec![
+//! let outcomes = OutcomeMix::from_outcomes(&[
 //!     HitKind::Mau, HitKind::Hit, HitKind::Hit,
 //!     HitKind::Mau, HitKind::Hit, HitKind::Hit,
-//! ];
-//! let work = ChannelWork::new(&outcomes, 64, 3, 20);
+//! ]);
+//! let work = ChannelWork::new(outcomes, 64, 3, 20);
 //! let cycles = simulate_channel(&cfg, &work);
 //! assert_eq!(cycles.reused_dots, 4 * 64);
 //! assert!(cycles.total() > 0 && cycles.baseline > 0);

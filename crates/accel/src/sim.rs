@@ -1,9 +1,9 @@
 //! Channel- and layer-level cycle simulation of convolution layers.
 //!
-//! The simulator consumes the per-input-vector HIT/MAU/MNU outcomes
-//! produced by probing MCACHE (the data-dependent part, computed by
-//! `mercury-core` with real tensors) and charges cycles according to the
-//! dataflow and design point:
+//! The simulator consumes the counts of the HIT/MAU/MNU outcomes produced
+//! by probing MCACHE (the data-dependent part, computed by `mercury-core`
+//! with real tensors) and charges cycles according to the dataflow and
+//! design point:
 //!
 //! * **Row stationary** — PE sets own contiguous chunks of the input-vector
 //!   stream (Figure 10). Per filter, a chunk's cost is the sum of its
@@ -26,13 +26,15 @@
 
 use crate::config::{AcceleratorConfig, Dataflow, Design};
 use crate::timing;
-use mercury_mcache::HitKind;
+use mercury_mcache::{HitKind, OutcomeMix};
 
 /// Work description for one channel of a convolution layer.
-#[derive(Debug, Clone)]
-pub struct ChannelWork<'a> {
-    /// Per-input-vector MCACHE outcomes, in stream order.
-    pub outcomes: &'a [HitKind],
+#[derive(Debug, Clone, Copy)]
+pub struct ChannelWork {
+    /// Counts of the channel's per-input-vector MCACHE outcomes. Each
+    /// vector's cost depends only on its outcome kind and PE sets take
+    /// contiguous equal chunks of the stream, so the order never matters.
+    pub mix: OutcomeMix,
     /// Number of filters convolved with this channel's vectors.
     pub num_filters: usize,
     /// Kernel rows: input vectors are `x×x`.
@@ -47,17 +49,12 @@ pub struct ChannelWork<'a> {
     pub insert_conflicts: u64,
 }
 
-impl<'a> ChannelWork<'a> {
+impl ChannelWork {
     /// Creates a channel work description with no precomputed signatures
     /// and no recorded insertion conflicts.
-    pub fn new(
-        outcomes: &'a [HitKind],
-        num_filters: usize,
-        x: usize,
-        signature_bits: usize,
-    ) -> Self {
+    pub fn new(mix: OutcomeMix, num_filters: usize, x: usize, signature_bits: usize) -> Self {
         ChannelWork {
-            outcomes,
+            mix,
             num_filters,
             x,
             signature_bits,
@@ -118,22 +115,6 @@ impl ChannelCycles {
     }
 }
 
-/// Splits `n` vectors into `sets` contiguous chunks (PE set `j` takes chunk
-/// `j`, Figure 10) and returns each chunk's vector index range.
-fn chunks(n: usize, sets: usize) -> Vec<(usize, usize)> {
-    let sets = sets.max(1);
-    let base = n / sets;
-    let extra = n % sets;
-    let mut ranges = Vec::with_capacity(sets);
-    let mut start = 0;
-    for j in 0..sets {
-        let len = base + usize::from(j < extra);
-        ranges.push((start, start + len));
-        start += len;
-    }
-    ranges
-}
-
 /// Cost in cycles for one PE set to process one vector for one filter.
 fn vector_cost(cfg: &AcceleratorConfig, outcome: HitKind, x: usize) -> u64 {
     match outcome {
@@ -147,7 +128,7 @@ fn vector_cost(cfg: &AcceleratorConfig, outcome: HitKind, x: usize) -> u64 {
 /// Simulates one channel under the configured dataflow, assuming all PE
 /// sets start idle (no cross-channel overlap). For layer-level async
 /// overlap use [`LayerSim`].
-pub fn simulate_channel(cfg: &AcceleratorConfig, work: &ChannelWork<'_>) -> ChannelCycles {
+pub fn simulate_channel(cfg: &AcceleratorConfig, work: &ChannelWork) -> ChannelCycles {
     let mut sim = LayerSim::new(*cfg);
     sim.push_channel(work);
     sim.finish()
@@ -181,7 +162,7 @@ impl LayerSim {
     }
 
     /// Queues one channel of work and updates cycle accounting.
-    pub fn push_channel(&mut self, work: &ChannelWork<'_>) {
+    pub fn push_channel(&mut self, work: &ChannelWork) {
         match self.cfg.dataflow {
             Dataflow::RowStationary => self.push_row_stationary(work),
             Dataflow::WeightStationary => self.push_analytic(work, AnalyticFlow::Ws),
@@ -202,7 +183,7 @@ impl LayerSim {
         self.totals
     }
 
-    fn push_row_stationary(&mut self, work: &ChannelWork<'_>) {
+    fn push_row_stationary(&mut self, work: &ChannelWork) {
         let x = work.x.max(1);
         let sets = self.cfg.pe_sets(x);
         if !self.started {
@@ -215,36 +196,42 @@ impl LayerSim {
             self.avail = vec![end; sets];
         }
 
-        let ranges = chunks(work.outcomes.len(), sets);
+        // PE set `j` takes the `j`-th of `sets` contiguous chunks of the
+        // vector stream (Figure 10): the first `n % sets` chunks hold one
+        // vector more than the rest.
+        let OutcomeMix { hits, maus, mnus } = work.mix;
+        let n = work.mix.total();
+        let (base, extra) = (n / sets, n % sets);
 
         // ---- Signature phase -------------------------------------------
         // Each PE set computes `signature_bits` bits for every vector in
         // its chunk, pipelined (2x+1 for the first bit, x for the rest).
         // Under the asynchronous design a set starts as soon as it is
         // free; under the synchronous design all sets start together.
-        let sync_start = self.avail.iter().copied().max().unwrap_or(0);
-        let mut sig_end = vec![0u64; sets];
-        let mut sig_work_total = 0u64;
-        for (j, &(s, e)) in ranges.iter().enumerate() {
-            let bit_count = (e - s) * work.signature_bits;
-            let sig_cost = if work.signatures_precomputed {
+        let sig_cost = |len: usize| {
+            if work.signatures_precomputed {
                 0
             } else {
-                timing::signature_cycles(x, bit_count, true)
-            };
-            sig_work_total = sig_work_total.max(sig_cost);
+                timing::signature_cycles(x, len * work.signature_bits, true)
+            }
+        };
+        let (long, short) = (sig_cost(base + 1), sig_cost(base));
+        let sig_work_total = if extra > 0 { long.max(short) } else { short };
+        let sync_start = self.avail.iter().copied().max().unwrap_or(0);
+        let mut sig_end = 0u64;
+        for (j, &avail) in self.avail.iter().enumerate() {
             let start = match self.cfg.design {
                 Design::Synchronous => sync_start,
-                Design::Asynchronous { .. } => self.avail[j],
+                Design::Asynchronous { .. } => avail,
             };
-            sig_end[j] = start + sig_cost;
+            sig_end = sig_end.max(start + if j < extra { long } else { short });
         }
 
         // Hitmap resolution is global: compute starts once every set has
         // produced its signatures and the per-set insertion queues have
         // drained the conflicting inserts.
         let conflict_cycles = work.insert_conflicts * self.cfg.timing.mcache_insert_conflict_cycles;
-        let compute_start = sig_end.iter().copied().max().unwrap_or(sync_start) + conflict_cycles;
+        let compute_start = sig_end + conflict_cycles;
         self.totals.signature += sig_work_total + conflict_cycles;
 
         // ---- Compute phase ----------------------------------------------
@@ -258,10 +245,8 @@ impl LayerSim {
         // design hides the filter change behind its shared M-filter buffer
         // and double input buffers (≥2 slots required — a single slot
         // degenerates to the synchronous barrier).
-        // One pass over the outcomes serves both the work sum and the
-        // reuse bookkeeping: per-vector cost depends only on the outcome
-        // kind, so the sum factors through the kind counts exactly.
-        let (hits, maus, mnus) = count_kinds(work.outcomes);
+        // Per-vector cost depends only on the outcome kind, so the work sum
+        // factors through the kind counts exactly.
         let total_work: u64 = hits as u64 * vector_cost(&self.cfg, HitKind::Hit, x)
             + (maus + mnus) as u64 * vector_cost(&self.cfg, HitKind::Mnu, x);
         let f_count = work.num_filters.max(1) as u64;
@@ -287,16 +272,16 @@ impl LayerSim {
 
         // Baseline: the plain accelerator computes every dot product under
         // the same work-conserving streaming, with no signature phase.
-        let n = work.outcomes.len() as u64;
+        let n = n as u64;
         self.totals.baseline += f_count * (n * timing::dot_product_cycles(x)).div_ceil(sets as u64);
     }
 
     /// First-order analytic models for the weight- and input-stationary
     /// dataflows (see module docs for the cost constants).
-    fn push_analytic(&mut self, work: &ChannelWork<'_>, flow: AnalyticFlow) {
+    fn push_analytic(&mut self, work: &ChannelWork, flow: AnalyticFlow) {
         let x = work.x.max(1) as u64;
-        let (hits, maus, mnus) = count_kinds(work.outcomes);
-        let n = work.outcomes.len() as u64;
+        let OutcomeMix { hits, maus, mnus } = work.mix;
+        let n = work.mix.total() as u64;
         let unique = (maus + mnus) as u64;
         let f = work.num_filters.max(1) as u64;
         // The array processes `pe_sets(x)` vector streams concurrently in
@@ -352,20 +337,6 @@ enum AnalyticFlow {
     Is,
 }
 
-fn count_kinds(outcomes: &[HitKind]) -> (usize, usize, usize) {
-    let mut h = 0;
-    let mut ma = 0;
-    let mut mn = 0;
-    for &o in outcomes {
-        match o {
-            HitKind::Hit => h += 1,
-            HitKind::Mau => ma += 1,
-            HitKind::Mnu => mn += 1,
-        }
-    }
-    (h, ma, mn)
-}
-
 fn div_ceil(a: u64, b: u64) -> u64 {
     a.div_ceil(b.max(1))
 }
@@ -387,7 +358,7 @@ mod tests {
     /// Builds an outcome stream with hits interleaved among misses, the way
     /// similar patches are spread through a real feature map (so PE-set
     /// chunks see comparable hit mixes).
-    fn outcomes(hits: usize, maus: usize, mnus: usize) -> Vec<HitKind> {
+    fn outcomes(hits: usize, maus: usize, mnus: usize) -> OutcomeMix {
         let total = hits + maus + mnus;
         let mut v = Vec::with_capacity(total);
         let (mut h, mut ma, mut mn) = (0usize, 0usize, 0usize);
@@ -408,7 +379,7 @@ mod tests {
                 h += 1;
             }
         }
-        v
+        OutcomeMix::from_outcomes(&v)
     }
 
     #[test]
@@ -416,7 +387,7 @@ mod tests {
         // With zero reuse, MERCURY pays the signature overhead for nothing.
         let c = cfg(Design::Synchronous, Dataflow::RowStationary);
         let o = outcomes(0, 8, 4);
-        let work = ChannelWork::new(&o, 4, 3, 20);
+        let work = ChannelWork::new(o, 4, 3, 20);
         let cycles = simulate_channel(&c, &work);
         assert!(cycles.total() > cycles.baseline);
         assert_eq!(cycles.reused_dots, 0);
@@ -429,7 +400,7 @@ mod tests {
         // filters the way it does in real conv layers.
         let c = cfg(Design::Synchronous, Dataflow::RowStationary);
         let o = outcomes(28, 4, 0); // 87.5% hits
-        let work = ChannelWork::new(&o, 64, 3, 20);
+        let work = ChannelWork::new(o, 64, 3, 20);
         let cycles = simulate_channel(&c, &work);
         assert!(
             cycles.speedup() > 1.3,
@@ -444,10 +415,10 @@ mod tests {
     fn precomputed_signatures_remove_signature_cost() {
         let c = cfg(Design::Synchronous, Dataflow::RowStationary);
         let o = outcomes(8, 4, 0);
-        let with_sig = simulate_channel(&c, &ChannelWork::new(&o, 8, 3, 20));
+        let with_sig = simulate_channel(&c, &ChannelWork::new(o, 8, 3, 20));
         let without_sig = simulate_channel(
             &c,
-            &ChannelWork::new(&o, 8, 3, 20).with_precomputed_signatures(),
+            &ChannelWork::new(o, 8, 3, 20).with_precomputed_signatures(),
         );
         assert!(without_sig.signature < with_sig.signature);
         assert_eq!(without_sig.signature, 0);
@@ -458,7 +429,7 @@ mod tests {
     fn baseline_matches_closed_form() {
         let c = cfg(Design::Synchronous, Dataflow::RowStationary);
         let o = outcomes(0, 12, 0); // 12 vectors over 4 PE sets = 3 each
-        let work = ChannelWork::new(&o, 5, 3, 20);
+        let work = ChannelWork::new(o, 5, 3, 20);
         let cycles = simulate_channel(&c, &work);
         // baseline = filters × chunk × 2x = 5 × 3 × 6 = 90
         assert_eq!(cycles.baseline, 90);
@@ -470,14 +441,14 @@ mod tests {
             let o = outcomes(h, m, 0);
             let sync = simulate_channel(
                 &cfg(Design::Synchronous, Dataflow::RowStationary),
-                &ChannelWork::new(&o, 8, 3, 20),
+                &ChannelWork::new(o, 8, 3, 20),
             );
             let asyn = simulate_channel(
                 &cfg(
                     Design::Asynchronous { filter_slots: 4 },
                     Dataflow::RowStationary,
                 ),
-                &ChannelWork::new(&o, 8, 3, 20),
+                &ChannelWork::new(o, 8, 3, 20),
             );
             assert!(
                 asyn.total() <= sync.total(),
@@ -495,16 +466,16 @@ mod tests {
         let o1 = outcomes(9, 3, 0);
         let o2 = outcomes(9, 3, 0);
         let mut sync_sim = LayerSim::new(cfg(Design::Synchronous, Dataflow::RowStationary));
-        sync_sim.push_channel(&ChannelWork::new(&o1, 8, 3, 20));
-        sync_sim.push_channel(&ChannelWork::new(&o2, 8, 3, 20));
+        sync_sim.push_channel(&ChannelWork::new(o1, 8, 3, 20));
+        sync_sim.push_channel(&ChannelWork::new(o2, 8, 3, 20));
         let sync = sync_sim.finish();
 
         let mut async_sim = LayerSim::new(cfg(
             Design::Asynchronous { filter_slots: 4 },
             Dataflow::RowStationary,
         ));
-        async_sim.push_channel(&ChannelWork::new(&o1, 8, 3, 20));
-        async_sim.push_channel(&ChannelWork::new(&o2, 8, 3, 20));
+        async_sim.push_channel(&ChannelWork::new(o1, 8, 3, 20));
+        async_sim.push_channel(&ChannelWork::new(o2, 8, 3, 20));
         let asyn = async_sim.finish();
 
         assert!(asyn.total() <= sync.total());
@@ -518,14 +489,14 @@ mod tests {
         let o = outcomes(6, 6, 0);
         let sync = simulate_channel(
             &cfg(Design::Synchronous, Dataflow::RowStationary),
-            &ChannelWork::new(&o, 6, 3, 20).with_precomputed_signatures(),
+            &ChannelWork::new(o, 6, 3, 20).with_precomputed_signatures(),
         );
         let asyn1 = simulate_channel(
             &cfg(
                 Design::Asynchronous { filter_slots: 1 },
                 Dataflow::RowStationary,
             ),
-            &ChannelWork::new(&o, 6, 3, 20).with_precomputed_signatures(),
+            &ChannelWork::new(o, 6, 3, 20).with_precomputed_signatures(),
         );
         assert_eq!(sync.total(), asyn1.total());
     }
@@ -534,11 +505,9 @@ mod tests {
     fn insert_conflicts_add_cycles() {
         let c = cfg(Design::Synchronous, Dataflow::RowStationary);
         let o = outcomes(4, 4, 0);
-        let plain = simulate_channel(&c, &ChannelWork::new(&o, 4, 3, 20));
-        let congested = simulate_channel(
-            &c,
-            &ChannelWork::new(&o, 4, 3, 20).with_insert_conflicts(10),
-        );
+        let plain = simulate_channel(&c, &ChannelWork::new(o, 4, 3, 20));
+        let congested =
+            simulate_channel(&c, &ChannelWork::new(o, 4, 3, 20).with_insert_conflicts(10));
         assert_eq!(congested.total(), plain.total() + 10);
     }
 
@@ -549,7 +518,7 @@ mod tests {
             let c = cfg(Design::Synchronous, flow);
             // Signature costs in these dataflows amortize over the filter
             // count; 256 filters is the regime of the paper's larger layers.
-            let cycles = simulate_channel(&c, &ChannelWork::new(&o, 256, 3, 20));
+            let cycles = simulate_channel(&c, &ChannelWork::new(o, 256, 3, 20));
             assert!(
                 cycles.speedup() > 1.0,
                 "{flow} should speed up with 70% hits, got {}",
@@ -565,7 +534,7 @@ mod tests {
         let o = outcomes(55, 45, 0);
         let speedup = |flow| {
             let c = cfg(Design::Asynchronous { filter_slots: 4 }, flow);
-            simulate_channel(&c, &ChannelWork::new(&o, 256, 3, 20)).speedup()
+            simulate_channel(&c, &ChannelWork::new(o, 256, 3, 20)).speedup()
         };
         let rs = speedup(Dataflow::RowStationary);
         let ws = speedup(Dataflow::WeightStationary);
@@ -594,8 +563,8 @@ mod tests {
     #[test]
     fn empty_channel_is_free() {
         let c = cfg(Design::Synchronous, Dataflow::RowStationary);
-        let o: Vec<HitKind> = vec![];
-        let cycles = simulate_channel(&c, &ChannelWork::new(&o, 4, 3, 20));
+        let o = OutcomeMix::from_outcomes(&[]);
+        let cycles = simulate_channel(&c, &ChannelWork::new(o, 4, 3, 20));
         assert_eq!(cycles.baseline, 0);
         assert_eq!(cycles.reused_dots, 0);
     }

@@ -4,10 +4,10 @@ use mercury_accel::config::{AcceleratorConfig, Dataflow, Design};
 use mercury_accel::fc::{simulate_fc, FcWork};
 use mercury_accel::sim::{simulate_channel, ChannelWork};
 use mercury_accel::timing;
-use mercury_mcache::HitKind;
+use mercury_mcache::{HitKind, OutcomeMix};
 use proptest::prelude::*;
 
-fn outcome_vec(hits: usize, maus: usize, mnus: usize) -> Vec<HitKind> {
+fn outcome_vec(hits: usize, maus: usize, mnus: usize) -> OutcomeMix {
     let mut v = Vec::new();
     let total = hits + maus + mnus;
     for i in 0..total {
@@ -21,7 +21,7 @@ fn outcome_vec(hits: usize, maus: usize, mnus: usize) -> Vec<HitKind> {
             HitKind::Mnu
         });
     }
-    v
+    OutcomeMix::from_outcomes(&v)
 }
 
 fn cfg(design: Design, dataflow: Dataflow) -> AcceleratorConfig {
@@ -48,7 +48,7 @@ proptest! {
         for hits in [0, total / 4, total / 2, 3 * total / 4, total] {
             let o = outcome_vec(hits, total - hits, 0);
             let cycles =
-                simulate_channel(&c, &ChannelWork::new(&o, filters, x, 20));
+                simulate_channel(&c, &ChannelWork::new(o, filters, x, 20));
             prop_assert!(
                 cycles.total() <= previous,
                 "hits {hits}: {} > previous {previous}",
@@ -69,11 +69,11 @@ proptest! {
         let o = outcome_vec(hits, misses, 0);
         let sync = simulate_channel(
             &cfg(Design::Synchronous, Dataflow::RowStationary),
-            &ChannelWork::new(&o, filters, x, 20),
+            &ChannelWork::new(o, filters, x, 20),
         );
         let asyn = simulate_channel(
             &cfg(Design::Asynchronous { filter_slots: 4 }, Dataflow::RowStationary),
-            &ChannelWork::new(&o, filters, x, 20),
+            &ChannelWork::new(o, filters, x, 20),
         );
         prop_assert!(asyn.total() <= sync.total());
         prop_assert_eq!(asyn.baseline, sync.baseline);
@@ -95,10 +95,10 @@ proptest! {
         ][flow_idx];
         let c = cfg(Design::Synchronous, flow);
         let o = outcome_vec(hits, misses, 0);
-        let fresh = simulate_channel(&c, &ChannelWork::new(&o, filters, 3, 20));
+        let fresh = simulate_channel(&c, &ChannelWork::new(o, filters, 3, 20));
         let reloaded = simulate_channel(
             &c,
-            &ChannelWork::new(&o, filters, 3, 20).with_precomputed_signatures(),
+            &ChannelWork::new(o, filters, 3, 20).with_precomputed_signatures(),
         );
         prop_assert!(reloaded.total() <= fresh.total());
         prop_assert_eq!(reloaded.signature, 0);
@@ -116,11 +116,11 @@ proptest! {
         let c = cfg(Design::Synchronous, Dataflow::RowStationary);
         let o1 = outcome_vec(hits, total - hits, 0);
         let o2 = outcome_vec(0, total, 0);
-        let b1 = simulate_channel(&c, &ChannelWork::new(&o1, filters, 3, 20)).baseline;
-        let b2 = simulate_channel(&c, &ChannelWork::new(&o2, filters, 3, 20)).baseline;
+        let b1 = simulate_channel(&c, &ChannelWork::new(o1, filters, 3, 20)).baseline;
+        let b2 = simulate_channel(&c, &ChannelWork::new(o2, filters, 3, 20)).baseline;
         prop_assert_eq!(b1, b2);
         let b_double =
-            simulate_channel(&c, &ChannelWork::new(&o1, filters * 2, 3, 20)).baseline;
+            simulate_channel(&c, &ChannelWork::new(o1, filters * 2, 3, 20)).baseline;
         prop_assert_eq!(b_double, 2 * b1);
     }
 
@@ -135,7 +135,7 @@ proptest! {
     ) {
         let c = cfg(Design::Synchronous, Dataflow::RowStationary);
         let o = outcome_vec(hits, misses, 0);
-        let r = simulate_fc(&c, &FcWork::new(&o, weights, len, 20));
+        let r = simulate_fc(&c, &FcWork::new(o, weights, len, 20));
         let n = (hits + misses) as u64;
         prop_assert_eq!(r.reused_dots + r.computed_dots, n * weights as u64);
         let expected_baseline =

@@ -1,10 +1,10 @@
 //! Per-kernel micro-benchmarks of `mercury_tensor::kernel` — the SIMD
-//! strips underneath the GEMM, signature, and MCACHE hot paths, each
-//! timed against its scalar reference so the dispatch win stays visible
-//! in the recorded snapshots.
+//! strips underneath the GEMM and signature hot paths, each timed against
+//! its scalar reference so the dispatch win stays visible in the recorded
+//! snapshots.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mercury_tensor::kernel::{gemm, pack, scan, sign};
+use mercury_tensor::kernel::{gemm, pack, sign};
 use mercury_tensor::rng::Rng;
 use std::hint::black_box;
 
@@ -70,7 +70,6 @@ fn bench_pack(c: &mut Criterion) {
     let mut rng = Rng::new(13);
     let (n, plen) = (256usize, 72usize);
     let src: Vec<f32> = (0..n * plen).map(|_| rng.next_normal()).collect();
-    let sel: Vec<usize> = (0..n).rev().collect();
     let mut dst = vec![0.0f32; plen * n];
     group.bench_function("transpose", |bch| {
         bch.iter(|| {
@@ -78,42 +77,8 @@ fn bench_pack(c: &mut Criterion) {
             dst[0]
         })
     });
-    group.bench_function("gather", |bch| {
-        bch.iter(|| {
-            pack::gather_pack(&mut dst, black_box(&src), &sel, plen);
-            dst[0]
-        })
-    });
     group.finish();
 }
 
-fn bench_tag_scan(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel_scan_16way");
-    let mut rng = Rng::new(14);
-    let mix = |rng: &mut Rng| {
-        let hi = rng.next_u64() as u128;
-        (hi << 64) | rng.next_u64() as u128
-    };
-    let haystack: Vec<u128> = (0..16).map(|_| mix(&mut rng)).collect();
-    let hit = haystack[13];
-    let miss = mix(&mut rng);
-    group.bench_function("dispatched_miss", |bch| {
-        bch.iter(|| scan::find_u128(black_box(&haystack), black_box(miss)))
-    });
-    group.bench_function("dispatched_hit", |bch| {
-        bch.iter(|| scan::find_u128(black_box(&haystack), black_box(hit)))
-    });
-    group.bench_function("scalar_miss", |bch| {
-        bch.iter(|| scan::find_u128_scalar(black_box(&haystack), black_box(miss)))
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_gemm_block,
-    bench_sign_rows,
-    bench_pack,
-    bench_tag_scan
-);
+criterion_group!(benches, bench_gemm_block, bench_sign_rows, bench_pack);
 criterion_main!(benches);

@@ -30,11 +30,11 @@ use mercury_accel::config::AcceleratorConfig;
 use mercury_accel::fc::{simulate_attention, simulate_fc, FcWork};
 use mercury_accel::sim::{ChannelWork, LayerSim};
 use mercury_core::stats::{LayerStats, RunReport};
-use mercury_mcache::{MCache, MCacheConfig};
+use mercury_mcache::{MCache, MCacheConfig, OutcomeMix};
 use mercury_models::{LayerSpec, ModelSpec};
 use mercury_tensor::exec::{Executor, ExecutorKind};
 use mercury_tensor::rng::Rng;
-use mercury_workloads::stream::{OutcomeMix, VectorStream};
+use mercury_workloads::stream::VectorStream;
 
 /// Configuration of a model-level simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -158,7 +158,7 @@ fn simulate_conv_layer(
         // signatures resident in MCACHE (Figure 15c counts hundreds per
         // layer against tens of thousands of patches).
         stats.unique_vectors += mix.maus as u64;
-        let mut work = ChannelWork::new(&outcomes, filters, *kernel, cfg.signature_bits)
+        let mut work = ChannelWork::new(mix, filters, *kernel, cfg.signature_bits)
             .with_insert_conflicts(conflicts);
         if signatures_precomputed {
             work = work.with_precomputed_signatures();
@@ -196,19 +196,15 @@ fn simulate_dense_layer(
         LayerSpec::Fc {
             inputs, outputs, ..
         } => {
-            let mut work = FcWork::new(&outcomes, *outputs, *inputs, cfg.signature_bits);
+            let mut work = FcWork::new(mix, *outputs, *inputs, cfg.signature_bits);
             if signatures_precomputed {
                 work = work.with_precomputed_signatures();
             }
             simulate_fc(&cfg.accelerator, &work)
         }
-        LayerSpec::Attention { seq_len, dim, .. } => simulate_attention(
-            &cfg.accelerator,
-            &outcomes,
-            *seq_len,
-            *dim,
-            cfg.signature_bits,
-        ),
+        LayerSpec::Attention { seq_len, dim, .. } => {
+            simulate_attention(&cfg.accelerator, mix, *seq_len, *dim, cfg.signature_bits)
+        }
         LayerSpec::Conv { .. } => unreachable!("dense layer expected"),
     };
     stats

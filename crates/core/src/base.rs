@@ -15,7 +15,7 @@ use crate::config::ConfigError;
 use crate::stats::LayerStats;
 use crate::MercuryConfig;
 use mercury_mcache::banked::BankedMCache;
-use mercury_mcache::{AccessOutcome, HitKind, MCacheConfig};
+use mercury_mcache::{AccessOutcome, HitKind, MCacheConfig, OutcomeMix};
 use mercury_rpq::analysis::unique_signature_count;
 use mercury_rpq::{ProjectionMatrix, Signature, SignatureGenerator};
 use mercury_tensor::exec::Executor;
@@ -75,7 +75,7 @@ pub(crate) fn dense_work(rows: usize, len: usize, cols: usize) -> usize {
 }
 
 /// The dispatch work hint for one conv channel under the reuse engine:
-/// the `[f, plen] × [plen, patches_n]` GEMM plus one cache probe per
+/// the dense `[patches_n, plen] × [plen, f]` product plus one cache probe per
 /// patch, where `probe_work_units` is the executor's per-probe cost
 /// ([`DispatchTuning::probe_work_units`]). Saturating throughout, like
 /// [`dense_work`].
@@ -158,8 +158,8 @@ pub(crate) struct ReusePlan {
     pub compute: Vec<usize>,
     /// The raw probe outcomes, one per vector.
     outcomes: Vec<AccessOutcome>,
-    /// The promoted stale-HIT producers, in stream order.
-    promoted: Vec<usize>,
+    /// The number of promoted stale-HIT producers.
+    promoted: usize,
     /// The signatures of the MNU vectors.
     mnu_sigs: Vec<Signature>,
     /// Per flat cache entry, the compute row of its producer this pass
@@ -181,7 +181,7 @@ impl ReusePlan {
         }
         self.source.clear();
         self.compute.clear();
-        self.promoted.clear();
+        self.promoted = 0;
         self.mnu_sigs.clear();
         for (v, outcome) in self.outcomes.iter().enumerate() {
             let row = self.compute.len() as u32;
@@ -198,9 +198,7 @@ impl ReusePlan {
                     if hit && *producer != NO_ROW {
                         *producer
                     } else {
-                        if hit {
-                            self.promoted.push(v);
-                        }
+                        self.promoted += usize::from(hit);
                         *producer = row;
                         self.compute.push(v);
                         row
@@ -217,15 +215,15 @@ impl ReusePlan {
         cache.stats().insert_conflicts - conflicts_before
     }
 
-    /// The outcome of every vector as the cycle model is charged with it:
-    /// the probe outcome, except that a promoted producer computed as an
-    /// MAU.
-    pub fn charged_kinds(&self) -> Vec<HitKind> {
-        let mut kinds: Vec<HitKind> = self.outcomes.iter().map(|o| o.kind).collect();
-        for &v in &self.promoted {
-            kinds[v] = HitKind::Mau;
+    /// The outcome counts the cycle model is charged with: the probe
+    /// outcomes, except that a promoted producer computed as an MAU.
+    pub fn charged(&self) -> OutcomeMix {
+        let mnus = self.mnu_sigs.len();
+        OutcomeMix {
+            hits: self.source.len() - self.compute.len(),
+            maus: self.compute.len() - mnus,
+            mnus,
         }
-        kinds
     }
 
     /// Adds the raw probe outcomes and the distinct-signature count to
@@ -234,7 +232,7 @@ impl ReusePlan {
     /// computing entries plus the distinct MNU signatures.
     pub fn tally(&self, stats: &mut LayerStats) {
         let mnus = self.mnu_sigs.len();
-        let maus = self.compute.len() - mnus - self.promoted.len();
+        let maus = self.compute.len() - mnus - self.promoted;
         stats.hits += (self.source.len() - maus - mnus) as u64;
         stats.maus += maus as u64;
         stats.mnus += mnus as u64;

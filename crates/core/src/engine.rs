@@ -4,25 +4,33 @@ use crate::reuse::{LayerForward, LayerOp, ReuseEngine, ReuseReport, ReuseSignatu
 use crate::stats::LayerStats;
 use crate::{MercuryConfig, MercuryError, SavedSignatures};
 use mercury_accel::sim::{ChannelWork, LayerSim};
+#[cfg(feature = "fault-inject")]
+use mercury_faults::{FaultAction, FaultSite};
 use mercury_mcache::banked::BankedMCache;
-use mercury_mcache::HitKind;
+use mercury_mcache::OutcomeMix;
 use mercury_rpq::{SignPlan, Signature, SignatureGenerator};
 use mercury_tensor::conv::{self, extract_patches_into, ConvGeometry};
 use mercury_tensor::exec::Executor;
+use mercury_tensor::kernel::{self, sign::LANES};
 use mercury_tensor::scratch::ScratchF32;
-use mercury_tensor::{kernel, ops, Tensor, TensorError};
+use mercury_tensor::{Tensor, TensorError};
 
 /// The MERCURY convolution engine: similarity detection + computation
 /// reuse for one layer at a time, with an MCACHE and projection matrices
 /// shared across calls. Implements [`ReuseEngine`] for
 /// [`LayerOp::Conv`] requests.
 ///
-/// Per channel, the vectors that miss compute in one GEMM, and every HIT
-/// takes its producer's result — the value the hardware reads back from
-/// MCACHE. [`LayerSim`] charges that data traffic: one MCACHE read per
-/// HIT and one write per MAU. With detection off the engine is the exact
-/// layer: it runs [`conv2d_multi`](mercury_tensor::conv::conv2d_multi)
-/// and books every vector as an MNU.
+/// Per channel, the vectors that compute are dotted with every filter in
+/// one pass of the packed-panel row kernel
+/// ([`dot_rows`](mercury_tensor::kernel::sign::dot_rows)), and every HIT
+/// takes its producer's whole row of `F` filter outputs (§III-C1) — the
+/// value the hardware reads back from MCACHE. The rows land in a
+/// position-major `[P, F]` accumulator, one add per element per channel
+/// in channel order, which is transposed to `[F, oh, ow]` once per layer.
+/// [`LayerSim`] charges the data traffic: one MCACHE read per HIT and one
+/// write per MAU. With detection off the engine is the exact layer: it
+/// runs [`conv2d_multi`](mercury_tensor::conv::conv2d_multi) and books
+/// every vector as an MNU.
 ///
 /// Both modes hold the same cache type, a
 /// [`BankedMCache`](mercury_mcache::banked::BankedMCache): a batch engine
@@ -138,27 +146,25 @@ impl ConvEngine {
             None => Some(SignatureGenerator::new(self.base.projection_for(plen)).sign_plan(bits)),
         };
 
-        // Every channel's `[F, plen]` filter panel, gathered once per
-        // forward: channel `ch` owns `filt[ch·F·plen..(ch + 1)·F·plen]`.
-        let mut filt = Vec::with_capacity(c * f * plen);
-        for ch in 0..c {
-            for fi in 0..f {
-                filt.extend_from_slice(
-                    &kernels.data()[(fi * c + ch) * plen..(fi * c + ch + 1) * plen],
-                );
-            }
-        }
+        // Every channel's filters as one `[C·plen, F]` matrix, packed once
+        // per forward into the row kernel's panels: channel `ch`'s panel is
+        // the `ch`-th run of `plen·⌈F/LANES⌉·LANES` values.
+        let mut filt_t = vec![0.0f32; c * plen * f];
+        kernel::pack::transpose_pack(&mut filt_t, kernels.data(), f, c * plen);
+        let mut panels = Vec::new();
+        kernel::sign::pack_panels(&filt_t, c * plen, f, f, &mut panels);
 
         let exec = self.base.exec.clone();
         let ctx = ChannelCtx {
             input,
             geom: &geom,
             f,
-            filt: &filt,
+            panels: &panels,
             plan: plan.as_ref(),
             saved,
         };
-        let mut output = Tensor::zeros(&[f, oh, ow]);
+        // Position-major accumulator: row `v` holds vector `v`'s `F` outputs.
+        let mut acc = ScratchF32::zeroed(patches_n * f);
 
         // ---- Per-channel execution ---------------------------------------
         //
@@ -176,14 +182,14 @@ impl ConvEngine {
         // Persistent engines carry tags *across* channels within a submit
         // (that is the cross-request detection the session buys), so their
         // channel loop stays sequential; their parallelism comes from the
-        // banked concurrent probe fan-out and the row-sharded GEMMs inside
-        // each channel instead.
+        // banked concurrent probe fan-out and the row-sharded compute rows
+        // inside each channel instead.
         //
         // Fault events are drawn here on the dispatching thread, one per
         // channel in channel order, BEFORE any fan-out — which channel
         // faults never depends on the executor or pool scheduling.
         #[cfg(feature = "fault-inject")]
-        let channel_faults = channel_shard_faults(c);
+        let channel_faults = draw_faults(FaultSite::ChannelShard, c);
         #[cfg(feature = "fault-inject")]
         let channel_faults = &channel_faults;
         let channel_outs: Vec<Result<(ChannelOut, Vec<f32>), MercuryError>> = if self
@@ -193,26 +199,26 @@ impl ConvEngine {
         {
             // Sequential channel loop — persistent engines always (tags
             // persist *across* channels; their parallelism is the bank
-            // probe fan-out and the row-sharded GEMMs inside each
+            // probe fan-out and the row-sharded compute rows inside each
             // channel), batch engines whenever the executor is serial.
-            // Both accumulate straight into the output and reuse the
+            // Both accumulate straight into the accumulator and reuse the
             // engine's own cache, so the default path pays no
             // per-channel contribution buffer and no scratch caches;
             // batch mode restarts the cache per channel (clear_scope).
             let clear_scope = !self.base.persistent;
             let cache = &mut self.base.cache;
             let mut scratch = ConvScratch::default();
-            let od = output.data_mut();
+            let od = &mut acc[..];
             (0..c)
                 .map(|ch| {
                     #[cfg(feature = "fault-inject")]
-                    channel_fault_pre(channel_faults, ch);
+                    fault_pre(FaultSite::ChannelShard, channel_faults, ch);
                     let res =
                         conv_channel(&ctx, ch, cache, clear_scope, &exec, &mut scratch, od, true)
                             .map(|out| (out, Vec::new()));
                     #[cfg(feature = "fault-inject")]
                     if res.is_ok() {
-                        channel_fault_post(channel_faults, ch, od);
+                        fault_post(channel_faults, ch, od);
                     }
                     res
                 })
@@ -226,7 +232,7 @@ impl ConvEngine {
             // reflect serial-executor batch runs.
             let inner = Executor::serial_tuned(exec.tuning());
             let ctx = &ctx;
-            // Work-size hint per channel: the dense GEMM FLOPs plus
+            // Work-size hint per channel: the dense product's FLOPs plus
             // the probe stream at the executor's per-probe cost
             // (saturating — large layers must not overflow the hint), so
             // single tiny-image requests run inline instead of waking
@@ -242,20 +248,20 @@ impl ConvEngine {
                 },
                 move |ch, state| {
                     #[cfg(feature = "fault-inject")]
-                    channel_fault_pre(channel_faults, ch);
+                    fault_pre(FaultSite::ChannelShard, channel_faults, ch);
                     let (cache, scratch) = state;
                     let mut contrib = vec![0.0f32; f * patches_n];
                     let res =
                         conv_channel(ctx, ch, cache, true, &inner, scratch, &mut contrib, false);
                     #[cfg(feature = "fault-inject")]
-                    channel_fault_post(channel_faults, ch, &mut contrib);
+                    fault_post(channel_faults, ch, &mut contrib);
                     res.map(|out| (out, contrib))
                 },
             )
         };
 
         // ---- Deterministic reduce ----------------------------------------
-        // Channel contributions fold into the output, the cycle simulator,
+        // Channel contributions fold into the accumulator, the cycle simulator,
         // and the statistics in channel order — the exact add sequence the
         // serial reference performs — so scheduling never shows up in any
         // observable number.
@@ -268,7 +274,7 @@ impl ConvEngine {
             let (out, contrib) = out?;
             // Batch channels return their contribution block (persistent
             // ones accumulated in place and return an empty one).
-            for (o, &x) in output.data_mut().iter_mut().zip(&contrib) {
+            for (o, &x) in acc.iter_mut().zip(&contrib) {
                 *o += x;
             }
             // Statistics report the raw probe outcomes (cross-pass repeats
@@ -276,7 +282,7 @@ impl ConvEngine {
             // simulator is charged with promoted producers as MAUs, since
             // those vectors computed and wrote rather than reused.
             let mut work =
-                ChannelWork::new(&out.charged, f, kh, bits).with_insert_conflicts(out.conflicts);
+                ChannelWork::new(out.charged, f, kh, bits).with_insert_conflicts(out.conflicts);
             if saved.is_some() {
                 work = work.with_precomputed_signatures();
             }
@@ -288,6 +294,8 @@ impl ConvEngine {
         }
 
         stats.cycles = sim.finish();
+        let mut output = Tensor::zeros(&[f, oh, ow]);
+        kernel::pack::transpose_pack(output.data_mut(), &acc, patches_n, f);
         let per_channel = match saved {
             // The pass consumed the saved signatures unchanged; clone them
             // once here, outside the per-channel hot path.
@@ -323,22 +331,23 @@ impl ConvEngine {
         let f = kernels.shape()[0];
         // The channel fault events keep their order and their target slot.
         #[cfg(feature = "fault-inject")]
-        let channel_faults = channel_shard_faults(c);
+        let channel_faults = draw_faults(FaultSite::ChannelShard, c);
         #[cfg(feature = "fault-inject")]
-        (0..c).for_each(|ch| channel_fault_pre(&channel_faults, ch));
+        (0..c).for_each(|ch| fault_pre(FaultSite::ChannelShard, &channel_faults, ch));
         let output = conv::conv2d_multi(input, kernels, geom.stride, geom.pad)?;
         #[cfg(feature = "fault-inject")]
         let output = {
             let mut output = output;
-            (0..c).for_each(|ch| channel_fault_post(&channel_faults, ch, output.data_mut()));
+            (0..c).for_each(|ch| fault_post(&channel_faults, ch, output.data_mut()));
             output
         };
 
-        let mnus = vec![HitKind::Mnu; geom.num_patches()];
+        let patches_n = geom.num_patches();
+        let work = ChannelWork::new(OutcomeMix::all_mnu(patches_n), f, geom.kernel_h, 0);
         for _ in 0..c {
-            sim.push_channel(&ChannelWork::new(&mnus, f, geom.kernel_h, 0));
+            sim.push_channel(&work);
         }
-        let vectors = (c * mnus.len()) as u64;
+        let vectors = (c * patches_n) as u64;
         Ok(LayerForward {
             output,
             report: ReuseReport {
@@ -359,49 +368,34 @@ impl ConvEngine {
     }
 }
 
-/// Draws one [`ChannelShard`] fault event per conv channel, in channel
-/// order on the dispatching thread (an empty vec when no harness is
-/// open, so the hot path pays one relaxed atomic load).
-///
-/// [`ChannelShard`]: mercury_faults::FaultSite::ChannelShard
+/// Draws one `site` fault event per item, in item order on the
+/// dispatching thread, before any fan-out — which item faults never
+/// depends on the executor or pool scheduling (an empty vec when no
+/// harness is open, so the hot path pays one relaxed atomic load).
 #[cfg(feature = "fault-inject")]
-fn channel_shard_faults(channels: usize) -> Vec<Option<mercury_faults::FaultAction>> {
+fn draw_faults(site: FaultSite, items: usize) -> Vec<Option<FaultAction>> {
     if !mercury_faults::active() {
         return Vec::new();
     }
-    (0..channels)
-        .map(|_| mercury_faults::poll(mercury_faults::FaultSite::ChannelShard))
-        .collect()
+    (0..items).map(|_| mercury_faults::poll(site)).collect()
 }
 
-/// Fires a pre-compute [`ChannelShard`] `Panic` on the thread that owns
-/// the channel — the dispatching thread on the sequential loop, a pool
-/// worker on the batch fan-out (the pool re-raises it after the region
-/// drains either way).
-///
-/// [`ChannelShard`]: mercury_faults::FaultSite::ChannelShard
+/// Fires item `i`'s drawn `Panic` on the thread that owns the item — the
+/// dispatching thread inline, a pool worker on a fan-out (the pool
+/// re-raises it after the region drains either way).
 #[cfg(feature = "fault-inject")]
-fn channel_fault_pre(faults: &[Option<mercury_faults::FaultAction>], ch: usize) {
-    if matches!(
-        faults.get(ch),
-        Some(Some(mercury_faults::FaultAction::Panic))
-    ) {
-        mercury_faults::injected_panic(mercury_faults::FaultSite::ChannelShard);
+fn fault_pre(site: FaultSite, faults: &[Option<FaultAction>], i: usize) {
+    if faults.get(i) == Some(&Some(FaultAction::Panic)) {
+        mercury_faults::injected_panic(site);
     }
 }
 
-/// Applies a post-compute [`ChannelShard`] `NanPayload`: plants a NaN in
-/// the channel's first output slot after real data was written (a
-/// corrupted-result fault rather than a crash). `CorruptTag` has no
-/// meaning at the channel level and is ignored.
-///
-/// [`ChannelShard`]: mercury_faults::FaultSite::ChannelShard
+/// Applies item `i`'s drawn `NanPayload`: plants a NaN in the first slot
+/// of `out` after real data was written (a corrupted-result fault rather
+/// than a crash). `CorruptTag` has no meaning here and is ignored.
 #[cfg(feature = "fault-inject")]
-fn channel_fault_post(faults: &[Option<mercury_faults::FaultAction>], ch: usize, out: &mut [f32]) {
-    if matches!(
-        faults.get(ch),
-        Some(Some(mercury_faults::FaultAction::NanPayload))
-    ) {
+fn fault_post(faults: &[Option<FaultAction>], i: usize, out: &mut [f32]) {
+    if faults.get(i) == Some(&Some(FaultAction::NanPayload)) {
         if let Some(slot) = out.first_mut() {
             *slot = f32::NAN;
         }
@@ -414,8 +408,9 @@ struct ChannelCtx<'a> {
     input: &'a Tensor,
     geom: &'a ConvGeometry,
     f: usize,
-    /// Every channel's `[f, plen]` filter panel, channel-major.
-    filt: &'a [f32],
+    /// Every channel's packed `[plen, F]` filter panel, channel-major
+    /// (see [`pack_panels`](kernel::sign::pack_panels)).
+    panels: &'a [f32],
     /// The packed sign-quantization plan for `plen`-element patches;
     /// `Some` exactly when fresh signatures will be generated.
     plan: Option<&'a SignPlan>,
@@ -423,50 +418,49 @@ struct ChannelCtx<'a> {
     saved: Option<&'a SavedSignatures>,
 }
 
-/// Reusable per-worker buffers: the im2col patch matrix, the packed
-/// to-compute submatrix in `[plen, rows]` (transposed) layout, its
-/// `[f, rows]` GEMM output, and the reuse plan. A worker allocates these
-/// once and reuses them across every channel it claims; the `f32`
-/// buffers draw from the per-thread [`ScratchF32`] arena, so a pool
-/// worker's *next* region recycles the same allocations instead of
-/// contending on the global allocator (the scratch is created and dropped
-/// inside the worker's runner closure, so take and return land on the
-/// same thread-local free list).
+/// Reusable per-worker buffers: the im2col patch matrix, the compute rows
+/// copied contiguously, their `[rows, ⌈F/LANES⌉·LANES]` dot products, and
+/// the reuse plan. A worker allocates these once and reuses them across
+/// every channel it claims; the `f32` buffers draw from the per-thread
+/// [`ScratchF32`] arena, so a pool worker's *next* region recycles the
+/// same allocations instead of contending on the global allocator (the
+/// scratch is created and dropped inside the worker's runner closure, so
+/// take and return land on the same thread-local free list).
 #[derive(Default)]
 struct ConvScratch {
     patch_buf: ScratchF32,
-    packed_t: ScratchF32,
-    contrib_t: ScratchF32,
+    rows: ScratchF32,
+    dots: ScratchF32,
     sig_words: Vec<u128>,
     plan: ReusePlan,
 }
 
 /// Everything one channel reports to the deterministic reduce besides its
-/// output block: the outcomes the cycle simulator is charged with, the
-/// raw outcome and distinct-signature counts, the insertion-conflict
+/// output block: the outcome counts the cycle simulator is charged with,
+/// the raw outcome and distinct-signature counts, the insertion-conflict
 /// count, and the signatures to save (`None` when saved signatures were
 /// reused).
 struct ChannelOut {
-    charged: Vec<HitKind>,
+    charged: OutcomeMix,
     counts: LayerStats,
     conflicts: u64,
     sigs: Option<Vec<Signature>>,
 }
 
 /// Runs one channel of a conv forward: im2col, similarity detection,
-/// reuse planning, and the reuse-aware GEMM. `clear_scope` distinguishes
-/// the batch discipline (restart the cache per channel, §III-B3 — what
-/// makes channels independent and therefore shardable) from the
-/// persistent discipline (tags stay resident; the caller must then run
-/// channels sequentially). `exec` schedules the *inner* parallelism —
-/// row-sharded GEMMs and concurrent bank probes.
+/// reuse planning, the compute rows and the fan-out. `clear_scope`
+/// distinguishes the batch discipline (restart the cache per channel,
+/// §III-B3 — what makes channels independent and therefore shardable)
+/// from the persistent discipline (tags stay resident; the caller must
+/// then run channels sequentially). `exec` schedules the *inner*
+/// parallelism — row-sharded compute rows and concurrent bank probes.
 ///
-/// The channel's `[f, patches_n]` output lands in `dest`: with
-/// `accumulate` it adds in place (the persistent path hands the layer
-/// output directly — one add per element per channel, the hardware's
-/// fan-out order); without, it stores into the caller's block (the
-/// sharded batch path, whose blocks fold into the output afterwards in
-/// channel order).
+/// The channel's position-major `[patches_n, f]` block lands in `dest`:
+/// with `accumulate` it adds in place (the sequential path hands the
+/// layer accumulator directly — one add per element per channel, the
+/// hardware's fan-out order); without, it stores into the caller's block
+/// (the sharded batch path, whose blocks fold into the accumulator
+/// afterwards in channel order).
 #[allow(clippy::too_many_arguments)]
 fn conv_channel(
     ctx: &ChannelCtx<'_>,
@@ -479,7 +473,7 @@ fn conv_channel(
     accumulate: bool,
 ) -> Result<ChannelOut, MercuryError> {
     let geom = ctx.geom;
-    let (f, plen, patches_n) = (ctx.f, geom.patch_len(), geom.num_patches());
+    let (f, plen) = (ctx.f, geom.patch_len());
     let hw = geom.height * geom.width;
     extract_patches_into(
         &ctx.input.data()[ch * hw..(ch + 1) * hw],
@@ -514,47 +508,35 @@ fn conv_channel(
     let conflicts = plan.probe(cache, sigs, exec);
 
     // ---- Reuse-aware computation -------------------------------------------
-    // Every dot product the channel actually performs, across all filters,
-    // in one dense [f, plen] × [plen, rows] product over the packed
-    // compute rows (row-sharded over the executor; bit-identical to the
-    // serial GEMM).
-    let rows = plan.compute.len();
-    scratch.packed_t.clear();
-    scratch.packed_t.resize(plen * rows, 0.0);
-    kernel::pack::gather_pack(
-        &mut scratch.packed_t,
-        &scratch.patch_buf,
-        &plan.compute,
-        plen,
-    );
-    scratch.contrib_t.clear();
-    scratch.contrib_t.resize(f * rows, 0.0);
-    ops::gemm_blocked_on(
-        exec,
-        &mut scratch.contrib_t,
-        &ctx.filt[ch * f * plen..(ch + 1) * f * plen],
-        &scratch.packed_t,
-        f,
-        plen,
-        rows,
-        rows,
-    );
+    // Every dot product the channel actually performs: the compute rows,
+    // copied contiguously, each dotted with all F filters by the
+    // packed-panel row kernel (row-sharded over the executor;
+    // bit-identical to one serial call).
+    let ld = f.div_ceil(LANES) * LANES;
+    scratch.rows.clear();
+    for &v in &plan.compute {
+        scratch
+            .rows
+            .extend_from_slice(&scratch.patch_buf[v * plen..(v + 1) * plen]);
+    }
+    // `dot_rows` overwrites every value: only a grown tail needs a fill.
+    scratch.dots.resize(plan.compute.len() * ld, 0.0);
+    let panel = &ctx.panels[ch * plen * ld..(ch + 1) * plen * ld];
+    dot_rows_on(exec, &scratch.rows, plen, f, panel, &mut scratch.dots);
 
     // ---- Fan-out -----------------------------------------------------------
-    // Every vector takes its compute row's result, filter by filter: one
-    // add (or store) per output element per channel, so each element sees
-    // the same operations whatever the plan.
-    for (drow, crow) in dest[..f * patches_n]
-        .chunks_exact_mut(patches_n)
-        .zip(scratch.contrib_t.chunks_exact(rows))
-    {
-        if accumulate {
-            for (d, &r) in drow.iter_mut().zip(&plan.source) {
-                *d += crow[r as usize];
-            }
-        } else {
-            for (d, &r) in drow.iter_mut().zip(&plan.source) {
-                *d = crow[r as usize];
+    // Every vector takes its compute row's F results as one row: one add
+    // (or store) per output element per channel, so each element sees the
+    // same operations whatever the plan.
+    if f > 0 {
+        for (drow, &r) in dest.chunks_exact_mut(f).zip(&plan.source) {
+            let crow = &scratch.dots[r as usize * ld..r as usize * ld + f];
+            if accumulate {
+                for (d, &x) in drow.iter_mut().zip(crow) {
+                    *d += x;
+                }
+            } else {
+                drow.copy_from_slice(crow);
             }
         }
     }
@@ -562,11 +544,59 @@ fn conv_channel(
     let mut counts = LayerStats::default();
     plan.tally(&mut counts);
     Ok(ChannelOut {
-        charged: plan.charged_kinds(),
+        charged: plan.charged(),
         counts,
         conflicts,
         sigs: sigs_owned,
     })
+}
+
+/// Dots every `plen`-element row of `rows` with the `f` filters packed in
+/// `panel` through [`dot_rows`](kernel::sign::dot_rows), writing
+/// `[rows, ⌈f/LANES⌉·LANES]` into `out`. The rows split into one
+/// contiguous chunk per executor worker, each hinted with its own dense
+/// work so small channels run inline. A row's dots depend on nothing but
+/// the row, so the result is bit-identical to one serial call for any
+/// chunking.
+///
+/// With `fault-inject`, one [`GemmChunk`] event is drawn per chunk, in
+/// chunk order on this thread before any fan-out; `Panic` fires on the
+/// runner that owns the chunk and `NanPayload` plants a NaN in the
+/// chunk's first value (compute row 0, filter 0 on a serial executor).
+///
+/// [`GemmChunk`]: mercury_faults::FaultSite::GemmChunk
+fn dot_rows_on(
+    exec: &Executor,
+    rows: &[f32],
+    plen: usize,
+    f: usize,
+    panel: &[f32],
+    out: &mut [f32],
+) {
+    let n = rows.len() / plen;
+    let nb = f.div_ceil(LANES);
+    if n == 0 || nb == 0 {
+        return;
+    }
+    let per = n.div_ceil(exec.threads().min(n));
+    #[cfg(feature = "fault-inject")]
+    let faults = draw_faults(FaultSite::GemmChunk, n.div_ceil(per));
+    let chunks = rows
+        .chunks(per * plen)
+        .zip(out.chunks_mut(per * nb * LANES))
+        .enumerate();
+    exec.map(
+        chunks,
+        |(_, (chunk, _))| crate::base::dense_work(chunk.len() / plen, plen, f),
+        || (),
+        |(_i, (chunk, dots)), ()| {
+            #[cfg(feature = "fault-inject")]
+            fault_pre(FaultSite::GemmChunk, &faults, _i);
+            kernel::sign::dot_rows(chunk, plen, nb, panel, dots);
+            #[cfg(feature = "fault-inject")]
+            fault_post(&faults, _i, dots);
+        },
+    );
 }
 
 impl ReuseEngine for ConvEngine {

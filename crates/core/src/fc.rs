@@ -4,7 +4,7 @@ use crate::reuse::{LayerForward, LayerOp, ReuseEngine, ReuseReport, ReuseSignatu
 use crate::stats::LayerStats;
 use crate::{MercuryConfig, MercuryError};
 use mercury_accel::fc::{simulate_attention, simulate_fc, FcWork};
-use mercury_mcache::HitKind;
+use mercury_mcache::OutcomeMix;
 use mercury_rpq::Signature;
 use mercury_tensor::exec::Executor;
 use mercury_tensor::{ops, Tensor, TensorError};
@@ -150,12 +150,11 @@ impl FcEngine {
         if !self.base.detection_enabled {
             let exact = ops::matmul(inputs, weights).map_err(MercuryError::Tensor)?;
             output = exact;
-            let outcomes = vec![HitKind::Mnu; n];
             stats.mnus = n as u64;
             stats.unique_vectors = n as u64;
             stats.cycles = simulate_fc(
                 &self.base.config.accelerator,
-                &FcWork::new(&outcomes, m, l, 0).with_precomputed_signatures(),
+                &FcWork::new(OutcomeMix::all_mnu(n), m, l, 0).with_precomputed_signatures(),
             );
             // With detection off the engine pays no signature cost and no
             // reuse: force MERCURY total == baseline.
@@ -210,8 +209,7 @@ impl FcEngine {
         forward_rows(od, m, plan);
 
         plan.tally(&mut stats);
-        let charged = plan.charged_kinds();
-        let mut work = FcWork::new(&charged, m, l, self.base.signature_bits);
+        let mut work = FcWork::new(plan.charged(), m, l, self.base.signature_bits);
         if reuse_saved {
             work = work.with_precomputed_signatures();
         }
@@ -326,14 +324,14 @@ impl AttentionEngine {
             let xt = ops::transpose(x).map_err(MercuryError::Tensor)?;
             let w = ops::matmul(x, &xt).map_err(MercuryError::Tensor)?;
             let y = ops::matmul(&w, x).map_err(MercuryError::Tensor)?;
-            let outcomes = vec![HitKind::Mnu; t];
             let mut stats = LayerStats {
                 mnus: t as u64,
                 unique_vectors: t as u64,
                 detection_enabled: false,
                 ..LayerStats::default()
             };
-            stats.cycles = simulate_attention(&self.base.config.accelerator, &outcomes, t, k, 0);
+            let mix = OutcomeMix::all_mnu(t);
+            stats.cycles = simulate_attention(&self.base.config.accelerator, mix, t, k, 0);
             stats.cycles.signature = 0;
             stats.cycles.compute = stats.cycles.baseline;
             return Ok(LayerForward {
@@ -410,7 +408,7 @@ impl AttentionEngine {
         plan.tally(&mut stats);
         stats.cycles = simulate_attention(
             &self.base.config.accelerator,
-            &plan.charged_kinds(),
+            plan.charged(),
             t,
             k,
             if reuse_saved {

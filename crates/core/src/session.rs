@@ -331,7 +331,7 @@ pub struct MercurySession {
     /// one persistent worker pool — so an arbitrarily long request stream
     /// reuses the same parked workers instead of re-resolving (and
     /// re-spawning) per call. Engines running inside a `submit_batch`
-    /// fan-out execute their own inner regions (sharded GEMMs, bank
+    /// fan-out execute their own inner regions (sharded compute rows, bank
     /// probes) inline on their worker, never deadlocking on the shared
     /// pool.
     exec: Executor,

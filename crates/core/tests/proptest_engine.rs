@@ -181,12 +181,14 @@ proptest! {
     /// count equals the distinct signatures it saved. This holds for batch
     /// and persistent engines, serial and threaded, on a cold pass and on
     /// a second pass that meets every tag resident; a 1-set × 2-way cache
-    /// forces MNUs.
+    /// forces MNUs. The filter counts reach every block layout of the
+    /// packed-panel row kernel: one to three 8-lane blocks, the four-block
+    /// groups with and without a tail, and more than 128 filters.
     #[test]
     fn conv_reuse_matches_the_producer_reference(
         seed in 0u64..500,
         c in 1usize..4,
-        f in 1usize..5,
+        f in (0usize..12).prop_map(|i| [1, 2, 3, 4, 8, 9, 16, 17, 24, 25, 33, 130][i]),
         size in 4usize..9,
         pad in 0usize..2,
         levels in 1usize..4,

@@ -61,9 +61,10 @@ pub enum FaultSite {
     /// fan-out). Supports [`FaultAction::Panic`] and
     /// [`FaultAction::CorruptTag`].
     BankProbe,
-    /// One row chunk of a pool-scheduled GEMM (the whole product counts
-    /// as a single chunk when it runs serially). Supports
-    /// [`FaultAction::Panic`] and [`FaultAction::NanPayload`].
+    /// One row chunk of a pool-scheduled GEMM or of a conv reuse pass's
+    /// compute rows (the whole product counts as a single chunk when it
+    /// runs serially). Supports [`FaultAction::Panic`] and
+    /// [`FaultAction::NanPayload`].
     GemmChunk,
     /// One conv-channel shard, counted in channel order before the
     /// channels fan out. Supports [`FaultAction::Panic`].

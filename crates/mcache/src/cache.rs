@@ -185,26 +185,14 @@ impl MCache {
         }
     }
 
-    /// Scans the occupied prefix of a set for a tag match. The hot scan
-    /// compares only the packed bit patterns — vectorized over the SoA
-    /// tag array by [`kernel::scan`](mercury_tensor::kernel::scan), two
-    /// tags per compare on AVX2; lengths — which differ for equal bits
-    /// essentially never — are verified on candidate matches.
+    /// Scans the occupied prefix of a set for a tag match. The scan
+    /// compares the packed bit patterns first and the lengths — which
+    /// differ for equal bits essentially never — only on a bit match.
     fn scan_set(&self, set: usize, sig: Signature) -> Option<usize> {
         let base = set * self.config.ways;
         let len = self.set_len[set] as usize;
         let (bits, slen) = (sig.bits(), sig.len() as u8);
-        let mut way = 0;
-        while let Some(pos) =
-            mercury_tensor::kernel::scan::find_u128(&self.tag_bits[base + way..base + len], bits)
-        {
-            way += pos;
-            if self.tag_len[base + way] == slen {
-                return Some(way);
-            }
-            way += 1;
-        }
-        None
+        (0..len).find(|&way| self.tag_bits[base + way] == bits && self.tag_len[base + way] == slen)
     }
 
     /// Looks a signature up without modifying the cache.

@@ -61,4 +61,4 @@ mod hitmap;
 
 pub use cache::{AccessOutcome, EntryId, MCache, MCacheConfig, MCacheStats};
 pub use error::McacheError;
-pub use hitmap::HitKind;
+pub use hitmap::{HitKind, OutcomeMix};

@@ -13,6 +13,7 @@
 //! convolutions (and is checked against them), while the weight gradient
 //! stays exact.
 
+use crate::scratch::ScratchF32;
 use crate::{kernel, ops, Tensor, TensorError};
 
 /// Geometry of a 2-D convolution over a `[C, H, W]` input.
@@ -138,6 +139,12 @@ pub fn extract_patches(channel: &Tensor, geom: &ConvGeometry) -> Result<Tensor, 
 /// reusable buffer (resized to `num_patches × patch_len`), so per-channel
 /// hot loops allocate nothing after the first iteration.
 ///
+/// With padding, the channel is first copied into a zero-bordered
+/// `(height + 2·pad) × (width + 2·pad)` plane staged in a [`ScratchF32`]
+/// (recycled per thread, so repeated calls still allocate nothing). Every
+/// kernel window then lies inside the plane, and each patch row is one
+/// straight window copy with no edge clipping.
+///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `channel.len()` differs from
@@ -154,88 +161,43 @@ pub fn extract_patches_into(
         });
     }
     let (oh, ow) = (geom.out_h(), geom.out_w());
-    let (kh, kw) = (geom.kernel_h, geom.kernel_w);
+    let (kh, kw, pad) = (geom.kernel_h, geom.kernel_w, geom.pad);
     let plen = geom.patch_len();
-    // Interior ox: `0 <= ox·stride - pad` and `ox·stride - pad + kw <=
-    // width`, i.e. `lo <= ox < hi` with the bounds below.
-    let lo = ow.min(geom.pad.div_ceil(geom.stride));
-    let hi = ow.min((geom.width + geom.pad).saturating_sub(kw) / geom.stride + 1);
-    let n = oh * ow * plen;
-    if out.len() == n {
-        // A correctly-sized buffer (the per-worker scratch case — every
-        // channel of a layer shares one geometry) only needs its
-        // padding-clipped slots re-zeroed: the copy loops below overwrite
-        // every in-bounds slot. Rows whose kernel window leaves the image
-        // vertically are cleared whole; fully-covered rows clear just
-        // their `< pad`-edge column patches. With no padding nothing is
-        // clipped and nothing is cleared.
-        let data = out.as_mut_slice();
-        for oy in 0..oh {
-            let base_y = (oy * geom.stride) as isize - geom.pad as isize;
-            let drows = &mut data[oy * ow * plen..(oy + 1) * ow * plen];
-            if base_y < 0 || base_y as usize + kh > geom.height {
-                drows.fill(0.0);
-            } else {
-                for ox in (0..lo).chain(hi.max(lo)..ow) {
-                    drows[ox * plen..(ox + 1) * plen].fill(0.0);
-                }
-            }
-        }
+    let padded;
+    let (plane, width) = if pad == 0 {
+        (channel, geom.width)
     } else {
-        out.clear();
-        out.resize(n, 0.0);
-    }
-    let data = out.as_mut_slice();
-    // Each patch row is kernel_h contiguous segments of the channel
-    // (clipped at the padding border), so copy row segments instead of
-    // branching per element; out-of-bounds positions keep the 0.0 fill.
-    //
-    // Per output row, each in-bounds kernel row ky is a *sliding window*
-    // over one channel row: consecutive interior patches read windows one
-    // element apart (stride elements in general). The interior — the vast
-    // majority of patches — therefore runs as a straight windows/chunks
-    // zip with no per-patch border arithmetic; only the `< pad`-edge
-    // columns take the clipped path.
-    //
-    for oy in 0..oh {
-        let base_y = (oy * geom.stride) as isize - geom.pad as isize;
-        let drows = &mut data[oy * ow * plen..(oy + 1) * ow * plen];
+        let width = geom.width + 2 * pad;
+        let mut buf = ScratchF32::take();
+        buf.resize((geom.height + 2 * pad) * width, 0.0);
+        for (y, row) in channel.chunks_exact(geom.width).enumerate() {
+            let at = (y + pad) * width + pad;
+            buf[at..at + geom.width].copy_from_slice(row);
+        }
+        padded = buf;
+        (&padded[..], width)
+    };
+    // Every slot below is overwritten, so a correctly sized buffer (the
+    // per-worker scratch case — every channel of a layer shares one
+    // geometry) needs no clearing.
+    out.resize(oh * ow * plen, 0.0);
+    // Per output row, kernel row ky of every patch is a *sliding window*
+    // over one plane row: consecutive patches read windows `stride`
+    // elements apart, so the copy is a straight windows/chunks zip.
+    for (oy, drows) in out.chunks_exact_mut(ow * plen).enumerate() {
         for ky in 0..kh {
-            let y = base_y + ky as isize;
-            if y < 0 || y as usize >= geom.height {
-                continue;
-            }
-            let srow = &channel[y as usize * geom.width..(y as usize + 1) * geom.width];
-            // Clipped edge columns (pad overhang on either side).
-            for ox in (0..lo).chain(hi.max(lo)..ow) {
-                let base_x = (ox * geom.stride) as isize - geom.pad as isize;
-                let x0 = (-base_x).clamp(0, kw as isize) as usize;
-                let x1 = (geom.width as isize - base_x).clamp(0, kw as isize) as usize;
-                if x0 < x1 {
-                    let dst = &mut drows[ox * plen + ky * kw + x0..ox * plen + ky * kw + x1];
-                    let seg =
-                        &srow[(base_x + x0 as isize) as usize..(base_x + x1 as isize) as usize];
-                    for (d, &s) in dst.iter_mut().zip(seg) {
+            let y = oy * geom.stride + ky;
+            let srow = &plane[y * width..(y + 1) * width];
+            if kw == 3 {
+                copy_windows::<3>(drows, srow, plen, ky * 3, geom.stride);
+            } else {
+                let windows = srow.windows(kw).step_by(geom.stride);
+                for (patch, win) in drows.chunks_exact_mut(plen).zip(windows) {
+                    // Tiny copy: an element loop inlines where
+                    // `copy_from_slice` would pay a `memcpy` call per
+                    // patch.
+                    for (d, &s) in patch[ky * kw..ky * kw + kw].iter_mut().zip(win) {
                         *d = s;
-                    }
-                }
-            }
-            // Interior columns: full-width windows, stride apart, starting
-            // at `lo·stride - pad` (non-negative by the choice of `lo`).
-            if lo < hi {
-                let dst = &mut drows[lo * plen..hi * plen];
-                let src = &srow[lo * geom.stride - geom.pad..];
-                if kw == 3 {
-                    copy_windows::<3>(dst, src, plen, ky * 3, geom.stride);
-                } else {
-                    let windows = src.windows(kw).step_by(geom.stride);
-                    for (patch, win) in dst.chunks_exact_mut(plen).zip(windows) {
-                        // Tiny copy: an element loop inlines where
-                        // `copy_from_slice` would pay a `memcpy` call per
-                        // patch.
-                        for (d, &s) in patch[ky * kw..ky * kw + kw].iter_mut().zip(win) {
-                            *d = s;
-                        }
                     }
                 }
             }
@@ -244,7 +206,7 @@ pub fn extract_patches_into(
     Ok(())
 }
 
-/// The interior copy of [`extract_patches_into`] for a kernel `KW` wide:
+/// The window copy of [`extract_patches_into`] for a kernel `KW` wide:
 /// the `i`-th `plen`-element patch of `dst` takes the `KW` elements of
 /// `src` starting at `i·stride` into its slots `off..off + KW`. A
 /// compile-time width turns each patch's copy into one fixed-size move.

@@ -54,8 +54,8 @@ pub fn accumulate_wide_scalar(
 
 /// Width of the half strip: 8 `f32` lanes (one 256-bit vector). The
 /// narrowest vectorized tile — [`ops::gemm_blocked`](crate::ops::gemm_blocked)
-/// uses it on sub-[`BLOCK`] column tails, which dominate the reuse GEMMs
-/// whose column count (the compute-row count) is small and arbitrary.
+/// uses it on sub-[`BLOCK`] column tails, such as a layer whose output
+/// width is not a multiple of [`BLOCK`].
 pub const HALF: usize = 8;
 
 /// Accumulates one [`HALF`]-lane strip of an output row, `p` ascending —

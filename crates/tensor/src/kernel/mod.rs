@@ -1,17 +1,15 @@
 //! Explicit fixed-width SIMD kernels for the workspace's hot loops.
 //!
 //! Every compute-bound inner loop in the reproduction funnels through one
-//! of four kernel families, laid out one-file-per-family (the UniZK
+//! of three kernel families, laid out one-file-per-family (the UniZK
 //! `src/kernel/` shape):
 //!
 //! * [`gemm`] — the register-block strips `ops::gemm_blocked`
 //!   accumulates through,
-//! * [`pack`] — transpose/gather packing that feeds the GEMM's `[plen, n]`
-//!   panels,
-//! * [`sign`] — the fused random-projection + sign-quantization kernel
-//!   behind batched RPQ signature generation,
-//! * [`scan`] — the vectorized tag compare over MCACHE's
-//!   structure-of-arrays tag words.
+//! * [`pack`] — the transpose that feeds the GEMM's `[plen, n]` panels,
+//! * [`sign`] — the packed-panel row kernel: fused random projection +
+//!   sign quantization behind batched RPQ signature generation, and the
+//!   dot products of the conv reuse engine's compute rows.
 //!
 //! Each kernel ships a scalar reference and, on `x86_64`, an AVX2 path
 //! selected by **runtime feature detection** (`std::arch` intrinsics — the
@@ -23,19 +21,9 @@
 //! roundings per multiply-add (no FMA contraction) — so vectorizing across
 //! independent elements changes nothing observable. Per-kernel unit tests
 //! pin every SIMD path bit-identical to its scalar reference.
-//!
-//! The one place that trades exactness for speed lives behind the
-//! default-off `fast-math` cargo feature (the `fast` module): an
-//! FMA-contracted
-//! GEMM whose single-rounding multiply-adds are *not* bit-identical to the
-//! reference (typically a few ULPs apart). Nothing in the workspace
-//! enables it; it exists for callers who opt out of the contract.
 
-#[cfg(feature = "fast-math")]
-pub mod fast;
 pub mod gemm;
 pub mod pack;
-pub mod scan;
 pub mod sign;
 
 /// Whether the AVX2 kernel paths can run on this host. Detection is cached

@@ -1,11 +1,11 @@
-//! Packing kernels that feed [`gemm`](super::gemm)'s `[plen, n]` panels.
+//! The transpose that feeds [`gemm`](super::gemm)'s `[plen, n]` panels.
 //!
-//! The conv engines multiply `[f, plen] × [plen, n]`, but im2col produces
-//! the right operand as `[n, plen]` (one patch per row). These kernels
-//! build the transposed panel walking the **destination** contiguously —
-//! one streaming write row per patch element — instead of the
-//! strided-write loops the engines used to inline. Pure shuffles, so no
-//! SIMD variant is needed for the bit-identical contract; the win is the
+//! The exact convolution multiplies `[f, plen] × [plen, n]`, but im2col
+//! produces the right operand as `[n, plen]` (one patch per row).
+//! [`transpose_pack`] builds the transposed panel walking the
+//! **destination** contiguously — one streaming write row per patch
+//! element — instead of a strided-write loop. A pure shuffle, so no SIMD
+//! variant is needed for the bit-identical contract; the win is the
 //! access pattern.
 
 /// Transposes an `[n, plen]` row-major matrix into `dst` as `[plen, n]`:
@@ -20,26 +20,6 @@ pub fn transpose_pack(dst: &mut [f32], src: &[f32], n: usize, plen: usize) {
     for p in 0..plen {
         let drow = &mut dst[p * n..(p + 1) * n];
         for (v, d) in drow.iter_mut().enumerate() {
-            *d = src[v * plen + p];
-        }
-    }
-}
-
-/// Gathers the selected rows of an `[_, plen]` row-major matrix into `dst`
-/// as a transposed `[plen, sel.len()]` panel:
-/// `dst[p·sel.len() + r] = src[sel[r]·plen + p]` — the reuse engines' pack
-/// of the to-compute patch subset.
-///
-/// # Panics
-///
-/// Panics if `dst.len() != plen * sel.len()` or any selected row is out of
-/// bounds.
-pub fn gather_pack(dst: &mut [f32], src: &[f32], sel: &[usize], plen: usize) {
-    let rows = sel.len();
-    assert_eq!(dst.len(), plen * rows, "dst must be [plen, sel.len()]");
-    for p in 0..plen {
-        let drow = &mut dst[p * rows..(p + 1) * rows];
-        for (d, &v) in drow.iter_mut().zip(sel) {
             *d = src[v * plen + p];
         }
     }
@@ -62,38 +42,6 @@ mod tests {
                 assert_eq!(dst[p * n + v].to_bits(), src[v * plen + p].to_bits());
             }
         }
-    }
-
-    #[test]
-    fn gather_pack_selects_and_transposes() {
-        let mut rng = Rng::new(52);
-        let (n, plen) = (9, 4);
-        let src: Vec<f32> = (0..n * plen).map(|_| rng.next_normal()).collect();
-        let sel = [3usize, 0, 8, 3];
-        let mut dst = vec![0.0f32; plen * sel.len()];
-        gather_pack(&mut dst, &src, &sel, plen);
-        for (r, &v) in sel.iter().enumerate() {
-            for p in 0..plen {
-                assert_eq!(
-                    dst[p * sel.len() + r].to_bits(),
-                    src[v * plen + p].to_bits()
-                );
-            }
-        }
-        // Identity selection degenerates to the plain transpose.
-        let all: Vec<usize> = (0..n).collect();
-        let mut gathered = vec![0.0f32; plen * n];
-        let mut transposed = vec![0.0f32; plen * n];
-        gather_pack(&mut gathered, &src, &all, plen);
-        transpose_pack(&mut transposed, &src, n, plen);
-        assert_eq!(gathered, transposed);
-    }
-
-    #[test]
-    fn empty_selection_is_a_no_op() {
-        let mut dst: Vec<f32> = Vec::new();
-        gather_pack(&mut dst, &[1.0, 2.0], &[], 2);
-        assert!(dst.is_empty());
     }
 
     #[test]

@@ -199,45 +199,10 @@ impl VectorStream {
     }
 }
 
-/// Measured mix of outcomes from a probe run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OutcomeMix {
-    /// HIT count.
-    pub hits: usize,
-    /// MAU count.
-    pub maus: usize,
-    /// MNU count.
-    pub mnus: usize,
-}
-
-impl OutcomeMix {
-    /// Tallies a slice of outcomes.
-    pub fn from_outcomes(outcomes: &[HitKind]) -> Self {
-        let mut mix = OutcomeMix::default();
-        for &o in outcomes {
-            match o {
-                HitKind::Hit => mix.hits += 1,
-                HitKind::Mau => mix.maus += 1,
-                HitKind::Mnu => mix.mnus += 1,
-            }
-        }
-        mix
-    }
-
-    /// Fraction of probes that hit.
-    pub fn hit_rate(&self) -> f64 {
-        let n = self.hits + self.maus + self.mnus;
-        if n == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / n as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mercury_mcache::MCacheConfig;
+    use mercury_mcache::{MCacheConfig, OutcomeMix};
 
     fn cache() -> MCache {
         MCache::new(MCacheConfig::paper_default())
