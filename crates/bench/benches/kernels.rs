@@ -1,37 +1,38 @@
-//! Per-kernel micro-benchmarks of `mercury_tensor::kernel` — the SIMD
-//! strips underneath the GEMM and signature hot paths, each timed against
+//! Per-kernel micro-benchmarks of `mercury_tensor::kernel` — the
+//! packed-panel row kernel underneath the signatures, the reuse engine's
+//! compute rows and the exact conv passes, each entry point timed against
 //! its scalar reference so the dispatch win stays visible in the recorded
-//! snapshots.
+//! snapshots, plus the transpose that packs its panels.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mercury_tensor::kernel::{gemm, pack, sign};
+use mercury_tensor::kernel::{pack, sign};
 use mercury_tensor::rng::Rng;
 use std::hint::black_box;
 
-fn bench_gemm_block(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel_gemm_block_64k");
+/// The reduced VGG-13 conv2 weight gradient (C = F = 8, 3×3 kernels,
+/// 16×16 map): 8 output-gradient rows of 256 positions dotted with the
+/// 72 columns of the im2col matrix — nine 8-lane blocks, so the grouped
+/// path runs twice and a one-block tail once.
+fn bench_dot_rows(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernel_dot_rows_8x256x72");
     let mut rng = Rng::new(11);
-    let k = 64usize;
-    let arow: Vec<f32> = (0..k).map(|_| rng.next_normal()).collect();
-    let b: Vec<f32> = (0..k * gemm::BLOCK).map(|_| rng.next_normal()).collect();
+    let (n, plen, width) = (8usize, 256usize, 72usize);
+    let t: Vec<f32> = (0..plen * width).map(|_| rng.next_normal()).collect();
+    let rows: Vec<f32> = (0..n * plen).map(|_| rng.next_normal()).collect();
+    let mut panels = Vec::new();
+    sign::pack_panels(&t, plen, width, width, &mut panels);
+    let nb = width.div_ceil(sign::LANES);
+    let mut out = vec![0.0f32; n * nb * sign::LANES];
     group.bench_function("dispatched", |bch| {
         bch.iter(|| {
-            let mut acc = [0.0f32; gemm::BLOCK];
-            gemm::accumulate_block(&mut acc, black_box(&arow), black_box(&b), gemm::BLOCK, 0);
-            acc
+            sign::dot_rows(black_box(&rows), plen, nb, &panels, &mut out);
+            out[0]
         })
     });
     group.bench_function("scalar", |bch| {
         bch.iter(|| {
-            let mut acc = [0.0f32; gemm::BLOCK];
-            gemm::accumulate_block_scalar(
-                &mut acc,
-                black_box(&arow),
-                black_box(&b),
-                gemm::BLOCK,
-                0,
-            );
-            acc
+            sign::dot_rows_scalar(black_box(&rows), plen, nb, &panels, &mut out);
+            out[0]
         })
     });
     group.finish();
@@ -80,5 +81,5 @@ fn bench_pack(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gemm_block, bench_sign_rows, bench_pack);
+criterion_group!(benches, bench_dot_rows, bench_sign_rows, bench_pack);
 criterion_main!(benches);

@@ -146,13 +146,10 @@ impl ConvEngine {
             None => Some(SignatureGenerator::new(self.base.projection_for(plen)).sign_plan(bits)),
         };
 
-        // Every channel's filters as one `[C·plen, F]` matrix, packed once
-        // per forward into the row kernel's panels: channel `ch`'s panel is
-        // the `ch`-th run of `plen·⌈F/LANES⌉·LANES` values.
-        let mut filt_t = vec![0.0f32; c * plen * f];
-        kernel::pack::transpose_pack(&mut filt_t, kernels.data(), f, c * plen);
-        let mut panels = Vec::new();
-        kernel::sign::pack_panels(&filt_t, c * plen, f, f, &mut panels);
+        // Every channel's filters packed once per forward, as the exact
+        // conv packs them: channel `ch`'s panel is the `ch`-th run of
+        // `plen·⌈F/LANES⌉·LANES` values.
+        let panels = conv::filter_panels(kernels);
 
         let exec = self.base.exec.clone();
         let ctx = ChannelCtx {
@@ -409,7 +406,7 @@ struct ChannelCtx<'a> {
     geom: &'a ConvGeometry,
     f: usize,
     /// Every channel's packed `[plen, F]` filter panel, channel-major
-    /// (see [`pack_panels`](kernel::sign::pack_panels)).
+    /// (see [`filter_panels`](conv::filter_panels)).
     panels: &'a [f32],
     /// The packed sign-quantization plan for `plen`-element patches;
     /// `Some` exactly when fresh signatures will be generated.
@@ -483,8 +480,8 @@ fn conv_channel(
     .map_err(MercuryError::Tensor)?;
 
     // ---- Similarity detection --------------------------------------------
-    // Fresh signatures come from one batched GEMM + sign quantization;
-    // saved ones are borrowed, never cloned, on the hot path.
+    // Fresh signatures come from one row-kernel pass with fused sign
+    // quantization; saved ones are borrowed, never cloned, on the hot path.
     let sigs_owned: Option<Vec<Signature>> = match ctx.saved {
         Some(_) => None,
         None => {

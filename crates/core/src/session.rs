@@ -218,7 +218,7 @@ impl SessionLayer {
 
     /// Session-boundary input validation: shape against the registered
     /// layer (a typed [`MercuryError::ShapeMismatch`] instead of a panic
-    /// deep inside a GEMM), conv spatial geometry, and the non-finite
+    /// deep inside an engine), conv spatial geometry, and the non-finite
     /// ingress policy. Runs before the engine, so a rejected request
     /// provably cannot have planted anything in the persistent bank.
     fn validate_input(
@@ -1061,6 +1061,30 @@ mod tests {
             assert_eq!(s.layer_health(id), Some(LayerHealth::Healthy));
         }
         assert!(s.submit(fc, &Tensor::zeros(&[3, 8])).is_ok());
+    }
+
+    #[test]
+    fn overflowing_conv_padding_is_a_typed_error_not_a_panic() {
+        // Boundary validation runs outside the engine's panic fence, so
+        // geometry arithmetic must fail as a typed error, not overflow.
+        let mut rng = Rng::new(61);
+        let mut s = session(61);
+        let input = Tensor::zeros(&[1, 8, 8]);
+        for pad in [usize::MAX / 2 + 1, 1 << 40] {
+            let conv = s
+                .register_conv(Tensor::randn(&[2, 1, 3, 3], &mut rng), 1, pad)
+                .unwrap();
+            assert!(matches!(
+                s.submit(conv, &input),
+                Err(MercuryError::Tensor(TensorError::InvalidConv(_)))
+            ));
+            let each = s.submit_batch_each(&[(conv, &input)]).unwrap();
+            assert!(matches!(
+                each[0],
+                Err(MercuryError::Tensor(TensorError::InvalidConv(_)))
+            ));
+            assert_eq!(s.layer_health(conv), Some(LayerHealth::Healthy));
+        }
     }
 
     #[test]

@@ -7,15 +7,15 @@
 //! registry of armed [`FaultSpec`]s that the hot paths consult through
 //! [`poll`] at named injection points ([`FaultSite`]).
 //!
-//! The registry is linked into `mercury-tensor` / `mercury-core` only
-//! behind their default-off `fault-inject` cargo feature; a default
-//! build contains **no injection points at all** — not even a branch.
+//! The registry is linked into `mercury-core` only behind its
+//! default-off `fault-inject` cargo feature; a default build contains
+//! **no injection points at all** — not even a branch.
 //!
 //! # Determinism contract
 //!
 //! Every injection point is polled on the thread that *dispatches* the
 //! work, in stream order, **before** any parallel fan-out: which bank
-//! probe, GEMM chunk, or conv channel faults is decided by a
+//! probe, compute-row chunk, or conv channel faults is decided by a
 //! deterministic event count, never by pool scheduling. Repeated runs of
 //! the same request stream fault at the same event on any executor.
 //!
@@ -61,10 +61,10 @@ pub enum FaultSite {
     /// fan-out). Supports [`FaultAction::Panic`] and
     /// [`FaultAction::CorruptTag`].
     BankProbe,
-    /// One row chunk of a pool-scheduled GEMM or of a conv reuse pass's
-    /// compute rows (the whole product counts as a single chunk when it
-    /// runs serially). Supports [`FaultAction::Panic`] and
-    /// [`FaultAction::NanPayload`].
+    /// One row chunk of a conv reuse pass's compute rows — the layer's
+    /// dense product, sharded over the executor (the whole product counts
+    /// as a single chunk when it runs serially). Supports
+    /// [`FaultAction::Panic`] and [`FaultAction::NanPayload`].
     GemmChunk,
     /// One conv-channel shard, counted in channel order before the
     /// channels fan out. Supports [`FaultAction::Panic`].

@@ -103,7 +103,7 @@ impl ProjectionMatrix {
     /// element `[i, j]` is component `i` of filter `j`. This is the operand
     /// shape for batched signature generation: `patches [n, input_len] ×
     /// transposed [input_len, num_filters]` projects every patch against
-    /// every filter in one GEMM.
+    /// every filter in one matrix product.
     pub fn transposed(&self) -> &[f32] {
         &self.transposed
     }

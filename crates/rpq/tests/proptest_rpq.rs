@@ -87,7 +87,7 @@ proptest! {
         }
     }
 
-    /// Batched signature generation (one GEMM over the patch matrix) is
+    /// Batched signature generation (one product over the patch matrix) is
     /// bit-identical to the per-vector scalar path, for any patch matrix
     /// shape and any prefix length — the equivalence the engine's batched
     /// hot path relies on.

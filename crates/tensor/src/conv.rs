@@ -7,14 +7,17 @@
 //! [`conv2d`] / [`conv2d_multi`] compute the forward pass with every dot
 //! product done once, and [`conv2d_backward_weights`] /
 //! [`conv2d_backward_input`] implement equations (1) and (2) of §II-C, the
-//! two computations of the backward pass. All of them run as im2col plus
-//! the blocked GEMM. A training step without reuse runs exactly these
-//! passes; with reuse, the engine replaces the forward and input-gradient
-//! convolutions (and is checked against them), while the weight gradient
-//! stays exact.
+//! two computations of the backward pass. All of them run as one im2col of
+//! every channel plus the packed-panel row kernel
+//! ([`dot_rows`](crate::kernel::sign::dot_rows)) — the kernel the reuse
+//! engine computes its signatures and its compute rows with. A training
+//! step without reuse runs exactly these passes; with reuse, the engine
+//! replaces the forward and input-gradient convolutions (and is checked
+//! against them), while the weight gradient stays exact.
 
+use crate::kernel::sign::{self, LANES};
 use crate::scratch::ScratchF32;
-use crate::{kernel, ops, Tensor, TensorError};
+use crate::{kernel, Tensor, TensorError};
 
 /// Geometry of a 2-D convolution over a `[C, H, W]` input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,12 +38,15 @@ pub struct ConvGeometry {
 
 impl ConvGeometry {
     /// Creates a geometry, validating that at least one output position
-    /// exists.
+    /// exists and that every size the passes derive from it fits in
+    /// `usize`.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidConv`] when the kernel does not fit in
-    /// the padded input or any size/stride is zero.
+    /// the padded input, any size/stride is zero, or the padded extents,
+    /// the output position count or the per-channel im2col element count
+    /// overflow `usize`.
     pub fn new(
         height: usize,
         width: usize,
@@ -54,21 +60,38 @@ impl ConvGeometry {
                 "sizes and stride must be positive".to_string(),
             ));
         }
-        if height + 2 * pad < kernel_h || width + 2 * pad < kernel_w {
+        let padded = |extent: usize| pad.checked_mul(2).and_then(|p| p.checked_add(extent));
+        let (Some(padded_h), Some(padded_w)) = (padded(height), padded(width)) else {
             return Err(TensorError::InvalidConv(format!(
-                "kernel {kernel_h}x{kernel_w} larger than padded input {}x{}",
-                height + 2 * pad,
-                width + 2 * pad
+                "pad {pad} overflows the padded extent of a {height}x{width} input"
+            )));
+        };
+        if padded_h < kernel_h || padded_w < kernel_w {
+            return Err(TensorError::InvalidConv(format!(
+                "kernel {kernel_h}x{kernel_w} larger than padded input {padded_h}x{padded_w}"
             )));
         }
-        Ok(ConvGeometry {
+        let geom = ConvGeometry {
             height,
             width,
             kernel_h,
             kernel_w,
             stride,
             pad,
-        })
+        };
+        // `num_patches` and `patch_len` multiply unchecked: validate both
+        // products, and the im2col size they make, once here.
+        geom.out_h()
+            .checked_mul(geom.out_w())
+            .zip(kernel_h.checked_mul(kernel_w))
+            .and_then(|(patches, plen)| patches.checked_mul(plen))
+            .ok_or_else(|| {
+                TensorError::InvalidConv(format!(
+                    "im2col of a {height}x{width} input with pad {pad} and a \
+                     {kernel_h}x{kernel_w} kernel overflows usize"
+                ))
+            })?;
+        Ok(geom)
     }
 
     /// Number of output rows.
@@ -258,6 +281,12 @@ pub fn conv2d(
 /// This is the reference implementation the MERCURY reuse engine is checked
 /// against: it performs every dot product exactly once, with no memoization.
 ///
+/// Computed as one im2col of every channel, `cols[oh·ow, C·k1·k2]`, whose
+/// rows the packed-panel row kernel dots with every filter of
+/// [`filter_panels`]; the `[oh·ow, F]` result is transposed to
+/// `[F, oh, ow]`. Each output is one chain over (channel, tap) in
+/// ascending order, from `+0.0`, with a separate multiply and add.
+///
 /// # Errors
 ///
 /// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`]
@@ -295,53 +324,74 @@ pub fn conv2d_multi(
         });
     }
     let geom = ConvGeometry::new(h, w, kh, kw, stride, pad)?;
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-
-    // im2col per channel, pack the patches transposed, then accumulate one
-    // blocked GEMM per channel straight into `out`: the product
-    // `[f, plen] × [plen, P]` lands row-major as `[f, oh·ow]` — exactly
-    // `out`'s layout, so no per-element scatter is needed.
-    let mut out = Tensor::zeros(&[f, oh, ow]);
-    let plen = geom.patch_len();
-    let patches_n = geom.num_patches();
-    let mut patch_buf = Vec::new();
-    let mut packed_t = vec![0.0f32; plen * patches_n];
-    let mut filt = vec![0.0f32; f * plen];
-    for ch in 0..c {
-        extract_patches_into(
-            &input.data()[ch * h * w..(ch + 1) * h * w],
-            &geom,
-            &mut patch_buf,
-        )?; // [P, plen]
-        kernel::pack::transpose_pack(&mut packed_t, &patch_buf, patches_n, plen);
-        // Filter rows for this channel: [F, plen].
-        for fi in 0..f {
-            let src = &kernels.data()[(fi * kc + ch) * plen..(fi * kc + ch + 1) * plen];
-            filt[fi * plen..(fi + 1) * plen].copy_from_slice(src);
+    let mut out = Tensor::zeros(&[f, geom.out_h(), geom.out_w()]);
+    let (positions, row) = (geom.num_patches(), c * geom.patch_len());
+    let cols = im2col(input, &geom, row)?;
+    let ld = f.div_ceil(LANES) * LANES;
+    let mut dots = ScratchF32::zeroed(positions * ld);
+    sign::dot_rows(&cols, row, ld / LANES, &filter_panels(kernels), &mut dots);
+    for (fi, orow) in out.data_mut().chunks_exact_mut(positions).enumerate() {
+        for (o, drow) in orow.iter_mut().zip(dots.chunks_exact(ld)) {
+            *o = drow[fi];
         }
-        ops::gemm_blocked(
-            out.data_mut(),
-            &filt,
-            &packed_t,
-            f,
-            plen,
-            patches_n,
-            patches_n,
-        );
     }
     Ok(out)
+}
+
+/// Packs `[F, C, k1, k2]` kernels once into the row kernel's panels: the
+/// filters as one `[C·k1·k2, F]` matrix in zero-padded
+/// [`LANES`]-wide blocks (see [`pack_panels`](sign::pack_panels)), so
+/// channel `ch`'s panel is the `ch`-th run of `k1·k2·⌈F/LANES⌉·LANES`
+/// values. [`conv2d_multi`] dots every channel's taps against the whole
+/// matrix; the reuse engine slices it per channel.
+///
+/// # Panics
+///
+/// Panics if `kernels` is not 4-D.
+pub fn filter_panels(kernels: &Tensor) -> Vec<f32> {
+    let &[f, c, kh, kw] = kernels.shape() else {
+        panic!(
+            "filter_panels needs [F, C, k1, k2] kernels, got {:?}",
+            kernels.shape()
+        );
+    };
+    let row = c * kh * kw;
+    let mut t = ScratchF32::zeroed(row * f);
+    kernel::pack::transpose_pack(&mut t, kernels.data(), f, row);
+    let mut panels = Vec::new();
+    sign::pack_panels(&t, row, f, f, &mut panels);
+    panels
+}
+
+/// The im2col of every channel of a `[C, H, W]` input, for both exact
+/// passes: row `p` of the `[oh·ow, ld]` result is output position `p`'s
+/// receptive field over every channel, channel-major (the flat layout of
+/// one `[C, k1, k2]` kernel), followed by `ld − C·k1·k2` zeros.
+fn im2col(input: &Tensor, geom: &ConvGeometry, ld: usize) -> Result<ScratchF32, TensorError> {
+    let plen = geom.patch_len();
+    let mut cols = ScratchF32::zeroed(geom.num_patches() * ld);
+    let mut panel = ScratchF32::take();
+    let channels = input.data().chunks_exact(geom.height * geom.width);
+    for (ch, channel) in channels.enumerate() {
+        extract_patches_into(channel, geom, &mut panel)?; // [oh·ow, plen]
+        for (dst, patch) in cols.chunks_exact_mut(ld).zip(panel.chunks_exact(plen)) {
+            dst[ch * plen..(ch + 1) * plen].copy_from_slice(patch);
+        }
+    }
+    Ok(cols)
 }
 
 /// Gradient of the loss w.r.t. the kernels — equation (1) of the paper:
 /// `dW[m,n] = Σ_{i,j} δ[i,j] · O[i+m, j+n]`, a convolution between the
 /// output gradient and the layer input.
 ///
-/// Computed as one im2col plus one GEMM: every channel's patch panel sits
-/// side by side in `cols[oh·ow, C·k1·k2]`, and
-/// `dW[F, C·k1·k2] = δ[F, oh·ow] × cols`. The GEMM sums each weight over
-/// the output positions in row-major `(i, j)` order, without FMA, and the
-/// zero-padded taps only add `±0` to a sum that starts at `+0`, so the
-/// result equals the direct six-deep loop bit for bit on finite inputs.
+/// Computed as one im2col, `cols[oh·ow, C·k1·k2]` with each row
+/// zero-padded to whole [`LANES`]-wide blocks — already the row kernel's
+/// panel layout — against which every output-gradient row is dotted:
+/// `dW[F, C·k1·k2] = δ[F, oh·ow] × cols`. Each weight sums over the output
+/// positions in row-major `(i, j)` order from `+0.0`, without FMA, and the
+/// zero-padded taps only add `±0` to that sum, so the result equals the
+/// direct six-deep loop bit for bit on finite inputs.
 ///
 /// Supports stride-1 convolutions (the configuration the paper's equations
 /// are stated for).
@@ -382,22 +432,17 @@ pub fn conv2d_backward_weights(
             right: vec![f, geom.out_h(), geom.out_w()],
         });
     }
-    // Row p of `cols` is output position p's receptive field over every
-    // channel, channel-major — the flat layout of one `[C, k1, k2]`
-    // gradient row of `dW`.
-    let (positions, plen) = (oh * ow, geom.patch_len());
-    let row = c * plen;
-    let mut cols = vec![0.0f32; positions * row];
-    let mut panel = Vec::new();
-    for (ch, channel) in input.data().chunks_exact(h * w).enumerate() {
-        extract_patches_into(channel, &geom, &mut panel)?; // [positions, plen]
-        for (dst, patch) in cols.chunks_exact_mut(row).zip(panel.chunks_exact(plen)) {
-            dst[ch * plen..(ch + 1) * plen].copy_from_slice(patch);
-        }
+    let (positions, row) = (oh * ow, c * geom.patch_len());
+    let ld = row.div_ceil(LANES) * LANES;
+    let cols = im2col(input, &geom, ld)?;
+    let mut dw = vec![0.0f32; f * ld];
+    sign::dot_rows(dout.data(), positions, ld / LANES, &cols, &mut dw);
+    // Close up each gradient row's padding columns in place.
+    for fi in 1..f {
+        dw.copy_within(fi * ld..fi * ld + row, fi * row);
     }
-    let mut dw = Tensor::zeros(&[f, c, kernel_h, kernel_w]);
-    ops::gemm_blocked(dw.data_mut(), dout.data(), &cols, f, positions, row, row);
-    Ok(dw)
+    dw.truncate(f * row);
+    Tensor::from_vec(dw, &[f, c, kernel_h, kernel_w])
 }
 
 /// Gradient of the loss w.r.t. the layer input — equation (2) of the paper:
@@ -628,15 +673,18 @@ mod tests {
     /// Both backward passes equal their direct loops bit for bit over a
     /// grid of single- and multi-channel inputs, kernel sizes and
     /// paddings, non-square maps, and dense or ReLU-masked output
-    /// gradients (exact zeros). The weight-gradient GEMM runs its 64-lane
-    /// strip once `C·k² >= 64` (C = 3, k = 5), the input-gradient GEMM
-    /// once the map has 64 positions (9×8); F = 67 gives both a wide
-    /// filter count and an odd row tail.
+    /// gradients (exact zeros). Both run on the packed-panel row kernel.
+    /// The weight gradient's panels are `C·k²` wide, so the grid reaches
+    /// every pass: one block (`C·k² <= 8`), two (C = 1, k = 3), three
+    /// (C = 2, k = 3), four-block groups (`C·k²` = 25, 27) and groups with
+    /// a tail (C = 2 or 3, k = 5); F = 67 rows leave a remainder after
+    /// every multi-row step. The input gradient's one-block panels hold
+    /// the C input channels, dotted with rows of `F·k²` taps.
     #[test]
     fn backward_passes_match_direct_loops_bit_for_bit() {
         let mut rng = Rng::new(41);
         let mut cases = 0;
-        for c in [1, 3] {
+        for c in [1, 2, 3] {
             for k in [1, 3, 5] {
                 for pad in [0, 1, 2] {
                     for (h, w) in [(7, 5), (4, 9), (9, 8)] {
@@ -772,6 +820,26 @@ mod tests {
         assert!(ConvGeometry::new(2, 2, 3, 3, 1, 0).is_err());
         // With padding 1 the 3x3 kernel fits a 2x2 input.
         assert!(ConvGeometry::new(2, 2, 3, 3, 1, 1).is_ok());
+    }
+
+    #[test]
+    fn geometry_rejects_overflowing_sizes_instead_of_panicking() {
+        // `8 + 2·pad` overflows; then a pad whose padded extent fits but
+        // whose output position count does not.
+        for pad in [usize::MAX / 2 + 1, 1 << 40] {
+            assert!(
+                matches!(
+                    ConvGeometry::new(8, 8, 3, 3, 1, pad),
+                    Err(TensorError::InvalidConv(_))
+                ),
+                "pad {pad}"
+            );
+        }
+        // Positions fit but positions × patch length does not.
+        assert!(matches!(
+            ConvGeometry::new(1, 1, 1 << 32, 1 << 31, 1, 1 << 31),
+            Err(TensorError::InvalidConv(_))
+        ));
     }
 
     #[test]

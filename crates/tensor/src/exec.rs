@@ -1,10 +1,10 @@
 //! Pluggable execution backends for the workspace's parallel paths.
 //!
-//! Every compute layer in the MERCURY reproduction — the blocked GEMMs in
-//! [`ops`](crate::ops), the per-channel conv sharding and banked-probe
-//! fan-out in `mercury-core`, and the per-layer model simulator in
-//! `mercury-bench` — schedules its independent work items through one
-//! [`Executor`]. Two backends exist:
+//! Every parallel path in the MERCURY reproduction — the per-channel conv
+//! sharding, row-sharded compute rows and banked-probe fan-out in
+//! `mercury-core`, and the per-layer model simulator in `mercury-bench` —
+//! schedules its independent work items through one [`Executor`]. Two
+//! backends exist:
 //!
 //! * [`ExecutorKind::Serial`] — every item runs on the calling thread in
 //!   index order. This is the *reference semantics*: all documented
@@ -51,8 +51,8 @@
 //!   [`DispatchTuning::dispatch_min_work`], so tiny regions never pay a
 //!   worker wakeup;
 //! * the calling thread is not already executing items of an outer
-//!   region. Nested regions run inline, so an engine that shards GEMMs
-//!   or bank probes inside a `submit_batch` fan-out can never deadlock
+//!   region. Nested regions run inline, so an engine that shards compute
+//!   rows or bank probes inside a `submit_batch` fan-out can never deadlock
 //!   on its own pool, and never oversubscribes the machine.
 //!
 //! A dispatched region recruits at most one worker fewer than it has busy
@@ -1056,7 +1056,7 @@ mod tests {
         // An item of an outer region that opens an inner region on the
         // same pool must complete (inline), not deadlock waiting for the
         // workers it is itself occupying — the submit_batch-fans-out-
-        // engines-that-shard-GEMMs shape.
+        // engines-that-shard-compute-rows shape.
         let exec = Executor::threaded(2);
         let inner = exec.clone();
         let before = exec.pool_stats().unwrap();

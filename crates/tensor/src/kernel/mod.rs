@@ -1,28 +1,31 @@
 //! Explicit fixed-width SIMD kernels for the workspace's hot loops.
 //!
 //! Every compute-bound inner loop in the reproduction funnels through one
-//! of three kernel families, laid out one-file-per-family (the UniZK
+//! of two kernel families, laid out one-file-per-family (the UniZK
 //! `src/kernel/` shape):
 //!
-//! * [`gemm`] — the register-block strips `ops::gemm_blocked`
-//!   accumulates through,
-//! * [`pack`] — the transpose that feeds the GEMM's `[plen, n]` panels,
-//! * [`sign`] — the packed-panel row kernel: fused random projection +
-//!   sign quantization behind batched RPQ signature generation, and the
-//!   dot products of the conv reuse engine's compute rows.
+//! * [`sign`] — the packed-panel row kernel, the workspace's one dense
+//!   kernel: fused random projection + sign quantization behind batched
+//!   RPQ signature generation, the dot products of the conv reuse
+//!   engine's compute rows, and both exact conv passes
+//!   ([`conv2d_multi`](crate::conv::conv2d_multi) and
+//!   [`conv2d_backward_weights`](crate::conv::conv2d_backward_weights)),
+//! * [`pack`] — the transpose that lays `[F, C·k1·k2]` filters out as
+//!   the `[C·k1·k2, F]` matrix the row kernel's panels are packed from,
+//!   and turns position-major results back into `[F, oh, ow]` maps.
 //!
-//! Each kernel ships a scalar reference and, on `x86_64`, an AVX2 path
+//! The row kernel ships a scalar reference and, on `x86_64`, an AVX2 path
 //! selected by **runtime feature detection** (`std::arch` intrinsics — the
 //! portable `std::simd` API is still nightly-only at this workspace's MSRV,
 //! so the feature-gated lane types it would provide are not used). The
-//! AVX2 paths keep the workspace's **bit-identical contract**: per output
-//! element they perform exactly the scalar reference's operation sequence —
+//! AVX2 path keeps the workspace's **bit-identical contract**: per output
+//! element it performs exactly the scalar reference's operation sequence —
 //! same multiplies, same adds, same ascending accumulation order, two
 //! roundings per multiply-add (no FMA contraction) — so vectorizing across
-//! independent elements changes nothing observable. Per-kernel unit tests
-//! pin every SIMD path bit-identical to its scalar reference.
+//! independent elements changes nothing observable. Its unit tests pin
+//! the SIMD path bit-identical to the scalar reference and to plain
+//! ascending dots.
 
-pub mod gemm;
 pub mod pack;
 pub mod sign;
 

@@ -1,12 +1,13 @@
-//! The transpose that feeds [`gemm`](super::gemm)'s `[plen, n]` panels.
+//! The transpose between filter-major and position-major layouts.
 //!
-//! The exact convolution multiplies `[f, plen] × [plen, n]`, but im2col
-//! produces the right operand as `[n, plen]` (one patch per row).
-//! [`transpose_pack`] builds the transposed panel walking the
-//! **destination** contiguously — one streaming write row per patch
-//! element — instead of a strided-write loop. A pure shuffle, so no SIMD
-//! variant is needed for the bit-identical contract; the win is the
-//! access pattern.
+//! The packed-panel row kernel ([`sign`](super::sign)) dots rows against
+//! the columns of a `[plen, n]` matrix, but conv kernels arrive as
+//! `[n, plen]` (one filter per row), and the reuse engine's position-major
+//! `[P, F]` accumulator must become an `[F, P]` map. [`transpose_pack`]
+//! builds either transpose walking the **destination** contiguously — one
+//! streaming write row per source column — instead of a strided-write
+//! loop. A pure shuffle, so no SIMD variant is needed for the
+//! bit-identical contract; the win is the access pattern.
 
 /// Transposes an `[n, plen]` row-major matrix into `dst` as `[plen, n]`:
 /// `dst[p·n + v] = src[v·plen + p]`.

@@ -1,5 +1,5 @@
-//! The packed-panel row kernel behind batched RPQ signature generation and
-//! the conv reuse engine's compute rows.
+//! The packed-panel row kernel behind batched RPQ signature generation,
+//! the conv reuse engine's compute rows and the exact conv passes.
 //!
 //! One call projects every row of an `[n, plen]` matrix against the columns
 //! of a filter matrix that was repacked once into zero-padded
@@ -13,10 +13,11 @@
 //!   projected matrix is never materialized;
 //! * [`dot_rows`] stores them: row `i`'s dot products with every filter.
 //!
-//! [`LANES`] is 8 — one 256-bit vector — rather than the GEMM's 16:
-//! signature widths sit around 20 bits, where 8-lane blocks waste 4
-//! padding lanes (⌈20/8⌉·8 = 24) against 16-lane blocks' 12
-//! (⌈20/16⌉·16 = 32), a ~25% arithmetic saving on top of the vector width.
+//! [`LANES`] is 8 — one 256-bit vector — rather than two: signature widths
+//! sit around 20 bits, where 8-lane blocks waste 4 padding lanes
+//! (⌈20/8⌉·8 = 24) against 16-lane blocks' 12 (⌈20/16⌉·16 = 32), a ~25%
+//! arithmetic saving, and the reduced models' 8–12 filters fill one or two
+//! blocks.
 //!
 //! Both entry points share one accumulation body: ascending row element,
 //! separate multiply then add (no FMA), accumulators seeded at `+0.0`. A

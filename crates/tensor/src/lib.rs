@@ -10,9 +10,10 @@
 //! * [`conv`] — im2col extraction and reference conv2d forward/backward,
 //!   matching the formulation of §II-C of the paper (equations 1 and 2),
 //! * [`ops`] — matmul, transpose and elementwise helpers,
-//! * [`kernel`] — the fixed-width SIMD kernels (GEMM block, pack, fused
-//!   sign quantization, tag scan) the hot loops dispatch through, each
-//!   pinned bit-identical to its scalar reference,
+//! * [`kernel`] — the workspace's one dense kernel, the packed-panel row
+//!   kernel behind RPQ signatures, the reuse engine's compute rows and
+//!   the exact conv passes (its AVX2 path pinned bit-identical to its
+//!   scalar reference), plus the transpose that packs its panels,
 //! * [`exec`] — the pluggable [`Executor`](exec::Executor) backend (serial
 //!   reference vs persistent worker pool) every parallel path in the
 //!   workspace schedules through, bit-identically,

@@ -2,10 +2,10 @@
 //!
 //! The pooled executor's worst enemy on real multi-core hosts is not the
 //! dispatch wakeup — it is every worker hammering the global allocator
-//! for the same per-region scratch (`im2col` patch buffers, packed GEMM
-//! panels, per-channel contribution rows), which serializes the workers
-//! on the allocator's locks exactly when they should be independent,
-//! and pool widths stop scaling long before the core count.
+//! for the same per-region scratch (`im2col` patch buffers, compute rows
+//! and their dots, per-channel contribution rows), which serializes the
+//! workers on the allocator's locks exactly when they should be
+//! independent, and pool widths stop scaling long before the core count.
 //!
 //! [`ScratchF32`] is the fix: a `Vec<f32>` whose backing allocation is
 //! drawn from (and returned to) a **thread-local** free list. A pool

@@ -1,15 +1,12 @@
 //! Property tests of the executor laws: scheduling never changes
 //! results, and one rule decides where every region runs. The primitive
 //! must agree with its serial loop for arbitrary shapes, hints, tunings
-//! and pool widths — including the row-sharded GEMM, whose agreement
-//! must be exact to the bit.
+//! and pool widths.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mercury_tensor::exec::{Executor, ExecutorKind};
-use mercury_tensor::rng::Rng;
 use mercury_tensor::tune::DispatchTuning;
-use mercury_tensor::{ops, Tensor};
 use proptest::prelude::*;
 
 /// The three tunings the dispatch rule is checked under: the default
@@ -155,43 +152,6 @@ proptest! {
             item.parse::<usize>().unwrap() * 3
         });
         prop_assert_eq!(got, (0..n).map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    /// The row-sharded GEMM is bit-identical to the serial kernel for
-    /// arbitrary shapes and pool widths.
-    #[test]
-    fn sharded_gemm_is_bit_identical(
-        seed in 0u64..500,
-        m in 1usize..24,
-        k in 1usize..40,
-        n in 1usize..24,
-        threads in 1usize..9,
-    ) {
-        let mut rng = Rng::new(seed);
-        let a = Tensor::randn(&[m, k], &mut rng);
-        let b = Tensor::randn(&[k, n], &mut rng);
-        let mut serial = vec![0.0f32; m * n];
-        ops::gemm_blocked(&mut serial, a.data(), b.data(), m, k, n, n);
-        let mut sharded = vec![0.0f32; m * n];
-        ops::gemm_blocked_on(
-            &Executor::threaded(threads),
-            &mut sharded,
-            a.data(),
-            b.data(),
-            m,
-            k,
-            n,
-            n,
-        );
-        for (i, (s, p)) in sharded.iter().zip(&serial).enumerate() {
-            prop_assert!(
-                s.to_bits() == p.to_bits(),
-                "element {} differs: {} vs {}", i, s, p
-            );
-        }
-        let mm = ops::matmul_blocked(&a, &b).unwrap();
-        let mm_sharded = ops::matmul_blocked_on(&Executor::threaded(threads), &a, &b).unwrap();
-        prop_assert_eq!(mm, mm_sharded);
     }
 
     /// One pool reused across a whole sequence of mixed regions — the

@@ -4,6 +4,7 @@
 use mercury_core::MercuryConfig;
 use mercury_dnn::{ExecMode, Layer, Network, Trainer, TrainerConfig};
 use mercury_models::trainable::{build_reduced, IMAGE_SIDE};
+use mercury_tensor::exec::ExecutorKind;
 use mercury_tensor::rng::Rng;
 use mercury_workloads::images::ImageDataset;
 use mercury_workloads::sequences::SeqDataset;
@@ -44,6 +45,56 @@ fn exact_and_mercury_training_both_learn() {
     assert!(accs[1] > 0.7, "mercury accuracy too low: {}", accs[1]);
     // MERCURY stays within 20 points of exact on this easy task.
     assert!((accs[0] - accs[1]).abs() < 0.2);
+}
+
+/// Off means exact over a whole training run: a MERCURY network with
+/// detection off on every engine layer reproduces exact training's
+/// per-epoch losses bit for bit on both executors — the conv engines on
+/// the reduced VGG-13, the attention engine on the Transformer.
+#[test]
+fn detection_off_training_reproduces_exact_losses_bit_for_bit() {
+    let images = image_data(3, 4, 90);
+    let mut rng = Rng::new(91);
+    // Unit-scale tokens make `(X·Xᵀ)·X` so large that every loss sits at
+    // the cross-entropy clamp, where no path difference could show; a
+    // quarter scale keeps the losses falling from about 2.
+    let sequences: Vec<_> = SeqDataset::new(3, 8, 16, 2, 0.05, &mut rng)
+        .generate(4, &mut rng)
+        .into_iter()
+        .map(|(x, label)| (x.scale(0.25), label))
+        .collect();
+    for (model, data) in [("VGG-13", &images), ("Transformer", &sequences)] {
+        let epoch_losses = |mode: ExecMode| {
+            let mut net = build_reduced(model, 3, mode, 92).unwrap();
+            for i in net.engine_layers() {
+                net.set_layer_detection(i, false);
+            }
+            let mut trainer = Trainer::new(
+                net,
+                TrainerConfig {
+                    adaptive: false,
+                    ..TrainerConfig::default()
+                },
+            );
+            let mut shuffle = Rng::new(93);
+            (0..3)
+                .map(|_| {
+                    let stats = trainer.train_epoch(data, &mut shuffle).unwrap();
+                    assert_eq!(stats.mercury.hits, 0, "{model}: detection is off");
+                    stats.mean_loss.to_bits()
+                })
+                .collect::<Vec<_>>()
+        };
+        let exact = epoch_losses(ExecMode::Exact);
+        for executor in [ExecutorKind::Serial, ExecutorKind::Threaded { threads: 2 }] {
+            let config = MercuryConfig::builder().executor(executor).build().unwrap();
+            assert_eq!(
+                epoch_losses(ExecMode::Mercury { config, seed: 94 }),
+                exact,
+                "{model} on {executor:?}"
+            );
+        }
+    }
 }
 
 #[test]
