@@ -1,16 +1,18 @@
-//! End-to-end benchmarks of the MERCURY convolution engine against exact
-//! convolution, on high- and low-similarity inputs — in batch mode
-//! (MCACHE cleared per forward, the PR 2 numbers) and in session mode
-//! (persistent banked MCACHE, no per-forward clear, eviction by epoch) —
-//! and at the layer shapes the reuse pass is tuned against: the reduced
-//! VGG-13 layers the `train-reuse` benchmark trains, and a 128-wide layer
-//! at the paper's widths.
+//! End-to-end benchmarks of the MERCURY reuse engines against the exact
+//! products. The convolution engine runs on high- and low-similarity
+//! inputs — in batch mode (MCACHE cleared per forward) and in session
+//! mode (persistent banked MCACHE, no per-forward clear, eviction by
+//! epoch) — and at the layer shapes the reuse pass is tuned against: the
+//! reduced VGG-13 layers the `train-reuse` benchmark trains, and a
+//! 128-wide layer at the paper's widths. The FC engine runs at the
+//! `serve-open` tenant shape, one request at a time through a session.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mercury_core::{ConvEngine, LayerOp, MercuryConfig, MercurySession, ReuseEngine};
 use mercury_tensor::conv::conv2d_multi;
 use mercury_tensor::rng::Rng;
-use mercury_tensor::Tensor;
+use mercury_tensor::{ops, Tensor};
+use mercury_workloads::tenants::TenantMix;
 use std::hint::black_box;
 
 fn bench_exact_vs_mercury(c: &mut Criterion) {
@@ -118,5 +120,40 @@ fn bench_layer_shapes(c: &mut Criterion) {
     bench_shapes(c, "conv_128x16x16_128f", &[(128, 128, 16)]);
 }
 
-criterion_group!(benches, bench_exact_vs_mercury, bench_layer_shapes);
+/// The `serve-open` tenant shape: `[1, 64]` requests against `[64, 32]`
+/// weights. `exact` is one `ops::matmul`; `session` is one submit to a
+/// persistent-session FC layer, walking a 2,048-request five-cluster
+/// stream and advancing the epoch every 128 submits, as `serve-open`
+/// does.
+fn bench_fc_session(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fc_session_64x32");
+    group.sample_size(1000);
+    let mut rng = Rng::new(7);
+    let weights = Tensor::randn(&[64, 32], &mut rng);
+    let stream = TenantMix::new(64, 5, 0.02, 7).tenant_stream(0, 2048);
+    group.bench_function("exact", |b| {
+        b.iter(|| ops::matmul(black_box(&stream[0]), &weights).unwrap())
+    });
+    group.bench_function("session", |b| {
+        let mut session = MercurySession::new(MercuryConfig::default(), 7).unwrap();
+        let fc = session.register_fc(weights.clone()).unwrap();
+        let mut requests = stream.iter().cycle().zip(1u64..);
+        b.iter(|| {
+            let (input, k) = requests.next().unwrap();
+            let out = session.submit(fc, black_box(input)).unwrap();
+            if k % 128 == 0 {
+                session.advance_epoch();
+            }
+            out
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_exact_vs_mercury,
+    bench_layer_shapes,
+    bench_fc_session
+);
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! Shared engine plumbing: the state every reuse engine carries (config,
-//! cache, RNG, projection matrices, signature length, detection flag) and
-//! its one constructor.
+//! cache, RNG, projection matrices, signature length, detection flag), its
+//! one constructor, and the one reuse pass every engine runs.
 //!
 //! Every engine holds one [`BankedMCache`]. A batch engine holds a
 //! one-bank cache and restarts it per reuse scope — the FPGA MCACHE of
@@ -8,17 +8,21 @@
 //! [`MercurySession`](crate::MercurySession) streams through, splits the
 //! cache across banks (§V) and keeps it across scopes until an epoch
 //! boundary evicts it. Both run the same hot path; only the bank count and
-//! the clear-per-scope flag differ. Every engine turns its probe outcomes
-//! into a [`ReusePlan`].
+//! the clear-per-scope flag differ. Conv (per channel), FC and attention
+//! (per call) all decide reuse in [`ReusePlan::pass`]: probe, plan,
+//! compute rows on the packed-panel row kernel, fan out producer rows.
 
 use crate::config::ConfigError;
 use crate::stats::LayerStats;
 use crate::MercuryConfig;
+#[cfg(feature = "fault-inject")]
+use mercury_faults::{FaultAction, FaultSite};
 use mercury_mcache::banked::BankedMCache;
 use mercury_mcache::{AccessOutcome, HitKind, MCacheConfig, OutcomeMix};
 use mercury_rpq::analysis::unique_signature_count;
 use mercury_rpq::{ProjectionMatrix, Signature, SignatureGenerator};
 use mercury_tensor::exec::Executor;
+use mercury_tensor::kernel::sign::{self, LANES};
 use mercury_tensor::rng::Rng;
 use mercury_tensor::Tensor;
 use std::collections::HashMap;
@@ -120,7 +124,6 @@ pub(crate) fn probe_batch(
 /// [`BankProbe`]: mercury_faults::FaultSite::BankProbe
 #[cfg(feature = "fault-inject")]
 fn bank_probe_faults(sigs: &[Signature]) -> Option<Vec<Signature>> {
-    use mercury_faults::{FaultAction, FaultSite};
     if !mercury_faults::active() {
         return None;
     }
@@ -142,7 +145,7 @@ const NO_ROW: u32 = u32::MAX;
 
 /// The reuse plan of one probe stream: which vectors compute, and whose
 /// result every vector takes (§III-C1). The conv, FC and attention engines
-/// all build it the same way.
+/// all run it through [`pass`](Self::pass).
 ///
 /// A MAU or MNU vector computes. A HIT takes the result of the vector that
 /// computed for its cache entry earlier in the pass. A HIT on a tag that
@@ -153,13 +156,11 @@ const NO_ROW: u32 = u32::MAX;
 pub(crate) struct ReusePlan {
     /// `source[v]`: the compute row whose result vector `v` takes, as an
     /// index into [`compute`](Self::compute).
-    pub source: Vec<u32>,
+    source: Vec<u32>,
     /// The vectors that compute, in stream order.
-    pub compute: Vec<usize>,
+    compute: Vec<usize>,
     /// The raw probe outcomes, one per vector.
     outcomes: Vec<AccessOutcome>,
-    /// The number of promoted stale-HIT producers.
-    promoted: usize,
     /// The signatures of the MNU vectors.
     mnu_sigs: Vec<Signature>,
     /// Per flat cache entry, the compute row of its producer this pass
@@ -168,21 +169,68 @@ pub(crate) struct ReusePlan {
     entry_row: Vec<u32>,
 }
 
+/// The dense product of one reuse pass: every `len`-element row of
+/// `vectors` dotted with the `width` columns packed in `panels` (see
+/// [`pack_panels`](sign::pack_panels)). The compute rows are copied into
+/// `rows` and their dots land in `dots`, caller-owned buffers reused
+/// across calls. Every vector's `width` results then land in its row of
+/// `dest`: stored, or with `accumulate` added (conv's per-channel
+/// accumulation).
+pub(crate) struct Product<'a> {
+    pub vectors: &'a [f32],
+    pub len: usize,
+    pub width: usize,
+    pub panels: &'a [f32],
+    pub rows: &'a mut Vec<f32>,
+    pub dots: &'a mut Vec<f32>,
+    pub dest: &'a mut [f32],
+    pub accumulate: bool,
+}
+
+/// What one reuse pass reports.
+pub(crate) struct PassOut {
+    /// The outcome counts the cycle model is charged with: the probe
+    /// outcomes, except that a promoted producer computed as an MAU.
+    pub charged: OutcomeMix,
+    /// The raw probe outcomes and the distinct-signature count. A
+    /// signature owns at most one cache entry and an MNU signature is
+    /// never resident, so the distinct signatures are the computing
+    /// entries plus the distinct MNU signatures.
+    pub counts: LayerStats,
+    /// The insertion conflicts the probes met.
+    pub conflicts: u64,
+}
+
 impl ReusePlan {
-    /// Probes `sigs` against `cache` through [`probe_batch`] and plans the
-    /// pass in one walk over the outcomes. Returns the insertion conflicts
-    /// the probes met.
-    pub fn probe(&mut self, cache: &mut BankedMCache, sigs: &[Signature], exec: &Executor) -> u64 {
+    /// The one reuse pass: opens the reuse scope (`clear` restarts a batch
+    /// engine's cache; every scope starts a fresh insertion-conflict
+    /// window), probes `sigs` against `cache` through [`probe_batch`] and
+    /// plans the pass in one walk over the outcomes, then computes and
+    /// fans out `product` ([`compute`](Self::compute)).
+    pub fn pass(
+        &mut self,
+        cache: &mut BankedMCache,
+        clear: bool,
+        exec: &Executor,
+        sigs: &[Signature],
+        product: Product<'_>,
+    ) -> PassOut {
+        if clear {
+            cache.clear();
+        }
+        cache.begin_insert_batch();
         let conflicts_before = cache.stats().insert_conflicts;
         probe_batch(cache, sigs, exec, &mut self.outcomes);
+        let conflicts = cache.stats().insert_conflicts - conflicts_before;
+
         let ways = cache.bank_config().ways;
         if self.entry_row.len() < cache.entries() {
             self.entry_row.resize(cache.entries(), NO_ROW);
         }
         self.source.clear();
         self.compute.clear();
-        self.promoted = 0;
         self.mnu_sigs.clear();
+        let mut promoted = 0;
         for (v, outcome) in self.outcomes.iter().enumerate() {
             let row = self.compute.len() as u32;
             let source = match outcome.entry {
@@ -198,7 +246,7 @@ impl ReusePlan {
                     if hit && *producer != NO_ROW {
                         *producer
                     } else {
-                        self.promoted += usize::from(hit);
+                        promoted += usize::from(hit);
                         *producer = row;
                         self.compute.push(v);
                         row
@@ -212,33 +260,150 @@ impl ReusePlan {
                 self.entry_row[id.set * ways + id.way] = NO_ROW;
             }
         }
-        cache.stats().insert_conflicts - conflicts_before
-    }
 
-    /// The outcome counts the cycle model is charged with: the probe
-    /// outcomes, except that a promoted producer computed as an MAU.
-    pub fn charged(&self) -> OutcomeMix {
+        self.compute(exec, product);
+
+        let (vectors, computed) = (self.source.len(), self.compute.len());
         let mnus = self.mnu_sigs.len();
-        OutcomeMix {
-            hits: self.source.len() - self.compute.len(),
-            maus: self.compute.len() - mnus,
-            mnus,
+        let maus = computed - mnus - promoted;
+        let distinct_mnus = if mnus > 0 {
+            unique_signature_count(&self.mnu_sigs)
+        } else {
+            0
+        };
+        PassOut {
+            charged: OutcomeMix {
+                hits: vectors - computed,
+                maus: computed - mnus,
+                mnus,
+            },
+            counts: LayerStats {
+                hits: (vectors - maus - mnus) as u64,
+                maus: maus as u64,
+                mnus: mnus as u64,
+                unique_vectors: (computed - mnus + distinct_mnus) as u64,
+                ..LayerStats::default()
+            },
+            conflicts,
         }
     }
 
-    /// Adds the raw probe outcomes and the distinct-signature count to
-    /// `stats`. A signature owns at most one cache entry and an MNU
-    /// signature is never resident, so the distinct signatures are the
-    /// computing entries plus the distinct MNU signatures.
-    pub fn tally(&self, stats: &mut LayerStats) {
-        let mnus = self.mnu_sigs.len();
-        let maus = self.compute.len() - mnus - self.promoted;
-        stats.hits += (self.source.len() - maus - mnus) as u64;
-        stats.maus += maus as u64;
-        stats.mnus += mnus as u64;
-        stats.unique_vectors += (self.compute.len() - mnus) as u64;
-        if mnus > 0 {
-            stats.unique_vectors += unique_signature_count(&self.mnu_sigs) as u64;
+    /// Computes and fans out `product` under this plan: copies the compute
+    /// rows contiguously, dots them with every packed column on the
+    /// executor ([`dot_rows_on`]), then writes every vector's producer row
+    /// into its row of the destination. Each destination element sees one
+    /// store or add per pass, whatever the plan. Attention runs it a second
+    /// time, with the plan of its first product.
+    pub fn compute(&self, exec: &Executor, product: Product<'_>) {
+        let Product {
+            vectors,
+            len,
+            width,
+            panels,
+            rows,
+            dots,
+            dest,
+            accumulate,
+        } = product;
+        rows.clear();
+        for &v in &self.compute {
+            rows.extend_from_slice(&vectors[v * len..(v + 1) * len]);
+        }
+        let ld = width.div_ceil(LANES) * LANES;
+        // `dot_rows` overwrites every value: only a grown tail needs a fill.
+        dots.resize(self.compute.len() * ld, 0.0);
+        dot_rows_on(exec, rows, len, width, panels, dots);
+        for (drow, &r) in dest.chunks_exact_mut(width).zip(&self.source) {
+            let crow = &dots[r as usize * ld..r as usize * ld + width];
+            if accumulate {
+                for (d, &x) in drow.iter_mut().zip(crow) {
+                    *d += x;
+                }
+            } else {
+                drow.copy_from_slice(crow);
+            }
+        }
+    }
+}
+
+/// Dots every `len`-element row of `rows` with the `width` columns packed
+/// in `panels` through [`dot_rows`](sign::dot_rows), writing
+/// `[rows, ⌈width/LANES⌉·LANES]` into `out`. The rows split into one
+/// contiguous chunk per executor worker, each hinted with its own dense
+/// work so small products run inline. A row's dots depend on nothing but
+/// the row, so the result is bit-identical to one serial call for any
+/// chunking.
+///
+/// With `fault-inject`, one [`GemmChunk`] event is drawn per chunk, in
+/// chunk order on this thread before any fan-out; `Panic` fires on the
+/// runner that owns the chunk and `NanPayload` plants a NaN in the
+/// chunk's first value (compute row 0, column 0 on a serial executor).
+///
+/// [`GemmChunk`]: mercury_faults::FaultSite::GemmChunk
+fn dot_rows_on(
+    exec: &Executor,
+    rows: &[f32],
+    len: usize,
+    width: usize,
+    panels: &[f32],
+    out: &mut [f32],
+) {
+    let n = rows.len() / len;
+    let nb = width.div_ceil(LANES);
+    if n == 0 || nb == 0 {
+        return;
+    }
+    let per = n.div_ceil(exec.threads().min(n));
+    #[cfg(feature = "fault-inject")]
+    let faults = draw_faults(FaultSite::GemmChunk, n.div_ceil(per));
+    let chunks = rows
+        .chunks(per * len)
+        .zip(out.chunks_mut(per * nb * LANES))
+        .enumerate();
+    exec.map(
+        chunks,
+        |(_, (chunk, _))| dense_work(chunk.len() / len, len, width),
+        || (),
+        |(_i, (chunk, dots)), ()| {
+            #[cfg(feature = "fault-inject")]
+            fault_pre(FaultSite::GemmChunk, &faults, _i);
+            sign::dot_rows(chunk, len, nb, panels, dots);
+            #[cfg(feature = "fault-inject")]
+            fault_post(&faults, _i, dots);
+        },
+    );
+}
+
+/// Draws one `site` fault event per item, in item order on the
+/// dispatching thread, before any fan-out — which item faults never
+/// depends on the executor or pool scheduling (an empty vec when no
+/// harness is open, so the hot path pays one relaxed atomic load).
+#[cfg(feature = "fault-inject")]
+pub(crate) fn draw_faults(site: FaultSite, items: usize) -> Vec<Option<FaultAction>> {
+    if !mercury_faults::active() {
+        return Vec::new();
+    }
+    (0..items).map(|_| mercury_faults::poll(site)).collect()
+}
+
+/// Fires item `i`'s drawn `Panic` on the thread that owns the item — the
+/// dispatching thread inline, a pool worker on a fan-out (the pool
+/// re-raises it after the region drains either way).
+#[cfg(feature = "fault-inject")]
+pub(crate) fn fault_pre(site: FaultSite, faults: &[Option<FaultAction>], i: usize) {
+    if faults.get(i) == Some(&Some(FaultAction::Panic)) {
+        mercury_faults::injected_panic(site);
+    }
+}
+
+/// Applies item `i`'s drawn `NanPayload`: plants a NaN in the first slot
+/// of `out` after real data was written (a corrupted-result fault rather
+/// than a crash). `CorruptTag` has no meaning here and is ignored.
+#[cfg(feature = "fault-inject")]
+pub(crate) fn fault_post(faults: &[Option<FaultAction>], i: usize, out: &mut [f32]) {
+    if faults.get(i) == Some(&Some(FaultAction::NanPayload)) {
+        if let Some(slot) = out.first_mut() {
+            *slot = f32::NAN;
         }
     }
 }
@@ -262,8 +427,15 @@ pub(crate) struct EngineBase {
     pub signature_bits: usize,
     pub detection_enabled: bool,
     /// The FC and attention engines' reuse plan, kept across calls so its
-    /// per-entry index is filled once.
+    /// per-entry index is filled once. Conv channels plan in their
+    /// workers' scratch instead.
     pub plan: ReusePlan,
+    /// The FC and attention engines' compute rows (see [`Product`]):
+    /// plain vectors kept across calls, so an engine that never runs a
+    /// row pass — every conv engine — holds no buffer.
+    pub rows: Vec<f32>,
+    /// The dots of [`rows`](Self::rows), kept the same way.
+    pub dots: Vec<f32>,
 }
 
 impl EngineBase {
@@ -308,17 +480,37 @@ impl EngineBase {
             signature_bits: config.initial_signature_bits,
             detection_enabled: true,
             plan: ReusePlan::default(),
+            rows: Vec::new(),
+            dots: Vec::new(),
         })
     }
 
-    /// Opens a reuse scope (a channel for conv, a call for FC/attention):
-    /// batch engines restart the cache, persistent engines keep it; both
-    /// start a fresh insertion-conflict window.
-    pub fn begin_reuse_scope(&mut self) {
-        if !self.persistent {
-            self.cache.clear();
-        }
-        self.cache.begin_insert_batch();
+    /// The FC and attention engines' reuse pass: one scope per call over
+    /// the engine's own cache, plan and buffers (see [`ReusePlan::pass`]),
+    /// storing every vector's `width` results of `[n, len]` `vectors`
+    /// against `panels` in its row of `dest`.
+    pub fn rows_pass(
+        &mut self,
+        sigs: &[Signature],
+        vectors: &[f32],
+        len: usize,
+        width: usize,
+        panels: &[f32],
+        dest: &mut [f32],
+    ) -> PassOut {
+        let product = Product {
+            vectors,
+            len,
+            width,
+            panels,
+            rows: &mut self.rows,
+            dots: &mut self.dots,
+            dest,
+            accumulate: false,
+        };
+        let clear = !self.persistent;
+        self.plan
+            .pass(&mut self.cache, clear, &self.exec, sigs, product)
     }
 
     /// Evicts all MCACHE state (tags and data) — the epoch boundary.
@@ -532,8 +724,9 @@ mod tests {
     #[test]
     fn work_hints_saturate_on_overflow_shaped_layers() {
         // Hint arithmetic must clamp, not wrap or panic, when layer
-        // dimensions multiply past usize::MAX (these run under
-        // overflow-checks in the release test profile).
+        // dimensions multiply past usize::MAX (overflow checks stay on
+        // in the release profile, which CI's `cargo test --release -q`
+        // step runs these under).
         let huge = 1usize << 40;
         assert_eq!(dense_work(huge, huge, huge), usize::MAX);
         assert_eq!(dense_work(1, usize::MAX, 2), usize::MAX);
@@ -628,18 +821,28 @@ mod tests {
 
     #[test]
     fn persistent_scope_keeps_tags_batch_scope_drops_them() {
+        // One one-element vector per pass against the single column `2`:
+        // the scope decides whether the resident tag makes it a HIT, and
+        // either way the vector takes its own product.
+        let mut panels = Vec::new();
+        sign::pack_panels(&[2.0], 1, 1, 1, &mut panels);
+        let pass = |base: &mut EngineBase| {
+            let mut out = [0.0f32];
+            let counts = base
+                .rows_pass(&[sig(9)], &[1.5], 1, 1, &panels, &mut out)
+                .counts;
+            assert_eq!(out, [3.0]);
+            (counts.hits, counts.maus)
+        };
         let config = MercuryConfig::default();
         let mut batch = EngineBase::new(config, 1, Executor::serial(), 1, false).unwrap();
         batch.cache.probe_insert(sig(9));
-        batch.begin_reuse_scope();
-        assert_eq!(batch.cache.probe_insert(sig(9)).kind, HitKind::Mau);
+        assert_eq!(pass(&mut batch), (0, 1));
 
         let mut persistent = EngineBase::new(config, 1, Executor::serial(), 8, true).unwrap();
         persistent.cache.probe_insert(sig(9));
-        persistent.begin_reuse_scope();
-        assert_eq!(persistent.cache.probe_insert(sig(9)).kind, HitKind::Hit);
+        assert_eq!(pass(&mut persistent), (1, 0));
         persistent.end_epoch();
-        persistent.begin_reuse_scope();
-        assert_eq!(persistent.cache.probe_insert(sig(9)).kind, HitKind::Mau);
+        assert_eq!(pass(&mut persistent), (0, 1));
     }
 }

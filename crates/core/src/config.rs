@@ -131,8 +131,9 @@ pub struct MercuryConfig {
     /// before a layer's similarity detection is turned off (§III-D).
     pub stoppage_window: usize,
     /// Execution backend for every parallel path the engines own: the
-    /// row-sharded dense products, the conv engine's per-channel sharding, the
-    /// banked MCACHE's concurrent bank probing, and
+    /// reuse pass's compute rows (one contiguous chunk per worker, for
+    /// conv, FC and attention alike), the conv engine's per-channel
+    /// sharding, the banked MCACHE's concurrent bank probing, and
     /// [`MercurySession::submit_batch`](crate::MercurySession::submit_batch)
     /// fan-out. [`ExecutorKind::Serial`] is the reference semantics; the
     /// threaded backend is bit-identical to it (pinned by the

@@ -1,11 +1,13 @@
-use crate::base::{EngineBase, ReusePlan};
+#[cfg(feature = "fault-inject")]
+use crate::base::{draw_faults, fault_post, fault_pre};
+use crate::base::{EngineBase, PassOut, Product, ReusePlan};
 use crate::config::ConfigError;
 use crate::reuse::{LayerForward, LayerOp, ReuseEngine, ReuseReport, ReuseSignatures};
 use crate::stats::LayerStats;
 use crate::{MercuryConfig, MercuryError, SavedSignatures};
 use mercury_accel::sim::{ChannelWork, LayerSim};
 #[cfg(feature = "fault-inject")]
-use mercury_faults::{FaultAction, FaultSite};
+use mercury_faults::FaultSite;
 use mercury_mcache::banked::BankedMCache;
 use mercury_mcache::OutcomeMix;
 use mercury_rpq::{SignPlan, Signature, SignatureGenerator};
@@ -20,8 +22,9 @@ use mercury_tensor::{Tensor, TensorError};
 /// shared across calls. Implements [`ReuseEngine`] for
 /// [`LayerOp::Conv`] requests.
 ///
-/// Per channel, the vectors that compute are dotted with every filter in
-/// one pass of the packed-panel row kernel
+/// Per channel, the engine runs the one reuse pass the FC and attention
+/// engines run per call: the vectors that compute are dotted with every
+/// filter in one pass of the packed-panel row kernel
 /// ([`dot_rows`](mercury_tensor::kernel::sign::dot_rows)), and every HIT
 /// takes its producer's whole row of `F` filter outputs (§III-C1) — the
 /// value the hardware reads back from MCACHE. The rows land in a
@@ -189,11 +192,8 @@ impl ConvEngine {
         let channel_faults = draw_faults(FaultSite::ChannelShard, c);
         #[cfg(feature = "fault-inject")]
         let channel_faults = &channel_faults;
-        let channel_outs: Vec<Result<(ChannelOut, Vec<f32>), MercuryError>> = if self
-            .base
-            .persistent
-            || !exec.is_parallel()
-        {
+        type ChannelResult = Result<(PassOut, Option<Vec<Signature>>, Vec<f32>), MercuryError>;
+        let channel_outs: Vec<ChannelResult> = if self.base.persistent || !exec.is_parallel() {
             // Sequential channel loop — persistent engines always (tags
             // persist *across* channels; their parallelism is the bank
             // probe fan-out and the row-sharded compute rows inside each
@@ -212,7 +212,7 @@ impl ConvEngine {
                     fault_pre(FaultSite::ChannelShard, channel_faults, ch);
                     let res =
                         conv_channel(&ctx, ch, cache, clear_scope, &exec, &mut scratch, od, true)
-                            .map(|out| (out, Vec::new()));
+                            .map(|(pass, sigs)| (pass, sigs, Vec::new()));
                     #[cfg(feature = "fault-inject")]
                     if res.is_ok() {
                         fault_post(channel_faults, ch, od);
@@ -252,7 +252,7 @@ impl ConvEngine {
                         conv_channel(ctx, ch, cache, true, &inner, scratch, &mut contrib, false);
                     #[cfg(feature = "fault-inject")]
                     fault_post(channel_faults, ch, &mut contrib);
-                    res.map(|out| (out, contrib))
+                    res.map(|(pass, sigs)| (pass, sigs, contrib))
                 },
             )
         };
@@ -268,7 +268,7 @@ impl ConvEngine {
         };
         let mut saved_out: Vec<Vec<Signature>> = Vec::with_capacity(c);
         for out in channel_outs {
-            let (out, contrib) = out?;
+            let (pass, sigs, contrib) = out?;
             // Batch channels return their contribution block (persistent
             // ones accumulated in place and return an empty one).
             for (o, &x) in acc.iter_mut().zip(&contrib) {
@@ -279,13 +279,13 @@ impl ConvEngine {
             // simulator is charged with promoted producers as MAUs, since
             // those vectors computed and wrote rather than reused.
             let mut work =
-                ChannelWork::new(out.charged, f, kh, bits).with_insert_conflicts(out.conflicts);
+                ChannelWork::new(pass.charged, f, kh, bits).with_insert_conflicts(pass.conflicts);
             if saved.is_some() {
                 work = work.with_precomputed_signatures();
             }
             sim.push_channel(&work);
-            stats.accumulate(&out.counts);
-            if let Some(s) = out.sigs {
+            stats.accumulate(&pass.counts);
+            if let Some(s) = sigs {
                 saved_out.push(s);
             }
         }
@@ -365,40 +365,6 @@ impl ConvEngine {
     }
 }
 
-/// Draws one `site` fault event per item, in item order on the
-/// dispatching thread, before any fan-out — which item faults never
-/// depends on the executor or pool scheduling (an empty vec when no
-/// harness is open, so the hot path pays one relaxed atomic load).
-#[cfg(feature = "fault-inject")]
-fn draw_faults(site: FaultSite, items: usize) -> Vec<Option<FaultAction>> {
-    if !mercury_faults::active() {
-        return Vec::new();
-    }
-    (0..items).map(|_| mercury_faults::poll(site)).collect()
-}
-
-/// Fires item `i`'s drawn `Panic` on the thread that owns the item — the
-/// dispatching thread inline, a pool worker on a fan-out (the pool
-/// re-raises it after the region drains either way).
-#[cfg(feature = "fault-inject")]
-fn fault_pre(site: FaultSite, faults: &[Option<FaultAction>], i: usize) {
-    if faults.get(i) == Some(&Some(FaultAction::Panic)) {
-        mercury_faults::injected_panic(site);
-    }
-}
-
-/// Applies item `i`'s drawn `NanPayload`: plants a NaN in the first slot
-/// of `out` after real data was written (a corrupted-result fault rather
-/// than a crash). `CorruptTag` has no meaning here and is ignored.
-#[cfg(feature = "fault-inject")]
-fn fault_post(faults: &[Option<FaultAction>], i: usize, out: &mut [f32]) {
-    if faults.get(i) == Some(&Some(FaultAction::NanPayload)) {
-        if let Some(slot) = out.first_mut() {
-            *slot = f32::NAN;
-        }
-    }
-}
-
 /// Immutable per-forward context shared by every channel worker of one
 /// [`ConvEngine::run`] call.
 struct ChannelCtx<'a> {
@@ -432,20 +398,10 @@ struct ConvScratch {
     plan: ReusePlan,
 }
 
-/// Everything one channel reports to the deterministic reduce besides its
-/// output block: the outcome counts the cycle simulator is charged with,
-/// the raw outcome and distinct-signature counts, the insertion-conflict
-/// count, and the signatures to save (`None` when saved signatures were
-/// reused).
-struct ChannelOut {
-    charged: OutcomeMix,
-    counts: LayerStats,
-    conflicts: u64,
-    sigs: Option<Vec<Signature>>,
-}
-
-/// Runs one channel of a conv forward: im2col, similarity detection,
-/// reuse planning, the compute rows and the fan-out. `clear_scope`
+/// Runs one channel of a conv forward: im2col, similarity detection, then
+/// the one reuse pass ([`ReusePlan::pass`]) — reuse planning, the compute
+/// rows and the fan-out. Returns the pass's report and the signatures to
+/// save (`None` when saved signatures were reused). `clear_scope`
 /// distinguishes the batch discipline (restart the cache per channel,
 /// §III-B3 — what makes channels independent and therefore shardable)
 /// from the persistent discipline (tags stay resident; the caller must
@@ -468,7 +424,7 @@ fn conv_channel(
     scratch: &mut ConvScratch,
     dest: &mut [f32],
     accumulate: bool,
-) -> Result<ChannelOut, MercuryError> {
+) -> Result<(PassOut, Option<Vec<Signature>>), MercuryError> {
     let geom = ctx.geom;
     let (f, plen) = (ctx.f, geom.patch_len());
     let hw = geom.height * geom.width;
@@ -494,106 +450,22 @@ fn conv_channel(
         None => &ctx.saved.unwrap().per_channel[ch],
     };
 
-    // New reuse scope: batch engines restart MCACHE here (§III-B3);
-    // persistent engines keep tags resident across channels and submits,
-    // evicting only at epoch boundaries.
-    if clear_scope {
-        cache.clear();
-    }
-    cache.begin_insert_batch();
-    let plan = &mut scratch.plan;
-    let conflicts = plan.probe(cache, sigs, exec);
-
-    // ---- Reuse-aware computation -------------------------------------------
-    // Every dot product the channel actually performs: the compute rows,
-    // copied contiguously, each dotted with all F filters by the
-    // packed-panel row kernel (row-sharded over the executor;
-    // bit-identical to one serial call).
+    // One reuse pass over the channel's patches: batch engines restart
+    // MCACHE here (§III-B3); persistent engines keep tags resident across
+    // channels and submits, evicting only at epoch boundaries.
     let ld = f.div_ceil(LANES) * LANES;
-    scratch.rows.clear();
-    for &v in &plan.compute {
-        scratch
-            .rows
-            .extend_from_slice(&scratch.patch_buf[v * plen..(v + 1) * plen]);
-    }
-    // `dot_rows` overwrites every value: only a grown tail needs a fill.
-    scratch.dots.resize(plan.compute.len() * ld, 0.0);
-    let panel = &ctx.panels[ch * plen * ld..(ch + 1) * plen * ld];
-    dot_rows_on(exec, &scratch.rows, plen, f, panel, &mut scratch.dots);
-
-    // ---- Fan-out -----------------------------------------------------------
-    // Every vector takes its compute row's F results as one row: one add
-    // (or store) per output element per channel, so each element sees the
-    // same operations whatever the plan.
-    if f > 0 {
-        for (drow, &r) in dest.chunks_exact_mut(f).zip(&plan.source) {
-            let crow = &scratch.dots[r as usize * ld..r as usize * ld + f];
-            if accumulate {
-                for (d, &x) in drow.iter_mut().zip(crow) {
-                    *d += x;
-                }
-            } else {
-                drow.copy_from_slice(crow);
-            }
-        }
-    }
-
-    let mut counts = LayerStats::default();
-    plan.tally(&mut counts);
-    Ok(ChannelOut {
-        charged: plan.charged(),
-        counts,
-        conflicts,
-        sigs: sigs_owned,
-    })
-}
-
-/// Dots every `plen`-element row of `rows` with the `f` filters packed in
-/// `panel` through [`dot_rows`](kernel::sign::dot_rows), writing
-/// `[rows, ⌈f/LANES⌉·LANES]` into `out`. The rows split into one
-/// contiguous chunk per executor worker, each hinted with its own dense
-/// work so small channels run inline. A row's dots depend on nothing but
-/// the row, so the result is bit-identical to one serial call for any
-/// chunking.
-///
-/// With `fault-inject`, one [`GemmChunk`] event is drawn per chunk, in
-/// chunk order on this thread before any fan-out; `Panic` fires on the
-/// runner that owns the chunk and `NanPayload` plants a NaN in the
-/// chunk's first value (compute row 0, filter 0 on a serial executor).
-///
-/// [`GemmChunk`]: mercury_faults::FaultSite::GemmChunk
-fn dot_rows_on(
-    exec: &Executor,
-    rows: &[f32],
-    plen: usize,
-    f: usize,
-    panel: &[f32],
-    out: &mut [f32],
-) {
-    let n = rows.len() / plen;
-    let nb = f.div_ceil(LANES);
-    if n == 0 || nb == 0 {
-        return;
-    }
-    let per = n.div_ceil(exec.threads().min(n));
-    #[cfg(feature = "fault-inject")]
-    let faults = draw_faults(FaultSite::GemmChunk, n.div_ceil(per));
-    let chunks = rows
-        .chunks(per * plen)
-        .zip(out.chunks_mut(per * nb * LANES))
-        .enumerate();
-    exec.map(
-        chunks,
-        |(_, (chunk, _))| crate::base::dense_work(chunk.len() / plen, plen, f),
-        || (),
-        |(_i, (chunk, dots)), ()| {
-            #[cfg(feature = "fault-inject")]
-            fault_pre(FaultSite::GemmChunk, &faults, _i);
-            kernel::sign::dot_rows(chunk, plen, nb, panel, dots);
-            #[cfg(feature = "fault-inject")]
-            fault_post(&faults, _i, dots);
-        },
-    );
+    let product = Product {
+        vectors: &scratch.patch_buf,
+        len: plen,
+        width: f,
+        panels: &ctx.panels[ch * plen * ld..(ch + 1) * plen * ld],
+        rows: &mut scratch.rows,
+        dots: &mut scratch.dots,
+        dest,
+        accumulate,
+    };
+    let pass = scratch.plan.pass(cache, clear_scope, exec, sigs, product);
+    Ok((pass, sigs_owned))
 }
 
 impl ReuseEngine for ConvEngine {

@@ -1,84 +1,94 @@
-use crate::base::{EngineBase, ReusePlan};
+use crate::base::{EngineBase, PassOut, Product};
 use crate::config::ConfigError;
 use crate::reuse::{LayerForward, LayerOp, ReuseEngine, ReuseReport, ReuseSignatures};
 use crate::stats::LayerStats;
 use crate::{MercuryConfig, MercuryError};
 use mercury_accel::fc::{simulate_attention, simulate_fc, FcWork};
+use mercury_accel::sim::ChannelCycles;
 use mercury_mcache::OutcomeMix;
 use mercury_rpq::Signature;
 use mercury_tensor::exec::Executor;
+use mercury_tensor::kernel::sign::pack_panels;
+use mercury_tensor::scratch::ScratchF32;
 use mercury_tensor::{ops, Tensor, TensorError};
 
-/// Opens a reuse scope, probes one signature per row against the engine
-/// cache and builds the engine's [`ReusePlan`](crate::base::ReusePlan)
-/// from the outcomes. Returns the insertion conflicts the probes met.
-///
-/// Probing goes through the batched path, so a multi-bank cache fans the
-/// probes out across its banks on a parallel executor — outcomes are
-/// identical to the serial loop either way.
-fn probe_rows(base: &mut EngineBase, sigs: &[Signature]) -> u64 {
-    base.begin_reuse_scope();
-    base.plan.probe(&mut base.cache, sigs, &base.exec)
-}
-
-/// Copies every consumer row of a row-major `[n, width]` matrix from its
-/// producer: the earlier PE forwards its results in stream order.
-fn forward_rows(out: &mut [f32], width: usize, plan: &ReusePlan) {
-    for (i, &r) in plan.source.iter().enumerate() {
-        let src = plan.compute[r as usize];
-        if src != i {
-            out.copy_within(src * width..(src + 1) * width, i * width);
-        }
-    }
-}
-
-/// Whether saved per-row signatures can stand in for fresh ones: one per
+/// The signatures of a call's `rows`, and whether they are the `saved`
+/// ones: saved signatures stand in for fresh ones when there is one per
 /// row, all at the engine's current signature length.
-fn rows_reusable(saved: Option<&[Signature]>, n: usize, bits: usize) -> bool {
-    saved
-        .map(|sigs| sigs.len() == n && sigs.iter().all(|s| s.len() == bits))
-        .unwrap_or(false)
+fn row_signatures(
+    base: &mut EngineBase,
+    rows: &Tensor,
+    saved: Option<&[Signature]>,
+) -> (Vec<Signature>, bool) {
+    let bits = base.signature_bits;
+    match saved {
+        Some(sigs) if sigs.len() == rows.shape()[0] && sigs.iter().all(|s| s.len() == bits) => {
+            (sigs.to_vec(), true)
+        }
+        _ => (base.signatures_for_rows(rows), false),
+    }
 }
 
-/// Runs the producer rows of a row-sharded dense product: each index in
-/// `compute` (strictly increasing — it is built by filtering `0..n` in
-/// order) names one `width`-wide row of `out`, and `fill` computes that
-/// row in place. The rows are disjoint `&mut` chunks fanned out across
-/// the executor as owned items, so producer rows write straight into the
-/// output tensor — no per-row result buffers, no copy-back pass, and no
-/// allocator traffic on the pool workers. `row_work` is the per-row
-/// dispatch hint in the executor's work units. `fill` performs the identical
-/// per-element accumulation on either backend, so threaded output stays
-/// bit-identical to serial.
-fn producer_rows_into<F>(
-    exec: &Executor,
-    out: &mut [f32],
-    width: usize,
-    compute: &[usize],
-    row_work: usize,
-    fill: F,
-) where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    if width == 0 {
-        return; // zero-width rows carry no values to compute
+/// The forward of a detection-off call of `n` rows: every row an MNU, no
+/// signature cost and no reuse, so the MERCURY total is the baseline.
+fn exact_forward(output: Tensor, n: usize, mut cycles: ChannelCycles) -> LayerForward {
+    cycles.signature = 0;
+    cycles.compute = cycles.baseline;
+    let stats = LayerStats {
+        mnus: n as u64,
+        unique_vectors: n as u64,
+        cycles,
+        ..LayerStats::default()
+    };
+    LayerForward {
+        output,
+        report: ReuseReport {
+            stats,
+            signatures: ReuseSignatures::Rows(Vec::new()),
+            degraded: false,
+        },
     }
-    let mut rows: Vec<(usize, &mut [f32])> = Vec::with_capacity(compute.len());
-    let mut next = compute.iter().peekable();
-    for (i, chunk) in out.chunks_mut(width).enumerate() {
-        if next.peek().is_some_and(|&&c| c == i) {
-            next.next();
-            rows.push((i, chunk));
-        }
+}
+
+/// The forward of a reuse call: the pass's counts, and `cycles` plus its
+/// insertion conflicts, which serialize through the per-set queues as on
+/// the conv path and are charged to the signature phase.
+fn reuse_forward(
+    base: &EngineBase,
+    output: Tensor,
+    pass: PassOut,
+    mut cycles: ChannelCycles,
+    sigs: Vec<Signature>,
+) -> LayerForward {
+    cycles.signature +=
+        pass.conflicts * base.config.accelerator.timing.mcache_insert_conflict_cycles;
+    let stats = LayerStats {
+        cycles,
+        detection_enabled: true,
+        ..pass.counts
+    };
+    LayerForward {
+        output,
+        report: ReuseReport {
+            stats,
+            signatures: ReuseSignatures::Rows(sigs),
+            degraded: false,
+        },
     }
-    debug_assert_eq!(rows.len(), compute.len(), "every producer row resolved");
-    exec.map(rows, |_| row_work, || (), |(i, row), ()| fill(i, row));
 }
 
 /// The MERCURY engine for fully-connected layers (§III-C3): one PE per
 /// input vector, block-wise weight streaming, and earlier-PE result
 /// forwarding on signature matches. Implements [`ReuseEngine`] for
 /// [`LayerOp::Fc`] requests; attention lives in [`AttentionEngine`].
+///
+/// Each call is one reuse scope and runs the reuse pass the conv engine
+/// runs per channel: the rows that compute are dotted with the weights,
+/// packed once per call into the panels of the packed-panel row kernel
+/// ([`dot_rows`](mercury_tensor::kernel::sign::dot_rows)), in one
+/// contiguous chunk per executor worker, and every row takes its
+/// producer's output row. With detection off the engine is
+/// [`ops::matmul`], which runs on the same kernel.
 #[derive(Debug)]
 pub struct FcEngine {
     pub(crate) base: EngineBase,
@@ -141,97 +151,25 @@ impl FcEngine {
             .into());
         }
 
-        let mut output = Tensor::zeros(&[n, m]);
-        let mut stats = LayerStats {
-            detection_enabled: self.base.detection_enabled,
-            ..LayerStats::default()
-        };
-
         if !self.base.detection_enabled {
-            let exact = ops::matmul(inputs, weights).map_err(MercuryError::Tensor)?;
-            output = exact;
-            stats.mnus = n as u64;
-            stats.unique_vectors = n as u64;
-            stats.cycles = simulate_fc(
-                &self.base.config.accelerator,
-                &FcWork::new(OutcomeMix::all_mnu(n), m, l, 0).with_precomputed_signatures(),
-            );
-            // With detection off the engine pays no signature cost and no
-            // reuse: force MERCURY total == baseline.
-            stats.cycles.signature = 0;
-            stats.cycles.compute = stats.cycles.baseline;
-            return Ok(LayerForward {
-                output,
-                report: ReuseReport {
-                    stats,
-                    signatures: ReuseSignatures::Rows(Vec::new()),
-                    degraded: false,
-                },
-            });
+            let work = FcWork::new(OutcomeMix::all_mnu(n), m, l, 0).with_precomputed_signatures();
+            let cycles = simulate_fc(&self.base.config.accelerator, &work);
+            return Ok(exact_forward(ops::matmul(inputs, weights)?, n, cycles));
         }
 
-        let reuse_saved = rows_reusable(saved, n, self.base.signature_bits);
-        let sigs: Vec<Signature> = if reuse_saved {
-            saved.unwrap().to_vec()
-        } else {
-            self.base.signatures_for_rows(inputs)
-        };
-
-        let conflicts = probe_rows(&mut self.base, &sigs);
-        let plan = &self.base.plan;
-
-        // Producer rows — the ones that actually compute — are mutually
-        // independent, so they shard across the executor; each row's
-        // accumulation order is unchanged, keeping the threaded backend
-        // bit-identical to serial. Consumers then copy their producer's
-        // row in stream order (a producer always precedes its consumers).
-        let (id, wd) = (inputs.data(), weights.data());
-        let od = output.data_mut();
-        // Work-size hint: one producer row costs a [1, l] x [l, m] product
-        // (saturating, so overflow-shaped layers can't wrap the hint).
-        producer_rows_into(
-            &self.base.exec,
-            od,
-            m,
-            &plan.compute,
-            crate::base::dense_work(1, l, m),
-            |i, out_row| {
-                let row = &id[i * l..(i + 1) * l];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    for (k, &x) in row.iter().enumerate() {
-                        acc += x * wd[k * m + j];
-                    }
-                    *o = acc;
-                }
-            },
-        );
-        forward_rows(od, m, plan);
-
-        plan.tally(&mut stats);
-        let mut work = FcWork::new(plan.charged(), m, l, self.base.signature_bits);
+        let (sigs, reuse_saved) = row_signatures(&mut self.base, inputs, saved);
+        let mut panels = ScratchF32::take();
+        pack_panels(weights.data(), l, m, m, &mut panels);
+        let mut output = Tensor::zeros(&[n, m]);
+        let pass = self
+            .base
+            .rows_pass(&sigs, inputs.data(), l, m, &panels, output.data_mut());
+        let mut work = FcWork::new(pass.charged, m, l, self.base.signature_bits);
         if reuse_saved {
             work = work.with_precomputed_signatures();
         }
-        stats.cycles = simulate_fc(&self.base.config.accelerator, &work);
-        // Insertion conflicts serialize through the per-set queues like the
-        // conv path; charge them to the signature phase.
-        stats.cycles.signature += conflicts
-            * self
-                .base
-                .config
-                .accelerator
-                .timing
-                .mcache_insert_conflict_cycles;
-
-        Ok(LayerForward {
-            output,
-            report: ReuseReport {
-                stats,
-                signatures: ReuseSignatures::Rows(sigs),
-                degraded: false,
-            },
-        })
+        let cycles = simulate_fc(&self.base.config.accelerator, &work);
+        Ok(reuse_forward(&self.base, output, pass, cycles, sigs))
     }
 }
 
@@ -268,10 +206,11 @@ impl ReuseEngine for FcEngine {
 /// sequence positions. Implements [`ReuseEngine`] for
 /// [`LayerOp::Attention`] requests.
 ///
-/// The paper treats attention exactly like the FC design; this engine
-/// shares all its plumbing with [`FcEngine`] through the common base but
-/// is its own type so attention layers are first-class in the unified
-/// API.
+/// The paper treats attention exactly like the FC design, and so does
+/// this engine: `W` is one reuse pass of the rows of `X` against `Xᵀ`,
+/// and `Y` computes and fans out the rows of `W` under the same plan
+/// (identical `xᵢ` give identical rows of both products). It is its own
+/// type so attention layers are first-class in the unified API.
 #[derive(Debug)]
 pub struct AttentionEngine {
     pub(crate) base: EngineBase,
@@ -321,120 +260,43 @@ impl AttentionEngine {
         let (t, k) = (x.shape()[0], x.shape()[1]);
 
         if !self.base.detection_enabled {
-            let xt = ops::transpose(x).map_err(MercuryError::Tensor)?;
-            let w = ops::matmul(x, &xt).map_err(MercuryError::Tensor)?;
-            let y = ops::matmul(&w, x).map_err(MercuryError::Tensor)?;
-            let mut stats = LayerStats {
-                mnus: t as u64,
-                unique_vectors: t as u64,
-                detection_enabled: false,
-                ..LayerStats::default()
-            };
+            let w = ops::matmul(x, &ops::transpose(x)?)?;
             let mix = OutcomeMix::all_mnu(t);
-            stats.cycles = simulate_attention(&self.base.config.accelerator, mix, t, k, 0);
-            stats.cycles.signature = 0;
-            stats.cycles.compute = stats.cycles.baseline;
-            return Ok(LayerForward {
-                output: y,
-                report: ReuseReport {
-                    stats,
-                    signatures: ReuseSignatures::Rows(Vec::new()),
-                    degraded: false,
-                },
-            });
+            let cycles = simulate_attention(&self.base.config.accelerator, mix, t, k, 0);
+            return Ok(exact_forward(ops::matmul(&w, x)?, t, cycles));
         }
 
-        let reuse_saved = rows_reusable(saved, t, self.base.signature_bits);
-        let sigs: Vec<Signature> = if reuse_saved {
-            saved.unwrap().to_vec()
-        } else {
-            self.base.signatures_for_rows(x)
-        };
-        let conflicts = probe_rows(&mut self.base, &sigs);
-        let plan = &self.base.plan;
-
-        // Producer rows shard across the executor for both products; row
-        // arithmetic is unchanged, so the threaded backend stays
-        // bit-identical to serial. Consumers copy in stream order after.
-        let exec = &self.base.exec;
-        let compute = &plan.compute;
+        let (sigs, reuse_saved) = row_signatures(&mut self.base, x, saved);
+        // W = X·Xᵀ, one reuse pass over the rows of X against Xᵀ.
         let xd = x.data();
-
-        // W = X·Xᵀ with row reuse. Work-size hint: one producer row is t
-        // k-element dots (saturating).
+        let mut panels = ScratchF32::take();
+        pack_panels(ops::transpose(x)?.data(), k, t, t, &mut panels);
         let mut w = Tensor::zeros(&[t, t]);
-        let wd = w.data_mut();
-        producer_rows_into(
-            exec,
-            wd,
-            t,
-            compute,
-            crate::base::dense_work(1, k, t),
-            |i, row| {
-                let xi = &xd[i * k..(i + 1) * k];
-                for (j, o) in row.iter_mut().enumerate() {
-                    *o = ops::dot(xi, &xd[j * k..(j + 1) * k]);
-                }
-            },
-        );
-        forward_rows(wd, t, plan);
+        let pass = self.base.rows_pass(&sigs, xd, k, t, &panels, w.data_mut());
 
-        // Y = W·X with the same row reuse (identical xᵢ ⇒ identical rows).
+        // Y = W·X: the same plan computes and fans out the rows of W.
+        pack_panels(xd, t, k, k, &mut panels);
         let mut y = Tensor::zeros(&[t, k]);
-        let wd = w.data();
-        let yd = y.data_mut();
-        producer_rows_into(
-            exec,
-            yd,
-            k,
-            compute,
-            crate::base::dense_work(1, t, k),
-            |i, row| {
-                for (j, o) in row.iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    for p in 0..t {
-                        acc += wd[i * t + p] * xd[p * k + j];
-                    }
-                    *o = acc;
-                }
-            },
-        );
-        forward_rows(yd, k, plan);
-
-        let mut stats = LayerStats {
-            detection_enabled: true,
-            ..LayerStats::default()
+        let base = &mut self.base;
+        let product = Product {
+            vectors: w.data(),
+            len: t,
+            width: k,
+            panels: &panels,
+            rows: &mut base.rows,
+            dots: &mut base.dots,
+            dest: y.data_mut(),
+            accumulate: false,
         };
-        plan.tally(&mut stats);
-        stats.cycles = simulate_attention(
-            &self.base.config.accelerator,
-            plan.charged(),
-            t,
-            k,
-            if reuse_saved {
-                0
-            } else {
-                self.base.signature_bits
-            },
-        );
-        // Same-window insertion conflicts serialize through the per-set
-        // queues exactly as in the FC path; charge them identically.
-        stats.cycles.signature += conflicts
-            * self
-                .base
-                .config
-                .accelerator
-                .timing
-                .mcache_insert_conflict_cycles;
+        base.plan.compute(&base.exec, product);
 
-        Ok(LayerForward {
-            output: y,
-            report: ReuseReport {
-                stats,
-                signatures: ReuseSignatures::Rows(sigs),
-                degraded: false,
-            },
-        })
+        let bits = if reuse_saved {
+            0
+        } else {
+            self.base.signature_bits
+        };
+        let cycles = simulate_attention(&self.base.config.accelerator, pass.charged, t, k, bits);
+        Ok(reuse_forward(&self.base, y, pass, cycles, sigs))
     }
 }
 
@@ -469,7 +331,12 @@ impl ReuseEngine for AttentionEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mercury_tensor::exec::ExecutorKind;
     use mercury_tensor::rng::Rng;
+
+    /// The serial reference and the two-thread executor.
+    const EXECUTORS: [ExecutorKind; 2] =
+        [ExecutorKind::Serial, ExecutorKind::Threaded { threads: 2 }];
 
     fn engine(seed: u64) -> FcEngine {
         FcEngine::try_new(MercuryConfig::default(), seed).unwrap()
@@ -477,6 +344,14 @@ mod tests {
 
     fn attention_engine(seed: u64) -> AttentionEngine {
         AttentionEngine::try_new(MercuryConfig::default(), seed).unwrap()
+    }
+
+    fn on(kind: ExecutorKind) -> MercuryConfig {
+        MercuryConfig::builder().executor(kind).build().unwrap()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
     }
 
     fn randn(shape: &[usize], seed: u64) -> Tensor {
@@ -495,12 +370,16 @@ mod tests {
     fn distinct_inputs_match_exact_matmul() {
         let inputs = randn(&[6, 16], 1);
         let weights = randn(&[16, 8], 2);
-        let out = fc(&mut engine(1), &inputs, &weights);
         let want = ops::matmul(&inputs, &weights).unwrap();
-        for (g, w) in out.output.data().iter().zip(want.data()) {
-            assert!((g - w).abs() < 1e-4);
+        for kind in EXECUTORS {
+            let out = fc(
+                &mut FcEngine::try_new(on(kind), 1).unwrap(),
+                &inputs,
+                &weights,
+            );
+            assert_eq!(bits(&out.output), bits(&want), "{kind:?}");
+            assert_eq!(out.stats().hits, 0);
         }
-        assert_eq!(out.stats().hits, 0);
     }
 
     #[test]
@@ -538,12 +417,14 @@ mod tests {
     fn detection_off_is_exact() {
         let inputs = randn(&[4, 8], 6);
         let weights = randn(&[8, 4], 7);
-        let mut e = engine(3);
-        e.set_detection(false);
-        let out = fc(&mut e, &inputs, &weights);
         let want = ops::matmul(&inputs, &weights).unwrap();
-        assert_eq!(out.output, want);
-        assert_eq!(out.stats().cycles.total(), out.stats().cycles.baseline);
+        for kind in EXECUTORS {
+            let mut e = FcEngine::try_new(on(kind), 3).unwrap();
+            e.set_detection(false);
+            let out = fc(&mut e, &inputs, &weights);
+            assert_eq!(bits(&out.output), bits(&want), "{kind:?}");
+            assert_eq!(out.stats().cycles.total(), out.stats().cycles.baseline);
+        }
     }
 
     #[test]
@@ -585,14 +466,15 @@ mod tests {
     #[test]
     fn attention_matches_exact_for_distinct_rows() {
         let x = randn(&[5, 8], 10);
-        let out = attend(&mut attention_engine(5), &x);
         let xt = ops::transpose(&x).unwrap();
         let w = ops::matmul(&x, &xt).unwrap();
         let want = ops::matmul(&w, &x).unwrap();
-        for (g, w) in out.output.data().iter().zip(want.data()) {
-            assert!((g - w).abs() < 1e-3);
+        for kind in EXECUTORS {
+            let out = attend(&mut AttentionEngine::try_new(on(kind), 5).unwrap(), &x);
+            assert_eq!(out.stats().hits, 0);
+            assert_eq!(out.output.shape(), &[5, 8]);
+            assert_eq!(bits(&out.output), bits(&want), "{kind:?}");
         }
-        assert_eq!(out.output.shape(), &[5, 8]);
     }
 
     #[test]
@@ -618,12 +500,14 @@ mod tests {
     #[test]
     fn attention_detection_off_is_exact() {
         let x = randn(&[4, 6], 12);
-        let mut e = attention_engine(7);
-        e.set_detection(false);
-        let out = attend(&mut e, &x);
         let xt = ops::transpose(&x).unwrap();
         let want = ops::matmul(&ops::matmul(&x, &xt).unwrap(), &x).unwrap();
-        assert_eq!(out.output, want);
+        for kind in EXECUTORS {
+            let mut e = AttentionEngine::try_new(on(kind), 7).unwrap();
+            e.set_detection(false);
+            let out = attend(&mut e, &x);
+            assert_eq!(bits(&out.output), bits(&want), "{kind:?}");
+        }
     }
 
     #[test]

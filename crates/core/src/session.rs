@@ -1192,6 +1192,28 @@ mod tests {
     }
 
     #[test]
+    fn degraded_fc_propagates_zero_times_infinity_like_the_healthy_layer() {
+        // `Propagate` promises IEEE propagation on both sides of a
+        // recovery: the exact warm-up must keep the 0·∞ term the reuse
+        // pass computes, not skip it and answer 1.
+        let config = MercuryConfig::builder().recovery_warmup(1).build().unwrap();
+        let mut s = MercurySession::new(config, 64).unwrap();
+        let weights = Tensor::from_vec(vec![f32::INFINITY, 1.0, 1.0, 1.0], &[2, 2]).unwrap();
+        let fc = s.register_fc(weights).unwrap();
+        let input = Tensor::from_vec(vec![0.0, 1.0], &[1, 2]).unwrap();
+        let healthy = s.submit(fc, &input).unwrap();
+        s.recover(fc).unwrap();
+        let degraded = s.submit(fc, &input).unwrap();
+        assert!(degraded.report.degraded);
+        assert!(healthy.output.at(&[0, 0]).is_nan());
+        assert!(degraded.output.at(&[0, 0]).is_nan());
+        assert_eq!(
+            healthy.output.at(&[0, 1]).to_bits(),
+            degraded.output.at(&[0, 1]).to_bits()
+        );
+    }
+
+    #[test]
     fn set_detection_during_warmup_retargets_the_rearm() {
         let mut rng = Rng::new(63);
         let config = MercuryConfig::builder().recovery_warmup(1).build().unwrap();

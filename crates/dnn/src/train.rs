@@ -83,11 +83,6 @@ impl Trainer {
         &self.net
     }
 
-    /// Mutably borrows the underlying network.
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.net
-    }
-
     /// Trains one epoch over `data`, shuffling with `rng`.
     ///
     /// # Errors

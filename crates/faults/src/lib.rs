@@ -22,9 +22,12 @@
 //! One caveat: the event counters are global per site, so when *several
 //! concurrent streams* emit the same site (e.g. two conv layers fanned
 //! out by `submit_batch`), their counts interleave nondeterministically.
-//! Chaos tests that need an exact target under concurrency should arm a
-//! site only one of the streams emits (e.g. `ChannelShard` with a single
-//! conv layer in the batch).
+//! Every engine family emits `BankProbe` and `GemmChunk` — conv, FC and
+//! attention all run the same reuse pass — while only conv emits
+//! `ChannelShard`. Chaos tests that need an exact target under
+//! concurrency should arm a site only one of the streams emits (e.g.
+//! `ChannelShard` with a single conv layer in the batch), or arm
+//! `GemmChunk` on a session whose only layers are conv layers.
 //!
 //! # Usage
 //!
@@ -61,9 +64,10 @@ pub enum FaultSite {
     /// fan-out). Supports [`FaultAction::Panic`] and
     /// [`FaultAction::CorruptTag`].
     BankProbe,
-    /// One row chunk of a conv reuse pass's compute rows — the layer's
-    /// dense product, sharded over the executor (the whole product counts
-    /// as a single chunk when it runs serially). Supports
+    /// One row chunk of a reuse pass's compute rows — a conv channel's,
+    /// an FC call's, or either of an attention call's two products —
+    /// sharded over the executor, one chunk per worker (the whole product
+    /// counts as a single chunk when it runs serially). Supports
     /// [`FaultAction::Panic`] and [`FaultAction::NanPayload`].
     GemmChunk,
     /// One conv-channel shard, counted in channel order before the

@@ -71,8 +71,7 @@ pub struct AccessOutcome {
     pub entry: Option<EntryId>,
 }
 
-/// Access counters, aggregated across the cache's lifetime (until
-/// [`MCache::reset_stats`]).
+/// Access counters, aggregated across the cache's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MCacheStats {
     /// Probes that found a valid matching tag.
@@ -167,11 +166,6 @@ impl MCache {
     /// Lifetime access counters.
     pub fn stats(&self) -> MCacheStats {
         self.stats
-    }
-
-    /// Zeroes the access counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = MCacheStats::default();
     }
 
     fn set_of_hash(&self, h: u64) -> usize {

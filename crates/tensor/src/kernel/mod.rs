@@ -6,10 +6,11 @@
 //!
 //! * [`sign`] — the packed-panel row kernel, the workspace's one dense
 //!   kernel: fused random projection + sign quantization behind batched
-//!   RPQ signature generation, the dot products of the conv reuse
-//!   engine's compute rows, and both exact conv passes
+//!   RPQ signature generation, the dot products of every reuse engine's
+//!   compute rows (conv, FC and attention), both exact conv passes
 //!   ([`conv2d_multi`](crate::conv::conv2d_multi) and
 //!   [`conv2d_backward_weights`](crate::conv::conv2d_backward_weights)),
+//!   and [`matmul`](crate::ops::matmul),
 //! * [`pack`] — the transpose that lays `[F, C·k1·k2]` filters out as
 //!   the `[C·k1·k2, F]` matrix the row kernel's panels are packed from,
 //!   and turns position-major results back into `[F, oh, ow]` maps.

@@ -1,5 +1,9 @@
-//! The packed-panel row kernel behind batched RPQ signature generation,
-//! the conv reuse engine's compute rows and the exact conv passes.
+//! The packed-panel row kernel: the workspace's one dense kernel. It runs
+//! batched RPQ signature generation, the compute rows of every reuse
+//! engine's reuse pass (conv channels, FC calls, both attention
+//! products), the exact conv passes, and [`ops::matmul`](crate::ops::matmul)
+//! — so the exact FC and attention products and the `mercury-dnn` layers
+//! too.
 //!
 //! One call projects every row of an `[n, plen]` matrix against the columns
 //! of a filter matrix that was repacked once into zero-padded

@@ -1,5 +1,7 @@
 //! Matrix and vector operations used throughout the workspace.
 
+use crate::kernel::sign::{self, LANES};
+use crate::scratch::ScratchF32;
 use crate::{Tensor, TensorError};
 
 /// Dot product of two equal-length slices.
@@ -16,6 +18,14 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Matrix multiplication of a `[m, k]` tensor by a `[k, n]` tensor.
+///
+/// Runs on the packed-panel row kernel
+/// ([`dot_rows`](crate::kernel::sign::dot_rows)): `b` is packed once into
+/// zero-padded panels, every row of `a` is dotted with all its columns,
+/// and the padding lanes are dropped. Each output is one ascending chain
+/// over `k` from `+0.0` with a separate multiply and add, and no term is
+/// skipped — a zero in `a` against an infinite or NaN entry of `b` gives
+/// NaN, as IEEE arithmetic does.
 ///
 /// # Errors
 ///
@@ -55,21 +65,18 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
             right: b.shape().to_vec(),
         });
     }
+    let ld = n.div_ceil(LANES) * LANES;
+    let mut panels = ScratchF32::take();
+    sign::pack_panels(b.data(), k, n, n, &mut panels);
+    let mut dots = ScratchF32::zeroed(m * ld);
+    sign::dot_rows(a.data(), k, ld / LANES, &panels, &mut dots);
     let mut out = Tensor::zeros(&[m, n]);
-    let (ad, bd) = (a.data(), b.data());
-    let od = out.data_mut();
-    for i in 0..m {
-        for p in 0..k {
-            let aip = ad[i * k + p];
-            if aip == 0.0 {
-                continue;
-            }
-            let brow = &bd[p * n..(p + 1) * n];
-            let orow = &mut od[i * n..(i + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += aip * bv;
-            }
-        }
+    for (orow, drow) in out
+        .data_mut()
+        .chunks_exact_mut(n)
+        .zip(dots.chunks_exact(ld))
+    {
+        orow.copy_from_slice(&drow[..n]);
     }
     Ok(out)
 }
@@ -173,6 +180,40 @@ mod tests {
         let c = matmul(&a, &b).unwrap();
         assert_eq!(c.shape(), &[2, 2]);
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
+    }
+
+    #[test]
+    fn matmul_equals_ascending_dots_at_every_panel_remainder() {
+        // Widths that leave 1, 7, 0, 1 and 1 columns in the last 8-lane
+        // block: the padding lanes must be dropped, never shifted into a
+        // row. Each element is one ascending dot from +0.0.
+        let mut rng = Rng::new(6);
+        for n in [1usize, 7, 8, 9, 33] {
+            let (m, k) = (3, 5);
+            let a = Tensor::randn(&[m, k], &mut rng);
+            let b = Tensor::randn(&[k, n], &mut rng);
+            let c = matmul(&a, &b).unwrap();
+            for i in 0..m {
+                for j in 0..n {
+                    let mut want = 0.0f32;
+                    for p in 0..k {
+                        want += a.at(&[i, p]) * b.at(&[p, j]);
+                    }
+                    assert_eq!(c.at(&[i, j]).to_bits(), want.to_bits(), "n={n} [{i}, {j}]");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_propagates_zero_times_infinity() {
+        // IEEE: 0·∞ is NaN. A zero-skipping product would drop the term
+        // and answer 1 at [0, 0].
+        let a = Tensor::from_vec(vec![0.0, 1.0], &[1, 2]).unwrap();
+        let b = Tensor::from_vec(vec![f32::INFINITY, 1.0, 1.0, 1.0], &[2, 2]).unwrap();
+        let c = matmul(&a, &b).unwrap();
+        assert!(c.at(&[0, 0]).is_nan());
+        assert_eq!(c.at(&[0, 1]), 1.0);
     }
 
     #[test]
