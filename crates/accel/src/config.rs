@@ -66,8 +66,6 @@ pub struct TimingParams {
     /// Cycles to forward one per-weight result from the earlier PE to a
     /// later PE in the FC design (§III-C3).
     pub fc_forward_cycles: u64,
-    /// Cycles to load one input vector row into a PE's input buffer.
-    pub load_row_cycles: u64,
 }
 
 impl Default for TimingParams {
@@ -77,7 +75,6 @@ impl Default for TimingParams {
             mcache_read_cycles: 1,
             mcache_insert_conflict_cycles: 1,
             fc_forward_cycles: 1,
-            load_row_cycles: 1,
         }
     }
 }

@@ -46,7 +46,7 @@ fn bench_sign_rows(c: &mut Criterion) {
     let t: Vec<f32> = (0..plen * bits).map(|_| rng.next_normal()).collect();
     let rows: Vec<f32> = (0..n * plen).map(|_| rng.next_normal()).collect();
     let mut panels = Vec::new();
-    sign::pack_sign_panels(&t, plen, bits, bits, &mut panels);
+    sign::pack_panels(&t, plen, bits, bits, &mut panels);
     group.bench_function("dispatched", |bch| {
         let mut out = Vec::with_capacity(n);
         bch.iter(|| {

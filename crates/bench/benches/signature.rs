@@ -2,7 +2,7 @@
 //! adds per input vector.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mercury_rpq::{ProjectionMatrix, SignatureGenerator};
+use mercury_rpq::ProjectionMatrix;
 use mercury_tensor::rng::Rng;
 use mercury_tensor::Tensor;
 use std::hint::black_box;
@@ -12,10 +12,10 @@ fn bench_single_signature(c: &mut Criterion) {
     for &bits in &[20usize, 32, 64] {
         let mut rng = Rng::new(1);
         let proj = ProjectionMatrix::generate(9, bits, &mut rng);
-        let generator = SignatureGenerator::new(&proj);
         let v: Vec<f32> = (0..9).map(|_| rng.next_normal()).collect();
+        let mut words = Vec::new();
         group.bench_with_input(BenchmarkId::from_parameter(bits), &bits, |b, _| {
-            b.iter(|| generator.signature(black_box(&v)))
+            b.iter(|| proj.signatures(black_box(&v), &mut words))
         });
     }
     group.finish();
@@ -26,10 +26,10 @@ fn bench_batch_signatures(c: &mut Criterion) {
     group.sample_size(20);
     let mut rng = Rng::new(2);
     let proj = ProjectionMatrix::generate(9, 20, &mut rng);
-    let generator = SignatureGenerator::new(&proj);
     let patches = Tensor::randn(&[1024, 9], &mut rng);
+    let mut words = Vec::new();
     group.bench_function("20bit", |b| {
-        b.iter(|| generator.signatures_for_patches(black_box(&patches)))
+        b.iter(|| proj.signatures(black_box(patches.data()), &mut words))
     });
     group.finish();
 }

@@ -3,8 +3,8 @@
 //! one constructor, and the one reuse pass every engine runs.
 //!
 //! Every engine holds one [`BankedMCache`]. A batch engine holds a
-//! one-bank cache and restarts it per reuse scope — the FPGA MCACHE of
-//! §III-B3. A persistent engine, the kind
+//! one-bank cache, restarts it per reuse scope and leaves it empty when a
+//! forward ends — the FPGA MCACHE of §III-B3. A persistent engine, the kind
 //! [`MercurySession`](crate::MercurySession) streams through, splits the
 //! cache across banks (§V) and keeps it across scopes until an epoch
 //! boundary evicts it. Both run the same hot path; only the bank count and
@@ -20,11 +20,10 @@ use mercury_faults::{FaultAction, FaultSite};
 use mercury_mcache::banked::BankedMCache;
 use mercury_mcache::{AccessOutcome, HitKind, MCacheConfig, OutcomeMix};
 use mercury_rpq::analysis::unique_signature_count;
-use mercury_rpq::{ProjectionMatrix, Signature, SignatureGenerator};
+use mercury_rpq::{ProjectionMatrix, Signature};
 use mercury_tensor::exec::Executor;
 use mercury_tensor::kernel::sign::{self, LANES};
 use mercury_tensor::rng::Rng;
-use mercury_tensor::Tensor;
 use std::collections::HashMap;
 
 /// Expands to the six [`ReuseEngine`](crate::ReuseEngine) lifecycle
@@ -421,9 +420,8 @@ pub(crate) struct EngineBase {
     /// through. Cloned executors share one worker pool, so an owner of
     /// many engines hands each the same one.
     pub exec: Executor,
-    rng: Rng,
-    /// One projection matrix per vector length, grown lazily.
-    projections: HashMap<usize, ProjectionMatrix>,
+    /// The random projections signatures are drawn against.
+    pub projections: Projections,
     pub signature_bits: usize,
     pub detection_enabled: bool,
     /// The FC and attention engines' reuse plan, kept across calls so its
@@ -475,8 +473,10 @@ impl EngineBase {
             cache: BankedMCache::new(banks, per_bank).expect("bank count checked positive above"),
             persistent,
             exec,
-            rng: Rng::new(seed),
-            projections: HashMap::new(),
+            projections: Projections {
+                rng: Rng::new(seed),
+                by_len: HashMap::new(),
+            },
             signature_bits: config.initial_signature_bits,
             detection_enabled: true,
             plan: ReusePlan::default(),
@@ -488,7 +488,8 @@ impl EngineBase {
     /// The FC and attention engines' reuse pass: one scope per call over
     /// the engine's own cache, plan and buffers (see [`ReusePlan::pass`]),
     /// storing every vector's `width` results of `[n, len]` `vectors`
-    /// against `panels` in its row of `dest`.
+    /// against `panels` in its row of `dest`. A batch engine's scope ends
+    /// with the call, so its cache is left empty.
     pub fn rows_pass(
         &mut self,
         sigs: &[Signature],
@@ -509,8 +510,13 @@ impl EngineBase {
             accumulate: false,
         };
         let clear = !self.persistent;
-        self.plan
-            .pass(&mut self.cache, clear, &self.exec, sigs, product)
+        let pass = self
+            .plan
+            .pass(&mut self.cache, clear, &self.exec, sigs, product);
+        if clear {
+            self.cache.clear();
+        }
+        pass
     }
 
     /// Evicts all MCACHE state (tags and data) — the epoch boundary.
@@ -535,36 +541,39 @@ impl EngineBase {
         }
         self.signature_bits
     }
+}
 
-    /// The projection matrix for vectors of `len` elements, generated (or
-    /// extended to the current signature length) on demand.
-    pub fn projection_for(&mut self, len: usize) -> &ProjectionMatrix {
-        let bits = self.signature_bits;
+/// An engine's random projections: one matrix per vector length, all drawn
+/// from one RNG in the order the lengths are first signed.
+#[derive(Debug)]
+pub(crate) struct Projections {
+    rng: Rng,
+    by_len: HashMap<usize, ProjectionMatrix>,
+}
+
+impl Projections {
+    /// The matrix for `len`-element vectors at `bits` filters: generated on
+    /// first use, extended when the signature has grown since. Signature
+    /// length only grows, so the matrix holds exactly `bits` filters and
+    /// [`signatures`](ProjectionMatrix::signatures) signs at that length.
+    pub fn get(&mut self, len: usize, bits: usize) -> &ProjectionMatrix {
         let rng = &mut self.rng;
         let proj = self
-            .projections
+            .by_len
             .entry(len)
             .or_insert_with(|| ProjectionMatrix::generate(len, bits, rng));
         if proj.num_filters() < bits {
             proj.extend_filters(bits - proj.num_filters(), rng);
         }
+        debug_assert_eq!(proj.num_filters(), bits, "signature length shrank");
         proj
-    }
-
-    /// Signatures for the rows of a `[n, len]` tensor at the current
-    /// signature length.
-    pub fn signatures_for_rows(&mut self, rows: &Tensor) -> Vec<Signature> {
-        let len = rows.shape()[1];
-        let bits = self.signature_bits;
-        let proj = self.projection_for(len);
-        let generator = SignatureGenerator::new(proj);
-        generator.signatures_for_patches_prefix(rows, bits)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mercury_tensor::exec::ExecutorKind;
 
     fn sig(bits: u128) -> Signature {
         Signature::from_bits(bits, 20)
@@ -844,5 +853,106 @@ mod tests {
         assert_eq!(pass(&mut persistent), (1, 0));
         persistent.end_epoch();
         assert_eq!(pass(&mut persistent), (0, 1));
+    }
+
+    /// The forwards of `passes` calls to a batch engine of each family —
+    /// conv, FC, attention — built from `config`, and each engine's cache
+    /// bytes afterwards. With `grow` the signature grows by one bit after
+    /// every call. Half of every operand repeats, so each pass both
+    /// computes and HITs: an `[8, 16, 16]` conv input whose channels' top
+    /// halves are constant, through `[8, 8, 3, 3]` kernels with pad 1, and
+    /// 24 rows of 16 (rows 12–23 repeat rows 0–11) through `[16, 12]` FC
+    /// weights and self-attention.
+    fn drive_batch_engines(
+        config: MercuryConfig,
+        passes: usize,
+        grow: bool,
+    ) -> Vec<(Vec<crate::LayerForward>, usize)> {
+        use crate::{AttentionEngine, ConvEngine, FcEngine, LayerOp, ReuseEngine};
+        use mercury_tensor::Tensor;
+        let mut rng = Rng::new(40);
+        let mut image = Tensor::randn(&[8, 16, 16], &mut rng);
+        for plane in image.data_mut().chunks_exact_mut(256) {
+            plane[..128].fill(0.5);
+        }
+        let kernels = Tensor::randn(&[8, 8, 3, 3], &mut rng);
+        let half = Tensor::randn(&[12, 16], &mut rng);
+        let rows = Tensor::from_vec(half.data().repeat(2), &[24, 16]).unwrap();
+        let weights = Tensor::randn(&[16, 12], &mut rng);
+        let engines: [(Box<dyn ReuseEngine>, LayerOp<'_>); 3] = [
+            (
+                Box::new(ConvEngine::try_new(config, 41).unwrap()),
+                LayerOp::conv(&image, &kernels, 1, 1),
+            ),
+            (
+                Box::new(FcEngine::try_new(config, 42).unwrap()),
+                LayerOp::fc(&rows, &weights),
+            ),
+            (
+                Box::new(AttentionEngine::try_new(config, 43).unwrap()),
+                LayerOp::attention(&rows),
+            ),
+        ];
+        engines
+            .into_iter()
+            .map(|(mut engine, op)| {
+                let forwards = (0..passes)
+                    .map(|_| {
+                        let forward = engine.forward(op).unwrap();
+                        if grow {
+                            engine.grow_signature();
+                        }
+                        forward
+                    })
+                    .collect();
+                (forwards, engine.cache_bytes())
+            })
+            .collect()
+    }
+
+    fn on(kind: ExecutorKind) -> MercuryConfig {
+        MercuryConfig::builder().executor(kind).build().unwrap()
+    }
+
+    const EXECUTORS: [ExecutorKind; 2] =
+        [ExecutorKind::Serial, ExecutorKind::Threaded { threads: 2 }];
+
+    #[test]
+    fn batch_engines_report_the_same_cache_bytes_on_every_executor() {
+        // A batch forward's last reuse scope ends with it, so no executor
+        // leaves tags behind: the serial conv loop probes the engine's own
+        // cache, the sharded one per-worker caches.
+        for kind in EXECUTORS {
+            for (family, (forwards, bytes)) in drive_batch_engines(on(kind), 1, false)
+                .into_iter()
+                .enumerate()
+            {
+                assert!(forwards[0].stats().hits > 0, "family {family} reuses");
+                assert_eq!(bytes, 0, "family {family} on {kind:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn growing_across_lane_blocks_matches_engines_built_at_the_grown_length() {
+        // 20 → 33 bits one bit per forward crosses the 24- and 32-lane
+        // panel edges; the grown projection is the one drawn at 33 bits.
+        for kind in EXECUTORS {
+            let grown = drive_batch_engines(on(kind), 14, true);
+            let config = MercuryConfig {
+                initial_signature_bits: 33,
+                ..on(kind)
+            };
+            let built = drive_batch_engines(config, 1, false);
+            for (family, ((grown, _), (built, _))) in grown.iter().zip(&built).enumerate() {
+                assert_eq!(grown[13], built[0], "family {family} on {kind:?}");
+                assert!(built[0].stats().hits > 0, "family {family} reuses");
+                let bits = match &built[0].report.signatures {
+                    crate::ReuseSignatures::Conv(s) => s.bits,
+                    crate::ReuseSignatures::Rows(s) => s[0].len(),
+                };
+                assert_eq!(bits, 33, "family {family}");
+            }
+        }
     }
 }

@@ -28,10 +28,6 @@ pub enum ConfigError {
         /// Largest supported length ([`mercury_rpq::MAX_SIGNATURE_BITS`]).
         supported: usize,
     },
-    /// The plateau window `K` was zero.
-    ZeroPlateauWindow,
-    /// The stoppage window `T` was zero.
-    ZeroStoppageWindow,
     /// A session/banked engine was asked to split the cache across a bank
     /// count that does not divide the set count evenly.
     BankSplit {
@@ -59,8 +55,6 @@ impl fmt::Display for ConfigError {
             ConfigError::SignatureBitsUnsupported { max, supported } => {
                 write!(f, "max signature bits {max} exceeds supported {supported}")
             }
-            ConfigError::ZeroPlateauWindow => write!(f, "plateau window must be positive"),
-            ConfigError::ZeroStoppageWindow => write!(f, "stoppage window must be positive"),
             ConfigError::BankSplit { sets, banks } => {
                 write!(f, "{banks} banks do not divide {sets} cache sets evenly")
             }
@@ -102,10 +96,11 @@ pub enum NonfinitePolicy {
 /// Configuration of the full MERCURY system.
 ///
 /// Defaults mirror the paper's evaluation setup: a 168-PE row-stationary
-/// array, a 1024-entry 16-way MCACHE, 20-bit initial signatures growing to
-/// at most 64 bits, K = 5 plateau iterations per growth step, and T = 3
-/// consecutive losing batches before a layer's similarity detection is
-/// switched off.
+/// array, a 1024-entry 16-way MCACHE, and 20-bit initial signatures growing
+/// to at most 64 bits. The §III-D adaptation windows are not
+/// configuration: [`AdaptiveController::new`](crate::AdaptiveController::new)
+/// takes them, and the `mercury-dnn` trainer builds it with the paper's
+/// K = 5, tolerance 1e-3 and T = 3.
 ///
 /// Prefer [`MercuryConfig::builder`] for constructing non-default
 /// configurations: the builder funnels every instance through
@@ -121,15 +116,6 @@ pub struct MercuryConfig {
     pub initial_signature_bits: usize,
     /// Upper bound on adaptive signature growth.
     pub max_signature_bits: usize,
-    /// `K`: consecutive no-change loss iterations before the signature
-    /// grows by one bit (§III-D).
-    pub plateau_window: usize,
-    /// Relative loss change below which two iterations count as "no
-    /// change" for the plateau detector.
-    pub plateau_tolerance: f64,
-    /// `T`: consecutive batches where signature cost exceeds baseline cost
-    /// before a layer's similarity detection is turned off (§III-D).
-    pub stoppage_window: usize,
     /// Execution backend for every parallel path the engines own: the
     /// reuse pass's compute rows (one contiguous chunk per worker, for
     /// conv, FC and attention alike), the conv engine's per-channel
@@ -165,8 +151,8 @@ impl MercuryConfig {
     /// # Errors
     ///
     /// Returns the [`ConfigError`] variant describing the first violated
-    /// constraint: inverted or zero signature bounds, zero adaptation
-    /// windows, or a cache geometry with a zero dimension.
+    /// constraint: inverted or zero signature bounds, or a cache geometry
+    /// with a zero dimension.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.initial_signature_bits == 0 {
             return Err(ConfigError::ZeroInitialSignatureBits);
@@ -183,12 +169,6 @@ impl MercuryConfig {
                 supported: mercury_rpq::MAX_SIGNATURE_BITS,
             });
         }
-        if self.plateau_window == 0 {
-            return Err(ConfigError::ZeroPlateauWindow);
-        }
-        if self.stoppage_window == 0 {
-            return Err(ConfigError::ZeroStoppageWindow);
-        }
         let c = self.cache;
         if c.sets == 0 || c.ways == 0 || c.versions == 0 {
             return Err(ConfigError::ZeroCacheGeometry(c));
@@ -204,9 +184,6 @@ impl Default for MercuryConfig {
             cache: MCacheConfig::paper_default(),
             initial_signature_bits: 20,
             max_signature_bits: 64,
-            plateau_window: 5,
-            plateau_tolerance: 1e-3,
-            stoppage_window: 3,
             executor: ExecutorKind::from_env_or(ExecutorKind::Serial),
             nonfinite_policy: NonfinitePolicy::default(),
             recovery_warmup: 8,
@@ -259,24 +236,6 @@ impl MercuryConfigBuilder {
     /// Sets the upper bound on adaptive signature growth.
     pub fn max_signature_bits(mut self, bits: usize) -> Self {
         self.config.max_signature_bits = bits;
-        self
-    }
-
-    /// Sets the plateau window `K` (§III-D).
-    pub fn plateau_window(mut self, window: usize) -> Self {
-        self.config.plateau_window = window;
-        self
-    }
-
-    /// Sets the relative plateau tolerance.
-    pub fn plateau_tolerance(mut self, tolerance: f64) -> Self {
-        self.config.plateau_tolerance = tolerance;
-        self
-    }
-
-    /// Sets the stoppage window `T` (§III-D).
-    pub fn stoppage_window(mut self, window: usize) -> Self {
-        self.config.stoppage_window = window;
         self
     }
 
@@ -351,16 +310,6 @@ mod tests {
             })
         );
         let c = MercuryConfig {
-            plateau_window: 0,
-            ..MercuryConfig::default()
-        };
-        assert_eq!(c.validate(), Err(ConfigError::ZeroPlateauWindow));
-        let c = MercuryConfig {
-            stoppage_window: 0,
-            ..MercuryConfig::default()
-        };
-        assert_eq!(c.validate(), Err(ConfigError::ZeroStoppageWindow));
-        let c = MercuryConfig {
             initial_signature_bits: 0,
             ..MercuryConfig::default()
         };
@@ -372,15 +321,10 @@ mod tests {
         let c = MercuryConfig::builder()
             .initial_signature_bits(8)
             .max_signature_bits(32)
-            .plateau_window(7)
-            .plateau_tolerance(1e-4)
-            .stoppage_window(2)
             .build()
             .unwrap();
         assert_eq!(c.initial_signature_bits, 8);
         assert_eq!(c.max_signature_bits, 32);
-        assert_eq!(c.plateau_window, 7);
-        assert_eq!(c.stoppage_window, 2);
 
         let err = MercuryConfig::builder()
             .initial_signature_bits(0)

@@ -10,7 +10,7 @@ use mercury_accel::sim::{ChannelWork, LayerSim};
 use mercury_faults::FaultSite;
 use mercury_mcache::banked::BankedMCache;
 use mercury_mcache::OutcomeMix;
-use mercury_rpq::{SignPlan, Signature, SignatureGenerator};
+use mercury_rpq::{ProjectionMatrix, Signature};
 use mercury_tensor::conv::{self, extract_patches_into, ConvGeometry};
 use mercury_tensor::exec::Executor;
 use mercury_tensor::kernel::{self, sign::LANES};
@@ -140,13 +140,12 @@ impl ConvEngine {
             s.per_channel.len() == c && s.compatible((kh, kw), patches_n) && s.bits == bits
         });
 
-        // The sign-quantization plan packs the projection's filter panels
-        // once per forward; every channel (on every worker — the plan is
-        // read-only) signs its patch rows against the same packed panels
-        // instead of re-packing per channel.
-        let plan: Option<SignPlan> = match saved {
+        // Every channel (on every worker — the projection is read-only
+        // for the whole forward) signs its patch rows against the
+        // projection's packed filters.
+        let projection = match saved {
             Some(_) => None,
-            None => Some(SignatureGenerator::new(self.base.projection_for(plen)).sign_plan(bits)),
+            None => Some(self.base.projections.get(plen, bits)),
         };
 
         // Every channel's filters packed once per forward, as the exact
@@ -160,7 +159,7 @@ impl ConvEngine {
             geom: &geom,
             f,
             panels: &panels,
-            plan: plan.as_ref(),
+            projection,
             saved,
         };
         // Position-major accumulator: row `v` holds vector `v`'s `F` outputs.
@@ -256,6 +255,12 @@ impl ConvEngine {
                 },
             )
         };
+        // A batch engine's last channel scope ends with the forward: its
+        // cache is left empty, as the sharded path leaves it, so what it
+        // reports resident never depends on the executor.
+        if !self.base.persistent {
+            self.base.cache.clear();
+        }
 
         // ---- Deterministic reduce ----------------------------------------
         // Channel contributions fold into the accumulator, the cycle simulator,
@@ -374,9 +379,9 @@ struct ChannelCtx<'a> {
     /// Every channel's packed `[plen, F]` filter panel, channel-major
     /// (see [`filter_panels`](conv::filter_panels)).
     panels: &'a [f32],
-    /// The packed sign-quantization plan for `plen`-element patches;
-    /// `Some` exactly when fresh signatures will be generated.
-    plan: Option<&'a SignPlan>,
+    /// The projection for `plen`-element patches; `Some` exactly when
+    /// fresh signatures will be generated.
+    projection: Option<&'a ProjectionMatrix>,
     /// `Some` when compatible saved signatures replace generation.
     saved: Option<&'a SavedSignatures>,
 }
@@ -441,8 +446,8 @@ fn conv_channel(
     let sigs_owned: Option<Vec<Signature>> = match ctx.saved {
         Some(_) => None,
         None => {
-            let plan = ctx.plan.expect("sign plan materialized before channel run");
-            Some(plan.signatures_for_rows(&scratch.patch_buf, &mut scratch.sig_words))
+            let proj = ctx.projection.expect("projection drawn before channel run");
+            Some(proj.signatures(&scratch.patch_buf, &mut scratch.sig_words))
         }
     };
     let sigs: &[Signature] = match &sigs_owned {

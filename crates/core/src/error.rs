@@ -163,7 +163,7 @@ mod tests {
         let e = MercuryError::from(TensorError::ZeroDim);
         assert!(e.source().is_some());
         assert!(e.to_string().contains("tensor error"));
-        let c = MercuryError::from(ConfigError::ZeroPlateauWindow);
+        let c = MercuryError::from(ConfigError::ZeroBanks);
         assert!(c.source().is_some());
         assert!(c.to_string().contains("configuration"));
     }

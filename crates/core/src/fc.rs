@@ -25,7 +25,10 @@ fn row_signatures(
         Some(sigs) if sigs.len() == rows.shape()[0] && sigs.iter().all(|s| s.len() == bits) => {
             (sigs.to_vec(), true)
         }
-        _ => (base.signatures_for_rows(rows), false),
+        _ => {
+            let proj = base.projections.get(rows.shape()[1], bits);
+            (proj.signatures(rows.data(), &mut Vec::new()), false)
+        }
     }
 }
 

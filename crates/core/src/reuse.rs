@@ -259,5 +259,7 @@ pub trait ReuseEngine: fmt::Debug + Send {
     /// so a serving tier can meter many sessions against one global
     /// memory budget through
     /// [`MercurySession::bank_bytes`](crate::MercurySession::bank_bytes).
+    /// A batch engine's reuse scopes end with its forward, so between
+    /// forwards it reports zero on every executor.
     fn cache_bytes(&self) -> usize;
 }

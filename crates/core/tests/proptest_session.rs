@@ -6,7 +6,7 @@
 use mercury_core::{MercuryConfig, MercurySession};
 use mercury_mcache::banked::BankedMCache;
 use mercury_mcache::{HitKind, MCacheConfig};
-use mercury_rpq::{ProjectionMatrix, SignatureGenerator};
+use mercury_rpq::ProjectionMatrix;
 use mercury_tensor::rng::Rng;
 use mercury_tensor::Tensor;
 use proptest::prelude::*;
@@ -18,8 +18,7 @@ use proptest::prelude::*;
 fn manual_signatures(seed: u64, rows: &Tensor, bits: usize) -> Vec<mercury_rpq::Signature> {
     let mut rng = Rng::new(seed);
     let proj = ProjectionMatrix::generate(rows.shape()[1], bits, &mut rng);
-    let generator = SignatureGenerator::new(&proj);
-    generator.signatures_for_patches_prefix(rows, bits)
+    proj.signatures(rows.data(), &mut Vec::new())
 }
 
 proptest! {

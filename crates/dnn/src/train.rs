@@ -4,6 +4,18 @@ use mercury_core::AdaptiveController;
 use mercury_tensor::rng::Rng;
 use mercury_tensor::Tensor;
 
+/// `K`: consecutive no-change loss iterations before the signature grows
+/// by one bit (§III-D).
+const PLATEAU_WINDOW: usize = 5;
+
+/// Relative loss change below which two iterations count as "no change"
+/// for the plateau detector.
+const PLATEAU_TOLERANCE: f64 = 1e-3;
+
+/// `T`: consecutive batches where the signature cost exceeds the baseline
+/// cost before a layer's similarity detection is turned off (§III-D).
+const STOPPAGE_WINDOW: usize = 3;
+
 /// Trainer configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainerConfig {
@@ -64,9 +76,14 @@ impl Trainer {
     pub fn new(net: Network, config: TrainerConfig) -> Self {
         let engine_layers = net.engine_layers();
         let controller = if config.adaptive && !engine_layers.is_empty() {
-            // Windows follow the MercuryConfig defaults; the controller is
-            // deliberately engine-agnostic (it only sees losses/cycles).
-            Some(AdaptiveController::new(engine_layers.len(), 5, 1e-3, 3))
+            // The controller is deliberately engine-agnostic: it only
+            // sees losses and cycle ledgers.
+            Some(AdaptiveController::new(
+                engine_layers.len(),
+                PLATEAU_WINDOW,
+                PLATEAU_TOLERANCE,
+                STOPPAGE_WINDOW,
+            ))
         } else {
             None
         };

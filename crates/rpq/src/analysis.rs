@@ -2,7 +2,7 @@
 //! regenerate Figures 1, 3, and 15c of the paper.
 
 use crate::bloom::BloomSignature;
-use crate::{ProjectionMatrix, Signature, SignatureGenerator};
+use crate::{ProjectionMatrix, Signature};
 use mercury_tensor::rng::Rng;
 use mercury_tensor::Tensor;
 
@@ -71,8 +71,7 @@ pub fn similarity_fraction(signatures: &[Signature]) -> f64 {
 pub fn patch_similarity(patches: &Tensor, signature_bits: usize, rng: &mut Rng) -> f64 {
     assert_eq!(patches.rank(), 2, "patch matrix must be 2-D");
     let proj = ProjectionMatrix::generate(patches.shape()[1], signature_bits, rng);
-    let generator = SignatureGenerator::new(&proj);
-    similarity_fraction(&generator.signatures_for_patches(patches))
+    similarity_fraction(&proj.signatures(patches.data(), &mut Vec::new()))
 }
 
 /// Configuration of the unique-vector experiment behind Figure 3.
@@ -129,9 +128,7 @@ impl UniqueVectorExperiment {
     pub fn unique_by_rpq(&self, signature_bits: usize, rng: &mut Rng) -> usize {
         let population = self.generate_population(rng);
         let proj = ProjectionMatrix::generate(self.dim, signature_bits, rng);
-        let generator = SignatureGenerator::new(&proj);
-        let sigs: Vec<Signature> = population.iter().map(|v| generator.signature(v)).collect();
-        unique_signature_count(&sigs)
+        unique_signature_count(&proj.signatures(&population.concat(), &mut Vec::new()))
     }
 
     /// Counts unique vectors found by a Bloom filter of the given size.

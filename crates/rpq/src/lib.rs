@@ -11,9 +11,10 @@
 //! The paper's key hardware insight is that each column of `R` can be
 //! treated as a *random filter*, making signature generation a convolution
 //! that runs on the accelerator's existing PE array. [`ProjectionMatrix`]
-//! stores its columns in exactly that filter layout, and
-//! [`SignatureGenerator`] evaluates them patch-by-patch the way the PE sets
-//! do.
+//! stores its columns as exactly such filters, packed once into the panels
+//! of the workspace's one dense kernel, and
+//! [`signatures`](ProjectionMatrix::signatures) streams a whole batch of
+//! vectors through them, the way the PE sets stream patches.
 //!
 //! The crate also contains the [`bloom`] baseline and the [`analysis`]
 //! utilities used to regenerate Figures 1, 3, and 15c of the paper.
@@ -21,26 +22,25 @@
 //! # Examples
 //!
 //! ```
-//! use mercury_rpq::{ProjectionMatrix, SignatureGenerator};
+//! use mercury_rpq::ProjectionMatrix;
 //! use mercury_tensor::rng::Rng;
 //!
 //! let mut rng = Rng::new(1);
 //! let proj = ProjectionMatrix::generate(9, 20, &mut rng);
-//! let generator = SignatureGenerator::new(&proj);
-//! let a = vec![0.5; 9];
-//! let b = vec![0.5001; 9]; // nearly identical vector
-//! assert_eq!(generator.signature(&a), generator.signature(&b));
+//! // Two rows of 9: a vector and a nearly identical one.
+//! let mut rows = vec![0.5; 9];
+//! rows.extend([0.5001; 9]);
+//! let sigs = proj.signatures(&rows, &mut Vec::new());
+//! assert_eq!(sigs[0], sigs[1]);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod analysis;
 pub mod bloom;
-mod generator;
 mod projection;
 mod signature;
 
-pub use generator::{SignPlan, SignatureGenerator};
 pub use projection::ProjectionMatrix;
 pub use signature::Signature;
 

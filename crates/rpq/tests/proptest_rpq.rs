@@ -1,19 +1,23 @@
 //! Property-based tests for RPQ invariants.
 
 use mercury_rpq::analysis::{group_by_signature, similarity_fraction, unique_signature_count};
-use mercury_rpq::{ProjectionMatrix, Signature, SignatureGenerator};
+use mercury_rpq::{ProjectionMatrix, Signature};
 use mercury_tensor::rng::Rng;
 use proptest::prelude::*;
+
+/// The signature of one vector: a one-row batch.
+fn signature(proj: &ProjectionMatrix, v: &[f32]) -> Signature {
+    proj.signatures(v, &mut Vec::new())[0]
+}
 
 proptest! {
     /// RPQ is a function: equal inputs always produce equal signatures.
     #[test]
     fn signature_is_deterministic(seed in 0u64..10_000, dim in 1usize..32) {
         let proj = ProjectionMatrix::generate(dim, 24, &mut Rng::new(seed));
-        let generator = SignatureGenerator::new(&proj);
         let mut rng = Rng::new(seed ^ 0xABCD);
         let v: Vec<f32> = (0..dim).map(|_| rng.next_normal()).collect();
-        prop_assert_eq!(generator.signature(&v), generator.signature(&v));
+        prop_assert_eq!(signature(&proj, &v), signature(&proj, &v));
     }
 
     /// Scaling a vector by a positive constant never changes its signature
@@ -24,24 +28,21 @@ proptest! {
         scale in 1u32..1000
     ) {
         let proj = ProjectionMatrix::generate(8, 20, &mut Rng::new(seed));
-        let generator = SignatureGenerator::new(&proj);
         let mut rng = Rng::new(seed.wrapping_add(1));
         let v: Vec<f32> = (0..8).map(|_| rng.next_normal()).collect();
         let scaled: Vec<f32> = v.iter().map(|&x| x * scale as f32 / 10.0).collect();
-        prop_assert_eq!(generator.signature(&v), generator.signature(&scaled));
+        prop_assert_eq!(signature(&proj, &v), signature(&proj, &scaled));
     }
 
-    /// Prefix signatures are consistent: sig(v)[0..k] == sig_prefix(v, k).
+    /// Prefix signatures are consistent: the `k`-filter matrix drawn from
+    /// the same stream signs `sig(v)[0..k]`.
     #[test]
     fn prefixes_are_consistent(seed in 0u64..10_000, k in 1usize..20) {
         let proj = ProjectionMatrix::generate(6, 20, &mut Rng::new(seed));
-        let generator = SignatureGenerator::new(&proj);
+        let short = ProjectionMatrix::generate(6, k, &mut Rng::new(seed));
         let mut rng = Rng::new(seed.wrapping_add(7));
         let v: Vec<f32> = (0..6).map(|_| rng.next_normal()).collect();
-        prop_assert_eq!(
-            generator.signature(&v).prefix(k),
-            generator.signature_prefix(&v, k)
-        );
+        prop_assert_eq!(signature(&proj, &v).prefix(k), signature(&short, &v));
     }
 
     /// Growing the projection preserves the signature prefix: extending the
@@ -52,9 +53,9 @@ proptest! {
         let mut proj = ProjectionMatrix::generate(5, 12, &mut rng);
         let mut vrng = Rng::new(seed ^ 55);
         let v: Vec<f32> = (0..5).map(|_| vrng.next_normal()).collect();
-        let before = SignatureGenerator::new(&proj).signature(&v);
+        let before = signature(&proj, &v);
         proj.extend_filters(extra, &mut rng);
-        let after = SignatureGenerator::new(&proj).signature(&v);
+        let after = signature(&proj, &v);
         prop_assert_eq!(after.prefix(12), before);
         prop_assert_eq!(after.len(), 12 + extra);
     }
@@ -87,10 +88,10 @@ proptest! {
         }
     }
 
-    /// Batched signature generation (one product over the patch matrix) is
-    /// bit-identical to the per-vector scalar path, for any patch matrix
-    /// shape and any prefix length — the equivalence the engine's batched
-    /// hot path relies on.
+    /// Batched signature generation (one kernel pass over the patch
+    /// matrix) gives every row the signature it gets on its own, for any
+    /// patch matrix shape and signature length — a row's bits never depend
+    /// on the rows signed beside it.
     #[test]
     fn batched_signatures_match_per_vector_path(
         seed in 0u64..10_000,
@@ -98,15 +99,13 @@ proptest! {
         dim in 1usize..32,
         bits in 1usize..28
     ) {
-        let proj = ProjectionMatrix::generate(dim, 28, &mut Rng::new(seed));
-        let generator = SignatureGenerator::new(&proj);
+        let proj = ProjectionMatrix::generate(dim, bits, &mut Rng::new(seed));
         let mut rng = Rng::new(seed ^ 0x5157);
         let patches = mercury_tensor::Tensor::randn(&[n, dim], &mut rng);
-        let batched = generator.signatures_for_patches_prefix(&patches, bits);
+        let batched = proj.signatures(patches.data(), &mut Vec::new());
         prop_assert_eq!(batched.len(), n);
-        for (i, sig) in batched.iter().enumerate() {
-            let row = &patches.data()[i * dim..(i + 1) * dim];
-            prop_assert_eq!(*sig, generator.signature_prefix(row, bits));
+        for (sig, row) in batched.iter().zip(patches.data().chunks_exact(dim)) {
+            prop_assert_eq!(*sig, signature(&proj, row));
         }
     }
 

@@ -6,11 +6,12 @@
 //! too.
 //!
 //! One call projects every row of an `[n, plen]` matrix against the columns
-//! of a filter matrix that was repacked once into zero-padded
-//! [`LANES`]-wide panels ([`pack_panels`]), so the inner loop reads full
-//! fixed-width lanes with no stride and no ragged tail. What happens to a
-//! row's finished accumulators is the only difference between the two
-//! entry points:
+//! of a filter matrix held in zero-padded [`LANES`]-wide panels, so the
+//! inner loop reads full fixed-width lanes with no stride and no ragged
+//! tail. [`pack_panels`] lays weights out that way once per product;
+//! `mercury_rpq::ProjectionMatrix` draws its random filters straight into
+//! the layout and keeps them there. What happens to a row's finished
+//! accumulators is the only difference between the two entry points:
 //!
 //! * [`sign_rows`] packs the sign bits (`projection < 0.0`) straight from
 //!   the accumulator registers into one `u128` word per row — the
@@ -62,22 +63,12 @@ pub fn pack_panels(t: &[f32], plen: usize, ldb: usize, width: usize, panels: &mu
     }
 }
 
-/// [`pack_panels`] for a sign plan: the panels of the first `bits`
-/// projection filters.
-///
-/// # Panics
-///
-/// Panics if `bits` is zero or exceeds 128 (one sign word), or on the
-/// shape errors of [`pack_panels`].
-pub fn pack_sign_panels(t: &[f32], plen: usize, ldb: usize, bits: usize, panels: &mut Vec<f32>) {
-    assert!((1..=128).contains(&bits), "bits must be in 1..=128");
-    pack_panels(t, plen, ldb, bits, panels);
-}
-
-/// Projects every `plen`-element row of `rows` through the packed
-/// `panels` (see [`pack_sign_panels`]) and appends one sign word per row
-/// to `out`: bit `j` of a word is `1` iff the row's dot product with
-/// filter `j` is strictly negative. Bits at `bits` and above are zero.
+/// Projects every `plen`-element row of `rows` through the `bits` filter
+/// columns packed in `panels` (the layout of [`pack_panels`], which
+/// `mercury_rpq::ProjectionMatrix` keeps its random filters in), and
+/// appends one sign word per row to `out`: bit `j` of a word is `1` iff
+/// the row's dot product with filter `j` is strictly negative. Bits at
+/// `bits` and above are zero.
 ///
 /// Accumulation runs in ascending row-element order per filter, so each
 /// bit matches a sequential scalar [`dot`](crate::ops::dot) of row and
@@ -414,7 +405,7 @@ mod tests {
             let t: Vec<f32> = (0..plen * ldb).map(|_| rng.next_normal()).collect();
             let rows: Vec<f32> = (0..n * plen).map(|_| rng.next_normal()).collect();
             let mut panels = Vec::new();
-            pack_sign_panels(&t, plen, ldb, bits, &mut panels);
+            pack_panels(&t, plen, ldb, bits, &mut panels);
             let mut simd = Vec::new();
             sign_rows(&rows, plen, bits, &panels, &mut simd);
             let mut scalar = Vec::new();
@@ -472,7 +463,7 @@ mod tests {
         // Filters: col 0 → NaN projection, col 1 → -0.0, col 2 → negative.
         let t = vec![f32::INFINITY, -0.0, -1.0, f32::NEG_INFINITY, 0.0, 0.0];
         let mut panels = Vec::new();
-        pack_sign_panels(&t, plen, bits, bits, &mut panels);
+        pack_panels(&t, plen, bits, bits, &mut panels);
         let rows = vec![1.0f32, 1.0];
         let mut simd = Vec::new();
         sign_rows(&rows, plen, bits, &panels, &mut simd);
@@ -490,7 +481,7 @@ mod tests {
         let t: Vec<f32> = (0..plen * bits).map(|_| rng.next_normal()).collect();
         let rows: Vec<f32> = (0..8 * plen).map(|_| rng.next_normal()).collect();
         let mut panels = Vec::new();
-        pack_sign_panels(&t, plen, bits, bits, &mut panels);
+        pack_panels(&t, plen, bits, bits, &mut panels);
         let mut words = Vec::new();
         sign_rows(&rows, plen, bits, &panels, &mut words);
         for w in words {
@@ -501,6 +492,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "bits must be in")]
     fn zero_bits_rejected() {
-        pack_sign_panels(&[0.0], 1, 1, 0, &mut Vec::new());
+        sign_rows(&[0.0], 1, 0, &[], &mut Vec::new());
     }
 }
