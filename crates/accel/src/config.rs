@@ -49,36 +49,6 @@ impl Default for Design {
     }
 }
 
-/// Per-operation latencies of the simulated hardware, in cycles.
-///
-/// Defaults follow the paper's timing discussion: one multiply-accumulate
-/// per cycle inside a PE, a fixed small delay for an MCACHE access through
-/// the entry id, and single-cycle result forwarding between PEs in the FC
-/// path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimingParams {
-    /// Cycles for a PE set to read a memoized result from MCACHE via entry
-    /// id ("within a fixed delay", §V).
-    pub mcache_read_cycles: u64,
-    /// Extra serialization cycles per conflicting same-set insertion
-    /// (the per-set queue+controller of §V).
-    pub mcache_insert_conflict_cycles: u64,
-    /// Cycles to forward one per-weight result from the earlier PE to a
-    /// later PE in the FC design (§III-C3).
-    pub fc_forward_cycles: u64,
-}
-
-impl Default for TimingParams {
-    fn default() -> Self {
-        TimingParams {
-            // Entry-id reads are pipelined: one result per cycle (§V).
-            mcache_read_cycles: 1,
-            mcache_insert_conflict_cycles: 1,
-            fc_forward_cycles: 1,
-        }
-    }
-}
-
 /// Full configuration of the simulated accelerator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AcceleratorConfig {
@@ -88,8 +58,6 @@ pub struct AcceleratorConfig {
     pub dataflow: Dataflow,
     /// Sync/async PE-set coordination.
     pub design: Design,
-    /// Per-operation latencies.
-    pub timing: TimingParams,
 }
 
 impl AcceleratorConfig {
@@ -100,7 +68,6 @@ impl AcceleratorConfig {
             num_pes: 168,
             dataflow: Dataflow::RowStationary,
             design: Design::default(),
-            timing: TimingParams::default(),
         }
     }
 

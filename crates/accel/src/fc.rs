@@ -70,7 +70,7 @@ pub fn simulate_fc(cfg: &AcceleratorConfig, work: &FcWork) -> ChannelCycles {
     let p = cfg.num_pes.max(1) as u64;
     let m = work.num_weights.max(1) as u64;
     let dot = timing::fc_dot_cycles(work.input_len.max(1));
-    let fwd = cfg.timing.fc_forward_cycles;
+    let fwd = timing::FC_FORWARD_CYCLES;
 
     let sig_per_input = if work.signatures_precomputed {
         0
@@ -91,7 +91,7 @@ pub fn simulate_fc(cfg: &AcceleratorConfig, work: &FcWork) -> ChannelCycles {
     // computes its whole weight sweep and pays the send-stall.
     let computed = n - hits_total;
     let total_work =
-        hits_total * (m * fwd + cfg.timing.mcache_read_cycles) + computed * (m * dot + send_stall);
+        hits_total * (m * fwd + timing::MCACHE_READ_CYCLES) + computed * (m * dot + send_stall);
     ChannelCycles {
         signature: (n * sig_per_input).div_ceil(p),
         compute: total_work.div_ceil(p),

@@ -116,9 +116,9 @@ impl ChannelCycles {
 }
 
 /// Cost in cycles for one PE set to process one vector for one filter.
-fn vector_cost(cfg: &AcceleratorConfig, outcome: HitKind, x: usize) -> u64 {
+fn vector_cost(outcome: HitKind, x: usize) -> u64 {
     match outcome {
-        HitKind::Hit => cfg.timing.mcache_read_cycles,
+        HitKind::Hit => timing::MCACHE_READ_CYCLES,
         // MAU writes its result into MCACHE; the write overlaps the final
         // accumulate, so it is charged like a plain computed dot (MNU).
         HitKind::Mau | HitKind::Mnu => timing::dot_product_cycles(x),
@@ -230,7 +230,7 @@ impl LayerSim {
         // Hitmap resolution is global: compute starts once every set has
         // produced its signatures and the per-set insertion queues have
         // drained the conflicting inserts.
-        let conflict_cycles = work.insert_conflicts * self.cfg.timing.mcache_insert_conflict_cycles;
+        let conflict_cycles = work.insert_conflicts * timing::MCACHE_INSERT_CONFLICT_CYCLES;
         let compute_start = sig_end + conflict_cycles;
         self.totals.signature += sig_work_total + conflict_cycles;
 
@@ -247,8 +247,8 @@ impl LayerSim {
         // degenerates to the synchronous barrier).
         // Per-vector cost depends only on the outcome kind, so the work sum
         // factors through the kind counts exactly.
-        let total_work: u64 = hits as u64 * vector_cost(&self.cfg, HitKind::Hit, x)
-            + (maus + mnus) as u64 * vector_cost(&self.cfg, HitKind::Mnu, x);
+        let total_work: u64 = hits as u64 * vector_cost(HitKind::Hit, x)
+            + (maus + mnus) as u64 * vector_cost(HitKind::Mnu, x);
         let f_count = work.num_filters.max(1) as u64;
         let per_filter = total_work.div_ceil(sets as u64);
 
@@ -313,7 +313,7 @@ impl LayerSim {
         } else {
             div_ceil(n * work.signature_bits as u64 * sig_per_bit, par)
         };
-        let conflict_cycles = work.insert_conflicts * self.cfg.timing.mcache_insert_conflict_cycles;
+        let conflict_cycles = work.insert_conflicts * timing::MCACHE_INSERT_CONFLICT_CYCLES;
         // Per-(vector, filter) dot cost is x cycles in these dataflows: the
         // x-element rows stream while x PEs (one per row) work in parallel.
         let compute = div_ceil(unique * f * x + hits as u64 * hit_cost, par);
@@ -344,14 +344,12 @@ fn div_ceil(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TimingParams;
 
     fn cfg(design: Design, dataflow: Dataflow) -> AcceleratorConfig {
         AcceleratorConfig {
             num_pes: 12, // 4 PE sets for 3x3 kernels — small and easy to reason about
             dataflow,
             design,
-            timing: TimingParams::default(),
         }
     }
 

@@ -11,6 +11,19 @@
 //!   bit a PE set produces takes `2x+1` cycles and every subsequent bit
 //!   takes `x` cycles.
 
+/// Cycles for a PE set to read a memoized result from MCACHE via its entry
+/// id ("within a fixed delay", §V): entry-id reads are pipelined, one
+/// result per cycle.
+pub const MCACHE_READ_CYCLES: u64 = 1;
+
+/// Extra serialization cycles per conflicting same-set MCACHE insertion
+/// (the per-set queue and controller of §V).
+pub const MCACHE_INSERT_CONFLICT_CYCLES: u64 = 1;
+
+/// Cycles to forward one per-weight result from the earlier PE to a later
+/// PE in the FC design (§III-C3).
+pub const FC_FORWARD_CYCLES: u64 = 1;
+
 /// Cycles for one dot product between an `x×x` input vector and a filter on
 /// a row-stationary PE set (also the cost of one non-pipelined signature
 /// bit).
@@ -63,22 +76,6 @@ pub fn signature_cycles(x: usize, count: usize, pipelined: bool) -> u64 {
 pub fn fc_dot_cycles(len: usize) -> u64 {
     assert!(len > 0, "vector length must be positive");
     len as u64 + 1
-}
-
-/// A single PE-set's cycle-accurate schedule for producing the first bit of
-/// `n` consecutive signatures, as drawn in Figure 8. Returns each bit's
-/// completion cycle. Used to cross-check the closed-form formulas and to
-/// regenerate Figure 8c.
-pub fn schedule_first_bits(x: usize, n: usize, pipelined: bool) -> Vec<u64> {
-    (0..n)
-        .map(|i| {
-            if pipelined {
-                pipelined_bit_completion(x, i)
-            } else {
-                nonpipelined_bit_completion(x, i)
-            }
-        })
-        .collect()
 }
 
 /// Event-level simulation of the pipelined PE-set schedule of Figure 8b.
@@ -183,11 +180,5 @@ mod tests {
     #[test]
     fn fc_dot_is_len_plus_drain() {
         assert_eq!(fc_dot_cycles(64), 65);
-    }
-
-    #[test]
-    fn schedule_vector_lengths() {
-        assert_eq!(schedule_first_bits(3, 4, true).len(), 4);
-        assert!(schedule_first_bits(3, 0, false).is_empty());
     }
 }

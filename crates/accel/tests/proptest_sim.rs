@@ -29,7 +29,6 @@ fn cfg(design: Design, dataflow: Dataflow) -> AcceleratorConfig {
         num_pes: 24,
         dataflow,
         design,
-        ..AcceleratorConfig::paper_default()
     }
 }
 

@@ -54,10 +54,18 @@ fn main() -> ExitCode {
             continue;
         };
         common += 1;
-        let ratio = rns as f64 / lns as f64;
-        let delta = (ratio - 1.0) * 100.0;
+        // A zero left value has no ratio: print `n/a`, not `inf`/`NaN`.
+        let (ratio, delta) = if lns == 0 {
+            ("n/a".to_string(), "n/a".to_string())
+        } else {
+            let ratio = rns as f64 / lns as f64;
+            (
+                format!("{ratio:.3}"),
+                format!("{:+.1}%", (ratio - 1.0) * 100.0),
+            )
+        };
         println!(
-            "{:<44} {:>12} {:>12} {:>9.3}  {:+.1}%",
+            "{:<44} {:>12} {:>12} {:>9}  {}",
             name,
             fmt_ns(lns),
             fmt_ns(rns),

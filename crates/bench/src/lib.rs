@@ -412,98 +412,7 @@ fn hash_name(name: &str) -> u64 {
     })
 }
 
-/// Reading the `BENCH_RESULTS.json` snapshots the criterion shim writes
-/// (flat `{"bench name": median nanoseconds}` objects) — shared by the
-/// `bench_diff` comparison bin and anything else that post-processes a
-/// perf snapshot.
-pub mod results {
-    use std::collections::BTreeMap;
-
-    /// Parses a flat `{"name": nanoseconds, ...}` JSON object (the shim's
-    /// output format), tolerating whitespace and — like the shim's own
-    /// reader — a malformed tail: whatever parsed before the damage is
-    /// kept, so a snapshot truncated by a killed bench job still yields
-    /// its completed entries. Returns `None` only when the text contains
-    /// no recognizable measurement at all — the schema-mismatch signal
-    /// `bench_diff` exits nonzero on.
-    pub fn parse(text: &str) -> Option<BTreeMap<String, u128>> {
-        let mut map = BTreeMap::new();
-        let mut rest = text;
-        while let Some(start) = rest.find('"') {
-            rest = &rest[start + 1..];
-            let Some(end) = rest.find('"') else { break };
-            let key = &rest[..end];
-            rest = &rest[end + 1..];
-            let Some(colon) = rest.find(':') else { break };
-            let after = rest[colon + 1..].trim_start();
-            let digits: String = after.chars().take_while(|c| c.is_ascii_digit()).collect();
-            if !key.is_empty() && !digits.is_empty() {
-                if let Ok(v) = digits.parse::<u128>() {
-                    map.insert(key.to_string(), v);
-                }
-            }
-            rest = &rest[colon + 1..];
-        }
-        if map.is_empty() {
-            None
-        } else {
-            Some(map)
-        }
-    }
-
-    /// Loads and parses one snapshot file; `Err` carries the
-    /// schema-mismatch description.
-    pub fn load(path: &str) -> Result<BTreeMap<String, u128>, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        parse(&text).ok_or_else(|| format!("{path} holds no `\"name\": nanoseconds` entries"))
-    }
-
-    /// Renders a measurement map in the shim's flat, sorted JSON format.
-    /// Labels containing `"` or `\` are skipped — no label in this
-    /// workspace produces one.
-    pub fn render(map: &BTreeMap<String, u128>) -> String {
-        let mut out = String::from("{\n");
-        let mut first = true;
-        for (k, v) in map {
-            if k.contains('"') || k.contains('\\') {
-                continue;
-            }
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!("  \"{k}\": {v}"));
-        }
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// Merges `entries` into the snapshot at `path` (creating the file if
-    /// absent), the same merge-on-write convention as the criterion shim —
-    /// which is what lets `loadgen` percentiles accumulate into the same
-    /// `BENCH_RESULTS.json` a `cargo bench` run writes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the existing file cannot be read (other
-    /// than not existing) or the merged snapshot cannot be written.
-    pub fn merge_into(path: &str, entries: &BTreeMap<String, u128>) -> Result<(), String> {
-        let mut merged = match std::fs::read_to_string(path) {
-            Ok(s) => parse(&s).unwrap_or_default(),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => BTreeMap::new(),
-            Err(e) => return Err(format!("cannot read {path}: {e}")),
-        };
-        merged.extend(entries.iter().map(|(k, v)| (k.clone(), *v)));
-        std::fs::write(path, render(&merged)).map_err(|e| format!("cannot write {path}: {e}"))
-    }
-
-    /// The snapshot path the current process should write: the
-    /// `BENCH_RESULTS_PATH` environment variable when set, the shim's
-    /// default `BENCH_RESULTS.json` otherwise.
-    pub fn default_path() -> String {
-        std::env::var("BENCH_RESULTS_PATH").unwrap_or_else(|_| "BENCH_RESULTS.json".to_string())
-    }
-}
+pub mod results;
 
 /// Per-request latency accounting for the serving load generator:
 /// nearest-rank percentiles over nanosecond samples.
@@ -681,10 +590,59 @@ mod tests {
     }
 
     #[test]
+    fn results_roundtrip() {
+        let mut map = std::collections::BTreeMap::new();
+        map.insert("group/bench_a".to_string(), 1234u128);
+        map.insert("signature_single/20".to_string(), 98765432109876u128);
+        let rendered = results::render(&map);
+        assert_eq!(results::parse(&rendered), map);
+        // Merging: parse, update one key, re-render, parse again.
+        let mut merged = results::parse(&rendered);
+        merged.insert("group/bench_a".to_string(), 42);
+        assert_eq!(results::parse(&results::render(&merged)), merged);
+    }
+
+    #[test]
+    fn parse_tolerates_junk_and_whitespace() {
+        let text = "{\n  \"a/b\" :  10 ,\n \"c\": 20}\n";
+        let map = results::parse(text);
+        assert_eq!(map.get("a/b"), Some(&10));
+        assert_eq!(map.get("c"), Some(&20));
+        assert!(results::parse("").is_empty());
+        assert!(results::parse("not json at all").is_empty());
+    }
+
+    #[test]
+    fn results_parse_keeps_entries_before_a_truncated_tail() {
+        // A snapshot cut off mid-write still yields its completed
+        // entries; only a file with no entries at all fails to load.
+        let map = results::parse("{\n  \"a/b\": 10,\n  \"c\": 20,\n  \"trunc");
+        assert_eq!(map.get("a/b"), Some(&10));
+        assert_eq!(map.get("c"), Some(&20));
+        assert_eq!(map.len(), 2);
+
+        let path = std::env::temp_dir().join(format!("mercury_junk_{}.json", std::process::id()));
+        let path = path.to_str().unwrap().to_string();
+        std::fs::write(&path, "not json at all").unwrap();
+        assert!(results::load(&path).unwrap_err().contains("no"));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn render_skips_unserializable_labels() {
+        let mut map = std::collections::BTreeMap::new();
+        map.insert("ok".to_string(), 1u128);
+        map.insert("bad\"label".to_string(), 2u128);
+        let rendered = results::render(&map);
+        assert!(rendered.contains("\"ok\": 1"));
+        assert!(!rendered.contains("bad"));
+    }
+
+    #[test]
     fn results_render_round_trips_and_merges() {
         let mut map = std::collections::BTreeMap::new();
         map.insert("serve_loadgen/p50_ns".to_string(), 123u128);
-        assert_eq!(results::parse(&results::render(&map)).unwrap(), map);
+        assert_eq!(results::parse(&results::render(&map)), map);
 
         let path = std::env::temp_dir().join(format!("mercury_merge_{}.json", std::process::id()));
         let path = path.to_str().unwrap().to_string();
@@ -692,24 +650,17 @@ mod tests {
         results::merge_into(&path, &map).unwrap();
         let mut more = std::collections::BTreeMap::new();
         more.insert("serve_loadgen/p95_ns".to_string(), 456u128);
+        more.insert("serve_loadgen/p50_ns".to_string(), 124u128);
         results::merge_into(&path, &more).unwrap();
         let loaded = results::load(&path).unwrap();
-        assert_eq!(loaded.get("serve_loadgen/p50_ns"), Some(&123));
+        assert_eq!(
+            loaded.get("serve_loadgen/p50_ns"),
+            Some(&124),
+            "merge overwrites"
+        );
         assert_eq!(loaded.get("serve_loadgen/p95_ns"), Some(&456));
+        assert_eq!(loaded.len(), 2);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn results_parse_keeps_entries_before_a_truncated_tail() {
-        // Same tolerance as the criterion shim's reader: a snapshot cut
-        // off mid-write still yields its completed entries, and only a
-        // text with no entries at all reads as a schema mismatch.
-        let map = results::parse("{\n  \"a/b\": 10,\n  \"c\": 20,\n  \"trunc").unwrap();
-        assert_eq!(map.get("a/b"), Some(&10));
-        assert_eq!(map.get("c"), Some(&20));
-        assert_eq!(map.len(), 2);
-        assert!(results::parse("not json at all").is_none());
-        assert!(results::parse("").is_none());
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! against the bench process's working directory, i.e. the package root).
 //! Results merge into the existing file, so one `cargo bench` run across
 //! several bench binaries accumulates a single perf snapshot that can be
-//! diffed commit to commit.
+//! diffed commit to commit. The file's codec is `mercury-bench`'s
+//! `results` module, compiled in from its source file so the shim depends
+//! on nothing in the workspace.
 //!
 //! [`criterion`]: https://crates.io/crates/criterion
 
@@ -28,6 +30,11 @@
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
+
+// `load` is `bench_diff`'s reader; the shim only writes.
+#[allow(dead_code)]
+#[path = "../../../bench/src/results.rs"]
+mod results;
 
 /// Entry point handed to every benchmark function.
 #[derive(Debug)]
@@ -50,9 +57,7 @@ impl Default for Criterion {
         Criterion {
             test_mode: !timed,
             default_sample_size: 10,
-            results_path: timed.then(|| {
-                std::env::var("BENCH_RESULTS_PATH").unwrap_or_else(|_| RESULTS_FILE.to_string())
-            }),
+            results_path: timed.then(results::default_path),
         }
     }
 }
@@ -214,80 +219,14 @@ impl Bencher {
             sorted[sorted.len() - 1],
             sorted.len()
         );
+        // Failures are reported on stderr but never fail the bench.
         if let Some(path) = results_path {
-            record_result(path, label, median.as_nanos());
-        }
-    }
-}
-
-/// Default results file, written to the bench process's working directory.
-const RESULTS_FILE: &str = "BENCH_RESULTS.json";
-
-/// Merges one `label → median ns` measurement into the results file. Each
-/// bench binary runs as its own process, so merge-on-write (rather than
-/// truncate) is what lets a whole `cargo bench` invocation accumulate into
-/// one snapshot. Failures are reported to stderr but never fail the bench.
-fn record_result(path: &str, label: &str, median_ns: u128) {
-    let mut results = match std::fs::read_to_string(path) {
-        Ok(s) => parse_results(&s),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => BTreeMap::new(),
-        // The file exists but cannot be read (permissions, transient I/O):
-        // skip the write rather than clobber the accumulated snapshot.
-        Err(e) => {
-            eprintln!("warning: could not read {path}: {e}; not recording {label}");
-            return;
-        }
-    };
-    results.insert(label.to_string(), median_ns);
-    if let Err(e) = std::fs::write(path, render_results(&results)) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
-}
-
-/// Parses a flat `{"name": nanoseconds, ...}` JSON object, tolerating
-/// whitespace and ignoring anything that is not a string-key/integer-value
-/// pair. Bench labels never contain quotes or escapes, so no escape
-/// handling is needed (and [`render_results`] refuses to emit any).
-fn parse_results(text: &str) -> BTreeMap<String, u128> {
-    let mut map = BTreeMap::new();
-    let mut rest = text;
-    while let Some(start) = rest.find('"') {
-        rest = &rest[start + 1..];
-        let Some(end) = rest.find('"') else { break };
-        let key = &rest[..end];
-        rest = &rest[end + 1..];
-        let Some(colon) = rest.find(':') else { break };
-        let after = rest[colon + 1..].trim_start();
-        let digits: String = after.chars().take_while(|c| c.is_ascii_digit()).collect();
-        if !key.is_empty() && !digits.is_empty() {
-            if let Ok(v) = digits.parse::<u128>() {
-                map.insert(key.to_string(), v);
+            let entry = BTreeMap::from([(label.to_string(), median.as_nanos())]);
+            if let Err(e) = results::merge_into(path, &entry) {
+                eprintln!("warning: {e}; not recording {label}");
             }
         }
-        rest = &rest[colon + 1..];
     }
-    map
-}
-
-/// Renders the results as a flat, sorted, pretty-printed JSON object.
-/// Labels containing `"` or `\` are skipped (with a warning) rather than
-/// escaped — no benchmark in this workspace produces one.
-fn render_results(results: &BTreeMap<String, u128>) -> String {
-    let mut out = String::from("{\n");
-    let mut first = true;
-    for (k, v) in results {
-        if k.contains('"') || k.contains('\\') {
-            eprintln!("warning: skipping unserializable bench label {k:?}");
-            continue;
-        }
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&format!("  \"{k}\": {v}"));
-    }
-    out.push_str("\n}\n");
-    out
 }
 
 /// Bundles benchmark functions into a runnable group, mirroring
@@ -337,39 +276,6 @@ mod tests {
         }
         // warm-up + 2 samples
         assert_eq!(ran, 3);
-    }
-
-    #[test]
-    fn results_roundtrip() {
-        let mut map = BTreeMap::new();
-        map.insert("group/bench_a".to_string(), 1234u128);
-        map.insert("signature_single/20".to_string(), 98765432109876u128);
-        let rendered = render_results(&map);
-        assert_eq!(parse_results(&rendered), map);
-        // Merging: parse, update one key, re-render, parse again.
-        let mut merged = parse_results(&rendered);
-        merged.insert("group/bench_a".to_string(), 42);
-        assert_eq!(parse_results(&render_results(&merged)), merged);
-    }
-
-    #[test]
-    fn parse_tolerates_junk_and_whitespace() {
-        let text = "{\n  \"a/b\" :  10 ,\n \"c\": 20}\n";
-        let map = parse_results(text);
-        assert_eq!(map.get("a/b"), Some(&10));
-        assert_eq!(map.get("c"), Some(&20));
-        assert_eq!(parse_results(""), BTreeMap::new());
-        assert_eq!(parse_results("not json at all"), BTreeMap::new());
-    }
-
-    #[test]
-    fn render_skips_unserializable_labels() {
-        let mut map = BTreeMap::new();
-        map.insert("ok".to_string(), 1u128);
-        map.insert("bad\"label".to_string(), 2u128);
-        let rendered = render_results(&map);
-        assert!(rendered.contains("\"ok\": 1"));
-        assert!(!rendered.contains("bad"));
     }
 
     #[test]

@@ -1,4 +1,3 @@
-use mercury_accel::config::AcceleratorConfig;
 use mercury_mcache::MCacheConfig;
 use mercury_tensor::exec::ExecutorKind;
 use std::error::Error;
@@ -95,10 +94,12 @@ pub enum NonfinitePolicy {
 
 /// Configuration of the full MERCURY system.
 ///
-/// Defaults mirror the paper's evaluation setup: a 168-PE row-stationary
-/// array, a 1024-entry 16-way MCACHE, and 20-bit initial signatures growing
-/// to at most 64 bits. The §III-D adaptation windows are not
-/// configuration: [`AdaptiveController::new`](crate::AdaptiveController::new)
+/// Defaults mirror the paper's evaluation setup: a 1024-entry 16-way
+/// MCACHE and 20-bit initial signatures growing to at most 64 bits. The
+/// accelerator is not configuration: the engines charge cycles on the
+/// paper's 168-PE row-stationary array
+/// ([`AcceleratorConfig::paper_default`]). Nor are the §III-D adaptation
+/// windows: [`AdaptiveController::new`](crate::AdaptiveController::new)
 /// takes them, and the `mercury-dnn` trainer builds it with the paper's
 /// K = 5, tolerance 1e-3 and T = 3.
 ///
@@ -106,10 +107,10 @@ pub enum NonfinitePolicy {
 /// configurations: the builder funnels every instance through
 /// [`validate`](Self::validate) and reports failures as a typed
 /// [`ConfigError`].
+///
+/// [`AcceleratorConfig::paper_default`]: mercury_accel::config::AcceleratorConfig::paper_default
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MercuryConfig {
-    /// Simulated accelerator (PE count, dataflow, sync/async design).
-    pub accelerator: AcceleratorConfig,
     /// MCACHE geometry.
     pub cache: MCacheConfig,
     /// Signature length at the start of training (the paper suggests ~20).
@@ -180,7 +181,6 @@ impl MercuryConfig {
 impl Default for MercuryConfig {
     fn default() -> Self {
         MercuryConfig {
-            accelerator: AcceleratorConfig::paper_default(),
             cache: MCacheConfig::paper_default(),
             initial_signature_bits: 20,
             max_signature_bits: 64,
@@ -215,12 +215,6 @@ pub struct MercuryConfigBuilder {
 }
 
 impl MercuryConfigBuilder {
-    /// Sets the simulated accelerator.
-    pub fn accelerator(mut self, accelerator: AcceleratorConfig) -> Self {
-        self.config.accelerator = accelerator;
-        self
-    }
-
     /// Sets the MCACHE geometry.
     pub fn cache(mut self, cache: MCacheConfig) -> Self {
         self.config.cache = cache;
@@ -282,7 +276,6 @@ mod tests {
         c.validate().unwrap();
         assert_eq!(c.initial_signature_bits, 20);
         assert_eq!(c.cache.entries(), 1024);
-        assert_eq!(c.accelerator.num_pes, 168);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::config::ConfigError;
 use crate::reuse::{LayerForward, LayerOp, ReuseEngine, ReuseReport, ReuseSignatures};
 use crate::stats::LayerStats;
 use crate::{MercuryConfig, MercuryError, SavedSignatures};
+use mercury_accel::config::AcceleratorConfig;
 use mercury_accel::sim::{ChannelWork, LayerSim};
 #[cfg(feature = "fault-inject")]
 use mercury_faults::FaultSite;
@@ -126,7 +127,7 @@ impl ConvEngine {
         let patches_n = geom.num_patches();
         let plen = geom.patch_len();
         let bits = self.base.signature_bits;
-        let mut sim = LayerSim::new(self.base.config.accelerator);
+        let mut sim = LayerSim::new(AcceleratorConfig::paper_default());
 
         if !self.base.detection_enabled {
             return self.run_exact(input, kernels, &geom, sim);

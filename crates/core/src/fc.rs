@@ -3,8 +3,10 @@ use crate::config::ConfigError;
 use crate::reuse::{LayerForward, LayerOp, ReuseEngine, ReuseReport, ReuseSignatures};
 use crate::stats::LayerStats;
 use crate::{MercuryConfig, MercuryError};
+use mercury_accel::config::AcceleratorConfig;
 use mercury_accel::fc::{simulate_attention, simulate_fc, FcWork};
 use mercury_accel::sim::ChannelCycles;
+use mercury_accel::timing;
 use mercury_mcache::OutcomeMix;
 use mercury_rpq::Signature;
 use mercury_tensor::exec::Executor;
@@ -57,14 +59,12 @@ fn exact_forward(output: Tensor, n: usize, mut cycles: ChannelCycles) -> LayerFo
 /// insertion conflicts, which serialize through the per-set queues as on
 /// the conv path and are charged to the signature phase.
 fn reuse_forward(
-    base: &EngineBase,
     output: Tensor,
     pass: PassOut,
     mut cycles: ChannelCycles,
     sigs: Vec<Signature>,
 ) -> LayerForward {
-    cycles.signature +=
-        pass.conflicts * base.config.accelerator.timing.mcache_insert_conflict_cycles;
+    cycles.signature += pass.conflicts * timing::MCACHE_INSERT_CONFLICT_CYCLES;
     let stats = LayerStats {
         cycles,
         detection_enabled: true,
@@ -156,7 +156,7 @@ impl FcEngine {
 
         if !self.base.detection_enabled {
             let work = FcWork::new(OutcomeMix::all_mnu(n), m, l, 0).with_precomputed_signatures();
-            let cycles = simulate_fc(&self.base.config.accelerator, &work);
+            let cycles = simulate_fc(&AcceleratorConfig::paper_default(), &work);
             return Ok(exact_forward(ops::matmul(inputs, weights)?, n, cycles));
         }
 
@@ -171,8 +171,8 @@ impl FcEngine {
         if reuse_saved {
             work = work.with_precomputed_signatures();
         }
-        let cycles = simulate_fc(&self.base.config.accelerator, &work);
-        Ok(reuse_forward(&self.base, output, pass, cycles, sigs))
+        let cycles = simulate_fc(&AcceleratorConfig::paper_default(), &work);
+        Ok(reuse_forward(output, pass, cycles, sigs))
     }
 }
 
@@ -265,7 +265,7 @@ impl AttentionEngine {
         if !self.base.detection_enabled {
             let w = ops::matmul(x, &ops::transpose(x)?)?;
             let mix = OutcomeMix::all_mnu(t);
-            let cycles = simulate_attention(&self.base.config.accelerator, mix, t, k, 0);
+            let cycles = simulate_attention(&AcceleratorConfig::paper_default(), mix, t, k, 0);
             return Ok(exact_forward(ops::matmul(&w, x)?, t, cycles));
         }
 
@@ -298,8 +298,14 @@ impl AttentionEngine {
         } else {
             self.base.signature_bits
         };
-        let cycles = simulate_attention(&self.base.config.accelerator, pass.charged, t, k, bits);
-        Ok(reuse_forward(&self.base, y, pass, cycles, sigs))
+        let cycles = simulate_attention(
+            &AcceleratorConfig::paper_default(),
+            pass.charged,
+            t,
+            k,
+            bits,
+        );
+        Ok(reuse_forward(y, pass, cycles, sigs))
     }
 }
 

@@ -62,11 +62,9 @@ pub enum EpochPolicy {
     /// bit-identical to a dedicated session replaying the same requests
     /// with `advance_epoch` every `n` submits.
     EveryRequests(u64),
-    /// Only [`Server::advance_epoch`](crate::Server::advance_epoch)
-    /// advances (an operator- or trainer-driven boundary).
-    Manual,
-    /// Never advance: the banked caches persist until the memory budget
-    /// evicts them (or forever, without a budget).
+    /// No automatic boundary: the caches persist until
+    /// [`Server::advance_epoch`](crate::Server::advance_epoch) or the
+    /// memory budget evicts them.
     Never,
 }
 
@@ -81,6 +79,12 @@ pub enum EpochPolicy {
 /// only on admission order, never on *when* ticks happen — so pacing is
 /// purely a throughput/latency knob.
 ///
+/// Every policy runs the same pacing loop. An idle server blocks for the
+/// next message, and a tenant with a full batching window is ticked at
+/// once; the policy only sets how long the loop waits for more work
+/// before ticking what is queued: not at all (`Saturation`), until a
+/// deadline (`Deadline`), or until the next `tick_now` (`Manual`).
+///
 /// The synchronous embedding mode (driving [`tick`](crate::Server::tick)
 /// yourself) ignores this policy; it exists for the service thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -90,12 +94,13 @@ pub enum PacingPolicy {
     /// queued. Lowest latency, window-limited batching. The default.
     #[default]
     Saturation,
-    /// Tick on a wall-clock budget: once work is queued, admission keeps
-    /// absorbing requests until the deadline elapses (or a batching
-    /// window fills first — a full window gains nothing by waiting),
-    /// then a tick serves what accumulated. Bounds the batching delay
-    /// any request can pay. Must be positive —
-    /// [`ServeConfigError::ZeroDeadline`] otherwise.
+    /// Tick on a wall-clock budget: work first queued after a tick or an
+    /// idle spell opens a window of this length, and admission keeps
+    /// absorbing requests until it elapses (or a batching window fills
+    /// first — a full window gains nothing by waiting); then a tick
+    /// serves what accumulated. Bounds the batching delay any request
+    /// can pay. Must be positive — [`ServeConfigError::ZeroDeadline`]
+    /// otherwise.
     Deadline(Duration),
     /// Tick only on an explicit
     /// [`ServeHandle::tick_now`](crate::ServeHandle::tick_now) control
@@ -147,9 +152,8 @@ pub struct ServeConfig {
     pub batch_window: usize,
     /// Global cap on the summed
     /// [`bank_bytes`](mercury_core::MercurySession::bank_bytes) of every
-    /// tenant, enforced after each tick by evicting idle tenants' banked
-    /// caches (second-chance LRU over sessions). `None` disables the
-    /// budget.
+    /// tenant, enforced after each tick by evicting banked caches, least
+    /// recently served tenant first. `None` disables the budget.
     pub memory_budget: Option<usize>,
     /// Poisoned-layer handling (see [`RecoveryPolicy`]).
     pub recovery: RecoveryPolicy,

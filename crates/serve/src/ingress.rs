@@ -58,17 +58,18 @@ impl Routes {
         self.by_request.insert(id, mailbox);
     }
 
-    /// Drains the server's completion buffer and delivers each result
-    /// to the mailbox its submit bound. Completions for requests that
-    /// were enqueued outside the handle path (synchronous embedding
-    /// calls made before [`Server::serve`]) have no route and are
-    /// discarded.
-    fn deliver(&mut self, server: &mut Server) {
+    /// Ticks the server once and delivers each completion to the
+    /// mailbox its submit bound. Completions for requests that were
+    /// enqueued outside the handle path (synchronous embedding calls
+    /// made before [`Server::serve`]) have no route and are discarded.
+    fn tick(&mut self, server: &mut Server) -> TickReport {
+        let report = server.tick();
         for completion in server.drain_completions() {
             if let Some(mailbox) = self.by_request.remove(&completion.id) {
                 mailbox.deliver(completion.id, completion.result);
             }
         }
+        report
     }
 }
 
@@ -113,110 +114,63 @@ fn handle_msg(server: &mut Server, routes: &mut Routes, msg: Msg) -> Flow {
             Flow::Continue
         }
         Msg::TickNow { reply } => {
-            let report = server.tick();
-            routes.deliver(server);
-            let _ = reply.send(report);
+            let _ = reply.send(routes.tick(server));
             Flow::Continue
         }
         Msg::Shutdown => Flow::Stop,
     }
 }
 
-/// Saturation pacing: absorb whatever is already on the channel, tick
-/// as soon as a batching window fills or the channel runs dry with work
-/// queued, and block only when there is nothing to do.
-fn run_saturation(server: &mut Server, rx: &Receiver<Msg>, routes: &mut Routes) {
+/// The pacing loop, the same for every [`PacingPolicy`]: the policies
+/// differ only in how long it waits for the next message before ticking
+/// what is queued.
+///
+/// * Nothing queued, or [`Manual`](PacingPolicy::Manual) pacing: block
+///   until a message arrives (under `Manual` only
+///   [`tick_now`](ServeHandle::tick_now) ticks).
+/// * A tenant's batching window is full: tick before reading more, since
+///   waiting cannot grow that batch.
+/// * [`Saturation`](PacingPolicy::Saturation): read without waiting, and
+///   tick when the channel is dry.
+/// * [`Deadline(d)`](PacingPolicy::Deadline): work first queued after a
+///   tick or an idle spell opens a window of `d`; tick when it passes.
+///
+/// Returns on `Shutdown` or once every sender is gone.
+fn pace(server: &mut Server, rx: &Receiver<Msg>, routes: &mut Routes) {
+    let pacing = server.config().pacing;
+    // When the open window closes under `Deadline` pacing.
+    let mut due = None;
     loop {
-        // Absorb the channel's backlog without blocking, stopping early
-        // once some tenant's window is full — that batch is ready now.
-        loop {
-            match rx.try_recv() {
-                Ok(msg) => match handle_msg(server, routes, msg) {
-                    Flow::Continue => {
-                        if server.window_filled() {
-                            break;
-                        }
-                    }
-                    Flow::Stop => return,
-                },
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return,
-            }
-        }
-        if server.has_queued() {
-            server.tick();
-            routes.deliver(server);
-        } else {
-            // Idle: park until the next message instead of spinning.
-            match rx.recv() {
-                Ok(msg) => {
-                    if let Flow::Stop = handle_msg(server, routes, msg) {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            }
-        }
-    }
-}
-
-/// Deadline pacing: the first admitted request opens a wall-clock
-/// window of `budget`; the thread keeps absorbing submissions until the
-/// window fills or the deadline passes, then ticks. Trades per-request
-/// latency for larger (more reuse-friendly) batches under light load.
-fn run_deadline(
-    server: &mut Server,
-    rx: &Receiver<Msg>,
-    routes: &mut Routes,
-    budget: std::time::Duration,
-) {
-    'serve: loop {
-        if !server.has_queued() {
-            // Idle: park until work (or a control message) arrives.
-            match rx.recv() {
-                Ok(msg) => {
-                    if let Flow::Stop = handle_msg(server, routes, msg) {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            }
+        let queued = pacing != PacingPolicy::Manual && server.has_queued();
+        if queued && server.window_filled() {
+            routes.tick(server);
+            due = None;
             continue;
         }
-        let deadline = Instant::now() + budget;
-        while !server.window_filled() {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(msg) => {
-                    if let Flow::Stop = handle_msg(server, routes, msg) {
-                        return;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break 'serve,
-            }
-        }
-        server.tick();
-        routes.deliver(server);
-    }
-}
-
-/// Manual pacing: the thread only admits and answers control messages;
-/// every tick is an explicit [`ServeHandle::tick_now`]. Queues fill
-/// until then, so sustained submission without ticking surfaces
-/// [`ServeError::QueueFull`] — by design.
-fn run_manual(server: &mut Server, rx: &Receiver<Msg>, routes: &mut Routes) {
-    loop {
-        match rx.recv() {
+        // `Timeout` means "stop waiting and tick".
+        let received = if !queued {
+            due = None;
+            rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
+        } else if let PacingPolicy::Deadline(window) = pacing {
+            let due = *due.get_or_insert_with(|| Instant::now() + window);
+            rx.recv_timeout(due.saturating_duration_since(Instant::now()))
+        } else {
+            rx.try_recv().map_err(|e| match e {
+                TryRecvError::Empty => RecvTimeoutError::Timeout,
+                TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
+            })
+        };
+        match received {
             Ok(msg) => {
                 if let Flow::Stop = handle_msg(server, routes, msg) {
                     return;
                 }
             }
-            Err(_) => return,
+            Err(RecvTimeoutError::Timeout) => {
+                routes.tick(server);
+                due = None;
+            }
+            Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
@@ -226,16 +180,11 @@ fn run_manual(server: &mut Server, rx: &Receiver<Msg>, routes: &mut Routes) {
 /// no ticket is left unanswered, and hand the server back.
 fn service(mut server: Server, rx: Receiver<Msg>) -> Server {
     let mut routes = Routes::default();
-    match server.config().pacing {
-        PacingPolicy::Saturation => run_saturation(&mut server, &rx, &mut routes),
-        PacingPolicy::Deadline(budget) => run_deadline(&mut server, &rx, &mut routes, budget),
-        PacingPolicy::Manual => run_manual(&mut server, &rx, &mut routes),
-    }
+    pace(&mut server, &rx, &mut routes);
     // Shutdown drain: everything admitted before the stop point serves
     // to completion — zero lost completions, regardless of pacing.
     while server.has_queued() {
-        server.tick();
-        routes.deliver(&mut server);
+        routes.tick(&mut server);
     }
     // Dropping `rx` here answers any submit still racing in the channel
     // with `Stopped` (its rendezvous reply sender is dropped unused).
@@ -351,5 +300,58 @@ impl Server {
             tx,
             thread: Some(thread),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{EpochPolicy, ServeConfig};
+    use mercury_core::MercuryConfig;
+    use mercury_tensor::rng::Rng;
+    use std::time::Duration;
+
+    #[test]
+    fn a_full_window_ticks_without_waiting_for_the_deadline() {
+        // Under an hour-long deadline only the full-window trigger can
+        // serve these two requests in time.
+        let config = ServeConfig::builder()
+            .batch_window(2)
+            .pacing(PacingPolicy::Deadline(Duration::from_secs(3600)))
+            .build()
+            .unwrap();
+        let mut server = Server::new(config).unwrap();
+        let tenant = server
+            .register_tenant("t", MercuryConfig::default(), 1, EpochPolicy::Never)
+            .unwrap();
+        let mut rng = Rng::new(1);
+        let layer = server
+            .register_fc(tenant, Tensor::randn(&[8, 4], &mut rng))
+            .unwrap();
+        let handle = server.serve();
+        let client = handle.client();
+        let mut pending: Vec<_> = (0..2)
+            .map(|_| {
+                client
+                    .submit(tenant, layer, Tensor::randn(&[1, 8], &mut rng))
+                    .unwrap()
+            })
+            .collect();
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while let Some(ticket) = pending.pop() {
+            match ticket.try_take() {
+                Ok(result) => assert!(result.is_ok()),
+                Err(ticket) => {
+                    assert!(
+                        Instant::now() < give_up,
+                        "a full window waited for the deadline"
+                    );
+                    pending.push(ticket);
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        }
+        let server = handle.shutdown();
+        assert_eq!(server.ticks(), 1, "one tick served the full window");
     }
 }

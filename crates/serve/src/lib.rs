@@ -16,16 +16,18 @@
 //!   typed [`ServeError::QueueFull`] instead of growing without bound.
 //! * **Epoch policy** — each tenant picks when its session's epoch
 //!   advances ([`EpochPolicy`]): every `n` requests (with the batching
-//!   window capped so the boundary lands exactly on the `n`-th), by
-//!   explicit lever, or never.
+//!   window capped so the boundary lands exactly on the `n`-th), or
+//!   never on its own. [`Server::advance_epoch`] ends an epoch
+//!   explicitly under either.
 //! * **Fault containment** — a poisoned tenant layer answers its own
 //!   requests with typed errors while every other tenant serves
 //!   bit-identically; under [`RecoveryPolicy::Immediate`] the server
 //!   auto-quarantines and re-enters the layer through warm-up.
 //! * **Memory budget** — a global cap on the summed
 //!   [`bank_bytes`](MercurySession::bank_bytes), enforced after every
-//!   tick by flash-clearing idle tenants' banks (second-chance LRU over
-//!   sessions, keyed by last-served tick).
+//!   tick by flash-clearing tenants' banks, least recently served first
+//!   (keyed by [`Server::last_served_tick`]), so the tenants a tick
+//!   served are evicted last.
 //!
 //! # Two ways to drive it
 //!
@@ -37,10 +39,12 @@
 //! request's completion ([`Ticket::wait`] blocking,
 //! [`Ticket::try_take`] polling). Backpressure stays typed: a full
 //! tenant queue answers the submit itself with
-//! [`ServeError::QueueFull`]. A [`PacingPolicy`] picks when the thread
-//! ticks — as soon as a window fills ([`Saturation`]), on a wall-clock
-//! budget ([`Deadline`]), or only on an explicit
-//! [`tick_now`](ServeHandle::tick_now) ([`Manual`]) — and
+//! [`ServeError::QueueFull`]. The thread runs one pacing loop: it
+//! blocks while idle, ticks at once when a batching window fills, and
+//! otherwise waits for more work as long as the [`PacingPolicy`] says —
+//! not at all ([`Saturation`]), up to a wall-clock deadline
+//! ([`Deadline`]), or until an explicit
+//! [`tick_now`](ServeHandle::tick_now) ([`Manual`]).
 //! [`shutdown`](ServeHandle::shutdown) drains all admitted work and
 //! hands the warm [`Server`] back.
 //!
@@ -100,21 +104,21 @@
 
 #![warn(missing_docs)]
 
-mod budget;
 mod client;
 mod config;
 mod error;
 mod ingress;
 mod server;
 
-pub use budget::Eviction;
 pub use client::{ServeClient, Ticket};
 pub use config::{
     EpochPolicy, PacingPolicy, RecoveryPolicy, ServeConfig, ServeConfigBuilder, ServeConfigError,
 };
 pub use error::ServeError;
 pub use ingress::ServeHandle;
-pub use server::{Completion, RequestId, Server, TenantId, TickReport, EVICTION_LOG_CAPACITY};
+pub use server::{
+    Completion, Eviction, RequestId, Server, TenantId, TickReport, EVICTION_LOG_CAPACITY,
+};
 
 // Re-exported so downstream code can name the session types the server
 // hands back without a separate `mercury-core` dependency line.

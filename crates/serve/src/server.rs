@@ -1,7 +1,6 @@
 //! The multi-tenant server: named tenant sessions over one shared worker
 //! pool, a batching ingress, auto-recovery, and the global memory budget.
 
-use crate::budget::{Eviction, SecondChance, VictimState};
 use crate::config::{EpochPolicy, RecoveryPolicy, ServeConfig, ServeConfigError};
 use crate::error::ServeError;
 use mercury_core::{LayerForward, LayerId, MercuryConfig, MercuryError, MercurySession};
@@ -101,6 +100,18 @@ pub struct TickReport {
     pub recovered: Vec<(TenantId, LayerId)>,
 }
 
+/// One eviction performed by the memory budget, recorded in the server's
+/// [`eviction_log`](Server::eviction_log).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Eviction {
+    /// The tick whose budget enforcement evicted.
+    pub tick: u64,
+    /// The tenant whose banked caches were flash-cleared.
+    pub tenant: TenantId,
+    /// Resident bytes the eviction released.
+    pub bytes_freed: usize,
+}
+
 /// A request sitting in a tenant's bounded ingress queue.
 #[derive(Debug)]
 struct QueuedRequest {
@@ -110,7 +121,7 @@ struct QueuedRequest {
 }
 
 /// One tenant: a named [`MercurySession`] on the shared pool, its
-/// bounded ingress queue, and its epoch/LRU bookkeeping.
+/// bounded ingress queue, and its epoch and recency bookkeeping.
 #[derive(Debug)]
 struct Tenant {
     name: String,
@@ -124,11 +135,9 @@ struct Tenant {
     /// Requests served since the last epoch boundary (drives
     /// [`EpochPolicy::EveryRequests`]; always `< n` between ticks).
     epoch_served: u64,
-    /// The last tick that served this tenant (0 = never).
+    /// The last tick that served this tenant (0 = never): the key the
+    /// memory budget evicts by.
     last_served_tick: u64,
-    /// Second-chance reference bit: set when served, cleared when the
-    /// budget's clock considers the tenant.
-    referenced: bool,
 }
 
 /// How many of the most recent evictions [`Server::eviction_log`] keeps;
@@ -156,7 +165,6 @@ pub struct Server {
     token: u64,
     tenants: Vec<Tenant>,
     tick: u64,
-    clock: SecondChance,
     /// Lifetime count behind [`evictions`](Self::evictions).
     evictions: u64,
     /// The most recent [`EVICTION_LOG_CAPACITY`] evictions, oldest first.
@@ -181,7 +189,6 @@ impl Server {
             token: SERVER_TOKENS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             tenants: Vec::new(),
             tick: 0,
-            clock: SecondChance::default(),
             evictions: 0,
             eviction_log: Vec::new(),
             completions: Vec::new(),
@@ -248,9 +255,7 @@ impl Server {
             served: 0,
             epoch_served: 0,
             last_served_tick: 0,
-            referenced: false,
         });
-        self.clock.register(index);
         Ok(self.id_of(index))
     }
 
@@ -365,8 +370,8 @@ impl Server {
     ///   additionally capped so the boundary lands exactly after the
     ///   `n`-th served request, never mid-batch;
     /// * **budget after serving** — ticks are synchronous, so the budget
-    ///   runs with no batch in flight, and the second-chance clock
-    ///   prefers idle tenants over the ones served this tick.
+    ///   runs with no batch in flight, and it evicts the least recently
+    ///   served tenants first: the ones this tick served go last.
     pub fn tick(&mut self) -> TickReport {
         if !self.has_queued() {
             return TickReport {
@@ -415,7 +420,6 @@ impl Server {
             tenant.served += take as u64;
             tenant.epoch_served += take as u64;
             tenant.last_served_tick = tick;
-            tenant.referenced = true;
             if let EpochPolicy::EveryRequests(n) = tenant.epoch_policy {
                 if tenant.epoch_served >= n {
                     tenant.session.advance_epoch();
@@ -444,35 +448,26 @@ impl Server {
         report
     }
 
-    /// Evicts idle tenants' banked caches until the summed
-    /// [`bank_bytes`](Self::bank_bytes) fits the configured budget.
-    /// Eviction is the session epoch flash-clear — O(sets) per layer,
-    /// never a per-entry walk — and restarts the victim's
-    /// `EveryRequests` count (the eviction *is* an epoch boundary).
+    /// Evicts tenants' banked caches until the summed
+    /// [`bank_bytes`](Self::bank_bytes) fits the configured budget, least
+    /// recently served first: the victim is the tenant holding bytes
+    /// with the smallest [`last_served_tick`](Self::last_served_tick),
+    /// the earlier registered on a tie. Eviction is the session epoch
+    /// flash-clear — O(sets) per layer, never a per-entry walk — and
+    /// restarts the victim's `EveryRequests` count (the eviction *is* an
+    /// epoch boundary).
     fn enforce_budget(&mut self, tick: u64) -> Vec<Eviction> {
         let Some(budget) = self.config.memory_budget else {
             return Vec::new();
         };
         let mut evictions = Vec::new();
         while self.bank_bytes() > budget {
-            let tenants = &mut self.tenants;
-            let victim = self.clock.select(|index| {
-                let t = &mut tenants[index];
-                if t.referenced {
-                    t.referenced = false;
-                    VictimState::Referenced
-                } else if t.session.bank_bytes() == 0 {
-                    VictimState::Empty
-                } else {
-                    VictimState::Evictable
-                }
-            });
-            let Some(index) = victim else {
-                // Nothing evictable holds bytes; with every session
-                // empty the sum is zero, so this only means the budget
-                // is already satisfied — but guard against spinning.
-                break;
-            };
+            // An eviction empties its victim, so this ends within one
+            // pass over the tenants.
+            let index = (0..self.tenants.len())
+                .filter(|&i| self.tenants[i].session.bank_bytes() > 0)
+                .min_by_key(|&i| self.tenants[i].last_served_tick)
+                .expect("a server over its budget holds bytes in some tenant");
             let tenant = &mut self.tenants[index];
             let bytes_freed = tenant.session.bank_bytes();
             tenant.session.advance_epoch();
@@ -608,7 +603,9 @@ impl Server {
     }
 
     /// The last tick that served a tenant (`0` = never; `None` for a
-    /// foreign id) — the recency key the budget's clock approximates.
+    /// foreign id) — the key the memory budget evicts by: over budget,
+    /// the tenant holding bytes with the oldest last served tick goes
+    /// first, so the tenants a tick served are evicted last.
     pub fn last_served_tick(&self, tenant: TenantId) -> Option<u64> {
         self.slot_index(tenant)
             .ok()
@@ -963,7 +960,7 @@ mod tests {
     fn manual_epoch_only_moves_via_the_server_lever() {
         let mut s = server(8, 8);
         let tenant = s
-            .register_tenant("t", MercuryConfig::default(), 7, EpochPolicy::Manual)
+            .register_tenant("t", MercuryConfig::default(), 7, EpochPolicy::Never)
             .unwrap();
         let mut rng = Rng::new(7);
         let layer = s
@@ -982,8 +979,8 @@ mod tests {
     #[test]
     fn budget_evicts_idle_tenant_first_and_is_observable() {
         // Three tenants fill their banks; a tight budget must evict the
-        // idle ones (in clock order), never the one served this tick,
-        // and the post-tick total must fit the budget.
+        // least recently served first, and the post-tick total must fit
+        // the budget.
         let mut s = Server::new(
             ServeConfig::builder()
                 .queue_capacity(8)
@@ -1003,9 +1000,8 @@ mod tests {
                 .unwrap();
         }
         let report = s.tick();
-        // Everyone was served (referenced) this tick, so the budget had
-        // to fall back to evicting in clock order; the invariant that
-        // matters is the cap itself.
+        // Everyone was served this tick, so the tie goes to registration
+        // order; the invariant that matters is the cap itself.
         assert!(s.bank_bytes() <= 1, "total fits the budget after the tick");
         assert!(!report.evictions.is_empty());
         assert_eq!(s.evictions(), report.evictions.len() as u64);
@@ -1016,9 +1012,8 @@ mod tests {
         }
 
         // Now serve only tenant 0; tenants 1 and 2 are idle with empty
-        // banks (already evicted), so the clock must evict tenant 0 only
-        // as last resort — which it is, since it is the only one with
-        // bytes.
+        // banks (already evicted), so tenant 0, the only one with bytes,
+        // is the only one the budget can evict.
         let (active, layer) = tenants[0];
         s.enqueue(active, layer, Tensor::randn(&[2, 8], &mut rng))
             .unwrap();
@@ -1112,6 +1107,48 @@ mod tests {
             s.session(b).unwrap().bank_bytes() > 0,
             "the just-served tenant kept its bank"
         );
+    }
+
+    #[test]
+    fn budget_evicts_the_least_recently_served_tenant_whatever_its_slot() {
+        // A is registered first but served last: tick 1 serves only B
+        // and fits the budget, tick 2 serves only A and breaches it. The
+        // victim must be B, idle since tick 1, not A, served this tick.
+        let config = |budget| {
+            ServeConfig::builder()
+                .queue_capacity(8)
+                .batch_window(8)
+                .memory_budget(budget)
+                .build()
+                .unwrap()
+        };
+        let mut rng = Rng::new(22);
+        let input_a = Tensor::randn(&[2, 8], &mut rng);
+        let input_b = Tensor::randn(&[2, 8], &mut rng);
+        // Each tenant alone fills about one bank; the budget holds one.
+        let mut probe = Server::new(config(None)).unwrap();
+        let (a, la) = fc_tenant(&mut probe, "a", 23);
+        let (b, lb) = fc_tenant(&mut probe, "b", 24);
+        probe.enqueue(a, la, input_a.clone()).unwrap();
+        probe.enqueue(b, lb, input_b.clone()).unwrap();
+        probe.tick();
+        let bank = |t| probe.session(t).unwrap().bank_bytes();
+        let budget = bank(a).max(bank(b));
+        assert!(bank(a) > 0 && bank(b) > 0);
+
+        let mut s = Server::new(config(Some(budget))).unwrap();
+        let (a, la) = fc_tenant(&mut s, "a", 23);
+        let (b, lb) = fc_tenant(&mut s, "b", 24);
+        s.enqueue(b, lb, input_b).unwrap();
+        s.tick();
+        assert_eq!(s.evictions(), 0, "B alone fits the budget");
+        s.enqueue(a, la, input_a).unwrap();
+        let report = s.tick();
+        let victims: Vec<TenantId> = report.evictions.iter().map(|e| e.tenant).collect();
+        assert_eq!(victims, vec![b], "the least recently served goes");
+        assert!(s.session(a).unwrap().bank_bytes() > 0, "A kept its bank");
+        assert_eq!(s.last_served_tick(a), Some(2));
+        assert_eq!(s.last_served_tick(b), Some(1));
     }
 
     #[test]

@@ -11,19 +11,30 @@
 //! report must be bit-identical to the reference's, completions must
 //! arrive in admission order, the memory budget must hold after every
 //! tick, and admission must refuse with `QueueFull` exactly at capacity.
+//!
+//! Each scenario runs in embedding mode under a serial executor and a
+//! two-thread pool, then a third time in service mode: [`Server::serve`]
+//! under [`PacingPolicy::Manual`], where enqueue is
+//! [`ServeClient::submit`](mercury_serve::ServeClient::submit) and tick
+//! is [`ServeHandle::tick_now`]. The handle offers no `advance_epoch` or
+//! `recover`, so service mode skips those ops. Every ticket must redeem
+//! once, bit-identical to the reference. Without a budget the run ends
+//! in [`ServeHandle::shutdown`], whose drain the reference replays; with
+//! one, `tick_now` drains first, because a drain reports no evictions.
 
 use mercury_serve::{
-    EpochPolicy, LayerId, MercuryConfig, MercurySession, ServeConfig, ServeError, Server, TenantId,
-    TickReport,
+    EpochPolicy, LayerForward, LayerId, MercuryConfig, MercurySession, PacingPolicy, RequestId,
+    ServeConfig, ServeError, ServeHandle, Server, TenantId, TickReport, Ticket,
 };
 use mercury_tensor::exec::ExecutorKind;
 use mercury_tensor::rng::Rng;
 use mercury_tensor::Tensor;
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 const TENANTS: usize = 3;
 
-/// One generated scenario; the same one runs under every executor.
+/// One generated scenario; the same one runs in every mode.
 #[derive(Debug, Clone)]
 struct Scenario {
     queue_capacity: usize,
@@ -40,7 +51,6 @@ struct Scenario {
 fn policy(code: u8, every: u64) -> EpochPolicy {
     match code {
         0 => EpochPolicy::EveryRequests(every),
-        1 => EpochPolicy::Manual,
         _ => EpochPolicy::Never,
     }
 }
@@ -66,6 +76,8 @@ fn layer_params(t: usize, seed: u64) -> Tensor {
 /// The dedicated-session side of the model, plus the server-side counts
 /// the model predicts.
 struct Model {
+    ids: [TenantId; TENANTS],
+    pools: [Vec<Tensor>; TENANTS],
     sessions: Vec<MercurySession>,
     layers: Vec<LayerId>,
     policies: [EpochPolicy; TENANTS],
@@ -79,6 +91,10 @@ struct Model {
 }
 
 impl Model {
+    fn tenant(&self, id: TenantId) -> usize {
+        self.ids.iter().position(|&t| t == id).unwrap()
+    }
+
     fn queued(&self, t: usize) -> usize {
         self.admitted[t].len() - self.done[t]
     }
@@ -88,80 +104,108 @@ impl Model {
         self.sessions[t].advance_epoch()
     }
 
-    /// How many requests the next tick serves for tenant `t`.
-    fn next_take(&self, t: usize, window: usize) -> usize {
-        let take = self.queued(t).min(window);
-        match self.policies[t] {
-            EpochPolicy::EveryRequests(n) => take.min((n - self.epoch_served[t]) as usize),
-            _ => take,
-        }
+    /// How many requests the next tick serves for each tenant.
+    fn takes(&self, window: usize) -> [usize; TENANTS] {
+        std::array::from_fn(|t| {
+            let take = self.queued(t).min(window);
+            match self.policies[t] {
+                EpochPolicy::EveryRequests(n) => take.min((n - self.epoch_served[t]) as usize),
+                EpochPolicy::Never => take,
+            }
+        })
     }
-}
 
-/// Runs one tick on the server and checks it against the model.
-fn tick_and_check(
-    server: &mut Server,
-    model: &mut Model,
-    ids: &[TenantId; TENANTS],
-    pools: &[Vec<Tensor>; TENANTS],
-    scenario: &Scenario,
-) -> Result<(), TestCaseError> {
-    let takes: Vec<usize> = (0..TENANTS)
-        .map(|t| model.next_take(t, scenario.batch_window))
-        .collect();
-    let report: TickReport = server.tick();
-    prop_assert_eq!(report.idle, takes.iter().all(|&n| n == 0));
-    prop_assert_eq!(report.completed, takes.iter().sum::<usize>());
+    /// Checks an admission verdict: `QueueFull` exactly at capacity,
+    /// otherwise the next sequence number.
+    fn admit(
+        &mut self,
+        t: usize,
+        payload: usize,
+        capacity: usize,
+        got: Result<RequestId, ServeError>,
+    ) -> Result<(), TestCaseError> {
+        if self.queued(t) == capacity {
+            let full = ServeError::QueueFull {
+                tenant: self.ids[t],
+                capacity,
+            };
+            prop_assert_eq!(got, Err(full));
+        } else {
+            prop_assert_eq!(got.unwrap().seq, self.admitted[t].len() as u64);
+            self.admitted[t].push(payload);
+        }
+        Ok(())
+    }
 
-    let mut served = [0usize; TENANTS];
-    for completion in server.drain_completions() {
-        let t = ids
-            .iter()
-            .position(|&id| id == completion.id.tenant)
-            .unwrap();
-        prop_assert_eq!(completion.id.seq, model.done[t] as u64, "out of order");
-        let input = &pools[t][model.admitted[t][model.done[t]]];
-        model.done[t] += 1;
-        served[t] += 1;
-        let got = completion.result.expect("no fault is injected");
-        let want = model.sessions[t].submit(model.layers[t], input).unwrap();
-        let bits = |f: &mercury_serve::LayerForward| -> Vec<u32> {
+    /// Checks tenant `t`'s completion `seq` against the dedicated
+    /// session's replay of the next request due.
+    fn complete(&mut self, t: usize, seq: u64, got: &LayerForward) -> Result<(), TestCaseError> {
+        prop_assert_eq!(seq, self.done[t] as u64, "out of order");
+        let input = &self.pools[t][self.admitted[t][self.done[t]]];
+        self.done[t] += 1;
+        let want = self.sessions[t].submit(self.layers[t], input).unwrap();
+        let bits = |f: &LayerForward| -> Vec<u32> {
             f.output.data().iter().map(|v| v.to_bits()).collect()
         };
-        prop_assert_eq!(bits(&got), bits(&want), "output diverged from the replay");
+        prop_assert_eq!(bits(got), bits(&want), "output diverged from the replay");
         prop_assert_eq!(&got.report, &want.report, "report diverged from the replay");
-        model.epoch_served[t] += 1;
-        if model.policies[t] == EpochPolicy::EveryRequests(model.epoch_served[t]) {
-            model.advance_epoch(t);
+        self.epoch_served[t] += 1;
+        if self.policies[t] == EpochPolicy::EveryRequests(self.epoch_served[t]) {
+            self.advance_epoch(t);
         }
+        Ok(())
     }
-    prop_assert_eq!(&served[..], &takes[..]);
 
-    for eviction in &report.evictions {
-        prop_assert_eq!(eviction.tick, report.tick);
-        let t = ids.iter().position(|&id| id == eviction.tenant).unwrap();
-        model.advance_epoch(t);
+    /// Checks a tick's report against the takes predicted before it and
+    /// follows its evictions.
+    fn follow(
+        &mut self,
+        report: &TickReport,
+        takes: &[usize; TENANTS],
+        budget: Option<usize>,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(report.idle, takes.iter().all(|&n| n == 0));
+        prop_assert_eq!(report.completed, takes.iter().sum::<usize>());
+        for eviction in &report.evictions {
+            prop_assert_eq!(eviction.tick, report.tick);
+            let t = self.tenant(eviction.tenant);
+            self.advance_epoch(t);
+        }
+        self.evictions += report.evictions.len() as u64;
+        if let Some(budget) = budget {
+            let resident: usize = self.sessions.iter().map(MercurySession::bank_bytes).sum();
+            prop_assert!(resident <= budget, "budget exceeded");
+        }
+        Ok(())
     }
-    model.evictions += report.evictions.len() as u64;
-    prop_assert_eq!(server.evictions(), model.evictions);
-    if let Some(budget) = scenario.memory_budget {
-        prop_assert!(server.bank_bytes() <= budget, "budget exceeded");
+
+    /// Checks the server's tenants against the model: epochs, resident
+    /// bytes, queue depths and the eviction count.
+    fn check_server(&self, server: &Server) -> Result<(), TestCaseError> {
+        prop_assert_eq!(server.evictions(), self.evictions);
+        for (t, &id) in self.ids.iter().enumerate() {
+            let session = server.session(id).unwrap();
+            prop_assert_eq!(session.epoch(), self.sessions[t].epoch());
+            prop_assert_eq!(session.bank_bytes(), self.sessions[t].bank_bytes());
+            prop_assert_eq!(server.queued(id), Some(self.queued(t)));
+        }
+        Ok(())
     }
-    for (t, &id) in ids.iter().enumerate() {
-        let session = server.session(id).unwrap();
-        prop_assert_eq!(session.epoch(), model.sessions[t].epoch());
-        prop_assert_eq!(session.bank_bytes(), model.sessions[t].bank_bytes());
-        prop_assert_eq!(server.queued(id), Some(model.queued(t)));
-    }
-    Ok(())
 }
 
-fn run(scenario: &Scenario, executor: ExecutorKind) -> Result<(), TestCaseError> {
+/// A server for `scenario` with its three tenants, the model of it, and
+/// the server's layer ids.
+fn setup(
+    scenario: &Scenario,
+    executor: ExecutorKind,
+    pacing: PacingPolicy,
+) -> (Server, Model, Vec<LayerId>) {
     let config = ServeConfig::builder()
         .executor(executor)
         .queue_capacity(scenario.queue_capacity)
         .batch_window(scenario.batch_window)
         .memory_budget(scenario.memory_budget)
+        .pacing(pacing)
         .build()
         .unwrap();
     let mut server = Server::new(config).unwrap();
@@ -171,15 +215,8 @@ fn run(scenario: &Scenario, executor: ExecutorKind) -> Result<(), TestCaseError>
         ..tenant_config
     };
     let mut ids = Vec::new();
-    let mut model = Model {
-        sessions: Vec::new(),
-        layers: Vec::new(),
-        policies: scenario.policies,
-        admitted: Default::default(),
-        done: [0; TENANTS],
-        epoch_served: [0; TENANTS],
-        evictions: 0,
-    };
+    let mut sessions = Vec::new();
+    let mut layers = Vec::new();
     let mut server_layers = Vec::new();
     for (t, name) in ["conv", "fc", "attention"].into_iter().enumerate() {
         let seed = scenario.seed.wrapping_add(t as u64);
@@ -201,42 +238,69 @@ fn run(scenario: &Scenario, executor: ExecutorKind) -> Result<(), TestCaseError>
         .unwrap();
         ids.push(id);
         server_layers.push(layer);
-        model.sessions.push(session);
-        model.layers.push(reference_layer);
+        sessions.push(session);
+        layers.push(reference_layer);
     }
-    let ids: [TenantId; TENANTS] = ids.try_into().unwrap();
-    let pools = payload_pools(scenario.seed);
+    let model = Model {
+        ids: ids.try_into().unwrap(),
+        pools: payload_pools(scenario.seed),
+        sessions,
+        layers,
+        policies: scenario.policies,
+        admitted: Default::default(),
+        done: [0; TENANTS],
+        epoch_served: [0; TENANTS],
+        evictions: 0,
+    };
+    (server, model, server_layers)
+}
 
+/// Runs one tick on the server and checks it against the model.
+fn tick_and_check(
+    server: &mut Server,
+    model: &mut Model,
+    scenario: &Scenario,
+) -> Result<(), TestCaseError> {
+    let takes = model.takes(scenario.batch_window);
+    let report = server.tick();
+    let mut served = [0usize; TENANTS];
+    for completion in server.drain_completions() {
+        let t = model.tenant(completion.id.tenant);
+        served[t] += 1;
+        let got = completion.result.expect("no fault is injected");
+        model.complete(t, completion.id.seq, &got)?;
+    }
+    prop_assert_eq!(served, takes);
+    model.follow(&report, &takes, scenario.memory_budget)?;
+    if let Some(budget) = scenario.memory_budget {
+        prop_assert!(server.bank_bytes() <= budget, "budget exceeded");
+    }
+    model.check_server(server)
+}
+
+/// Runs one scenario in embedding mode: `enqueue` and `tick` directly.
+fn run_embedded(scenario: &Scenario, executor: ExecutorKind) -> Result<(), TestCaseError> {
+    let (mut server, mut model, layers) = setup(scenario, executor, PacingPolicy::default());
     for &(op, t, payload) in &scenario.ops {
         match op {
             0..=4 => {
-                let input = pools[t][payload].clone();
-                let got = server.enqueue(ids[t], server_layers[t], input);
-                if model.queued(t) == scenario.queue_capacity {
-                    let full = ServeError::QueueFull {
-                        tenant: ids[t],
-                        capacity: scenario.queue_capacity,
-                    };
-                    prop_assert_eq!(got, Err(full));
-                } else {
-                    let id = got.unwrap();
-                    prop_assert_eq!(id.seq, model.admitted[t].len() as u64);
-                    model.admitted[t].push(payload);
-                }
+                let input = model.pools[t][payload].clone();
+                let got = server.enqueue(model.ids[t], layers[t], input);
+                model.admit(t, payload, scenario.queue_capacity, got)?;
             }
-            5..=7 => tick_and_check(&mut server, &mut model, &ids, &pools, scenario)?,
+            5..=7 => tick_and_check(&mut server, &mut model, scenario)?,
             8 => {
-                let epoch = server.advance_epoch(ids[t]).unwrap();
+                let epoch = server.advance_epoch(model.ids[t]).unwrap();
                 prop_assert_eq!(epoch, model.advance_epoch(t));
             }
             _ => {
-                server.recover(ids[t], server_layers[t]).unwrap();
+                server.recover(model.ids[t], layers[t]).unwrap();
                 model.sessions[t].recover(model.layers[t]).unwrap();
             }
         }
     }
     while server.has_queued() {
-        tick_and_check(&mut server, &mut model, &ids, &pools, scenario)?;
+        tick_and_check(&mut server, &mut model, scenario)?;
     }
     for t in 0..TENANTS {
         prop_assert_eq!(model.done[t], model.admitted[t].len(), "request stranded");
@@ -244,9 +308,81 @@ fn run(scenario: &Scenario, executor: ExecutorKind) -> Result<(), TestCaseError>
     Ok(())
 }
 
+/// Redeems a ticket whose request has been served: it must not be
+/// pending any more, and no fault is injected.
+fn redeem(ticket: Ticket) -> Result<(RequestId, LayerForward), TestCaseError> {
+    let id = ticket.id();
+    match ticket.try_take() {
+        Ok(result) => Ok((id, result.expect("no fault is injected"))),
+        Err(_) => Err(TestCaseError::fail(format!(
+            "{id} was served but is pending"
+        ))),
+    }
+}
+
+/// Pulls `tick_now` and checks the report and the tickets it served
+/// against the model.
+fn tick_now_and_check(
+    handle: &ServeHandle,
+    model: &mut Model,
+    tickets: &mut [VecDeque<Ticket>; TENANTS],
+    scenario: &Scenario,
+) -> Result<(), TestCaseError> {
+    let takes = model.takes(scenario.batch_window);
+    let report = handle.tick_now().unwrap();
+    for (t, &take) in takes.iter().enumerate() {
+        for ticket in tickets[t].drain(..take) {
+            let (id, got) = redeem(ticket)?;
+            model.complete(t, id.seq, &got)?;
+        }
+    }
+    model.follow(&report, &takes, scenario.memory_budget)
+}
+
+/// Runs one scenario in service mode: `submit` for enqueue and
+/// `tick_now` for tick, then `shutdown`.
+fn run_served(scenario: &Scenario) -> Result<(), TestCaseError> {
+    let (server, mut model, layers) = setup(scenario, ExecutorKind::Serial, PacingPolicy::Manual);
+    let handle = server.serve();
+    let client = handle.client();
+    let mut tickets: [VecDeque<Ticket>; TENANTS] = Default::default();
+    for &(op, t, payload) in &scenario.ops {
+        match op {
+            0..=4 => {
+                let input = model.pools[t][payload].clone();
+                let (verdict, ticket) = match client.submit(model.ids[t], layers[t], input) {
+                    Ok(ticket) => (Ok(ticket.id()), Some(ticket)),
+                    Err(e) => (Err(e), None),
+                };
+                model.admit(t, payload, scenario.queue_capacity, verdict)?;
+                tickets[t].extend(ticket);
+            }
+            5..=7 => tick_now_and_check(&handle, &mut model, &mut tickets, scenario)?,
+            _ => {}
+        }
+    }
+    if scenario.memory_budget.is_some() {
+        while (0..TENANTS).any(|t| model.queued(t) > 0) {
+            tick_now_and_check(&handle, &mut model, &mut tickets, scenario)?;
+        }
+    }
+    // Without a budget the drain evicts nothing, so each tenant's
+    // remaining requests replay in order across its epoch boundaries.
+    let server = handle.shutdown();
+    for (t, queue) in tickets.iter_mut().enumerate() {
+        for ticket in queue.drain(..) {
+            let (id, got) = redeem(ticket)?;
+            model.complete(t, id.seq, &got)?;
+        }
+    }
+    prop_assert!(!server.has_queued(), "shutdown left work queued");
+    model.check_server(&server)
+}
+
 proptest! {
-    /// The served streams equal the dedicated-session replays under a
-    /// serial executor and a two-thread pool.
+    /// The served streams equal the dedicated-session replays in
+    /// embedding mode under a serial executor and a two-thread pool, and
+    /// in service mode.
     #[test]
     fn server_matches_dedicated_session_replays(
         queue_capacity in 1usize..6,
@@ -272,7 +408,8 @@ proptest! {
             seed,
         };
         for executor in [ExecutorKind::Serial, ExecutorKind::Threaded { threads: 2 }] {
-            run(&scenario, executor)?;
+            run_embedded(&scenario, executor)?;
         }
+        run_served(&scenario)?;
     }
 }

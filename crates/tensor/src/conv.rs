@@ -4,8 +4,8 @@
 //! MERCURY operates on *input vectors*: `k1×k2` patches extracted from an
 //! input feature map, each of which is dotted with filter weights (§III-B1
 //! of the paper). [`extract_patches`] produces exactly those vectors.
-//! [`conv2d`] / [`conv2d_multi`] compute the forward pass with every dot
-//! product done once, and [`conv2d_backward_weights`] /
+//! [`conv2d_multi`] computes the forward pass with every dot product done
+//! once, and [`conv2d_backward_weights`] /
 //! [`conv2d_backward_input`] implement equations (1) and (2) of §II-C, the
 //! two computations of the backward pass. All of them run as one im2col of
 //! every channel plus the packed-panel row kernel
@@ -251,28 +251,6 @@ fn copy_windows<const KW: usize>(
             .expect("a KW-wide slot");
         *slot = *win;
     }
-}
-
-/// Convolves a `[C, H, W]` input with one `[C, k1, k2]` kernel, producing a
-/// `[1, out_h, out_w]` map.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`]
-/// for malformed operands and [`TensorError::InvalidConv`] when the kernel
-/// does not fit.
-pub fn conv2d(
-    input: &Tensor,
-    kernel: &Tensor,
-    stride: usize,
-    pad: usize,
-) -> Result<Tensor, TensorError> {
-    let kernels = kernel.reshape(&{
-        let mut s = vec![1];
-        s.extend_from_slice(kernel.shape());
-        s
-    })?;
-    conv2d_multi(input, &kernels, stride, pad)
 }
 
 /// Convolves a `[C, H, W]` input with `[F, C, k1, k2]` kernels, producing a
@@ -901,8 +879,8 @@ mod tests {
             &[1, 3, 3],
         )
         .unwrap();
-        let kernel = Tensor::from_vec(vec![1.0, 1.0, 1.0, 1.0], &[1, 2, 2]).unwrap();
-        let out = conv2d(&input, &kernel, 1, 0).unwrap();
+        let kernel = Tensor::from_vec(vec![1.0, 1.0, 1.0, 1.0], &[1, 1, 2, 2]).unwrap();
+        let out = conv2d_multi(&input, &kernel, 1, 0).unwrap();
         assert_eq!(out.shape(), &[1, 2, 2]);
         assert_eq!(out.data(), &[12.0, 16.0, 24.0, 28.0]);
     }
@@ -919,8 +897,8 @@ mod tests {
     #[test]
     fn conv2d_stride_two() {
         let input = Tensor::from_vec((0..16).map(|x| x as f32).collect(), &[1, 4, 4]).unwrap();
-        let kernel = Tensor::from_vec(vec![1.0], &[1, 1, 1]).unwrap();
-        let out = conv2d(&input, &kernel, 2, 0).unwrap();
+        let kernel = Tensor::from_vec(vec![1.0], &[1, 1, 1, 1]).unwrap();
+        let out = conv2d_multi(&input, &kernel, 2, 0).unwrap();
         assert_eq!(out.shape(), &[1, 2, 2]);
         assert_eq!(out.data(), &[0.0, 2.0, 8.0, 10.0]);
     }

@@ -32,8 +32,8 @@
 //! # fn main() -> Result<(), mercury_tensor::TensorError> {
 //! let mut rng = Rng::new(42);
 //! let input = Tensor::randn(&[1, 5, 5], &mut rng);
-//! let kernel = Tensor::randn(&[1, 3, 3], &mut rng);
-//! let out = mercury_tensor::conv::conv2d(&input, &kernel, 1, 0)?;
+//! let kernels = Tensor::randn(&[1, 1, 3, 3], &mut rng);
+//! let out = mercury_tensor::conv::conv2d_multi(&input, &kernels, 1, 0)?;
 //! assert_eq!(out.shape(), &[1, 3, 3]);
 //! # Ok(())
 //! # }

@@ -125,12 +125,6 @@ impl Rng {
         self.spare_normal = snapshot.spare_bits.map(f32::from_bits);
     }
 
-    /// Derives an independent child generator; useful for giving each layer
-    /// or experiment arm its own stream while remaining reproducible.
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64())
-    }
-
     /// Fisher–Yates shuffles a slice in place.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -223,14 +217,6 @@ mod tests {
         let replay: Vec<u64> = (0..8).map(|_| rng.next_u64()).collect();
         assert_eq!(draws, replay);
         assert_eq!(normal, rng.next_normal());
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = Rng::new(10);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! [`VectorStream`] models this with a two-tier process: each position is
 //! a *repeat* with probability `similarity` (drawn from the popular tier
-//! with probability `popular_fraction`, else uniformly from everything
-//! seen) or a fresh cluster otherwise. Probing a real [`MCache`] with the
+//! of the first 1024 clusters with probability 0.9, else uniformly from
+//! everything seen) or a fresh cluster otherwise. Probing a real [`MCache`] with the
 //! stream then yields HIT/MAU/MNU outcomes shaped by actual set conflicts
 //! and the no-replacement policy: popular-tier repeats mostly hit, tail
 //! repeats and overflow uniques become MNUs.
@@ -20,16 +20,21 @@ use mercury_tensor::rng::{Rng, RngState};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+/// Size of the popular tier: repeats concentrate on the first
+/// `POPULAR_TIER` distinct clusters (the Figure 15c scale).
+const POPULAR_TIER: usize = 1024;
+
+/// Fraction of repeats drawn from the popular tier.
+const POPULAR_FRACTION: f64 = 0.9;
+
 /// Memo key for one cluster-id synthesis: the stream's distribution
-/// parameters (floats as raw bits so the key is `Eq`/`Hash`) plus the
-/// generator state at call time — together they determine the id sequence
-/// completely.
+/// parameters (the similarity as raw bits so the key is `Eq`/`Hash`) plus
+/// the generator state at call time — together they determine the id
+/// sequence completely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ClusterKey {
     num_vectors: usize,
     similarity_bits: u64,
-    popular_tier: usize,
-    popular_fraction_bits: u64,
     rng: RngState,
 }
 
@@ -53,17 +58,12 @@ pub struct VectorStream {
     pub num_vectors: usize,
     /// Probability that a vector repeats an earlier cluster.
     pub similarity: f64,
-    /// Size of the popular tier: repeats concentrate on the first
-    /// `popular_tier` distinct clusters (the Figure 15c scale).
-    pub popular_tier: usize,
-    /// Fraction of repeats drawn from the popular tier.
-    pub popular_fraction: f64,
     /// Signature length in bits.
     pub signature_bits: usize,
 }
 
 impl VectorStream {
-    /// Creates a stream with the default popularity structure (tier of
+    /// Creates a stream with the module's popularity structure (a tier of
     /// 1024 clusters receiving 90% of repeats).
     ///
     /// # Panics
@@ -78,8 +78,6 @@ impl VectorStream {
         VectorStream {
             num_vectors,
             similarity,
-            popular_tier: 1024,
-            popular_fraction: 0.9,
             signature_bits,
         }
     }
@@ -110,8 +108,6 @@ impl VectorStream {
         let key = ClusterKey {
             num_vectors: self.num_vectors,
             similarity_bits: self.similarity.to_bits(),
-            popular_tier: self.popular_tier,
-            popular_fraction_bits: self.popular_fraction.to_bits(),
             rng: rng.checkpoint(),
         };
         let memo = CLUSTER_MEMO.get_or_init(Default::default);
@@ -140,8 +136,8 @@ impl VectorStream {
                 next_id += 1;
                 continue;
             }
-            let tier = self.popular_tier.min(next_id).max(1);
-            let id = if rng.next_f64() < self.popular_fraction {
+            let tier = POPULAR_TIER.min(next_id).max(1);
+            let id = if rng.next_f64() < POPULAR_FRACTION {
                 rng.next_below(tier)
             } else {
                 rng.next_below(next_id)
@@ -316,7 +312,7 @@ mod tests {
         }
         let popular_mass: usize = counts
             .iter()
-            .filter(|(&id, _)| id < s.popular_tier)
+            .filter(|(&id, _)| id < POPULAR_TIER)
             .map(|(_, &c)| c)
             .sum();
         // Popular tier holds its own appearances plus ~90% of repeats.
