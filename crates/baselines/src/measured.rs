@@ -19,12 +19,14 @@ use mercury_tensor::Tensor;
 pub struct MeasuredMercury {
     /// Cycle speedup over the exact baseline, from the accelerator model.
     pub speedup: f64,
-    /// Fraction of input vectors the persistent MCACHE *classified* as
-    /// similar (HITs). In session mode the first reuse of a cross-request
-    /// repeat still recomputes (it is promoted to producer), so this is a
-    /// detection rate, not the fraction of computations skipped — the
-    /// cycle ledger behind [`speedup`](Self::speedup) charges those
-    /// promoted producers as computing.
+    /// Fraction of input vectors the persistent MCACHE classified as
+    /// similar (HITs). A cross-request repeat copies the row its line
+    /// stored, so on this single-channel workload it is also the fraction
+    /// of vectors whose computation was skipped. Where a HIT cannot be
+    /// served — a line another conv channel stored — it is recomputed
+    /// ([`LayerStats::recomputed`](mercury_core::stats::LayerStats::recomputed)),
+    /// and the cycle ledger behind [`speedup`](Self::speedup) charges it as
+    /// computing.
     pub similarity: f64,
     /// Requests streamed through the session.
     pub submits: u64,

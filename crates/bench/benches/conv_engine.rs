@@ -4,8 +4,9 @@
 //! mode (persistent banked MCACHE, no per-forward clear, eviction by
 //! epoch) — and at the layer shapes the reuse pass is tuned against: the
 //! reduced VGG-13 layers the `train-reuse` benchmark trains, and a
-//! 128-wide layer at the paper's widths. The FC engine runs at the
-//! `serve-open` tenant shape, one request at a time through a session.
+//! 128-wide layer at the paper's widths. The FC engine runs one request at
+//! a time through a session, at the `serve-open` tenant shape and at a
+//! wide shape where a stored row saves most of the submit.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mercury_core::{ConvEngine, LayerOp, MercuryConfig, MercurySession, ReuseEngine};
@@ -120,34 +121,38 @@ fn bench_layer_shapes(c: &mut Criterion) {
     bench_shapes(c, "conv_128x16x16_128f", &[(128, 128, 16)]);
 }
 
-/// The `serve-open` tenant shape: `[1, 64]` requests against `[64, 32]`
-/// weights. `exact` is one `ops::matmul`; `session` is one submit to a
-/// persistent-session FC layer, walking a 2,048-request five-cluster
-/// stream and advancing the epoch every 128 submits, as `serve-open`
-/// does.
+/// One FC request at a time, `[1, L]` against `[L, M]` weights: `exact` is
+/// one `ops::matmul`; `session` is one submit to a persistent-session FC
+/// layer, walking a 2,048-request five-cluster `TenantMix` stream and
+/// advancing the epoch every 128 submits, as `serve-open` does. A warm
+/// submit's HIT copies its line's stored `M`-float row instead of the
+/// `L × M` product. `64x32` is the `serve-open` tenant shape; at `512x256`
+/// the skipped product dominates the submit.
 fn bench_fc_session(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fc_session_64x32");
-    group.sample_size(1000);
-    let mut rng = Rng::new(7);
-    let weights = Tensor::randn(&[64, 32], &mut rng);
-    let stream = TenantMix::new(64, 5, 0.02, 7).tenant_stream(0, 2048);
-    group.bench_function("exact", |b| {
-        b.iter(|| ops::matmul(black_box(&stream[0]), &weights).unwrap())
-    });
-    group.bench_function("session", |b| {
-        let mut session = MercurySession::new(MercuryConfig::default(), 7).unwrap();
-        let fc = session.register_fc(weights.clone()).unwrap();
-        let mut requests = stream.iter().cycle().zip(1u64..);
-        b.iter(|| {
-            let (input, k) = requests.next().unwrap();
-            let out = session.submit(fc, black_box(input)).unwrap();
-            if k % 128 == 0 {
-                session.advance_epoch();
-            }
-            out
-        })
-    });
-    group.finish();
+    for (l, m, samples) in [(64, 32, 1000), (512, 256, 200)] {
+        let mut group = c.benchmark_group(format!("fc_session_{l}x{m}"));
+        group.sample_size(samples);
+        let mut rng = Rng::new(7);
+        let weights = Tensor::randn(&[l, m], &mut rng);
+        let stream = TenantMix::new(l, 5, 0.02, 7).tenant_stream(0, 2048);
+        group.bench_function("exact", |b| {
+            b.iter(|| ops::matmul(black_box(&stream[0]), &weights).unwrap())
+        });
+        group.bench_function("session", |b| {
+            let mut session = MercurySession::new(MercuryConfig::default(), 7).unwrap();
+            let fc = session.register_fc(weights.clone()).unwrap();
+            let mut requests = stream.iter().cycle().zip(1u64..);
+            b.iter(|| {
+                let (input, k) = requests.next().unwrap();
+                let out = session.submit(fc, black_box(input)).unwrap();
+                if k % 128 == 0 {
+                    session.advance_epoch();
+                }
+                out
+            })
+        });
+        group.finish();
+    }
 }
 
 criterion_group!(

@@ -19,7 +19,7 @@ fn bench_probe_insert(c: &mut Criterion) {
             &(sets, ways),
             |b, &(sets, ways)| {
                 b.iter(|| {
-                    let mut cache = MCache::new(MCacheConfig::new(sets, ways, 1).unwrap());
+                    let mut cache = MCache::new(MCacheConfig::new(sets, ways).unwrap());
                     for &s in &sigs {
                         black_box(cache.probe_insert(s));
                     }

@@ -35,7 +35,7 @@ fn main() {
         // Each bank serves an equal slice of the PE sets' streams.
         let sets_per_bank = (64 / banks).max(1);
         let mut caches: Vec<MCache> = (0..banks)
-            .map(|_| MCache::new(MCacheConfig::new(sets_per_bank, 16, 1).expect("valid geometry")))
+            .map(|_| MCache::new(MCacheConfig::new(sets_per_bank, 16).expect("valid geometry")))
             .collect();
         for c in &mut caches {
             c.begin_insert_batch();

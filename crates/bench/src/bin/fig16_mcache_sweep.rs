@@ -17,7 +17,7 @@ fn main() {
         for &ways in &[8usize, 16, 32] {
             let sets = entries / ways;
             let cfg = ModelSimConfig {
-                cache: MCacheConfig::new(sets, ways, 1).expect("valid cache geometry"),
+                cache: MCacheConfig::new(sets, ways).expect("valid cache geometry"),
                 ..ModelSimConfig::default()
             };
             let mut log_sum = 0.0;

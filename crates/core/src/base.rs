@@ -18,12 +18,13 @@ use crate::MercuryConfig;
 #[cfg(feature = "fault-inject")]
 use mercury_faults::{FaultAction, FaultSite};
 use mercury_mcache::banked::BankedMCache;
-use mercury_mcache::{AccessOutcome, HitKind, MCacheConfig, OutcomeMix};
+use mercury_mcache::{AccessOutcome, EntryId, HitKind, MCacheConfig, OutcomeMix};
 use mercury_rpq::analysis::unique_signature_count;
 use mercury_rpq::{ProjectionMatrix, Signature};
 use mercury_tensor::exec::Executor;
 use mercury_tensor::kernel::sign::{self, LANES};
 use mercury_tensor::rng::Rng;
+use mercury_tensor::Tensor;
 use std::collections::HashMap;
 
 /// Expands to the six [`ReuseEngine`](crate::ReuseEngine) lifecycle
@@ -142,19 +143,25 @@ fn bank_probe_faults(sigs: &[Signature]) -> Option<Vec<Signature>> {
 /// Marks a cache entry with no producer in the current pass.
 const NO_ROW: u32 = u32::MAX;
 
+/// Marks a source that is a row stored in the cache: the low bits are its
+/// slab slot ([`StoredRow::slot`](mercury_mcache::banked::StoredRow::slot)).
+const STORED: u32 = 1 << 31;
+
 /// The reuse plan of one probe stream: which vectors compute, and whose
 /// result every vector takes (§III-C1). The conv, FC and attention engines
 /// all run it through [`pass`](Self::pass).
 ///
 /// A MAU or MNU vector computes. A HIT takes the result of the vector that
 /// computed for its cache entry earlier in the pass. A HIT on a tag that
-/// persisted from an earlier pass has no such producer: its first
-/// consumer is promoted to producer. It computes, and the cycle model
-/// charges it as an MAU.
+/// persisted from an earlier pass has no such producer: it takes the row
+/// its line stored, when the pass keeps rows and the row's owner is the
+/// pass's. Otherwise it is recomputed: it computes, the cycle model
+/// charges it as an MAU, and the rest of the pass takes its result.
 #[derive(Debug, Default)]
 pub(crate) struct ReusePlan {
     /// `source[v]`: the compute row whose result vector `v` takes, as an
-    /// index into [`compute`](Self::compute).
+    /// index into [`compute`](Self::compute), or [`STORED`] with the slab
+    /// slot of a stored row.
     source: Vec<u32>,
     /// The vectors that compute, in stream order.
     compute: Vec<usize>,
@@ -162,10 +169,15 @@ pub(crate) struct ReusePlan {
     outcomes: Vec<AccessOutcome>,
     /// The signatures of the MNU vectors.
     mnu_sigs: Vec<Signature>,
-    /// Per flat cache entry, the compute row of its producer this pass
-    /// ([`NO_ROW`] for none). A pass resets only the entries it touched,
-    /// so a short stream never pays for a fill of the whole cache.
+    /// Per flat cache entry, this pass's source for its HITs: the compute
+    /// row of its producer or its stored row ([`NO_ROW`] for none). A pass
+    /// resets only the entries it touched, so a short stream never pays
+    /// for a fill of the whole cache.
     entry_row: Vec<u32>,
+    /// The flat entries whose stored row this pass served.
+    served: Vec<usize>,
+    /// The compute rows to store after the product, with their lines.
+    stores: Vec<(u32, EntryId)>,
 }
 
 /// The dense product of one reuse pass: every `len`-element row of
@@ -189,12 +201,13 @@ pub(crate) struct Product<'a> {
 /// What one reuse pass reports.
 pub(crate) struct PassOut {
     /// The outcome counts the cycle model is charged with: the probe
-    /// outcomes, except that a promoted producer computed as an MAU.
+    /// outcomes, except that a recomputed HIT computed as an MAU.
     pub charged: OutcomeMix,
-    /// The raw probe outcomes and the distinct-signature count. A
-    /// signature owns at most one cache entry and an MNU signature is
-    /// never resident, so the distinct signatures are the computing
-    /// entries plus the distinct MNU signatures.
+    /// The raw probe outcomes, the recomputed HITs and the
+    /// distinct-signature count. A signature owns at most one cache entry
+    /// and an MNU signature is never resident, so the distinct signatures
+    /// are the entries the pass computed for or served from, plus the
+    /// distinct MNU signatures.
     pub counts: LayerStats,
     /// The insertion conflicts the probes met.
     pub conflicts: u64,
@@ -206,13 +219,20 @@ impl ReusePlan {
     /// window), probes `sigs` against `cache` through [`probe_batch`] and
     /// plans the pass in one walk over the outcomes, then computes and
     /// fans out `product` ([`compute`](Self::compute)).
+    ///
+    /// With `owner`, the pass keeps rows in the cache's data half: a HIT
+    /// with no producer this pass takes its line's stored row when `owner`
+    /// stored it, and a vector that computes for a line holding no row
+    /// stores its row for `owner` (a persistent engine's layer, or its
+    /// conv channel). Without, nothing is read or stored.
     pub fn pass(
         &mut self,
         cache: &mut BankedMCache,
         clear: bool,
         exec: &Executor,
         sigs: &[Signature],
-        product: Product<'_>,
+        mut product: Product<'_>,
+        owner: Option<u32>,
     ) -> PassOut {
         if clear {
             cache.clear();
@@ -229,7 +249,9 @@ impl ReusePlan {
         self.source.clear();
         self.compute.clear();
         self.mnu_sigs.clear();
-        let mut promoted = 0;
+        self.served.clear();
+        self.stores.clear();
+        let mut recomputed = 0;
         for (v, outcome) in self.outcomes.iter().enumerate() {
             let row = self.compute.len() as u32;
             let source = match outcome.entry {
@@ -241,14 +263,28 @@ impl ReusePlan {
                 }
                 Some(id) => {
                     let hit = outcome.kind == HitKind::Hit;
-                    let producer = &mut self.entry_row[id.set * ways + id.way];
+                    let entry = id.set * ways + id.way;
+                    let producer = &mut self.entry_row[entry];
                     if hit && *producer != NO_ROW {
                         *producer
                     } else {
-                        promoted += usize::from(hit);
-                        *producer = row;
-                        self.compute.push(v);
-                        row
+                        // The line's first vector this pass.
+                        let stored = owner.and_then(|_| cache.stored_row(id));
+                        match stored {
+                            Some(kept) if hit && Some(kept.owner) == owner => {
+                                *producer = STORED | kept.slot;
+                                self.served.push(entry);
+                            }
+                            _ => {
+                                recomputed += usize::from(hit);
+                                if owner.is_some() && stored.is_none() {
+                                    self.stores.push((row, id));
+                                }
+                                *producer = row;
+                                self.compute.push(v);
+                            }
+                        }
+                        *producer
                     }
                 }
             };
@@ -259,12 +295,21 @@ impl ReusePlan {
                 self.entry_row[id.set * ways + id.way] = NO_ROW;
             }
         }
+        for &entry in &self.served {
+            self.entry_row[entry] = NO_ROW;
+        }
 
-        self.compute(exec, product);
+        let ld = self.compute(exec, &mut product, cache.slab());
+        if let Some(owner) = owner {
+            for &(r, id) in &self.stores {
+                let row = &product.dots[r as usize * ld..][..product.width];
+                cache.store_row(id, owner, row);
+            }
+        }
 
         let (vectors, computed) = (self.source.len(), self.compute.len());
         let mnus = self.mnu_sigs.len();
-        let maus = computed - mnus - promoted;
+        let maus = computed - mnus - recomputed;
         let distinct_mnus = if mnus > 0 {
             unique_signature_count(&self.mnu_sigs)
         } else {
@@ -280,7 +325,8 @@ impl ReusePlan {
                 hits: (vectors - maus - mnus) as u64,
                 maus: maus as u64,
                 mnus: mnus as u64,
-                unique_vectors: (computed - mnus + distinct_mnus) as u64,
+                recomputed: recomputed as u64,
+                unique_vectors: (computed - mnus + self.served.len() + distinct_mnus) as u64,
                 ..LayerStats::default()
             },
             conflicts,
@@ -289,32 +335,30 @@ impl ReusePlan {
 
     /// Computes and fans out `product` under this plan: copies the compute
     /// rows contiguously, dots them with every packed column on the
-    /// executor ([`dot_rows_on`]), then writes every vector's producer row
-    /// into its row of the destination. Each destination element sees one
-    /// store or add per pass, whatever the plan. Attention runs it a second
-    /// time, with the plan of its first product.
-    pub fn compute(&self, exec: &Executor, product: Product<'_>) {
-        let Product {
-            vectors,
-            len,
-            width,
-            panels,
-            rows,
-            dots,
-            dest,
-            accumulate,
-        } = product;
-        rows.clear();
+    /// executor ([`dot_rows_on`]) into `ld`-strided rows of `product.dots`,
+    /// then writes every vector's source row — a compute row, or a
+    /// `width`-float row of the cache's `slab` — into its row of the
+    /// destination. Each destination element sees one store or add per
+    /// pass, whatever the plan. Returns `ld`, `width` rounded up to whole
+    /// lanes. Attention runs it a second time, with the plan of its first
+    /// product and no slab.
+    pub fn compute(&self, exec: &Executor, p: &mut Product<'_>, slab: &[f32]) -> usize {
+        let (len, width) = (p.len, p.width);
+        p.rows.clear();
         for &v in &self.compute {
-            rows.extend_from_slice(&vectors[v * len..(v + 1) * len]);
+            p.rows.extend_from_slice(&p.vectors[v * len..(v + 1) * len]);
         }
         let ld = width.div_ceil(LANES) * LANES;
         // `dot_rows` overwrites every value: only a grown tail needs a fill.
-        dots.resize(self.compute.len() * ld, 0.0);
-        dot_rows_on(exec, rows, len, width, panels, dots);
-        for (drow, &r) in dest.chunks_exact_mut(width).zip(&self.source) {
-            let crow = &dots[r as usize * ld..r as usize * ld + width];
-            if accumulate {
+        p.dots.resize(self.compute.len() * ld, 0.0);
+        dot_rows_on(exec, p.rows, len, width, p.panels, p.dots);
+        for (drow, &s) in p.dest.chunks_exact_mut(width).zip(&self.source) {
+            let crow = if s & STORED == 0 {
+                &p.dots[s as usize * ld..][..width]
+            } else {
+                &slab[(s & !STORED) as usize * width..][..width]
+            };
+            if p.accumulate {
                 for (d, &x) in drow.iter_mut().zip(crow) {
                     *d += x;
                 }
@@ -322,6 +366,7 @@ impl ReusePlan {
                 drow.copy_from_slice(crow);
             }
         }
+        ld
     }
 }
 
@@ -434,6 +479,8 @@ pub(crate) struct EngineBase {
     pub rows: Vec<f32>,
     /// The dots of [`rows`](Self::rows), kept the same way.
     pub dots: Vec<f32>,
+    /// The FC and attention engines' signature words, kept the same way.
+    pub words: Vec<u128>,
 }
 
 impl EngineBase {
@@ -482,14 +529,17 @@ impl EngineBase {
             plan: ReusePlan::default(),
             rows: Vec::new(),
             dots: Vec::new(),
+            words: Vec::new(),
         })
     }
 
     /// The FC and attention engines' reuse pass: one scope per call over
     /// the engine's own cache, plan and buffers (see [`ReusePlan::pass`]),
     /// storing every vector's `width` results of `[n, len]` `vectors`
-    /// against `panels` in its row of `dest`. A batch engine's scope ends
-    /// with the call, so its cache is left empty.
+    /// against `panels` in its row of `dest`, and keeping rows for `owner`
+    /// when given. A batch engine's scope ends with the call, so its cache
+    /// is left empty.
+    #[allow(clippy::too_many_arguments)]
     pub fn rows_pass(
         &mut self,
         sigs: &[Signature],
@@ -498,6 +548,7 @@ impl EngineBase {
         width: usize,
         panels: &[f32],
         dest: &mut [f32],
+        owner: Option<u32>,
     ) -> PassOut {
         let product = Product {
             vectors,
@@ -512,26 +563,28 @@ impl EngineBase {
         let clear = !self.persistent;
         let pass = self
             .plan
-            .pass(&mut self.cache, clear, &self.exec, sigs, product);
+            .pass(&mut self.cache, clear, &self.exec, sigs, product, owner);
         if clear {
             self.cache.clear();
         }
         pass
     }
 
-    /// Evicts all MCACHE state (tags and data) — the epoch boundary.
+    /// Evicts all MCACHE state (tags and stored rows) — the epoch
+    /// boundary.
     pub fn end_epoch(&mut self) {
         self.cache.clear();
     }
 
     /// Grows the signature by one bit, up to the configured maximum.
     ///
-    /// A persistent cache is flushed when the length actually changes:
-    /// tags at the old length can never match again (signatures compare
-    /// length-sensitively) but would keep occupying ways under the
-    /// no-replacement policy, silently turning every later probe into an
-    /// MNU — "MCACHE is flushed whenever the signature length grows", as
-    /// the hardware does. Batch engines restart per reuse scope anyway.
+    /// A persistent cache is flushed, stored rows and all, when the length
+    /// actually changes: tags at the old length can never match again
+    /// (signatures compare length-sensitively) but would keep occupying
+    /// ways under the no-replacement policy, silently turning every later
+    /// probe into an MNU — "MCACHE is flushed whenever the signature length
+    /// grows", as the hardware does. Batch engines restart per reuse scope
+    /// anyway.
     pub fn grow_signature(&mut self) -> usize {
         if self.signature_bits < self.config.max_signature_bits {
             self.signature_bits += 1;
@@ -540,6 +593,33 @@ impl EngineBase {
             }
         }
         self.signature_bits
+    }
+}
+
+/// The weights a persistent engine computes under, packed once into the
+/// row kernel's panels: every row its cache stores was computed from these
+/// panels. A session binds a layer's weights at registration and at
+/// `update_weights`; a direct caller's engine binds the weights of its
+/// first reuse call, and binds again — dropping the stored rows — when a
+/// call passes other weights.
+#[derive(Debug)]
+pub(crate) struct Bound {
+    pub weights: Tensor,
+    pub panels: Vec<f32>,
+}
+
+impl Bound {
+    /// Whether these are `weights`, bit for bit: the same shape and the
+    /// same bits in every value (so `-0.0` differs from `0.0`, and a NaN
+    /// equals itself).
+    pub fn holds(&self, weights: &Tensor) -> bool {
+        self.weights.shape() == weights.shape()
+            && self
+                .weights
+                .data()
+                .iter()
+                .zip(weights.data())
+                .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 }
 
@@ -582,7 +662,7 @@ mod tests {
     /// An 8-set, 2-way configuration small enough to fill.
     fn small_config() -> MercuryConfig {
         MercuryConfig {
-            cache: MCacheConfig::new(8, 2, 1).unwrap(),
+            cache: MCacheConfig::new(8, 2).unwrap(),
             ..MercuryConfig::default()
         }
     }
@@ -597,7 +677,7 @@ mod tests {
     /// Each signature's home bank among `banks`, read off the flat set of
     /// its first probe in a cache with one roomy set per bank.
     fn home_banks(sigs: &[Signature], banks: usize) -> Vec<usize> {
-        let mut oracle = BankedMCache::new(banks, MCacheConfig::new(1, 4096, 1).unwrap()).unwrap();
+        let mut oracle = BankedMCache::new(banks, MCacheConfig::new(1, 4096).unwrap()).unwrap();
         sigs.iter()
             .map(|&s| {
                 oracle
@@ -838,7 +918,7 @@ mod tests {
         let pass = |base: &mut EngineBase| {
             let mut out = [0.0f32];
             let counts = base
-                .rows_pass(&[sig(9)], &[1.5], 1, 1, &panels, &mut out)
+                .rows_pass(&[sig(9)], &[1.5], 1, 1, &panels, &mut out, None)
                 .counts;
             assert_eq!(out, [3.0]);
             (counts.hits, counts.maus)

@@ -37,8 +37,8 @@ pub enum ConfigError {
     },
     /// A banked engine was requested with zero banks.
     ZeroBanks,
-    /// The MCACHE geometry (carried here) had a zero set count,
-    /// associativity or version count, so no signature could be placed.
+    /// The MCACHE geometry (carried here) had a zero set count or
+    /// associativity, so no signature could be placed.
     ZeroCacheGeometry(MCacheConfig),
 }
 
@@ -60,8 +60,8 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroBanks => write!(f, "need at least one cache bank"),
             ConfigError::ZeroCacheGeometry(c) => write!(
                 f,
-                "cache geometry {}x{}x{} (sets x ways x versions) has a zero dimension",
-                c.sets, c.ways, c.versions
+                "cache geometry {}x{} (sets x ways) has a zero dimension",
+                c.sets, c.ways
             ),
         }
     }
@@ -171,7 +171,7 @@ impl MercuryConfig {
             });
         }
         let c = self.cache;
-        if c.sets == 0 || c.ways == 0 || c.versions == 0 {
+        if c.sets == 0 || c.ways == 0 {
             return Err(ConfigError::ZeroCacheGeometry(c));
         }
         Ok(())
@@ -365,12 +365,8 @@ mod tests {
         // Each zero dimension is refused up front, by validation, by the
         // engines and by the session — not by a divide-by-zero panic at
         // the first forward pass.
-        for (sets, ways, versions) in [(0, 16, 1), (64, 0, 1), (64, 16, 0)] {
-            let cache = MCacheConfig {
-                sets,
-                ways,
-                versions,
-            };
+        for (sets, ways) in [(0, 16), (64, 0)] {
+            let cache = MCacheConfig { sets, ways };
             let config = MercuryConfig {
                 cache,
                 ..MercuryConfig::default()

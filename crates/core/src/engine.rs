@@ -1,6 +1,6 @@
 #[cfg(feature = "fault-inject")]
 use crate::base::{draw_faults, fault_post, fault_pre};
-use crate::base::{EngineBase, PassOut, Product, ReusePlan};
+use crate::base::{Bound, EngineBase, PassOut, Product, ReusePlan};
 use crate::config::ConfigError;
 use crate::reuse::{LayerForward, LayerOp, ReuseEngine, ReuseReport, ReuseSignatures};
 use crate::stats::LayerStats;
@@ -38,20 +38,28 @@ use mercury_tensor::{Tensor, TensorError};
 ///
 /// Both modes hold the same cache type, a
 /// [`BankedMCache`](mercury_mcache::banked::BankedMCache): a batch engine
-/// ([`ConvEngine::try_new`]) holds one bank and restarts it per channel.
-/// In **persistent mode** ([`ConvEngine::persistent`], the mode
+/// ([`ConvEngine::try_new`]) holds one bank, restarts it per channel and
+/// packs the filters on every forward. In **persistent mode**
+/// ([`ConvEngine::persistent`], the mode
 /// [`MercurySession`](crate::MercurySession) uses) the cache is split
-/// across banks (§V) and survives across channels and submits: signatures
-/// repeated from earlier requests classify as HITs immediately. A HIT
-/// whose producer value is not resident this pass promotes its first
-/// consumer to producer — it computes (charged as an MAU in the cycle
-/// accounting) and fans its value out to the remaining consumers.
-/// Eviction happens only at [`end_epoch`](ReuseEngine::end_epoch).
+/// across banks (§V) and survives across channels and submits, the
+/// filters are packed once per binding, and each line keeps the `F`-float
+/// row its producer computed, for the channel that stored it: a HIT in a
+/// later submit on the same channel copies that row. A HIT on a line
+/// another channel stored — the filter slices differ — is recomputed: its
+/// first vector computes (charged as an MAU and counted in
+/// [`LayerStats::recomputed`]) and fans its row out to the rest of the
+/// channel. A forward that passes other kernels than the bound ones binds
+/// them and drops every stored row first. Eviction happens only at
+/// [`end_epoch`](ReuseEngine::end_epoch).
 ///
 /// See the [crate docs](crate) for the full pipeline and an example.
 #[derive(Debug)]
 pub struct ConvEngine {
     pub(crate) base: EngineBase,
+    /// A persistent engine's kernels: bound by the session at
+    /// registration, or by a direct caller's first reuse forward.
+    kernels: Option<Bound>,
 }
 
 impl ConvEngine {
@@ -63,13 +71,18 @@ impl ConvEngine {
     ///
     /// Returns the [`ConfigError`] the configuration violates.
     pub fn try_new(config: MercuryConfig, seed: u64) -> Result<Self, ConfigError> {
-        EngineBase::new(config, seed, Executor::from_kind(config.executor), 1, false)
-            .map(|base| ConvEngine { base })
+        EngineBase::new(config, seed, Executor::from_kind(config.executor), 1, false).map(|base| {
+            ConvEngine {
+                base,
+                kernels: None,
+            }
+        })
     }
 
     /// Creates a persistent engine: the MCACHE is split across `banks`
-    /// banks, survives across forward passes, and is evicted only by
-    /// [`end_epoch`](ReuseEngine::end_epoch).
+    /// banks, survives with its stored rows across forward passes, and is
+    /// evicted only by [`end_epoch`](ReuseEngine::end_epoch). The engine
+    /// binds the kernels of its first reuse forward.
     ///
     /// # Errors
     ///
@@ -83,9 +96,67 @@ impl ConvEngine {
             banks,
             true,
         )
-        .map(|base| ConvEngine { base })
+        .map(|base| ConvEngine {
+            base,
+            kernels: None,
+        })
     }
 
+    /// A session layer's engine: persistent `base` with `kernels` bound.
+    pub(crate) fn bound(base: EngineBase, kernels: Tensor) -> Self {
+        let mut engine = ConvEngine {
+            base,
+            kernels: None,
+        };
+        engine.bind(kernels);
+        engine
+    }
+
+    /// Binds rank-4 `kernels`: packs them once and drops every row stored
+    /// under the old ones.
+    pub(crate) fn bind(&mut self, kernels: Tensor) {
+        let panels = conv::filter_panels(&kernels);
+        self.base.cache.drop_rows();
+        self.kernels = Some(Bound {
+            weights: kernels,
+            panels,
+        });
+    }
+
+    /// The bound kernels.
+    ///
+    /// # Panics
+    ///
+    /// If the engine is not bound — a session binds every conv engine.
+    pub(crate) fn kernels(&self) -> &Tensor {
+        &self
+            .kernels
+            .as_ref()
+            .expect("session engines are bound")
+            .weights
+    }
+
+    /// A session submit: `input` through the bound kernels.
+    pub(crate) fn submit(
+        &mut self,
+        input: &Tensor,
+        stride: usize,
+        pad: usize,
+    ) -> Result<LayerForward, MercuryError> {
+        let bound = self.kernels.as_ref().expect("session engines are bound");
+        conv_forward(
+            &mut self.base,
+            input,
+            &bound.weights,
+            Some(&bound.panels),
+            stride,
+            pad,
+            None,
+        )
+    }
+
+    /// A forward through [`ReuseEngine`]: a persistent engine with
+    /// detection on binds `kernels` first unless they are bound already.
     fn run(
         &mut self,
         input: &Tensor,
@@ -94,285 +165,330 @@ impl ConvEngine {
         pad: usize,
         saved: Option<&SavedSignatures>,
     ) -> Result<LayerForward, MercuryError> {
-        if input.rank() != 3 {
-            return Err(TensorError::RankMismatch {
-                expected: 3,
-                actual: input.rank(),
-            }
-            .into());
+        if !self.base.persistent || !self.base.detection_enabled {
+            return conv_forward(&mut self.base, input, kernels, None, stride, pad, saved);
         }
-        if kernels.rank() != 4 {
-            return Err(TensorError::RankMismatch {
-                expected: 4,
-                actual: kernels.rank(),
-            }
-            .into());
+        conv_geometry(input, kernels, stride, pad)?;
+        if !self.kernels.as_ref().is_some_and(|b| b.holds(kernels)) {
+            self.bind(kernels.clone());
         }
-        let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-        let (f, kc, kh, kw) = (
-            kernels.shape()[0],
-            kernels.shape()[1],
-            kernels.shape()[2],
-            kernels.shape()[3],
-        );
-        if c != kc {
-            return Err(TensorError::ShapeMismatch {
-                left: input.shape().to_vec(),
-                right: kernels.shape().to_vec(),
-            }
-            .into());
-        }
-        let geom = ConvGeometry::new(h, w, kh, kw, stride, pad).map_err(MercuryError::Tensor)?;
-        let (oh, ow) = (geom.out_h(), geom.out_w());
-        let patches_n = geom.num_patches();
-        let plen = geom.patch_len();
-        let bits = self.base.signature_bits;
-        let mut sim = LayerSim::new(AcceleratorConfig::paper_default());
-
-        if !self.base.detection_enabled {
-            return self.run_exact(input, kernels, &geom, sim);
-        }
-
-        // Reuse of saved signatures requires one saved list per input
-        // channel — `compatible` cannot check that (it does not know `c`),
-        // and a shorter `per_channel` would otherwise be indexed out of
-        // bounds.
-        let saved = saved.filter(|s| {
-            s.per_channel.len() == c && s.compatible((kh, kw), patches_n) && s.bits == bits
-        });
-
-        // Every channel (on every worker — the projection is read-only
-        // for the whole forward) signs its patch rows against the
-        // projection's packed filters.
-        let projection = match saved {
-            Some(_) => None,
-            None => Some(self.base.projections.get(plen, bits)),
-        };
-
-        // Every channel's filters packed once per forward, as the exact
-        // conv packs them: channel `ch`'s panel is the `ch`-th run of
-        // `plen·⌈F/LANES⌉·LANES` values.
-        let panels = conv::filter_panels(kernels);
-
-        let exec = self.base.exec.clone();
-        let ctx = ChannelCtx {
+        let bound = self.kernels.as_ref().expect("bound above");
+        conv_forward(
+            &mut self.base,
             input,
-            geom: &geom,
-            f,
-            panels: &panels,
-            projection,
+            kernels,
+            Some(&bound.panels),
+            stride,
+            pad,
             saved,
-        };
-        // Position-major accumulator: row `v` holds vector `v`'s `F` outputs.
-        let mut acc = ScratchF32::zeroed(patches_n * f);
-
-        // ---- Per-channel execution ---------------------------------------
-        //
-        // Batch engines restart MCACHE at every channel (§III-B3), so the
-        // channels are fully independent: on a parallel executor they shard
-        // across the pool, each worker owning a scratch cache (its own
-        // "MCACHE set range" — probe/insert is single-writer per shard) and
-        // reusing its packed buffers across the channels it claims. A fresh
-        // scratch cache is indistinguishable from the serial
-        // clear-per-channel discipline, and each channel's contribution
-        // block folds into the output in channel order — the exact add
-        // sequence the sequential loop performs — so outcomes are
-        // bit-identical to the serial executor.
-        //
-        // Persistent engines carry tags *across* channels within a submit
-        // (that is the cross-request detection the session buys), so their
-        // channel loop stays sequential; their parallelism comes from the
-        // banked concurrent probe fan-out and the row-sharded compute rows
-        // inside each channel instead.
-        //
-        // Fault events are drawn here on the dispatching thread, one per
-        // channel in channel order, BEFORE any fan-out — which channel
-        // faults never depends on the executor or pool scheduling.
-        #[cfg(feature = "fault-inject")]
-        let channel_faults = draw_faults(FaultSite::ChannelShard, c);
-        #[cfg(feature = "fault-inject")]
-        let channel_faults = &channel_faults;
-        type ChannelResult = Result<(PassOut, Option<Vec<Signature>>, Vec<f32>), MercuryError>;
-        let channel_outs: Vec<ChannelResult> = if self.base.persistent || !exec.is_parallel() {
-            // Sequential channel loop — persistent engines always (tags
-            // persist *across* channels; their parallelism is the bank
-            // probe fan-out and the row-sharded compute rows inside each
-            // channel), batch engines whenever the executor is serial.
-            // Both accumulate straight into the accumulator and reuse the
-            // engine's own cache, so the default path pays no
-            // per-channel contribution buffer and no scratch caches;
-            // batch mode restarts the cache per channel (clear_scope).
-            let clear_scope = !self.base.persistent;
-            let cache = &mut self.base.cache;
-            let mut scratch = ConvScratch::default();
-            let od = &mut acc[..];
-            (0..c)
-                .map(|ch| {
-                    #[cfg(feature = "fault-inject")]
-                    fault_pre(FaultSite::ChannelShard, channel_faults, ch);
-                    let res =
-                        conv_channel(&ctx, ch, cache, clear_scope, &exec, &mut scratch, od, true)
-                            .map(|(pass, sigs)| (pass, sigs, Vec::new()));
-                    #[cfg(feature = "fault-inject")]
-                    if res.is_ok() {
-                        fault_post(channel_faults, ch, od);
-                    }
-                    res
-                })
-                .collect()
-        } else {
-            let cache_cfg = self.base.config.cache;
-            // Channels already fan out across the pool; the work inside
-            // each channel stays on its worker (no nested parallelism).
-            // Workers probe their own scratch caches, so the engine's
-            // `base.cache` is untouched on this path — its counters only
-            // reflect serial-executor batch runs.
-            let inner = Executor::serial_tuned(exec.tuning());
-            let ctx = &ctx;
-            // Work-size hint per channel: the dense product's FLOPs plus
-            // the probe stream at the executor's per-probe cost
-            // (saturating — large layers must not overflow the hint), so
-            // single tiny-image requests run inline instead of waking
-            // the pool.
-            let channel_work =
-                crate::base::conv_channel_work(f, plen, patches_n, exec.tuning().probe_work_units);
-            exec.map(
-                0..c,
-                |_| channel_work,
-                || {
-                    let cache = BankedMCache::new(1, cache_cfg).expect("one bank is positive");
-                    (cache, ConvScratch::default())
-                },
-                move |ch, state| {
-                    #[cfg(feature = "fault-inject")]
-                    fault_pre(FaultSite::ChannelShard, channel_faults, ch);
-                    let (cache, scratch) = state;
-                    let mut contrib = vec![0.0f32; f * patches_n];
-                    let res =
-                        conv_channel(ctx, ch, cache, true, &inner, scratch, &mut contrib, false);
-                    #[cfg(feature = "fault-inject")]
-                    fault_post(channel_faults, ch, &mut contrib);
-                    res.map(|(pass, sigs)| (pass, sigs, contrib))
-                },
-            )
-        };
-        // A batch engine's last channel scope ends with the forward: its
-        // cache is left empty, as the sharded path leaves it, so what it
-        // reports resident never depends on the executor.
-        if !self.base.persistent {
-            self.base.cache.clear();
-        }
-
-        // ---- Deterministic reduce ----------------------------------------
-        // Channel contributions fold into the accumulator, the cycle simulator,
-        // and the statistics in channel order — the exact add sequence the
-        // serial reference performs — so scheduling never shows up in any
-        // observable number.
-        let mut stats = LayerStats {
-            detection_enabled: true,
-            ..LayerStats::default()
-        };
-        let mut saved_out: Vec<Vec<Signature>> = Vec::with_capacity(c);
-        for out in channel_outs {
-            let (pass, sigs, contrib) = out?;
-            // Batch channels return their contribution block (persistent
-            // ones accumulated in place and return an empty one).
-            for (o, &x) in acc.iter_mut().zip(&contrib) {
-                *o += x;
-            }
-            // Statistics report the raw probe outcomes (cross-pass repeats
-            // are HITs — the similarity the hardware observed); the cycle
-            // simulator is charged with promoted producers as MAUs, since
-            // those vectors computed and wrote rather than reused.
-            let mut work =
-                ChannelWork::new(pass.charged, f, kh, bits).with_insert_conflicts(pass.conflicts);
-            if saved.is_some() {
-                work = work.with_precomputed_signatures();
-            }
-            sim.push_channel(&work);
-            stats.accumulate(&pass.counts);
-            if let Some(s) = sigs {
-                saved_out.push(s);
-            }
-        }
-
-        stats.cycles = sim.finish();
-        let mut output = Tensor::zeros(&[f, oh, ow]);
-        kernel::pack::transpose_pack(output.data_mut(), &acc, patches_n, f);
-        let per_channel = match saved {
-            // The pass consumed the saved signatures unchanged; clone them
-            // once here, outside the per-channel hot path.
-            Some(s) => s.per_channel.clone(),
-            None => saved_out,
-        };
-        Ok(LayerForward {
-            output,
-            report: ReuseReport {
-                stats,
-                signatures: ReuseSignatures::Conv(SavedSignatures {
-                    kernel: (kh, kw),
-                    bits,
-                    per_channel,
-                }),
-                degraded: false,
-            },
-        })
-    }
-
-    /// The detection-off forward: exactly [`conv::conv2d_multi`], booked as
-    /// one all-MNU channel per input channel with no signature cost and
-    /// one empty signature list per channel. `run` has validated the
-    /// operands, and `sim` is the layer's fresh cycle simulator.
-    fn run_exact(
-        &self,
-        input: &Tensor,
-        kernels: &Tensor,
-        geom: &ConvGeometry,
-        mut sim: LayerSim,
-    ) -> Result<LayerForward, MercuryError> {
-        let c = input.shape()[0];
-        let f = kernels.shape()[0];
-        // The channel fault events keep their order and their target slot.
-        #[cfg(feature = "fault-inject")]
-        let channel_faults = draw_faults(FaultSite::ChannelShard, c);
-        #[cfg(feature = "fault-inject")]
-        (0..c).for_each(|ch| fault_pre(FaultSite::ChannelShard, &channel_faults, ch));
-        let output = conv::conv2d_multi(input, kernels, geom.stride, geom.pad)?;
-        #[cfg(feature = "fault-inject")]
-        let output = {
-            let mut output = output;
-            (0..c).for_each(|ch| fault_post(&channel_faults, ch, output.data_mut()));
-            output
-        };
-
-        let patches_n = geom.num_patches();
-        let work = ChannelWork::new(OutcomeMix::all_mnu(patches_n), f, geom.kernel_h, 0);
-        for _ in 0..c {
-            sim.push_channel(&work);
-        }
-        let vectors = (c * patches_n) as u64;
-        Ok(LayerForward {
-            output,
-            report: ReuseReport {
-                stats: LayerStats {
-                    mnus: vectors,
-                    unique_vectors: vectors,
-                    cycles: sim.finish(),
-                    ..LayerStats::default()
-                },
-                signatures: ReuseSignatures::Conv(SavedSignatures {
-                    kernel: (geom.kernel_h, geom.kernel_w),
-                    bits: self.base.signature_bits,
-                    per_channel: vec![Vec::new(); c],
-                }),
-                degraded: false,
-            },
-        })
+        )
     }
 }
 
+/// The geometry of a conv forward of `[C, H, W]` `input` through
+/// `[F, C, k1, k2]` `kernels`, or the error its operands earn.
+fn conv_geometry(
+    input: &Tensor,
+    kernels: &Tensor,
+    stride: usize,
+    pad: usize,
+) -> Result<ConvGeometry, MercuryError> {
+    if input.rank() != 3 {
+        return Err(TensorError::RankMismatch {
+            expected: 3,
+            actual: input.rank(),
+        }
+        .into());
+    }
+    if kernels.rank() != 4 {
+        return Err(TensorError::RankMismatch {
+            expected: 4,
+            actual: kernels.rank(),
+        }
+        .into());
+    }
+    let (h, w) = (input.shape()[1], input.shape()[2]);
+    let (kh, kw) = (kernels.shape()[2], kernels.shape()[3]);
+    if input.shape()[0] != kernels.shape()[1] {
+        return Err(TensorError::ShapeMismatch {
+            left: input.shape().to_vec(),
+            right: kernels.shape().to_vec(),
+        }
+        .into());
+    }
+    ConvGeometry::new(h, w, kh, kw, stride, pad).map_err(MercuryError::Tensor)
+}
+
+/// One conv forward of `base`'s engine. `bound` holds the kernels' packed
+/// panels when the engine is persistent, and the channel passes then keep
+/// rows; a batch engine packs per forward.
+fn conv_forward(
+    base: &mut EngineBase,
+    input: &Tensor,
+    kernels: &Tensor,
+    bound: Option<&[f32]>,
+    stride: usize,
+    pad: usize,
+    saved: Option<&SavedSignatures>,
+) -> Result<LayerForward, MercuryError> {
+    let geom = conv_geometry(input, kernels, stride, pad)?;
+    let c = input.shape()[0];
+    let (f, kh, kw) = (kernels.shape()[0], kernels.shape()[2], kernels.shape()[3]);
+    let (oh, ow) = (geom.out_h(), geom.out_w());
+    let patches_n = geom.num_patches();
+    let plen = geom.patch_len();
+    let bits = base.signature_bits;
+    let mut sim = LayerSim::new(AcceleratorConfig::paper_default());
+
+    if !base.detection_enabled {
+        return run_exact(base, input, kernels, &geom, sim);
+    }
+
+    // Reuse of saved signatures requires one saved list per input
+    // channel — `compatible` cannot check that (it does not know `c`),
+    // and a shorter `per_channel` would otherwise be indexed out of
+    // bounds.
+    let saved = saved.filter(|s| {
+        s.per_channel.len() == c && s.compatible((kh, kw), patches_n) && s.bits == bits
+    });
+
+    // Every channel (on every worker — the projection is read-only
+    // for the whole forward) signs its patch rows against the
+    // projection's packed filters.
+    let projection = match saved {
+        Some(_) => None,
+        None => Some(base.projections.get(plen, bits)),
+    };
+
+    // Every channel's filters packed as the exact conv packs them, once
+    // per binding or else once per forward: channel `ch`'s panel is the
+    // `ch`-th run of `plen·⌈F/LANES⌉·LANES` values.
+    let packed;
+    let panels = match bound {
+        Some(panels) => panels,
+        None => {
+            packed = conv::filter_panels(kernels);
+            &packed[..]
+        }
+    };
+
+    let exec = base.exec.clone();
+    let ctx = ChannelCtx {
+        input,
+        geom: &geom,
+        f,
+        panels,
+        keep_rows: bound.is_some(),
+        projection,
+        saved,
+    };
+    // Position-major accumulator: row `v` holds vector `v`'s `F` outputs.
+    let mut acc = ScratchF32::zeroed(patches_n * f);
+
+    // ---- Per-channel execution ---------------------------------------
+    //
+    // Batch engines restart MCACHE at every channel (§III-B3), so the
+    // channels are fully independent: on a parallel executor they shard
+    // across the pool, each worker owning a scratch cache (its own
+    // "MCACHE set range" — probe/insert is single-writer per shard) and
+    // reusing its packed buffers across the channels it claims. A fresh
+    // scratch cache is indistinguishable from the serial
+    // clear-per-channel discipline, and each channel's contribution
+    // block folds into the output in channel order — the exact add
+    // sequence the sequential loop performs — so outcomes are
+    // bit-identical to the serial executor.
+    //
+    // Persistent engines carry tags *across* channels within a submit
+    // (that is the cross-request detection the session buys), so their
+    // channel loop stays sequential; their parallelism comes from the
+    // banked concurrent probe fan-out and the row-sharded compute rows
+    // inside each channel instead.
+    //
+    // Fault events are drawn here on the dispatching thread, one per
+    // channel in channel order, BEFORE any fan-out — which channel
+    // faults never depends on the executor or pool scheduling.
+    #[cfg(feature = "fault-inject")]
+    let channel_faults = draw_faults(FaultSite::ChannelShard, c);
+    #[cfg(feature = "fault-inject")]
+    let channel_faults = &channel_faults;
+    type ChannelResult = Result<(PassOut, Option<Vec<Signature>>, Vec<f32>), MercuryError>;
+    let channel_outs: Vec<ChannelResult> = if base.persistent || !exec.is_parallel() {
+        // Sequential channel loop — persistent engines always (tags
+        // persist *across* channels; their parallelism is the bank
+        // probe fan-out and the row-sharded compute rows inside each
+        // channel), batch engines whenever the executor is serial.
+        // Both accumulate straight into the accumulator and reuse the
+        // engine's own cache, so the default path pays no
+        // per-channel contribution buffer and no scratch caches;
+        // batch mode restarts the cache per channel (clear_scope).
+        let clear_scope = !base.persistent;
+        let cache = &mut base.cache;
+        let mut scratch = ConvScratch::default();
+        let od = &mut acc[..];
+        (0..c)
+            .map(|ch| {
+                #[cfg(feature = "fault-inject")]
+                fault_pre(FaultSite::ChannelShard, channel_faults, ch);
+                let res = conv_channel(&ctx, ch, cache, clear_scope, &exec, &mut scratch, od, true)
+                    .map(|(pass, sigs)| (pass, sigs, Vec::new()));
+                #[cfg(feature = "fault-inject")]
+                if res.is_ok() {
+                    fault_post(channel_faults, ch, od);
+                }
+                res
+            })
+            .collect()
+    } else {
+        let cache_cfg = base.config.cache;
+        // Channels already fan out across the pool; the work inside
+        // each channel stays on its worker (no nested parallelism).
+        // Workers probe their own scratch caches, so the engine's
+        // `base.cache` is untouched on this path — its counters only
+        // reflect serial-executor batch runs.
+        let inner = Executor::serial_tuned(exec.tuning());
+        let ctx = &ctx;
+        // Work-size hint per channel: the dense product's FLOPs plus
+        // the probe stream at the executor's per-probe cost
+        // (saturating — large layers must not overflow the hint), so
+        // single tiny-image requests run inline instead of waking
+        // the pool.
+        let channel_work =
+            crate::base::conv_channel_work(f, plen, patches_n, exec.tuning().probe_work_units);
+        exec.map(
+            0..c,
+            |_| channel_work,
+            || {
+                let cache = BankedMCache::new(1, cache_cfg).expect("one bank is positive");
+                (cache, ConvScratch::default())
+            },
+            move |ch, state| {
+                #[cfg(feature = "fault-inject")]
+                fault_pre(FaultSite::ChannelShard, channel_faults, ch);
+                let (cache, scratch) = state;
+                let mut contrib = vec![0.0f32; f * patches_n];
+                let res = conv_channel(ctx, ch, cache, true, &inner, scratch, &mut contrib, false);
+                #[cfg(feature = "fault-inject")]
+                fault_post(channel_faults, ch, &mut contrib);
+                res.map(|(pass, sigs)| (pass, sigs, contrib))
+            },
+        )
+    };
+    // A batch engine's last channel scope ends with the forward: its
+    // cache is left empty, as the sharded path leaves it, so what it
+    // reports resident never depends on the executor.
+    if !base.persistent {
+        base.cache.clear();
+    }
+
+    // ---- Deterministic reduce ----------------------------------------
+    // Channel contributions fold into the accumulator, the cycle simulator,
+    // and the statistics in channel order — the exact add sequence the
+    // serial reference performs — so scheduling never shows up in any
+    // observable number.
+    let mut stats = LayerStats {
+        detection_enabled: true,
+        ..LayerStats::default()
+    };
+    let mut saved_out: Vec<Vec<Signature>> = Vec::with_capacity(c);
+    for out in channel_outs {
+        let (pass, sigs, contrib) = out?;
+        // Batch channels return their contribution block (persistent
+        // ones accumulated in place and return an empty one).
+        for (o, &x) in acc.iter_mut().zip(&contrib) {
+            *o += x;
+        }
+        // Statistics report the raw probe outcomes (cross-pass repeats
+        // are HITs — the similarity the hardware observed); the cycle
+        // simulator is charged with recomputed HITs as MAUs, since those
+        // vectors computed rather than reused.
+        let mut work =
+            ChannelWork::new(pass.charged, f, kh, bits).with_insert_conflicts(pass.conflicts);
+        if saved.is_some() {
+            work = work.with_precomputed_signatures();
+        }
+        sim.push_channel(&work);
+        stats.accumulate(&pass.counts);
+        if let Some(s) = sigs {
+            saved_out.push(s);
+        }
+    }
+
+    stats.cycles = sim.finish();
+    let mut output = Tensor::zeros(&[f, oh, ow]);
+    kernel::pack::transpose_pack(output.data_mut(), &acc, patches_n, f);
+    let per_channel = match saved {
+        // The pass consumed the saved signatures unchanged; clone them
+        // once here, outside the per-channel hot path.
+        Some(s) => s.per_channel.clone(),
+        None => saved_out,
+    };
+    Ok(LayerForward {
+        output,
+        report: ReuseReport {
+            stats,
+            signatures: ReuseSignatures::Conv(SavedSignatures {
+                kernel: (kh, kw),
+                bits,
+                per_channel,
+            }),
+            degraded: false,
+        },
+    })
+}
+
+/// The detection-off forward: exactly [`conv::conv2d_multi`], booked as
+/// one all-MNU channel per input channel with no signature cost and one
+/// empty signature list per channel. [`conv_forward`] has validated the
+/// operands, and `sim` is the layer's fresh cycle simulator.
+fn run_exact(
+    base: &EngineBase,
+    input: &Tensor,
+    kernels: &Tensor,
+    geom: &ConvGeometry,
+    mut sim: LayerSim,
+) -> Result<LayerForward, MercuryError> {
+    let c = input.shape()[0];
+    let f = kernels.shape()[0];
+    // The channel fault events keep their order and their target slot.
+    #[cfg(feature = "fault-inject")]
+    let channel_faults = draw_faults(FaultSite::ChannelShard, c);
+    #[cfg(feature = "fault-inject")]
+    (0..c).for_each(|ch| fault_pre(FaultSite::ChannelShard, &channel_faults, ch));
+    let output = conv::conv2d_multi(input, kernels, geom.stride, geom.pad)?;
+    #[cfg(feature = "fault-inject")]
+    let output = {
+        let mut output = output;
+        (0..c).for_each(|ch| fault_post(&channel_faults, ch, output.data_mut()));
+        output
+    };
+
+    let patches_n = geom.num_patches();
+    let work = ChannelWork::new(OutcomeMix::all_mnu(patches_n), f, geom.kernel_h, 0);
+    for _ in 0..c {
+        sim.push_channel(&work);
+    }
+    let vectors = (c * patches_n) as u64;
+    Ok(LayerForward {
+        output,
+        report: ReuseReport {
+            stats: LayerStats {
+                mnus: vectors,
+                unique_vectors: vectors,
+                cycles: sim.finish(),
+                ..LayerStats::default()
+            },
+            signatures: ReuseSignatures::Conv(SavedSignatures {
+                kernel: (geom.kernel_h, geom.kernel_w),
+                bits: base.signature_bits,
+                per_channel: vec![Vec::new(); c],
+            }),
+            degraded: false,
+        },
+    })
+}
+
 /// Immutable per-forward context shared by every channel worker of one
-/// [`ConvEngine::run`] call.
+/// [`conv_forward`] call.
 struct ChannelCtx<'a> {
     input: &'a Tensor,
     geom: &'a ConvGeometry,
@@ -380,6 +496,9 @@ struct ChannelCtx<'a> {
     /// Every channel's packed `[plen, F]` filter panel, channel-major
     /// (see [`filter_panels`](conv::filter_panels)).
     panels: &'a [f32],
+    /// Whether the channel passes keep rows, each for its own channel:
+    /// the engine is persistent and `panels` are bound.
+    keep_rows: bool,
     /// The projection for `plen`-element patches; `Some` exactly when
     /// fresh signatures will be generated.
     projection: Option<&'a ProjectionMatrix>,
@@ -470,7 +589,10 @@ fn conv_channel(
         dest,
         accumulate,
     };
-    let pass = scratch.plan.pass(cache, clear_scope, exec, sigs, product);
+    let owner = ctx.keep_rows.then_some(ch as u32);
+    let pass = scratch
+        .plan
+        .pass(cache, clear_scope, exec, sigs, product, owner);
     Ok((pass, sigs_owned))
 }
 
@@ -837,11 +959,13 @@ mod tests {
         // First submit: one MAU (constant image), the rest HITs.
         let first = forward(&mut e, &input, &kernels, 1, 0);
         assert_eq!(first.stats().maus, 1);
-        // Second submit: the tag persisted, so even the first patch HITs.
+        // Second submit: the tag persisted, so even the first patch HITs,
+        // and every patch copies the row the line stored.
         let second = forward(&mut e, &input, &kernels, 1, 0);
         assert_eq!(second.stats().maus, 0);
         assert_eq!(second.stats().hits, first.stats().hits + 1);
-        // Output is still the exact convolution (promoted producer).
+        assert_eq!(second.stats().recomputed, 0);
+        assert_eq!(second.stats().cycles.computed_dots, 0);
         assert_eq!(second.output, first.output);
         // Epoch eviction restores the cold-start outcome mix.
         e.end_epoch();
@@ -849,6 +973,57 @@ mod tests {
         assert_eq!(third.stats().maus, 1);
         assert_eq!(third.stats().hits, first.stats().hits);
         assert_eq!(third.output, first.output);
+    }
+
+    #[test]
+    fn persistent_engine_never_serves_rows_of_other_kernels() {
+        // After the kernels change, each line's first patch recomputes and
+        // the rest of the pass takes its row: exactly the forward of an
+        // engine that never saw the old kernels.
+        let mut rng = Rng::new(19);
+        let input = Tensor::randn(&[1, 7, 7], &mut rng);
+        let k1 = Tensor::randn(&[3, 1, 3, 3], &mut rng);
+        let k2 = Tensor::randn(&[3, 1, 3, 3], &mut rng);
+        let persistent = || ConvEngine::persistent(MercuryConfig::default(), 19, 8).unwrap();
+        let cold = forward(&mut persistent(), &input, &k2, 1, 1);
+        let mut e = persistent();
+        forward(&mut e, &input, &k1, 1, 1);
+        let swapped = forward(&mut e, &input, &k2, 1, 1);
+        assert_eq!(swapped.output, cold.output);
+        assert_eq!(swapped.stats().maus, 0, "the tags persist");
+        assert_eq!(swapped.stats().recomputed, cold.stats().maus);
+        let warm = forward(&mut e, &input, &k2, 1, 1);
+        assert_eq!(warm.output, cold.output);
+        assert_eq!(warm.stats().recomputed, 0);
+    }
+
+    #[test]
+    fn a_line_another_channel_stored_is_recomputed() {
+        // Channel 1 is channel 0 doubled, so each of its patches HITs the
+        // line channel 0's patch at the same position inserted. That line's
+        // row holds channel 0's filter slice: channel 1 computes its own.
+        let mut rng = Rng::new(18);
+        let plane = Tensor::randn(&[1, 8, 8], &mut rng);
+        let doubled: Vec<f32> = plane.data().iter().map(|v| v * 2.0).collect();
+        let input = Tensor::from_vec([plane.data(), &doubled].concat(), &[2, 8, 8]).unwrap();
+        let kernels = Tensor::randn(&[4, 2, 3, 3], &mut rng);
+        let want = conv2d_multi(&input, &kernels, 1, 0).unwrap();
+        let mut e = ConvEngine::persistent(MercuryConfig::default(), 18, 8).unwrap();
+        for pass in 0..2 {
+            let out = forward(&mut e, &input, &kernels, 1, 0);
+            for (g, w) in out.output.data().iter().zip(want.data()) {
+                assert!((g - w).abs() < 1e-4, "pass {pass}: got {g}, want {w}");
+            }
+            // One recompute per line channel 0 owns; the first pass
+            // inserted each of those lines with one MAU.
+            let st = out.stats();
+            assert!(st.recomputed > 0);
+            if pass == 0 {
+                assert_eq!(st.recomputed, st.maus);
+            } else {
+                assert_eq!(st.maus, 0);
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::base::{EngineBase, PassOut, Product};
+use crate::base::{Bound, EngineBase, PassOut, Product};
 use crate::config::ConfigError;
 use crate::reuse::{LayerForward, LayerOp, ReuseEngine, ReuseReport, ReuseSignatures};
 use crate::stats::LayerStats;
@@ -29,7 +29,7 @@ fn row_signatures(
         }
         _ => {
             let proj = base.projections.get(rows.shape()[1], bits);
-            (proj.signatures(rows.data(), &mut Vec::new()), false)
+            (proj.signatures(rows.data(), &mut base.words), false)
         }
     }
 }
@@ -87,14 +87,88 @@ fn reuse_forward(
 ///
 /// Each call is one reuse scope and runs the reuse pass the conv engine
 /// runs per channel: the rows that compute are dotted with the weights,
-/// packed once per call into the panels of the packed-panel row kernel
+/// packed into the panels of the packed-panel row kernel
 /// ([`dot_rows`](mercury_tensor::kernel::sign::dot_rows)), in one
 /// contiguous chunk per executor worker, and every row takes its
 /// producer's output row. With detection off the engine is
 /// [`ops::matmul`], which runs on the same kernel.
+///
+/// A batch engine packs the weights on every call. A persistent engine
+/// packs them once per binding and keeps each line's `M`-float output
+/// row with its tag: a HIT in a later call copies that row instead of
+/// computing `L × M` products. A call that passes other weights than the
+/// bound ones binds them and drops every stored row first, so no row is
+/// ever served under weights it was not computed with.
 #[derive(Debug)]
 pub struct FcEngine {
     pub(crate) base: EngineBase,
+    /// A persistent engine's weights: bound by the session at
+    /// registration, or by a direct caller's first reuse call.
+    weights: Option<Bound>,
+}
+
+/// The `(n, l, m)` of an FC call, or the error its operand shapes earn.
+fn fc_dims(inputs: &Tensor, weights: &Tensor) -> Result<(usize, usize, usize), MercuryError> {
+    if inputs.rank() != 2 || weights.rank() != 2 {
+        return Err(TensorError::RankMismatch {
+            expected: 2,
+            actual: if inputs.rank() != 2 {
+                inputs.rank()
+            } else {
+                weights.rank()
+            },
+        }
+        .into());
+    }
+    let (n, l) = (inputs.shape()[0], inputs.shape()[1]);
+    let (l2, m) = (weights.shape()[0], weights.shape()[1]);
+    if l != l2 {
+        return Err(TensorError::ShapeMismatch {
+            left: inputs.shape().to_vec(),
+            right: weights.shape().to_vec(),
+        }
+        .into());
+    }
+    Ok((n, l, m))
+}
+
+/// One FC call of `base`'s engine: `inputs` against `weights`. `bound`
+/// holds the weights' packed panels when the engine is persistent, and
+/// the pass then keeps rows; a batch engine packs per call.
+fn fc_forward(
+    base: &mut EngineBase,
+    inputs: &Tensor,
+    weights: &Tensor,
+    bound: Option<&[f32]>,
+    saved: Option<&[Signature]>,
+) -> Result<LayerForward, MercuryError> {
+    let (n, l, m) = fc_dims(inputs, weights)?;
+    if !base.detection_enabled {
+        let work = FcWork::new(OutcomeMix::all_mnu(n), m, l, 0).with_precomputed_signatures();
+        let cycles = simulate_fc(&AcceleratorConfig::paper_default(), &work);
+        return Ok(exact_forward(ops::matmul(inputs, weights)?, n, cycles));
+    }
+
+    let (sigs, reuse_saved) = row_signatures(base, inputs, saved);
+    let mut scratch;
+    let panels = match bound {
+        Some(panels) => panels,
+        None => {
+            scratch = ScratchF32::take();
+            pack_panels(weights.data(), l, m, m, &mut scratch);
+            &scratch[..]
+        }
+    };
+    let mut output = Tensor::zeros(&[n, m]);
+    // One owner: the layer.
+    let owner = bound.map(|_| 0);
+    let pass = base.rows_pass(&sigs, inputs.data(), l, m, panels, output.data_mut(), owner);
+    let mut work = FcWork::new(pass.charged, m, l, base.signature_bits);
+    if reuse_saved {
+        work = work.with_precomputed_signatures();
+    }
+    let cycles = simulate_fc(&AcceleratorConfig::paper_default(), &work);
+    Ok(reuse_forward(output, pass, cycles, sigs))
 }
 
 impl FcEngine {
@@ -105,12 +179,19 @@ impl FcEngine {
     ///
     /// Returns the [`ConfigError`] the configuration violates.
     pub fn try_new(config: MercuryConfig, seed: u64) -> Result<Self, ConfigError> {
-        EngineBase::new(config, seed, Executor::from_kind(config.executor), 1, false)
-            .map(|base| FcEngine { base })
+        EngineBase::new(config, seed, Executor::from_kind(config.executor), 1, false).map(|base| {
+            FcEngine {
+                base,
+                weights: None,
+            }
+        })
     }
 
-    /// Creates a persistent FC engine: a banked MCACHE survives across
-    /// calls and is evicted only by [`end_epoch`](ReuseEngine::end_epoch).
+    /// Creates a persistent FC engine: a banked MCACHE and its stored rows
+    /// survive across calls and are evicted by
+    /// [`end_epoch`](ReuseEngine::end_epoch). The engine binds the weights
+    /// of its first reuse call; a call with other weights binds those and
+    /// drops the stored rows, keeping the tags.
     ///
     /// # Errors
     ///
@@ -124,55 +205,74 @@ impl FcEngine {
             banks,
             true,
         )
-        .map(|base| FcEngine { base })
+        .map(|base| FcEngine {
+            base,
+            weights: None,
+        })
     }
 
+    /// A session layer's engine: persistent `base` with `weights` bound.
+    pub(crate) fn bound(base: EngineBase, weights: Tensor) -> Self {
+        let mut engine = FcEngine {
+            base,
+            weights: None,
+        };
+        engine.bind(weights);
+        engine
+    }
+
+    /// Binds rank-2 `weights`: packs them once and drops every row stored
+    /// under the old ones.
+    pub(crate) fn bind(&mut self, weights: Tensor) {
+        let (l, m) = (weights.shape()[0], weights.shape()[1]);
+        let mut panels = Vec::new();
+        pack_panels(weights.data(), l, m, m, &mut panels);
+        self.base.cache.drop_rows();
+        self.weights = Some(Bound { weights, panels });
+    }
+
+    /// The bound weights.
+    ///
+    /// # Panics
+    ///
+    /// If the engine is not bound — a session binds every FC engine.
+    pub(crate) fn weights(&self) -> &Tensor {
+        &self
+            .weights
+            .as_ref()
+            .expect("session engines are bound")
+            .weights
+    }
+
+    /// A session submit: `inputs` against the bound weights.
+    pub(crate) fn submit(&mut self, inputs: &Tensor) -> Result<LayerForward, MercuryError> {
+        let bound = self.weights.as_ref().expect("session engines are bound");
+        fc_forward(
+            &mut self.base,
+            inputs,
+            &bound.weights,
+            Some(&bound.panels),
+            None,
+        )
+    }
+
+    /// A call through [`ReuseEngine`]: a persistent engine with detection
+    /// on binds `weights` first unless they are bound already.
     fn run(
         &mut self,
         inputs: &Tensor,
         weights: &Tensor,
         saved: Option<&[Signature]>,
     ) -> Result<LayerForward, MercuryError> {
-        if inputs.rank() != 2 || weights.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: if inputs.rank() != 2 {
-                    inputs.rank()
-                } else {
-                    weights.rank()
-                },
-            }
-            .into());
+        if !self.base.persistent || !self.base.detection_enabled {
+            return fc_forward(&mut self.base, inputs, weights, None, saved);
         }
-        let (n, l) = (inputs.shape()[0], inputs.shape()[1]);
-        let (l2, m) = (weights.shape()[0], weights.shape()[1]);
-        if l != l2 {
-            return Err(TensorError::ShapeMismatch {
-                left: inputs.shape().to_vec(),
-                right: weights.shape().to_vec(),
-            }
-            .into());
+        fc_dims(inputs, weights)?;
+        if !self.weights.as_ref().is_some_and(|b| b.holds(weights)) {
+            self.bind(weights.clone());
         }
-
-        if !self.base.detection_enabled {
-            let work = FcWork::new(OutcomeMix::all_mnu(n), m, l, 0).with_precomputed_signatures();
-            let cycles = simulate_fc(&AcceleratorConfig::paper_default(), &work);
-            return Ok(exact_forward(ops::matmul(inputs, weights)?, n, cycles));
-        }
-
-        let (sigs, reuse_saved) = row_signatures(&mut self.base, inputs, saved);
-        let mut panels = ScratchF32::take();
-        pack_panels(weights.data(), l, m, m, &mut panels);
-        let mut output = Tensor::zeros(&[n, m]);
-        let pass = self
-            .base
-            .rows_pass(&sigs, inputs.data(), l, m, &panels, output.data_mut());
-        let mut work = FcWork::new(pass.charged, m, l, self.base.signature_bits);
-        if reuse_saved {
-            work = work.with_precomputed_signatures();
-        }
-        let cycles = simulate_fc(&AcceleratorConfig::paper_default(), &work);
-        Ok(reuse_forward(output, pass, cycles, sigs))
+        let bound = self.weights.as_ref().expect("bound above");
+        fc_forward(&mut self.base, inputs, weights, Some(&bound.panels), saved)
     }
 }
 
@@ -214,6 +314,12 @@ impl ReuseEngine for FcEngine {
 /// and `Y` computes and fans out the rows of `W` under the same plan
 /// (identical `xᵢ` give identical rows of both products). It is its own
 /// type so attention layers are first-class in the unified API.
+///
+/// A persistent attention engine keeps tags across calls but stores no
+/// rows: a row of `W` depends on the whole sequence, so a HIT on a line
+/// from an earlier call has nothing it may copy. Its first vector
+/// computes (counted in [`LayerStats::recomputed`]) and fans out to the
+/// rest of the call.
 #[derive(Debug)]
 pub struct AttentionEngine {
     pub(crate) base: EngineBase,
@@ -230,8 +336,8 @@ impl AttentionEngine {
             .map(|base| AttentionEngine { base })
     }
 
-    /// Creates a persistent attention engine (banked MCACHE, evicted by
-    /// epoch).
+    /// Creates a persistent attention engine (banked MCACHE tags, evicted
+    /// by epoch; no stored rows).
     ///
     /// # Errors
     ///
@@ -275,13 +381,16 @@ impl AttentionEngine {
         let mut panels = ScratchF32::take();
         pack_panels(ops::transpose(x)?.data(), k, t, t, &mut panels);
         let mut w = Tensor::zeros(&[t, t]);
-        let pass = self.base.rows_pass(&sigs, xd, k, t, &panels, w.data_mut());
+        // A row of W depends on the whole sequence: nothing is stored.
+        let pass = self
+            .base
+            .rows_pass(&sigs, xd, k, t, &panels, w.data_mut(), None);
 
         // Y = W·X: the same plan computes and fans out the rows of W.
         pack_panels(xd, t, k, k, &mut panels);
         let mut y = Tensor::zeros(&[t, k]);
         let base = &mut self.base;
-        let product = Product {
+        let mut product = Product {
             vectors: w.data(),
             len: t,
             width: k,
@@ -291,7 +400,7 @@ impl AttentionEngine {
             dest: y.data_mut(),
             accumulate: false,
         };
-        base.plan.compute(&base.exec, product);
+        base.plan.compute(&base.exec, &mut product, &[]);
 
         let bits = if reuse_saved {
             0
@@ -555,11 +664,13 @@ mod tests {
         let first = fc(&mut e, &inputs, &weights);
         assert_eq!(first.stats().maus, 4);
         assert_eq!(first.stats().hits, 0);
-        // Same rows again: every probe hits a persisted tag; promoted
-        // producers recompute so the output stays exact.
+        // Same rows again: every probe hits a persisted tag and copies the
+        // row its line stored, so nothing computes.
         let second = fc(&mut e, &inputs, &weights);
         assert_eq!(second.stats().hits, 4);
         assert_eq!(second.stats().maus, 0);
+        assert_eq!(second.stats().recomputed, 0);
+        assert_eq!(second.stats().cycles.computed_dots, 0);
         assert_eq!(second.output, first.output);
         e.end_epoch();
         let third = fc(&mut e, &inputs, &weights);
@@ -568,13 +679,46 @@ mod tests {
     }
 
     #[test]
+    fn persistent_fc_never_serves_rows_of_other_weights() {
+        let inputs = randn(&[4, 10], 30);
+        let (w1, w2) = (randn(&[10, 6], 31), randn(&[10, 6], 32));
+        let exact = |w: &Tensor| bits(&ops::matmul(&inputs, w).unwrap());
+        let mut e = FcEngine::persistent(MercuryConfig::default(), 30, 8).unwrap();
+        fc(&mut e, &inputs, &w1);
+        // The tags persist, so every row HITs; its stored row was computed
+        // under w1, so each is recomputed under w2.
+        let swapped = fc(&mut e, &inputs, &w2);
+        assert_eq!(bits(&swapped.output), exact(&w2));
+        assert_eq!((swapped.stats().hits, swapped.stats().recomputed), (4, 4));
+        // The recomputed rows are stored and serve the next call.
+        let warm = fc(&mut e, &inputs, &w2);
+        assert_eq!(bits(&warm.output), exact(&w2));
+        assert_eq!(warm.stats().recomputed, 0);
+        // Weights changed in place are other weights too, and so is a
+        // detection-off call's tensor, which binds nothing.
+        let mut w3 = w2.clone();
+        w3.data_mut()[7] += 1.0;
+        e.set_detection(false);
+        assert_eq!(bits(&fc(&mut e, &inputs, &w3).output), exact(&w3));
+        e.set_detection(true);
+        let changed = fc(&mut e, &inputs, &w3);
+        assert_eq!(bits(&changed.output), exact(&w3));
+        assert_eq!(changed.stats().recomputed, 4);
+    }
+
+    #[test]
     fn persistent_attention_stays_exact_across_calls() {
         let x = randn(&[5, 8], 17);
         let mut e = AttentionEngine::persistent(MercuryConfig::default(), 17, 8).unwrap();
         let first = attend(&mut e, &x);
         let second = attend(&mut e, &x);
+        // A row of W depends on the whole sequence, so attention stores
+        // none: each cross-call HIT is recomputed.
         assert_eq!(second.stats().hits, 5);
+        assert_eq!(second.stats().recomputed, 5);
+        assert_eq!(second.stats().cycles.reused_dots, 0);
         assert_eq!(second.output, first.output);
+        assert_eq!(e.cache_bytes(), 5 * (16 + 1), "tags only");
     }
 
     #[test]

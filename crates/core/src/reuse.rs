@@ -200,7 +200,9 @@ impl LayerForward {
 /// * **persistent mode** (`persistent`) — an MCACHE split across banks
 ///   (§V) survives across passes and is evicted only by
 ///   [`end_epoch`](Self::end_epoch), the behaviour
-///   [`MercurySession`](crate::MercurySession) streams through.
+///   [`MercurySession`](crate::MercurySession) streams through. The conv
+///   and FC engines keep each line's result row with its tag, so a HIT in
+///   a later pass copies it instead of computing.
 ///
 /// Engines are [`Send`] by contract: a [`MercurySession`](crate::MercurySession) fans
 /// independent per-layer engines out across its executor's workers
@@ -247,17 +249,19 @@ pub trait ReuseEngine: fmt::Debug + Send {
     /// The engine's configuration.
     fn config(&self) -> &MercuryConfig;
 
-    /// Ends the current epoch: evicts all MCACHE state (tags and data).
-    /// For persistent engines this is the *only* eviction point; batch
-    /// engines already restart per reuse scope, so for them this is a
-    /// cheap extra flash-clear.
+    /// Ends the current epoch: evicts all MCACHE state (tags and stored
+    /// rows). For persistent engines this is the *only* eviction point;
+    /// batch engines already restart per reuse scope, so for them this is
+    /// a cheap extra flash-clear.
     fn end_epoch(&mut self);
 
-    /// Bytes of MCACHE state currently resident in this engine: tags plus
-    /// data versions of every occupied line. Occupancy-sensitive — an
-    /// epoch eviction ([`end_epoch`](Self::end_epoch)) drops it to zero —
-    /// so a serving tier can meter many sessions against one global
-    /// memory budget through
+    /// Bytes of MCACHE state currently resident in this engine: the tag of
+    /// every occupied line plus every stored row (see
+    /// [`BankedMCache::resident_bytes`](mercury_mcache::banked::BankedMCache::resident_bytes)).
+    /// Occupancy-sensitive — an epoch eviction
+    /// ([`end_epoch`](Self::end_epoch)) drops it to zero — so a serving
+    /// tier can meter many sessions against one global memory budget
+    /// through
     /// [`MercurySession::bank_bytes`](crate::MercurySession::bank_bytes).
     /// A batch engine's reuse scopes end with its forward, so between
     /// forwards it reports zero on every executor.

@@ -5,12 +5,16 @@
 //! (paper §IV–V). A [`MercurySession`] makes that lifetime explicit: it
 //! owns one persistent [`ReuseEngine`] per registered layer, all on the
 //! session's one executor, and keeps each engine's MCACHE alive across an
-//! unbounded stream of [`submit`](MercurySession::submit) calls. The
-//! session picks the bank split itself: 8 banks (§V) when the configured
-//! set count divides by 8, one bank otherwise. It evicts by *epoch* —
+//! unbounded stream of [`submit`](MercurySession::submit) calls. The conv
+//! and FC engines pack the layer's weights once and keep each line's
+//! result row with its tag, so a HIT on a line an earlier submit filled
+//! copies that row instead of computing it. The session picks the bank
+//! split itself: 8 banks (§V) when the configured set count divides by 8,
+//! one bank otherwise. It evicts by *epoch* —
 //! [`advance_epoch`](MercurySession::advance_epoch) flash-clears every
-//! engine's cache in O(sets) (a per-set occupancy reset; no per-entry
-//! walk) — instead of clearing per forward pass.
+//! engine's cache, tags and rows, in O(sets) (a per-set occupancy reset
+//! and an emptied row slab; no per-entry walk) — instead of clearing per
+//! forward pass.
 //!
 //! # Examples
 //!
@@ -131,25 +135,42 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The operands a session layer binds at registration time; the input
-/// tensor is the only per-submit operand.
+/// A session layer's persistent engine and the operands bound with it.
+/// The conv and FC engines hold the layer's weights, packed once per
+/// registration or [`update_weights`](MercurySession::update_weights);
+/// the input tensor is the only per-submit operand.
 #[derive(Debug)]
-enum LayerParams {
+enum LayerEngine {
     Conv {
-        kernels: Tensor,
+        engine: ConvEngine,
         stride: usize,
         pad: usize,
     },
-    Fc {
-        weights: Tensor,
-    },
-    Attention,
+    Fc(FcEngine),
+    Attention(AttentionEngine),
+}
+
+impl LayerEngine {
+    fn get(&self) -> &dyn ReuseEngine {
+        match self {
+            LayerEngine::Conv { engine, .. } => engine,
+            LayerEngine::Fc(engine) => engine,
+            LayerEngine::Attention(engine) => engine,
+        }
+    }
+
+    fn get_mut(&mut self) -> &mut dyn ReuseEngine {
+        match self {
+            LayerEngine::Conv { engine, .. } => engine,
+            LayerEngine::Fc(engine) => engine,
+            LayerEngine::Attention(engine) => engine,
+        }
+    }
 }
 
 #[derive(Debug)]
 struct SessionLayer {
-    engine: Box<dyn ReuseEngine>,
-    params: LayerParams,
+    engine: LayerEngine,
     /// Statistics accumulated over every submit since session creation.
     stats: LayerStats,
     submits: u64,
@@ -194,7 +215,7 @@ impl SessionLayer {
                     fwd.report.degraded = true;
                     let remaining = remaining - 1;
                     if remaining == 0 {
-                        self.engine.set_detection(rearm);
+                        self.engine.get_mut().set_detection(rearm);
                         self.health = Health::Healthy;
                     } else {
                         self.health = Health::Degraded { remaining, rearm };
@@ -227,12 +248,13 @@ impl SessionLayer {
         input: &Tensor,
         policy: NonfinitePolicy,
     ) -> Result<(), MercuryError> {
-        match &self.params {
-            LayerParams::Conv {
-                kernels,
+        match &self.engine {
+            LayerEngine::Conv {
+                engine,
                 stride,
                 pad,
             } => {
+                let kernels = engine.kernels();
                 let kc = kernels.shape()[1];
                 if input.rank() != 3 || input.shape()[0] != kc {
                     return Err(MercuryError::ShapeMismatch {
@@ -253,8 +275,8 @@ impl SessionLayer {
                 )
                 .map_err(MercuryError::Tensor)?;
             }
-            LayerParams::Fc { weights } => {
-                let l = weights.shape()[0];
+            LayerEngine::Fc(engine) => {
+                let l = engine.weights().shape()[0];
                 if input.rank() != 2 || input.shape()[1] != l {
                     return Err(MercuryError::ShapeMismatch {
                         layer: id,
@@ -263,7 +285,7 @@ impl SessionLayer {
                     });
                 }
             }
-            LayerParams::Attention => {
+            LayerEngine::Attention(_) => {
                 if input.rank() != 2 {
                     return Err(MercuryError::ShapeMismatch {
                         layer: id,
@@ -285,24 +307,15 @@ impl SessionLayer {
     /// layer statistics on success. Callers go through
     /// [`serve`](Self::serve); this is the unguarded inner step.
     fn run(&mut self, input: &Tensor) -> Result<LayerForward, MercuryError> {
-        let op = match &self.params {
-            LayerParams::Conv {
-                kernels,
+        let fwd = match &mut self.engine {
+            LayerEngine::Conv {
+                engine,
                 stride,
                 pad,
-            } => LayerOp::Conv {
-                input,
-                kernels,
-                stride: *stride,
-                pad: *pad,
-            },
-            LayerParams::Fc { weights } => LayerOp::Fc {
-                inputs: input,
-                weights,
-            },
-            LayerParams::Attention => LayerOp::Attention { x: input },
-        };
-        let fwd = self.engine.forward(op)?;
+            } => engine.submit(input, *stride, *pad),
+            LayerEngine::Fc(engine) => engine.submit(input),
+            LayerEngine::Attention(engine) => engine.forward(LayerOp::attention(input)),
+        }?;
         self.stats.accumulate(&fwd.report.stats);
         self.submits += 1;
         Ok(fwd)
@@ -399,14 +412,13 @@ impl MercurySession {
         self.slot_index(layer).ok().map(|i| &self.layers[i])
     }
 
-    fn push_layer(&mut self, engine: Box<dyn ReuseEngine>, params: LayerParams) -> LayerId {
+    fn push_layer(&mut self, engine: LayerEngine) -> LayerId {
         let id = LayerId {
             index: self.layers.len(),
             session: self.token,
         };
         self.layers.push(SessionLayer {
             engine,
-            params,
             stats: LayerStats::default(),
             submits: 0,
             health: Health::Healthy,
@@ -433,17 +445,12 @@ impl MercurySession {
             }
             .into());
         }
-        let engine = ConvEngine {
-            base: self.next_engine_base()?,
-        };
-        Ok(self.push_layer(
-            Box::new(engine),
-            LayerParams::Conv {
-                kernels,
-                stride,
-                pad,
-            },
-        ))
+        let engine = ConvEngine::bound(self.next_engine_base()?, kernels);
+        Ok(self.push_layer(LayerEngine::Conv {
+            engine,
+            stride,
+            pad,
+        }))
     }
 
     /// Registers a fully-connected layer with fixed `weights` `[L, M]`;
@@ -460,10 +467,8 @@ impl MercurySession {
             }
             .into());
         }
-        let engine = FcEngine {
-            base: self.next_engine_base()?,
-        };
-        Ok(self.push_layer(Box::new(engine), LayerParams::Fc { weights }))
+        let engine = FcEngine::bound(self.next_engine_base()?, weights);
+        Ok(self.push_layer(LayerEngine::Fc(engine)))
     }
 
     /// Registers a non-parametric self-attention layer; submits supply the
@@ -478,7 +483,7 @@ impl MercurySession {
         let engine = AttentionEngine {
             base: self.next_engine_base()?,
         };
-        Ok(self.push_layer(Box::new(engine), LayerParams::Attention))
+        Ok(self.push_layer(LayerEngine::Attention(engine)))
     }
 
     /// Runs one streaming request through a registered layer. The layer's
@@ -613,21 +618,23 @@ impl MercurySession {
         let index = self.slot_index(layer)?;
         let warmup = self.config.recovery_warmup as u64;
         let slot = &mut self.layers[index];
-        // Quarantine first: nothing planted by the failed request can
-        // survive into the recovered layer's reuse decisions.
-        slot.engine.end_epoch();
+        // Quarantine first: nothing planted by the failed request — no tag,
+        // no stored row — can survive into the recovered layer's reuse
+        // decisions.
+        let engine = slot.engine.get_mut();
+        engine.end_epoch();
         let rearm = match slot.health {
             // Preserve the original re-arm target across repeated
             // recoveries — the engine currently reads detection-off only
             // because the warm-up turned it off.
             Health::Degraded { rearm, .. } => rearm,
-            _ => slot.engine.detection_enabled(),
+            _ => engine.detection_enabled(),
         };
         if warmup == 0 {
-            slot.engine.set_detection(rearm);
+            engine.set_detection(rearm);
             slot.health = Health::Healthy;
         } else {
-            slot.engine.set_detection(false);
+            engine.set_detection(false);
             slot.health = Health::Degraded {
                 remaining: warmup,
                 rearm,
@@ -674,13 +681,16 @@ impl MercurySession {
     }
 
     /// Bytes of MCACHE state resident across every layer's banks (see
-    /// [`ReuseEngine::cache_bytes`]): the session's logical reuse-state
-    /// working set. Occupancy-sensitive — an epoch boundary
-    /// ([`advance_epoch`](Self::advance_epoch)) drops it to zero — which
-    /// is exactly the lever a multi-session memory budget pulls when it
-    /// evicts an idle session.
+    /// [`ReuseEngine::cache_bytes`]): the session's reuse-state working
+    /// set, its tags and its stored rows. Occupancy-sensitive — an epoch
+    /// boundary ([`advance_epoch`](Self::advance_epoch)) drops it to zero —
+    /// which is exactly the lever a multi-session memory budget pulls when
+    /// it evicts an idle session.
     pub fn bank_bytes(&self) -> usize {
-        self.layers.iter().map(|l| l.engine.cache_bytes()).sum()
+        self.layers
+            .iter()
+            .map(|l| l.engine.get().cache_bytes())
+            .sum()
     }
 
     /// Ends the current epoch: every engine's MCACHE is evicted via the
@@ -694,7 +704,7 @@ impl MercurySession {
     /// boundary.
     pub fn advance_epoch(&mut self) -> u64 {
         for layer in &mut self.layers {
-            layer.engine.end_epoch();
+            layer.engine.get_mut().end_epoch();
         }
         self.epoch += 1;
         self.epoch
@@ -744,7 +754,7 @@ impl MercurySession {
 
     /// Borrows a layer's engine (`None` for a foreign id).
     pub fn engine(&self, layer: LayerId) -> Option<&dyn ReuseEngine> {
-        self.slot(layer).map(|l| l.engine.as_ref())
+        self.slot(layer).map(|l| l.engine.get())
     }
 
     /// Enables/disables similarity detection on one layer (§III-D
@@ -767,7 +777,7 @@ impl MercurySession {
                 rearm: enabled,
             };
         } else {
-            slot.engine.set_detection(enabled);
+            slot.engine.get_mut().set_detection(enabled);
         }
         Ok(())
     }
@@ -779,13 +789,15 @@ impl MercurySession {
     /// the next epoch.
     pub fn grow_signatures(&mut self) {
         for layer in &mut self.layers {
-            layer.engine.grow_signature();
+            layer.engine.get_mut().grow_signature();
         }
     }
 
     /// Replaces a conv layer's kernels or an FC layer's weights (a service
     /// picking up retrained parameters). The new tensor must keep the old
-    /// rank; attention layers have no parameters.
+    /// rank; attention layers have no parameters. The engine packs the new
+    /// weights once, and the layer's epoch ends: every tag and every row
+    /// stored under the old weights is evicted.
     ///
     /// # Errors
     ///
@@ -795,29 +807,15 @@ impl MercurySession {
     pub fn update_weights(&mut self, layer: LayerId, params: Tensor) -> Result<(), MercuryError> {
         let index = self.slot_index(layer)?;
         let slot = &mut self.layers[index];
-        match &mut slot.params {
-            LayerParams::Conv { kernels, .. } => {
-                if params.rank() != 4 {
-                    return Err(TensorError::RankMismatch {
-                        expected: 4,
-                        actual: params.rank(),
-                    }
-                    .into());
-                }
-                *kernels = params;
-            }
-            LayerParams::Fc { weights } => {
-                if params.rank() != 2 {
-                    return Err(TensorError::RankMismatch {
-                        expected: 2,
-                        actual: params.rank(),
-                    }
-                    .into());
-                }
-                *weights = params;
-            }
-            LayerParams::Attention => return Err(MercuryError::NoParameters(layer)),
+        let mismatch = |expected, actual| TensorError::RankMismatch { expected, actual }.into();
+        match (&mut slot.engine, params.rank()) {
+            (LayerEngine::Conv { engine, .. }, 4) => engine.bind(params),
+            (LayerEngine::Fc(engine), 2) => engine.bind(params),
+            (LayerEngine::Conv { .. }, rank) => return Err(mismatch(4, rank)),
+            (LayerEngine::Fc(_), rank) => return Err(mismatch(2, rank)),
+            (LayerEngine::Attention(_), _) => return Err(MercuryError::NoParameters(layer)),
         }
+        slot.engine.get_mut().end_epoch();
         Ok(())
     }
 }
@@ -825,6 +823,7 @@ impl MercurySession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mercury_tensor::ops;
     use mercury_tensor::rng::Rng;
 
     fn session(seed: u64) -> MercurySession {
@@ -835,7 +834,7 @@ mod tests {
     fn default_bank_split_follows_config() {
         assert_eq!(session(1).banks(), 8);
         let odd_sets = MercuryConfig {
-            cache: mercury_mcache::MCacheConfig::new(9, 4, 1).unwrap(),
+            cache: mercury_mcache::MCacheConfig::new(9, 4).unwrap(),
             ..MercuryConfig::default()
         };
         assert_eq!(MercurySession::new(odd_sets, 1).unwrap().banks(), 1);
@@ -848,7 +847,7 @@ mod tests {
         // refuses the splits it never asks for.
         for sets in 1..=64 {
             let cfg = MercuryConfig {
-                cache: mercury_mcache::MCacheConfig::new(sets, 2, 1).unwrap(),
+                cache: mercury_mcache::MCacheConfig::new(sets, 2).unwrap(),
                 ..MercuryConfig::default()
             };
             let s = MercurySession::new(cfg, 1).unwrap();
@@ -1320,6 +1319,121 @@ mod tests {
 
         // The epoch flash-clear is the eviction lever: reported bytes
         // drop to zero even though the buffers stay allocated.
+        s.advance_epoch();
+        assert_eq!(s.bank_bytes(), 0);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `t` times a power of two: every row and patch keeps its RPQ
+    /// signature exactly (the projections scale exactly too), so the
+    /// scaled input HITs every line the original inserted, while its exact
+    /// results differ.
+    fn scaled(t: &Tensor, k: f32) -> Tensor {
+        t.map(|v| v * k)
+    }
+
+    #[test]
+    fn a_stored_row_serves_later_hits_bit_for_bit() {
+        let mut rng = Rng::new(80);
+        let mut s = session(80);
+        let fc = s.register_fc(Tensor::randn(&[12, 6], &mut rng)).unwrap();
+        let rows = Tensor::randn(&[5, 12], &mut rng);
+        let first = s.submit(fc, &rows).unwrap();
+        let again = s.submit(fc, &scaled(&rows, 2.0)).unwrap();
+        assert_eq!(bits(&again.output), bits(&first.output));
+        let st = again.stats();
+        assert_eq!((st.hits, st.recomputed, st.maus), (5, 0, 0));
+        assert_eq!((st.cycles.reused_dots, st.cycles.computed_dots), (5 * 6, 0));
+
+        let conv = s
+            .register_conv(Tensor::randn(&[4, 1, 3, 3], &mut rng), 1, 1)
+            .unwrap();
+        let img = Tensor::randn(&[1, 6, 6], &mut rng);
+        let first = s.submit(conv, &img).unwrap();
+        let again = s.submit(conv, &scaled(&img, 4.0)).unwrap();
+        assert_eq!(bits(&again.output), bits(&first.output));
+        let st = again.stats();
+        assert_eq!((st.hits, st.recomputed, st.maus, st.mnus), (36, 0, 0, 0));
+        assert_eq!(st.cycles.computed_dots, 0);
+    }
+
+    #[test]
+    fn every_row_dropping_event_leaves_exact_results() {
+        // Each event evicts the stored rows with the tags: the session
+        // holds no bytes afterwards, and a scaled repeat of the first
+        // submit — which would HIT any line that survived — computes its
+        // own rows, matching the exact product bit for bit.
+        let mut rng = Rng::new(81);
+        let weights = Tensor::randn(&[10, 4], &mut rng);
+        let kernels = Tensor::randn(&[3, 1, 3, 3], &mut rng);
+        let new_weights = Tensor::randn(&[10, 4], &mut rng);
+        let new_kernels = Tensor::randn(&[3, 1, 3, 3], &mut rng);
+        let rows = Tensor::randn(&[6, 10], &mut rng);
+        let img = Tensor::randn(&[1, 7, 7], &mut rng);
+        let config = MercuryConfig::builder().recovery_warmup(0).build().unwrap();
+        type Event<'a> = &'a dyn Fn(&mut MercurySession, LayerId, LayerId);
+        let events: [(&str, Event<'_>); 4] = [
+            ("update_weights", &|s, fc, conv| {
+                s.update_weights(fc, new_weights.clone()).unwrap();
+                s.update_weights(conv, new_kernels.clone()).unwrap();
+            }),
+            ("recover", &|s, fc, conv| {
+                s.recover(fc).unwrap();
+                s.recover(conv).unwrap();
+            }),
+            ("advance_epoch", &|s, _, _| {
+                s.advance_epoch();
+            }),
+            ("grow_signatures", &|s, _, _| s.grow_signatures()),
+        ];
+        for (name, event) in events {
+            let mut s = MercurySession::new(config, 81).unwrap();
+            let fc = s.register_fc(weights.clone()).unwrap();
+            let conv = s.register_conv(kernels.clone(), 1, 1).unwrap();
+            s.submit(fc, &rows).unwrap();
+            s.submit(conv, &img).unwrap();
+            assert!(s.bank_bytes() > 0);
+            event(&mut s, fc, conv);
+            assert_eq!(s.bank_bytes(), 0, "{name} left bytes resident");
+
+            let (w, k) = match name {
+                "update_weights" => (&new_weights, &new_kernels),
+                _ => (&weights, &kernels),
+            };
+            let doubled = scaled(&rows, 2.0);
+            let out = s.submit(fc, &doubled).unwrap();
+            let want = ops::matmul(&doubled, w).unwrap();
+            assert_eq!(bits(&out.output), bits(&want), "{name}: fc");
+            assert_eq!(out.stats().hits, 0, "{name}: fc");
+            let doubled = scaled(&img, 2.0);
+            let out = s.submit(conv, &doubled).unwrap();
+            let want = mercury_tensor::conv::conv2d_multi(&doubled, k, 1, 1).unwrap();
+            assert_eq!(bits(&out.output), bits(&want), "{name}: conv");
+        }
+    }
+
+    #[test]
+    fn bank_bytes_meter_tags_and_stored_rows() {
+        let mut rng = Rng::new(82);
+        let mut s = session(82);
+        let fc = s.register_fc(Tensor::randn(&[10, 6], &mut rng)).unwrap();
+        let att = s.register_attention().unwrap();
+        let rows = Tensor::randn(&[5, 10], &mut rng);
+        // Five lines, each a 17-byte tag and a stored 6-float row with
+        // its line and owner words.
+        let fc_bytes = 5 * (16 + 1 + 6 * 4 + 2 * 4);
+        s.submit(fc, &rows).unwrap();
+        assert_eq!(s.bank_bytes(), fc_bytes);
+        // HITs on stored rows store nothing new.
+        s.submit(fc, &scaled(&rows, 2.0)).unwrap();
+        assert_eq!(s.bank_bytes(), fc_bytes);
+        // Attention keeps tags only.
+        s.submit(att, &rows).unwrap();
+        assert_eq!(s.engine(att).unwrap().cache_bytes(), 5 * (16 + 1));
+        assert_eq!(s.bank_bytes(), fc_bytes + 5 * (16 + 1));
         s.advance_epoch();
         assert_eq!(s.bank_bytes(), 0);
     }

@@ -12,6 +12,12 @@ pub struct LayerStats {
     pub maus: u64,
     /// Miss-no-update probes (set full; computed, not cached).
     pub mnus: u64,
+    /// HITs that computed anyway, because no stored row could serve them:
+    /// the line's row was dropped, another conv channel stored it, or the
+    /// engine stores none (attention, whose rows depend on the whole
+    /// sequence). Each also counts in [`hits`](Self::hits); the cycle
+    /// model charges it as an MAU.
+    pub recomputed: u64,
     /// Distinct signatures observed (the paper's "unique vectors").
     pub unique_vectors: u64,
     /// Cycle accounting from the accelerator simulator.
@@ -53,6 +59,7 @@ impl LayerStats {
         self.hits += other.hits;
         self.maus += other.maus;
         self.mnus += other.mnus;
+        self.recomputed += other.recomputed;
         self.unique_vectors += other.unique_vectors;
         self.cycles.accumulate(&other.cycles);
         self.detection_enabled |= other.detection_enabled;
@@ -113,6 +120,7 @@ mod tests {
             hits,
             maus,
             mnus,
+            recomputed: 0,
             unique_vectors: maus + mnus,
             cycles: ChannelCycles {
                 signature: 10,
@@ -167,8 +175,12 @@ mod tests {
     #[test]
     fn accumulate_merges() {
         let mut a = stats(1, 2, 3);
-        a.accumulate(&stats(4, 5, 6));
+        a.accumulate(&LayerStats {
+            recomputed: 2,
+            ..stats(4, 5, 6)
+        });
         assert_eq!(a.hits, 5);
+        assert_eq!(a.recomputed, 2);
         assert_eq!(a.maus, 7);
         assert_eq!(a.mnus, 9);
         assert_eq!(a.cycles.baseline, 400);

@@ -42,7 +42,7 @@ proptest! {
         let fc = session.register_fc(weights).unwrap();
 
         let banks = session.banks();
-        let per_bank = MCacheConfig::new(config.cache.sets / banks, config.cache.ways, 1).unwrap();
+        let per_bank = MCacheConfig::new(config.cache.sets / banks, config.cache.ways).unwrap();
         let mut manual = BankedMCache::new(banks, per_bank).unwrap();
 
         let mut workload_rng = Rng::new(seed ^ 0x9999);

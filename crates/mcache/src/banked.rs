@@ -13,6 +13,13 @@
 //! is flat set `b * sets_per_bank + s`, so per-entry scratch arrays never
 //! need to know the bank count.
 //!
+//! A [`BankedMCache`] also holds the data half of its lines: the result
+//! row a line's producer computed, stored with the line so a HIT in a
+//! later pass can read it back (§III-B3). Rows are stored only by the
+//! caller's serial plan, never by the bank-parallel probes, and live in
+//! one slab that holds exactly the rows stored since the last
+//! [`clear`](BankedMCache::clear) or [`drop_rows`](BankedMCache::drop_rows).
+//!
 //! The `ablation_banked_cache` bench does not drive this type: it splits
 //! a stream round-robin by PE set across private [`MCache`] banks and
 //! measures the hit rate lost to those private slices against the
@@ -33,7 +40,7 @@ use mercury_tensor::exec::Executor;
 /// use mercury_rpq::Signature;
 ///
 /// # fn main() -> Result<(), mercury_mcache::McacheError> {
-/// let mut cache = BankedMCache::new(4, MCacheConfig::new(16, 16, 1)?)?;
+/// let mut cache = BankedMCache::new(4, MCacheConfig::new(16, 16)?)?;
 /// let sig = Signature::from_bits(0x3F, 20);
 /// let first = cache.probe_insert(sig);
 /// assert_eq!(first.kind, HitKind::Mau);
@@ -50,7 +57,42 @@ pub struct BankedMCache {
     banks: Vec<MCache>,
     /// Sets per bank: the stride of the flat set index.
     sets_per_bank: usize,
+    /// The data half: the rows stored with their lines.
+    rows: RowSlab,
 }
+
+/// A stored result row, as [`BankedMCache::stored_row`] finds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoredRow {
+    /// The row's slot in the slab (see [`BankedMCache::slab`]).
+    pub slot: u32,
+    /// The owner the row was stored for: the caller's key for the scope a
+    /// row may serve (a conv engine stores one row per channel).
+    pub owner: u32,
+}
+
+/// The data half of a [`BankedMCache`]: one `width`-float row per slot,
+/// appended as lines store them. A drop empties the slab and keeps its
+/// capacity, so the memory it holds tracks the rows of one epoch.
+#[derive(Debug, Clone, Default)]
+struct RowSlab {
+    /// Per flat line, the slot of its row, sized to the line count on the
+    /// first store. A slot belongs to the line only while `line[slot]`
+    /// names the line back: a drop leaves these entries stale, and the
+    /// back-check turns them away.
+    slot_of: Vec<u32>,
+    /// Per slot, the flat line that stored it.
+    line: Vec<u32>,
+    /// Per slot, the owner that stored it.
+    owner: Vec<u32>,
+    /// The rows, `width` values per slot.
+    data: Vec<f32>,
+    /// The row length, set by the first store into an empty slab.
+    width: usize,
+}
+
+/// Bytes one stored row pins besides its values: its line and owner words.
+const ROW_HEADER_BYTES: usize = 2 * std::mem::size_of::<u32>();
 
 impl BankedMCache {
     /// Creates `num_banks` banks, each with the given per-bank config.
@@ -67,6 +109,7 @@ impl BankedMCache {
         Ok(BankedMCache {
             banks: (0..num_banks).map(|_| MCache::new(per_bank)).collect(),
             sets_per_bank: per_bank.sets,
+            rows: RowSlab::default(),
         })
     }
 
@@ -176,11 +219,13 @@ impl BankedMCache {
         }
     }
 
-    /// Clears every bank (channel boundary).
+    /// Clears every bank and drops every stored row (channel or epoch
+    /// boundary).
     pub fn clear(&mut self) {
         for bank in &mut self.banks {
             bank.clear();
         }
+        self.drop_rows();
     }
 
     /// Starts a new insertion batch window in every bank.
@@ -190,12 +235,75 @@ impl BankedMCache {
         }
     }
 
-    /// Bytes of cache state resident across every bank (see
-    /// [`MCache::resident_bytes`]): the logical working set a serving
-    /// tier's memory budget meters. [`clear`](Self::clear) drops it to
-    /// zero.
+    /// The flat line index of an entry: `set × ways + way`.
+    fn line(&self, id: EntryId) -> usize {
+        id.set * self.bank_config().ways + id.way
+    }
+
+    /// The row stored with line `id` since the rows were last dropped, if
+    /// any. A line holds at most one row.
+    pub fn stored_row(&self, id: EntryId) -> Option<StoredRow> {
+        let rows = &self.rows;
+        let line = self.line(id);
+        let slot = *rows.slot_of.get(line)?;
+        (rows.line.get(slot as usize) == Some(&(line as u32))).then(|| StoredRow {
+            slot,
+            owner: rows.owner[slot as usize],
+        })
+    }
+
+    /// Stores `row` with line `id` for `owner`, replacing nothing: the line
+    /// must hold no row. The first row after a drop sets the row length
+    /// every later row must match.
+    ///
+    /// # Panics
+    ///
+    /// If the line already holds a row, or `row` has another length than
+    /// the rows already stored.
+    pub fn store_row(&mut self, id: EntryId, owner: u32, row: &[f32]) {
+        assert!(
+            self.stored_row(id).is_none(),
+            "line {id:?} already holds a row"
+        );
+        let line = self.line(id);
+        let entries = self.entries();
+        let rows = &mut self.rows;
+        if rows.line.is_empty() {
+            rows.width = row.len();
+        }
+        assert_eq!(row.len(), rows.width, "stored rows share one length");
+        if rows.slot_of.len() < entries {
+            rows.slot_of.resize(entries, u32::MAX);
+        }
+        rows.slot_of[line] = rows.line.len() as u32;
+        rows.line.push(line as u32);
+        rows.owner.push(owner);
+        rows.data.extend_from_slice(row);
+    }
+
+    /// Every stored row, `width` values per slot in slot order (see
+    /// [`StoredRow::slot`]); `width` is the length the stored rows share.
+    pub fn slab(&self) -> &[f32] {
+        &self.rows.data
+    }
+
+    /// Drops every stored row and keeps the tags: until a line stores a
+    /// row again, a HIT on it finds none. The slab keeps its capacity.
+    pub fn drop_rows(&mut self) {
+        let rows = &mut self.rows;
+        rows.line.clear();
+        rows.owner.clear();
+        rows.data.clear();
+    }
+
+    /// Bytes of cache state resident across every bank: the tags (see
+    /// [`MCache::resident_bytes`]) plus each stored row's values and its
+    /// line and owner words — the working set a serving tier's memory
+    /// budget meters. [`clear`](Self::clear) drops it to zero.
     pub fn resident_bytes(&self) -> usize {
-        self.banks.iter().map(MCache::resident_bytes).sum()
+        let tags: usize = self.banks.iter().map(MCache::resident_bytes).sum();
+        let rows = &self.rows;
+        tags + rows.line.len() * ROW_HEADER_BYTES + std::mem::size_of_val(rows.data.as_slice())
     }
 
     /// Sums statistics over all banks.
@@ -221,7 +329,7 @@ mod tests {
     }
 
     fn cache(banks: usize) -> BankedMCache {
-        BankedMCache::new(banks, MCacheConfig::new(4, 2, 1).unwrap()).unwrap()
+        BankedMCache::new(banks, MCacheConfig::new(4, 2).unwrap()).unwrap()
     }
 
     /// The bank a probe outcome landed in (4 sets per bank in [`cache`]).
@@ -242,7 +350,7 @@ mod tests {
 
     #[test]
     fn signatures_spread_across_banks() {
-        let mut c = BankedMCache::new(8, MCacheConfig::new(4, 64, 1).unwrap()).unwrap();
+        let mut c = BankedMCache::new(8, MCacheConfig::new(4, 64).unwrap()).unwrap();
         let mut banks_used = std::collections::HashSet::new();
         for i in 0..200 {
             banks_used.insert(bank_of(c.probe_insert(sig(i))));
@@ -264,7 +372,7 @@ mod tests {
 
     #[test]
     fn zero_banks_rejected() {
-        assert!(BankedMCache::new(0, MCacheConfig::new(4, 2, 1).unwrap()).is_err());
+        assert!(BankedMCache::new(0, MCacheConfig::new(4, 2).unwrap()).is_err());
     }
 
     #[test]
@@ -294,7 +402,7 @@ mod tests {
         for i in 0..20 {
             c.probe_insert(sig(i));
         }
-        let per_line = 16 + 1 + (4 + 8); // single-version line
+        let per_line = 16 + 1; // u128 tag bits + u8 length
         assert_eq!(
             c.resident_bytes(),
             c.stats().maus as usize * per_line,
@@ -302,6 +410,44 @@ mod tests {
         );
         c.clear();
         assert_eq!(c.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn stored_rows_follow_their_lines_and_are_metered() {
+        let mut c = cache(4);
+        let a = c.probe_insert(sig(1)).entry.unwrap();
+        let b = c.probe_insert(sig(2)).entry.unwrap();
+        assert_eq!(c.stored_row(a), None, "an inserted tag holds no row yet");
+        c.store_row(a, 7, &[1.0, 2.0]);
+        c.store_row(b, 3, &[3.0, 4.0]);
+        let row = c.stored_row(a).unwrap();
+        assert_eq!(row.owner, 7);
+        assert_eq!(&c.slab()[row.slot as usize * 2..][..2], [1.0, 2.0]);
+        assert_eq!(c.stored_row(b).unwrap().owner, 3);
+        let tags = c.stats().maus as usize * (16 + 1);
+        assert_eq!(c.resident_bytes(), tags + 2 * (2 * 4 + 2 * 4));
+
+        // Dropping the rows keeps the tags; a stale slot never comes back,
+        // even once another line has stored into it.
+        c.drop_rows();
+        assert_eq!(c.resident_bytes(), tags);
+        assert_eq!(c.probe_insert(sig(1)).kind, HitKind::Hit);
+        c.store_row(b, 3, &[5.0, 6.0]);
+        assert_eq!(c.stored_row(a), None);
+        assert_eq!(c.slab(), [5.0, 6.0]);
+
+        c.clear();
+        assert_eq!((c.slab().len(), c.resident_bytes()), (0, 0));
+        assert_eq!(c.stored_row(b), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "already holds a row")]
+    fn a_line_stores_one_row() {
+        let mut c = cache(1);
+        let id = c.probe_insert(sig(1)).entry.unwrap();
+        c.store_row(id, 0, &[1.0]);
+        c.store_row(id, 0, &[2.0]);
     }
 
     #[test]
@@ -329,7 +475,7 @@ mod tests {
     fn one_bank_matches_the_monolithic_cache() {
         // The FPGA design is a one-bank cache: every outcome, flat id and
         // counter equals a plain `MCache` of the same geometry.
-        let cfg = MCacheConfig::new(4, 2, 1).unwrap();
+        let cfg = MCacheConfig::new(4, 2).unwrap();
         let mut banked = BankedMCache::new(1, cfg).unwrap();
         let mut mono = MCache::new(cfg);
         banked.begin_insert_batch();
@@ -350,8 +496,8 @@ mod tests {
         // The motivating property: spreading inserts over banks reduces
         // same-window insertion conflicts versus one monolithic cache with
         // the same total capacity.
-        let mut banked = BankedMCache::new(8, MCacheConfig::new(1, 16, 1).unwrap()).unwrap();
-        let mut mono = MCache::new(MCacheConfig::new(1, 128, 1).unwrap());
+        let mut banked = BankedMCache::new(8, MCacheConfig::new(1, 16).unwrap()).unwrap();
+        let mut mono = MCache::new(MCacheConfig::new(1, 128).unwrap());
         banked.begin_insert_batch();
         mono.begin_insert_batch();
         for i in 0..64 {

@@ -13,17 +13,13 @@ pub struct EntryId {
     pub way: usize,
 }
 
-/// Geometry and versioning of an [`MCache`].
+/// Geometry of an [`MCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MCacheConfig {
     /// Number of sets.
     pub sets: usize,
     /// Associativity (ways per set).
     pub ways: usize,
-    /// Data versions per line — 1 for the synchronous design, `M` (the
-    /// number of in-flight filters) for the asynchronous design. Geometry
-    /// only: it sizes the line [`MCache::resident_bytes`] meters.
-    pub versions: usize,
 }
 
 impl MCacheConfig {
@@ -31,28 +27,19 @@ impl MCacheConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`McacheError::InvalidConfig`] if any parameter is zero.
-    pub fn new(sets: usize, ways: usize, versions: usize) -> Result<Self, McacheError> {
-        if sets == 0 || ways == 0 || versions == 0 {
+    /// Returns [`McacheError::InvalidConfig`] if either parameter is zero.
+    pub fn new(sets: usize, ways: usize) -> Result<Self, McacheError> {
+        if sets == 0 || ways == 0 {
             return Err(McacheError::InvalidConfig(
-                "sets, ways, and versions must be positive".to_string(),
+                "sets and ways must be positive".to_string(),
             ));
         }
-        Ok(MCacheConfig {
-            sets,
-            ways,
-            versions,
-        })
+        Ok(MCacheConfig { sets, ways })
     }
 
-    /// The paper's default configuration: 1024 entries, 16-way (64 sets),
-    /// single version.
+    /// The paper's default configuration: 1024 entries, 16-way (64 sets).
     pub fn paper_default() -> Self {
-        MCacheConfig {
-            sets: 64,
-            ways: 16,
-            versions: 1,
-        }
+        MCacheConfig { sets: 64, ways: 16 }
     }
 
     /// Total entries (`sets × ways`).
@@ -98,9 +85,9 @@ impl MCacheStats {
 ///
 /// This is the tag half of the hardware cache: it classifies every probe
 /// and hands out the entry ids that group same-signature vectors. The
-/// data half holds no state here — a reuse engine takes a HIT's result
-/// straight from its producer's computed row, and the cycle model charges
-/// the data traffic the hardware would spend. Storage is
+/// data half — the result rows — lives in
+/// [`BankedMCache`](crate::banked::BankedMCache), the cache the reuse
+/// engines hold. Storage is
 /// structure-of-arrays — one flat buffer per field across all
 /// `sets × ways` lines — so set scans touch contiguous memory.
 ///
@@ -135,6 +122,9 @@ pub struct MCache {
     /// [`clear`](Self::clear)), so probe outcomes are unchanged.
     set_prefix: Vec<u64>,
 }
+
+/// Bytes of one resident tag: its bit pattern and its length.
+const TAG_BYTES: usize = std::mem::size_of::<u128>() + std::mem::size_of::<u8>();
 
 /// The resident-prefix filter bit for a signature: 6 bits of the mixed
 /// hash, taken from above the set-index bits (sets are at most 2^32 in any
@@ -277,20 +267,14 @@ impl MCache {
         self.set_len.iter().map(|&l| l as usize).sum()
     }
 
-    /// Bytes of cache state the resident tags pin: per occupied line, the
-    /// packed tag (bits + length) plus, per data version, the `f32`
-    /// payload and 8-byte VD word of the hardware line — the line's size,
-    /// although this type stores only the tag. Occupancy-sensitive by
-    /// design — [`clear`](Self::clear) (the flash-clear an eviction
-    /// performs) drops the figure to zero even though the backing buffers
-    /// stay allocated, because this is the *logical* working set a
-    /// serving tier's memory budget meters, not the allocator's view.
+    /// Bytes the resident tags pin: the packed tag (bits + length) of
+    /// every occupied line. Occupancy-sensitive by design —
+    /// [`clear`](Self::clear) (the flash-clear an eviction performs) drops
+    /// the figure to zero even though the backing buffers stay allocated,
+    /// because this is the *logical* working set a serving tier's memory
+    /// budget meters, not the allocator's view.
     pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let per_line = size_of::<u128>()
-            + size_of::<u8>()
-            + self.config.versions * (size_of::<f32>() + size_of::<u64>());
-        self.occupancy() * per_line
+        self.occupancy() * TAG_BYTES
     }
 }
 
@@ -302,22 +286,21 @@ mod tests {
         Signature::from_bits(bits, 20)
     }
 
-    fn small_cache(sets: usize, ways: usize, versions: usize) -> MCache {
-        MCache::new(MCacheConfig::new(sets, ways, versions).unwrap())
+    fn small_cache(sets: usize, ways: usize) -> MCache {
+        MCache::new(MCacheConfig::new(sets, ways).unwrap())
     }
 
     #[test]
     fn config_validation() {
-        assert!(MCacheConfig::new(0, 16, 1).is_err());
-        assert!(MCacheConfig::new(64, 0, 1).is_err());
-        assert!(MCacheConfig::new(64, 16, 0).is_err());
+        assert!(MCacheConfig::new(0, 16).is_err());
+        assert!(MCacheConfig::new(64, 0).is_err());
         let c = MCacheConfig::paper_default();
         assert_eq!(c.entries(), 1024);
     }
 
     #[test]
     fn first_probe_is_mau_second_is_hit() {
-        let mut cache = small_cache(8, 2, 1);
+        let mut cache = small_cache(8, 2);
         let s = sig(0xAB);
         let a = cache.probe_insert(s);
         assert_eq!(a.kind, HitKind::Mau);
@@ -332,7 +315,7 @@ mod tests {
     #[test]
     fn full_set_yields_mnu() {
         // 1 set, 2 ways: the third distinct signature cannot be inserted.
-        let mut cache = small_cache(1, 2, 1);
+        let mut cache = small_cache(1, 2);
         assert_eq!(cache.probe_insert(sig(1)).kind, HitKind::Mau);
         assert_eq!(cache.probe_insert(sig(2)).kind, HitKind::Mau);
         let out = cache.probe_insert(sig(3));
@@ -345,7 +328,7 @@ mod tests {
 
     #[test]
     fn no_replacement_policy() {
-        let mut cache = small_cache(1, 1, 1);
+        let mut cache = small_cache(1, 1);
         let a = cache.probe_insert(sig(1)).entry.unwrap();
         // sig(2) cannot evict sig(1).
         assert_eq!(cache.probe_insert(sig(2)).kind, HitKind::Mnu);
@@ -354,7 +337,7 @@ mod tests {
 
     #[test]
     fn clear_wipes_tags() {
-        let mut cache = small_cache(4, 2, 1);
+        let mut cache = small_cache(4, 2);
         cache.probe_insert(sig(9));
         assert_eq!(cache.occupancy(), 1);
         cache.clear();
@@ -366,7 +349,7 @@ mod tests {
     fn insert_conflicts_counted_per_batch() {
         // Signatures mapping to the same set inserted in one batch window
         // conflict; a new window resets the count.
-        let mut cache = small_cache(1, 8, 1); // single set: every insert collides
+        let mut cache = small_cache(1, 8); // single set: every insert collides
         cache.begin_insert_batch();
         cache.probe_insert(sig(1));
         cache.probe_insert(sig(2));
@@ -379,7 +362,7 @@ mod tests {
 
     #[test]
     fn different_length_signatures_do_not_hit() {
-        let mut cache = small_cache(16, 4, 1);
+        let mut cache = small_cache(16, 4);
         let short = Signature::from_bits(0b1010, 20);
         let long = Signature::from_bits(0b1010, 21);
         cache.probe_insert(short);
@@ -394,7 +377,7 @@ mod tests {
         // scans always performed. The reference here is behavioural — every
         // resident signature must still hit, every repeat of a rejected
         // signature must still MNU, across clears.
-        let mut cache = small_cache(4, 3, 1);
+        let mut cache = small_cache(4, 3);
         let mut resident = Vec::new();
         for round in 0..3 {
             for i in 0..64u128 {
@@ -420,11 +403,11 @@ mod tests {
 
     #[test]
     fn resident_bytes_track_occupancy_and_flash_clear() {
-        let mut cache = small_cache(4, 2, 2);
+        let mut cache = small_cache(4, 2);
         assert_eq!(cache.resident_bytes(), 0);
         cache.probe_insert(sig(1));
         cache.probe_insert(sig(2));
-        let per_line = 16 + 1 + 2 * (4 + 8); // u128 tag + u8 len + 2×(f32 + VD word)
+        let per_line = 16 + 1; // u128 tag bits + u8 length
         assert_eq!(cache.resident_bytes(), cache.occupancy() * per_line);
         assert!(cache.resident_bytes() > 0);
         cache.clear();
@@ -433,7 +416,7 @@ mod tests {
 
     #[test]
     fn occupancy_saturates_at_capacity() {
-        let mut cache = small_cache(2, 2, 1);
+        let mut cache = small_cache(2, 2);
         for i in 0..100 {
             cache.probe_insert(sig(i));
         }

@@ -14,13 +14,16 @@
 //!    inserted (the access is recorded as *miss-no-update*). Lines live
 //!    until the whole cache is cleared at a channel boundary.
 //!
-//! This crate models the tag half, which decides every reuse: each probe
-//! classifies its input vector as a [`HitKind`] (HIT / MAU / MNU) and
-//! names the line it maps to. The data half keeps no state in software.
-//! A reuse engine hands a HIT the result its producer just computed, which
-//! is the value the hardware would read back, and the `mercury-accel`
-//! cycle model charges the data traffic. The data versions remain
-//! geometry: they size the line [`MCache::resident_bytes`] meters.
+//! The tag half decides every reuse: each probe classifies its input
+//! vector as a [`HitKind`] (HIT / MAU / MNU) and names the line it maps
+//! to. Within one pass a reuse engine hands a HIT the result its producer
+//! just computed, which is the value the hardware would read back. Across
+//! passes, the data half holds it: a [`banked::BankedMCache`] keeps the
+//! result row its line's producer computed (one row per line, valid until
+//! the line's rows are dropped), so a HIT in a later pass copies that row.
+//! Only the persistent engines a session streams through store rows; a
+//! batch engine's cache restarts with every scope, and its data half stays
+//! empty. The `mercury-accel` cycle model charges the data traffic.
 //!
 //! [`MCache`] is one cache: the FPGA design the accelerator model and the
 //! ablation bins use. [`banked::BankedMCache`] splits one across
@@ -35,7 +38,7 @@
 //! use mercury_rpq::Signature;
 //!
 //! # fn main() -> Result<(), mercury_mcache::McacheError> {
-//! let mut cache = MCache::new(MCacheConfig::new(64, 16, 1)?);
+//! let mut cache = MCache::new(MCacheConfig::new(64, 16)?);
 //! let sig = Signature::from_bits(0b1011, 20);
 //!
 //! // First access inserts the tag: miss-and-update. This vector's PE set

@@ -11,7 +11,7 @@ fn sig(bits: u128) -> Signature {
 
 #[test]
 fn empty_cache_has_no_hits_and_clean_stats() {
-    let mut cache = MCache::new(MCacheConfig::new(8, 4, 1).unwrap());
+    let mut cache = MCache::new(MCacheConfig::new(8, 4).unwrap());
     assert_eq!(cache.occupancy(), 0);
     assert_eq!(cache.lookup(sig(1)), None);
     let stats = cache.stats();
@@ -29,7 +29,7 @@ fn empty_cache_has_no_hits_and_clean_stats() {
 fn full_set_rejects_without_evicting_residents() {
     // One set, two ways: the third distinct signature cannot be inserted,
     // and — unlike an ordinary cache — it must NOT displace a resident.
-    let mut cache = MCache::new(MCacheConfig::new(1, 2, 1).unwrap());
+    let mut cache = MCache::new(MCacheConfig::new(1, 2).unwrap());
     let a = cache.probe_insert(sig(10));
     let b = cache.probe_insert(sig(20));
     assert_eq!(a.kind, HitKind::Mau);
@@ -53,7 +53,7 @@ fn full_bank_rejects_while_other_banks_accept() {
     // Tiny banks: 1 set × 1 way each. Once a signature's home bank is
     // full, every further distinct signature routed to that bank is MNU,
     // while signatures homed in other banks still insert fine.
-    let mut cache = BankedMCache::new(4, MCacheConfig::new(1, 1, 1).unwrap()).unwrap();
+    let mut cache = BankedMCache::new(4, MCacheConfig::new(1, 1).unwrap()).unwrap();
 
     // One set per bank, so a flat entry's set index is its bank.
     let first = cache.probe_insert(sig(0));
@@ -95,7 +95,7 @@ fn same_bits_different_length_signatures_do_not_collide() {
     // A 20-bit signature and a 24-bit signature with identical raw bits
     // are different signatures (the adaptation loop grows lengths at run
     // time); the cache must not alias them.
-    let mut cache = MCache::new(MCacheConfig::new(8, 4, 1).unwrap());
+    let mut cache = MCache::new(MCacheConfig::new(8, 4).unwrap());
     let short = Signature::from_bits(0xABC, 20);
     let long = Signature::from_bits(0xABC, 24);
     assert_eq!(cache.probe_insert(short).kind, HitKind::Mau);

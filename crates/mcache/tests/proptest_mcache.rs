@@ -17,7 +17,7 @@ proptest! {
         sets in 1usize..16,
         ways in 1usize..8
     ) {
-        let mut cache = MCache::new(MCacheConfig::new(sets, ways, 1).unwrap());
+        let mut cache = MCache::new(MCacheConfig::new(sets, ways).unwrap());
         for &b in &bits {
             let first = cache.probe_insert(sig(b));
             let second = cache.probe_insert(sig(b));
@@ -39,7 +39,7 @@ proptest! {
         sets in 1usize..8,
         ways in 1usize..8
     ) {
-        let mut cache = MCache::new(MCacheConfig::new(sets, ways, 1).unwrap());
+        let mut cache = MCache::new(MCacheConfig::new(sets, ways).unwrap());
         for &b in &bits {
             cache.probe_insert(sig(b));
         }
@@ -52,7 +52,7 @@ proptest! {
     /// After clear() the cache behaves like new.
     #[test]
     fn clear_resets_to_fresh(bits in proptest::collection::vec(0u128..100, 1..60)) {
-        let mut cache = MCache::new(MCacheConfig::new(8, 2, 1).unwrap());
+        let mut cache = MCache::new(MCacheConfig::new(8, 2).unwrap());
         for &b in &bits {
             cache.probe_insert(sig(b));
         }

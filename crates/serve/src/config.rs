@@ -152,8 +152,9 @@ pub struct ServeConfig {
     pub batch_window: usize,
     /// Global cap on the summed
     /// [`bank_bytes`](mercury_core::MercurySession::bank_bytes) of every
-    /// tenant, enforced after each tick by evicting banked caches, least
-    /// recently served tenant first. `None` disables the budget.
+    /// tenant — the tags and stored result rows its banks hold — enforced
+    /// after each tick by evicting banked caches, least recently served
+    /// tenant first. `None` disables the budget.
     pub memory_budget: Option<usize>,
     /// Poisoned-layer handling (see [`RecoveryPolicy`]).
     pub recovery: RecoveryPolicy,

@@ -24,8 +24,9 @@
 //!   bit-identically; under [`RecoveryPolicy::Immediate`] the server
 //!   auto-quarantines and re-enters the layer through warm-up.
 //! * **Memory budget** — a global cap on the summed
-//!   [`bank_bytes`](MercurySession::bank_bytes), enforced after every
-//!   tick by flash-clearing tenants' banks, least recently served first
+//!   [`bank_bytes`](MercurySession::bank_bytes) — every tenant's resident
+//!   tags and stored result rows — enforced after every tick by
+//!   flash-clearing tenants' banks, least recently served first
 //!   (keyed by [`Server::last_served_tick`]), so the tenants a tick
 //!   served are evicted last.
 //!

@@ -612,8 +612,8 @@ impl Server {
             .map(|index| self.tenants[index].last_served_tick)
     }
 
-    /// Bytes of banked MCACHE state resident across every tenant — the
-    /// figure [`ServeConfig::memory_budget`] caps.
+    /// Bytes of banked MCACHE state resident across every tenant, tags and
+    /// stored rows — the figure [`ServeConfig::memory_budget`] caps.
     pub fn bank_bytes(&self) -> usize {
         self.tenants.iter().map(|t| t.session.bank_bytes()).sum()
     }

@@ -81,7 +81,7 @@ fn cache_size_saturates() {
     let spec = vgg13();
     let speedup = |entries: usize| {
         let cfg = ModelSimConfig {
-            cache: MCacheConfig::new(entries / 16, 16, 1).unwrap(),
+            cache: MCacheConfig::new(entries / 16, 16).unwrap(),
             ..ModelSimConfig::default()
         };
         simulate_model(&spec, &cfg).speedup()
