@@ -1,7 +1,7 @@
 //! Microbenchmarks of parallel-region *dispatch* cost: the persistent
-//! worker pool (workers parked on a condvar between regions), plus the
-//! work-size inline short-circuit that skips the pool entirely for tiny
-//! regions.
+//! worker pool (workers parked on a condvar between regions), a second
+//! handle that joins a live pool, plus the work-size inline short-circuit
+//! that skips the pool entirely for tiny regions.
 //!
 //! The region body is intentionally near-empty — these benches time the
 //! scheduling machinery, not the work.
@@ -22,6 +22,17 @@ fn bench_dispatch(c: &mut Criterion) {
             b.iter(|| pool.map_indexed(width, |i| black_box(i) * 2 + 1))
         });
     }
+
+    // A handle resolved while a warm pool of its width is alive on this
+    // thread, as every engine of a network resolves its own: it joins that
+    // pool, so building it, dispatching one region and dropping it spawns
+    // and joins no thread.
+    let warm = Executor::threaded(2);
+    warm.map_indexed(2, |i| i);
+    group.bench_function("second_handle_w2", |b| {
+        b.iter(|| Executor::threaded(2).map_indexed(2, |i| black_box(i) * 2 + 1))
+    });
+    drop(warm);
 
     // The inline short-circuit: same region shape, but declared tiny, so
     // the pool is never woken — this is what a service-style small

@@ -337,10 +337,11 @@ pub fn simulate_model(spec: &ModelSpec, cfg: &ModelSimConfig) -> RunReport {
 /// A model simulator with a **resolved, persistent executor**: the
 /// worker pool behind [`ModelSimConfig::executor`] is created once here
 /// and reused by every [`run`](Self::run) — across models, epochs, and
-/// bench iterations — instead of being re-resolved (and its threads
-/// re-created) per call the way the [`simulate_model`] convenience
-/// wrapper does. Anything that simulates more than once should hold one
-/// of these.
+/// bench iterations — instead of being re-resolved per call the way the
+/// [`simulate_model`] convenience wrapper does, which re-creates the
+/// pool's threads whenever no other handle of that width is alive on the
+/// calling thread. Anything that simulates more than once should hold
+/// one of these.
 #[derive(Debug)]
 pub struct ModelSim {
     cfg: ModelSimConfig,

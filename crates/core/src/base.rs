@@ -462,8 +462,9 @@ pub(crate) struct EngineBase {
     /// only at epoch boundaries; batch engines restart per scope.
     pub persistent: bool,
     /// The execution backend every parallel path of this engine schedules
-    /// through. Cloned executors share one worker pool, so an owner of
-    /// many engines hands each the same one.
+    /// through. An engine that resolves its own executor joins the pool of
+    /// that width its building thread already has, so the engines of one
+    /// network share one pool, as clones handed out by a session do.
     pub exec: Executor,
     /// The random projections signatures are drawn against.
     pub projections: Projections,

@@ -29,11 +29,30 @@
 //!
 //! # Pool lifecycle
 //!
-//! A threaded [`Executor`] owns its pool behind an [`Arc`]: **cloning
-//! the executor shares the pool** rather than spawning a second one,
-//! which is how long-lived owners (`MercurySession`, the model-sim
-//! runner) hand one pool to every engine and layer they drive. The
-//! workers exit and are joined when the last clone drops.
+//! A worker pool is a **per-thread resource**. [`Executor::threaded_tuned`]
+//! (and so [`Executor::threaded`] and [`Executor::from_kind`]) returns a
+//! handle to the live pool of that width the calling thread already
+//! built, and builds one only when none is alive. The thread finds it
+//! through a list of `Weak` references, so the list never keeps a pool
+//! alive. Every network, engine, session and simulator built on one
+//! thread therefore schedules onto one set of parked workers per width,
+//! however many times it resolves an executor; cloning a handle shares
+//! its pool too. A pool spawns its workers at its first dispatched region
+//! and joins them when its last handle drops, so a later handle builds a
+//! fresh one.
+//!
+//! Handles built on different threads get different pools, so concurrent
+//! owners (parallel test threads, client threads) never contend. A handle
+//! moved to another thread keeps its pool, which later same-width handles
+//! built on its original thread still share: the two threads' regions
+//! then take turns, one region in flight per pool. That stays
+//! deadlock-free under one rule, which nothing in the workspace breaks:
+//! **a region item must not block on work that another handle
+//! dispatches.**
+//!
+//! Two things stay per handle: the [`DispatchTuning`] fixed at
+//! construction, and the dispatch counters of [`Executor::pool_stats`],
+//! which count the regions of one handle and its clones only.
 //!
 //! # Dispatch
 //!
@@ -79,7 +98,8 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::tune::DispatchTuning;
@@ -195,10 +215,14 @@ impl ExecutorKind {
     }
 }
 
-/// Snapshot of a pool's dispatch counters (see
+/// Snapshot of one executor handle's dispatch counters (see
 /// [`Executor::pool_stats`]) — the observability hook the
 /// assertion-backed CI smoke test uses to prove the threaded test leg
 /// really exercises the pool rather than the inline short-circuit.
+///
+/// The counters are **per handle**: a handle and its clones share them,
+/// while another handle on the same pool (see
+/// [Pool lifecycle](self#pool-lifecycle)) counts its own regions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// Configured pool width (caller + parked workers).
@@ -219,10 +243,11 @@ pub struct PoolStats {
 }
 
 /// A runnable execution backend: serial, or a handle to a persistent
-/// worker pool of a fixed width. **Cloning shares the pool** — the clone
-/// schedules onto the same parked workers — so long-lived owners resolve
-/// one `Executor` and hand clones to everything they drive. The workers
-/// are joined when the last clone drops.
+/// worker pool of a fixed width. Same-width handles built on one thread
+/// share that thread's pool, and **cloning shares the pool** and the
+/// handle's dispatch counters — the clone schedules onto the same parked
+/// workers. The workers are joined when the pool's last handle drops
+/// (see [Pool lifecycle](self#pool-lifecycle)).
 ///
 /// Both scheduling methods, [`map`](Self::map) and
 /// [`map_indexed`](Self::map_indexed), return results in **item order**,
@@ -242,7 +267,17 @@ pub struct Executor {
 enum Backend {
     #[default]
     Serial,
-    Pool(Arc<pool::WorkerPool>),
+    /// The pool of this width that the building thread shares, and this
+    /// handle's counters (shared by its clones only).
+    Pool(Arc<pool::WorkerPool>, Arc<Counters>),
+}
+
+/// One handle's dispatch counters, read out as [`PoolStats`].
+#[derive(Debug, Default)]
+struct Counters {
+    dispatched: AtomicU64,
+    inlined: AtomicU64,
+    panicked: AtomicU64,
 }
 
 impl Executor {
@@ -265,14 +300,18 @@ impl Executor {
 
     /// A threaded backend with an explicit worker count (`0` = the
     /// available parallelism, `1` collapses to serial) and the default
-    /// [`DispatchTuning`]. The pool's threads are spawned lazily at the
-    /// first dispatched region, then parked between regions.
+    /// [`DispatchTuning`]: a handle to the live pool of that width the
+    /// calling thread already built, or to a new one (see
+    /// [Pool lifecycle](self#pool-lifecycle)). A pool's threads are
+    /// spawned lazily at its first dispatched region, then parked between
+    /// regions.
     pub fn threaded(threads: usize) -> Self {
         Executor::threaded_tuned(threads, DispatchTuning::default())
     }
 
     /// [`threaded`](Self::threaded) with explicit tuning, for tests that
-    /// pin a tuning point.
+    /// pin a tuning point. Tuning and counters are the handle's own, so
+    /// handles of different tunings still share the thread's pool.
     pub fn threaded_tuned(threads: usize, tuning: DispatchTuning) -> Self {
         let threads = if threads == 0 {
             std::thread::available_parallelism()
@@ -285,14 +324,15 @@ impl Executor {
             return Executor::serial_tuned(tuning);
         }
         Executor {
-            backend: Backend::Pool(Arc::new(pool::WorkerPool::new(threads))),
+            backend: Backend::Pool(pool::WorkerPool::shared(threads), Arc::default()),
             tuning,
         }
     }
 
-    /// Resolves a configuration-level [`ExecutorKind`] into a backend.
-    /// Each call builds a *fresh* pool; owners that serve many requests
-    /// should resolve once and clone the result (clones share the pool).
+    /// Resolves a configuration-level [`ExecutorKind`] into a backend. A
+    /// threaded kind returns a handle to the calling thread's live pool of
+    /// that width, if it has one, so owners that resolve an executor per
+    /// engine still share one pool per thread.
     pub fn from_kind(kind: ExecutorKind) -> Self {
         match kind {
             ExecutorKind::Serial => Executor::serial(),
@@ -311,21 +351,27 @@ impl Executor {
     pub fn threads(&self) -> usize {
         match &self.backend {
             Backend::Serial => 1,
-            Backend::Pool(pool) => pool.width(),
+            Backend::Pool(pool, _) => pool.width(),
         }
     }
 
     /// Whether this backend ever runs items off the calling thread.
     pub fn is_parallel(&self) -> bool {
-        matches!(&self.backend, Backend::Pool(_))
+        matches!(&self.backend, Backend::Pool(..))
     }
 
-    /// Dispatch counters of the underlying pool (`None` for the serial
-    /// backend). Counters are shared by every clone of this executor.
+    /// Dispatch counters of this handle (`None` for the serial backend):
+    /// the regions this handle and its clones ran, not those of other
+    /// handles on the same pool.
     pub fn pool_stats(&self) -> Option<PoolStats> {
         match &self.backend {
             Backend::Serial => None,
-            Backend::Pool(pool) => Some(pool.stats()),
+            Backend::Pool(pool, counters) => Some(PoolStats {
+                threads: pool.width(),
+                regions_dispatched: counters.dispatched.load(Ordering::Relaxed),
+                regions_inlined: counters.inlined.load(Ordering::Relaxed),
+                regions_panicked: counters.panicked.load(Ordering::Relaxed),
+            }),
         }
     }
 
@@ -372,9 +418,9 @@ impl Executor {
         I: Fn() -> S + Sync,
         F: Fn(T, &mut S) -> R + Sync,
     {
-        let pool = match &self.backend {
+        let (pool, counters) = match &self.backend {
             Backend::Serial => return run_inline(items, &init, &f),
-            Backend::Pool(pool) => pool,
+            Backend::Pool(pool, counters) => (pool, counters),
         };
         let items: Vec<T> = items.into_iter().collect();
         let (busy, total) = items.iter().fold((0usize, 0usize), |(busy, total), item| {
@@ -383,14 +429,15 @@ impl Executor {
         });
         // The one dispatch gate (module docs); two busy items imply n ≥ 2.
         if busy < 2 || total < self.tuning.dispatch_min_work || pool::in_region() {
-            pool.count_inline();
+            counters.inlined.fetch_add(1, Ordering::Relaxed);
             return run_inline(items, &init, &f);
         }
         let n = items.len();
         let cursor = AtomicUsize::new(0);
         let items = pool::ItemSlots::new(items);
         let results = pool::ResultSlots::new(n);
-        pool.run_region(busy, &|| {
+        counters.dispatched.fetch_add(1, Ordering::Relaxed);
+        let region = pool.run_region(busy, &|| {
             let mut scratch: Option<S> = None;
             loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -400,6 +447,10 @@ impl Executor {
                 results.put(i, f(items.take(i), scratch.get_or_insert_with(&init)));
             }
         });
+        if let Err(payload) = region {
+            counters.panicked.fetch_add(1, Ordering::Relaxed);
+            resume_unwind(payload);
+        }
         results.collect()
     }
 }
@@ -420,22 +471,21 @@ fn run_inline<T, S, R>(
 
 /// The persistent worker pool and the pointer-erased region handoff.
 ///
-/// Workers are spawned once (lazily) and parked on a condvar; each
-/// parallel region publishes a borrowed runner closure, bumps an epoch,
-/// wakes the workers it recruits, and blocks until every recruit checks
-/// back in. The pointer erasure and the disjoint-index result slots are
-/// the two places this crate needs `unsafe` — both are confined to this
-/// module, with the invariants documented at each site (this is the same
-/// technique `std::thread::scope` itself builds on, minus the per-region
-/// spawn this pool exists to avoid).
+/// Each thread keeps `Weak` references to the pools it built, so
+/// same-width handles share one while it lives. Workers are spawned once
+/// (lazily) and parked on a condvar; each parallel region publishes a
+/// borrowed runner closure, bumps an epoch, wakes the workers it
+/// recruits, and blocks until every recruit checks back in. The pointer
+/// erasure and the disjoint-index result slots are the two places this
+/// crate needs `unsafe` — both are confined to this module, with the
+/// invariants documented at each site (this is the same technique
+/// `std::thread::scope` itself builds on, minus the per-region spawn this
+/// pool exists to avoid).
 #[allow(unsafe_code)]
 mod pool {
-    use std::cell::{Cell, UnsafeCell};
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-    use super::PoolStats;
+    use std::cell::{Cell, RefCell, UnsafeCell};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 
     thread_local! {
         /// How many region runners are live on this thread. Non-zero on a
@@ -443,6 +493,10 @@ mod pool {
         /// its own share of a region; any inner region started then must
         /// execute inline (see [`super::Executor::map`]).
         static REGION_DEPTH: Cell<usize> = const { Cell::new(0) };
+
+        /// The pools this thread built. `Weak`, so a pool still joins its
+        /// workers when its last handle drops.
+        static BUILT_POOLS: RefCell<Vec<Weak<WorkerPool>>> = const { RefCell::new(Vec::new()) };
     }
 
     /// Whether the current thread is already executing region items.
@@ -527,8 +581,10 @@ mod pool {
     struct PoolCore {
         shared: Arc<SharedState>,
         /// Serializes dispatchers: one region in flight per pool. Held
-        /// across the whole region, so a second top-level thread simply
-        /// queues behind the first (workers never take this lock).
+        /// across the whole region, so a second thread dispatching
+        /// through a handle moved to it simply queues behind the first
+        /// (workers never take this lock). Hence the module's rule: a
+        /// region item must not block on another handle's dispatch.
         region_lock: Mutex<()>,
         workers: Vec<std::thread::JoinHandle<()>>,
     }
@@ -538,9 +594,6 @@ mod pool {
     pub(super) struct WorkerPool {
         width: usize,
         core: OnceLock<PoolCore>,
-        regions_dispatched: AtomicU64,
-        regions_inlined: AtomicU64,
-        regions_panicked: AtomicU64,
     }
 
     impl std::fmt::Debug for WorkerPool {
@@ -553,42 +606,43 @@ mod pool {
     }
 
     impl WorkerPool {
-        /// A pool of the given width (`>= 2`); threads spawn lazily.
-        pub(super) fn new(width: usize) -> Self {
+        /// The live pool of `width` (`>= 2`) this thread built, or a new
+        /// one whose threads spawn lazily.
+        pub(super) fn shared(width: usize) -> Arc<WorkerPool> {
             debug_assert!(width >= 2, "width-1 pools are the serial backend");
-            WorkerPool {
-                width,
-                core: OnceLock::new(),
-                regions_dispatched: AtomicU64::new(0),
-                regions_inlined: AtomicU64::new(0),
-                regions_panicked: AtomicU64::new(0),
-            }
+            BUILT_POOLS.with_borrow_mut(|built| {
+                built.retain(|pool| pool.strong_count() > 0);
+                let live = built
+                    .iter()
+                    .filter_map(Weak::upgrade)
+                    .find(|pool| pool.width == width);
+                live.unwrap_or_else(|| {
+                    let pool = Arc::new(WorkerPool {
+                        width,
+                        core: OnceLock::new(),
+                    });
+                    built.push(Arc::downgrade(&pool));
+                    pool
+                })
+            })
         }
 
         pub(super) fn width(&self) -> usize {
             self.width
         }
 
-        pub(super) fn count_inline(&self) {
-            self.regions_inlined.fetch_add(1, Ordering::Relaxed);
-        }
-
-        pub(super) fn stats(&self) -> PoolStats {
-            PoolStats {
-                threads: self.width,
-                regions_dispatched: self.regions_dispatched.load(Ordering::Relaxed),
-                regions_inlined: self.regions_inlined.load(Ordering::Relaxed),
-                regions_panicked: self.regions_panicked.load(Ordering::Relaxed),
-            }
-        }
-
         /// Runs one parallel region of `items` work items: publishes
         /// `runner` to the parked workers, recruits at most `items - 1`
         /// of them, runs `runner` on the calling thread too, and blocks
-        /// until every recruit has finished. Worker panics are re-raised
-        /// here after the region fully drains (so borrowed region state
-        /// is never freed under a live worker).
-        pub(super) fn run_region(&self, items: usize, runner: &(dyn Fn() + Sync)) {
+        /// until every recruit has finished. A panic — the caller's
+        /// first, else a worker's — comes back as the `Err` only after
+        /// the region fully drains (so borrowed region state is never
+        /// freed under a live worker), for the caller to re-raise.
+        pub(super) fn run_region(
+            &self,
+            items: usize,
+            runner: &(dyn Fn() + Sync),
+        ) -> std::thread::Result<()> {
             let core = self
                 .core
                 .get_or_init(|| PoolCore::spawn(self.width - 1, self.width));
@@ -596,7 +650,6 @@ mod pool {
                 .region_lock
                 .lock()
                 .expect("a pool dispatcher never panics while holding the region lock");
-            self.regions_dispatched.fetch_add(1, Ordering::Relaxed);
             let recruits = core.workers.len().min(items.saturating_sub(1));
             {
                 let mut state = core.shared.state.lock().unwrap();
@@ -630,15 +683,8 @@ mod pool {
                 state.panic.take()
             };
             drop(region_guard);
-            if caller_result.is_err() || worker_panic.is_some() {
-                self.regions_panicked.fetch_add(1, Ordering::Relaxed);
-            }
-            if let Err(payload) = caller_result {
-                resume_unwind(payload);
-            }
-            if let Some(payload) = worker_panic {
-                resume_unwind(payload);
-            }
+            caller_result?;
+            worker_panic.map_or(Ok(()), Err)
         }
     }
 
@@ -810,6 +856,78 @@ mod pool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
+    use std::time::Duration;
+
+    /// The threads other than the caller that ran items of one region on
+    /// `exec`. Each item sleeps about 2 ms, so the parked workers provably
+    /// wake and claim some.
+    fn worker_ids(exec: &Executor) -> HashSet<ThreadId> {
+        let ran = Mutex::new(HashSet::new());
+        exec.map_indexed(16, |_| {
+            ran.lock().unwrap().insert(std::thread::current().id());
+            std::thread::sleep(Duration::from_millis(2));
+        });
+        let mut workers = ran.into_inner().unwrap();
+        workers.remove(&std::thread::current().id());
+        assert!(!workers.is_empty(), "no worker claimed an item");
+        workers
+    }
+
+    #[test]
+    fn same_width_handles_on_one_thread_share_workers() {
+        let a = Executor::threaded(2);
+        let b = Executor::threaded(2);
+        assert_eq!(
+            worker_ids(&a),
+            worker_ids(&b),
+            "the second handle joined the first handle's pool"
+        );
+    }
+
+    #[test]
+    fn a_pool_is_joined_with_its_last_handle() {
+        let a = Executor::threaded(2);
+        let b = Executor::threaded(2);
+        let old = worker_ids(&a);
+        drop((a, b));
+        // A `ThreadId` is never reused, so disjoint ids mean new workers.
+        let fresh = worker_ids(&Executor::threaded(2));
+        assert!(old.is_disjoint(&fresh), "{old:?} vs {fresh:?}");
+    }
+
+    #[test]
+    fn other_threads_build_their_own_pools() {
+        let here = Executor::threaded(2);
+        let ours = worker_ids(&here);
+        let (moved, built_there) = std::thread::scope(|s| {
+            s.spawn(|| (worker_ids(&here), worker_ids(&Executor::threaded(2))))
+                .join()
+                .unwrap()
+        });
+        assert_eq!(
+            moved, ours,
+            "a handle used from another thread keeps its pool"
+        );
+        assert!(
+            ours.is_disjoint(&built_there),
+            "a handle built on another thread got workers of its own"
+        );
+    }
+
+    #[test]
+    fn dispatch_counters_are_per_handle() {
+        let a = Executor::threaded(2);
+        let b = Executor::threaded(2);
+        let before = b.pool_stats();
+        a.map_indexed(4, |i| i);
+        a.map(0..4usize, |_| 1, || (), |i, ()| i);
+        assert_eq!(b.pool_stats(), before, "a's regions are not b's");
+        let stats = a.clone().pool_stats().unwrap();
+        assert_eq!((stats.regions_dispatched, stats.regions_inlined), (1, 1));
+    }
 
     #[test]
     fn parse_accepts_the_documented_spellings() {

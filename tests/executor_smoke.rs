@@ -6,17 +6,22 @@
 //! turns the "backend resolved to serial" escape hatch into a hard
 //! failure: if the env-selected backend stops reaching the pool (a
 //! heuristic regression, a parse regression, a 1-core runner), the
-//! matrix leg goes red instead of silently testing serial twice.
+//! matrix leg goes red instead of silently testing serial twice. The same
+//! test resolves the backend twice and fails if the two handles do not
+//! share one pool, so engines that each resolve an executor cannot go
+//! back to parking a private pool apiece.
 
 use mercury_tensor::exec::{Executor, ExecutorKind};
 use mercury_tensor::tune::DispatchTuning;
 use std::collections::HashSet;
 use std::sync::Mutex;
+use std::thread::ThreadId;
 use std::time::Duration;
 
-/// Runs one deliberately chunky region and asserts it was dispatched to
-/// the pool and executed by more than one thread.
-fn assert_pool_engaged(exec: &Executor, label: &str) {
+/// Runs one deliberately chunky region, asserts it was dispatched to the
+/// pool and executed by more than one thread, and returns the worker
+/// threads (every runner but the caller) that took items.
+fn assert_pool_engaged(exec: &Executor, label: &str) -> HashSet<ThreadId> {
     let before = exec
         .pool_stats()
         .unwrap_or_else(|| panic!("{label}: parallel backend must expose pool stats"));
@@ -39,11 +44,14 @@ fn assert_pool_engaged(exec: &Executor, label: &str) {
         before.regions_inlined,
         after.regions_inlined,
     );
-    let distinct = threads.lock().unwrap().len();
+    let mut workers = threads.into_inner().unwrap();
+    let distinct = workers.len();
     assert!(
         distinct > 1,
         "{label}: items all ran on one thread ({distinct}) — workers never woke"
     );
+    workers.remove(&std::thread::current().id());
+    workers
 }
 
 #[test]
@@ -60,7 +68,15 @@ fn env_selected_backend_engages_pool() {
         eprintln!("skipping pool assertions: {kind:?} resolves to serial here");
         return;
     }
-    assert_pool_engaged(&exec, "env-selected backend");
+    let workers = assert_pool_engaged(&exec, "env-selected backend");
+    // A second resolution on this thread joins the live pool: a pool per
+    // resolution would run on threads disjoint from the first's.
+    let again = assert_pool_engaged(&Executor::from_kind(kind), "second resolution");
+    assert!(
+        !workers.is_disjoint(&again),
+        "two resolutions of {kind:?} on one thread ran on disjoint workers \
+         ({workers:?} vs {again:?}): each built a private pool"
+    );
 }
 
 #[test]
