@@ -51,10 +51,6 @@ macro_rules! reuse_engine_lifecycle {
             self.base.detection_enabled
         }
 
-        fn config(&self) -> &crate::MercuryConfig {
-            &self.base.config
-        }
-
         fn end_epoch(&mut self) {
             self.base.end_epoch();
         }
@@ -597,12 +593,12 @@ impl EngineBase {
     }
 }
 
-/// The weights a persistent engine computes under, packed once into the
-/// row kernel's panels: every row its cache stores was computed from these
-/// panels. A session binds a layer's weights at registration and at
-/// `update_weights`; a direct caller's engine binds the weights of its
-/// first reuse call, and binds again — dropping the stored rows — when a
-/// call passes other weights.
+/// The weights a conv or FC engine's reuse passes compute under, packed
+/// once into the row kernel's panels: every row a persistent cache stores
+/// was computed from these panels. A session binds a layer's weights at
+/// registration and at `update_weights`; a direct caller's engine binds the
+/// weights of its first reuse call, and binds again — dropping any stored
+/// rows — when a call passes other weights.
 #[derive(Debug)]
 pub(crate) struct Bound {
     pub weights: Tensor,

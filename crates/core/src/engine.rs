@@ -36,29 +36,28 @@ use mercury_tensor::{Tensor, TensorError};
 /// runs [`conv2d_multi`](mercury_tensor::conv::conv2d_multi) and books
 /// every vector as an MNU.
 ///
-/// Both modes hold the same cache type, a
+/// Every reuse forward computes from kernels the engine has bound: packed
+/// once, and kept until a forward passes other kernels, which the engine
+/// binds in their place. Both modes hold the same cache type, a
 /// [`BankedMCache`](mercury_mcache::banked::BankedMCache): a batch engine
-/// ([`ConvEngine::try_new`]) holds one bank, restarts it per channel and
-/// packs the filters on every forward. In **persistent mode**
-/// ([`ConvEngine::persistent`], the mode
+/// ([`ConvEngine::try_new`]) holds one bank and restarts it per channel.
+/// In **persistent mode** ([`ConvEngine::persistent`], the mode
 /// [`MercurySession`](crate::MercurySession) uses) the cache is split
-/// across banks (§V) and survives across channels and submits, the
-/// filters are packed once per binding, and each line keeps the `F`-float
-/// row its producer computed, for the channel that stored it: a HIT in a
-/// later submit on the same channel copies that row. A HIT on a line
-/// another channel stored — the filter slices differ — is recomputed: its
-/// first vector computes (charged as an MAU and counted in
-/// [`LayerStats::recomputed`]) and fans its row out to the rest of the
-/// channel. A forward that passes other kernels than the bound ones binds
-/// them and drops every stored row first. Eviction happens only at
-/// [`end_epoch`](ReuseEngine::end_epoch).
+/// across banks (§V) and survives across channels and submits, and each
+/// line keeps the `F`-float row its producer computed, for the channel
+/// that stored it: a HIT in a later submit on the same channel copies that
+/// row. A HIT on a line another channel stored — the filter slices differ
+/// — is recomputed: its first vector computes (charged as an MAU and
+/// counted in [`LayerStats::recomputed`]) and fans its row out to the rest
+/// of the channel. Binding other kernels drops every stored row first.
+/// Eviction happens only at [`end_epoch`](ReuseEngine::end_epoch).
 ///
 /// See the [crate docs](crate) for the full pipeline and an example.
 #[derive(Debug)]
 pub struct ConvEngine {
     pub(crate) base: EngineBase,
-    /// A persistent engine's kernels: bound by the session at
-    /// registration, or by a direct caller's first reuse forward.
+    /// The kernels the reuse forwards compute from: bound by the session
+    /// at registration, or by a direct caller's first reuse forward.
     kernels: Option<Bound>,
 }
 
@@ -144,19 +143,16 @@ impl ConvEngine {
         pad: usize,
     ) -> Result<LayerForward, MercuryError> {
         let bound = self.kernels.as_ref().expect("session engines are bound");
-        conv_forward(
-            &mut self.base,
-            input,
-            &bound.weights,
-            Some(&bound.panels),
-            stride,
-            pad,
-            None,
-        )
+        let geom = conv_geometry(input, &bound.weights, stride, pad)?;
+        if !self.base.detection_enabled {
+            return run_exact(&self.base, input, &bound.weights, &geom);
+        }
+        conv_forward(&mut self.base, input, bound, &geom, None)
     }
 
-    /// A forward through [`ReuseEngine`]: a persistent engine with
-    /// detection on binds `kernels` first unless they are bound already.
+    /// A forward through [`ReuseEngine`]: with detection on, the engine
+    /// binds `kernels` first unless they are bound already; with detection
+    /// off it is the exact layer and binds nothing.
     fn run(
         &mut self,
         input: &Tensor,
@@ -165,23 +161,15 @@ impl ConvEngine {
         pad: usize,
         saved: Option<&SavedSignatures>,
     ) -> Result<LayerForward, MercuryError> {
-        if !self.base.persistent || !self.base.detection_enabled {
-            return conv_forward(&mut self.base, input, kernels, None, stride, pad, saved);
+        let geom = conv_geometry(input, kernels, stride, pad)?;
+        if !self.base.detection_enabled {
+            return run_exact(&self.base, input, kernels, &geom);
         }
-        conv_geometry(input, kernels, stride, pad)?;
         if !self.kernels.as_ref().is_some_and(|b| b.holds(kernels)) {
             self.bind(kernels.clone());
         }
         let bound = self.kernels.as_ref().expect("bound above");
-        conv_forward(
-            &mut self.base,
-            input,
-            kernels,
-            Some(&bound.panels),
-            stride,
-            pad,
-            saved,
-        )
+        conv_forward(&mut self.base, input, bound, &geom, saved)
     }
 }
 
@@ -219,30 +207,24 @@ fn conv_geometry(
     ConvGeometry::new(h, w, kh, kw, stride, pad).map_err(MercuryError::Tensor)
 }
 
-/// One conv forward of `base`'s engine. `bound` holds the kernels' packed
-/// panels when the engine is persistent, and the channel passes then keep
-/// rows; a batch engine packs per forward.
+/// One reuse forward of `base`'s engine: `input` through the `bound`
+/// kernels, whose operands `geom` has checked. A persistent engine's
+/// channel passes keep rows.
 fn conv_forward(
     base: &mut EngineBase,
     input: &Tensor,
-    kernels: &Tensor,
-    bound: Option<&[f32]>,
-    stride: usize,
-    pad: usize,
+    bound: &Bound,
+    geom: &ConvGeometry,
     saved: Option<&SavedSignatures>,
 ) -> Result<LayerForward, MercuryError> {
-    let geom = conv_geometry(input, kernels, stride, pad)?;
     let c = input.shape()[0];
+    let kernels = &bound.weights;
     let (f, kh, kw) = (kernels.shape()[0], kernels.shape()[2], kernels.shape()[3]);
     let (oh, ow) = (geom.out_h(), geom.out_w());
     let patches_n = geom.num_patches();
     let plen = geom.patch_len();
     let bits = base.signature_bits;
     let mut sim = LayerSim::new(AcceleratorConfig::paper_default());
-
-    if !base.detection_enabled {
-        return run_exact(base, input, kernels, &geom, sim);
-    }
 
     // Reuse of saved signatures requires one saved list per input
     // channel — `compatible` cannot check that (it does not know `c`),
@@ -260,25 +242,12 @@ fn conv_forward(
         None => Some(base.projections.get(plen, bits)),
     };
 
-    // Every channel's filters packed as the exact conv packs them, once
-    // per binding or else once per forward: channel `ch`'s panel is the
-    // `ch`-th run of `plen·⌈F/LANES⌉·LANES` values.
-    let packed;
-    let panels = match bound {
-        Some(panels) => panels,
-        None => {
-            packed = conv::filter_panels(kernels);
-            &packed[..]
-        }
-    };
-
     let exec = base.exec.clone();
     let ctx = ChannelCtx {
         input,
-        geom: &geom,
+        geom,
         f,
-        panels,
-        keep_rows: bound.is_some(),
+        panels: &bound.panels,
         projection,
         saved,
     };
@@ -438,14 +407,12 @@ fn conv_forward(
 
 /// The detection-off forward: exactly [`conv::conv2d_multi`], booked as
 /// one all-MNU channel per input channel with no signature cost and one
-/// empty signature list per channel. [`conv_forward`] has validated the
-/// operands, and `sim` is the layer's fresh cycle simulator.
+/// empty signature list per channel, for operands `geom` has checked.
 fn run_exact(
     base: &EngineBase,
     input: &Tensor,
     kernels: &Tensor,
     geom: &ConvGeometry,
-    mut sim: LayerSim,
 ) -> Result<LayerForward, MercuryError> {
     let c = input.shape()[0];
     let f = kernels.shape()[0];
@@ -464,6 +431,7 @@ fn run_exact(
 
     let patches_n = geom.num_patches();
     let work = ChannelWork::new(OutcomeMix::all_mnu(patches_n), f, geom.kernel_h, 0);
+    let mut sim = LayerSim::new(AcceleratorConfig::paper_default());
     for _ in 0..c {
         sim.push_channel(&work);
     }
@@ -496,9 +464,6 @@ struct ChannelCtx<'a> {
     /// Every channel's packed `[plen, F]` filter panel, channel-major
     /// (see [`filter_panels`](conv::filter_panels)).
     panels: &'a [f32],
-    /// Whether the channel passes keep rows, each for its own channel:
-    /// the engine is persistent and `panels` are bound.
-    keep_rows: bool,
     /// The projection for `plen`-element patches; `Some` exactly when
     /// fresh signatures will be generated.
     projection: Option<&'a ProjectionMatrix>,
@@ -529,9 +494,10 @@ struct ConvScratch {
 /// save (`None` when saved signatures were reused). `clear_scope`
 /// distinguishes the batch discipline (restart the cache per channel,
 /// §III-B3 — what makes channels independent and therefore shardable)
-/// from the persistent discipline (tags stay resident; the caller must
-/// then run channels sequentially). `exec` schedules the *inner*
-/// parallelism — row-sharded compute rows and concurrent bank probes.
+/// from the persistent discipline (tags and the rows each channel stores
+/// stay resident; the caller must then run channels sequentially). `exec`
+/// schedules the *inner* parallelism — row-sharded compute rows and
+/// concurrent bank probes.
 ///
 /// The channel's position-major `[patches_n, f]` block lands in `dest`:
 /// with `accumulate` it adds in place (the sequential path hands the
@@ -589,7 +555,7 @@ fn conv_channel(
         dest,
         accumulate,
     };
-    let owner = ctx.keep_rows.then_some(ch as u32);
+    let owner = (!clear_scope).then_some(ch as u32);
     let pass = scratch
         .plan
         .pass(cache, clear_scope, exec, sigs, product, owner);
@@ -995,6 +961,12 @@ mod tests {
         let warm = forward(&mut e, &input, &k2, 1, 1);
         assert_eq!(warm.output, cold.output);
         assert_eq!(warm.stats().recomputed, 0);
+        // A malformed call is refused before it can bind its kernels.
+        let two_channel = Tensor::randn(&[3, 2, 3, 3], &mut rng);
+        assert!(e
+            .forward(LayerOp::conv(&input, &two_channel, 1, 1))
+            .is_err());
+        assert_eq!(forward(&mut e, &input, &k2, 1, 1).stats().recomputed, 0);
     }
 
     #[test]
@@ -1036,5 +1008,60 @@ mod tests {
         let second = forward(&mut e, &input, &kernels, 1, 0);
         assert_eq!(first.stats().maus, second.stats().maus);
         assert_eq!(first.stats().hits, second.stats().hits);
+    }
+
+    #[test]
+    fn batch_engine_rebinds_across_the_trainers_call_pattern() {
+        // A trainer's conv engine alternates between the forward kernels
+        // and the flipped input-gradient kernels, and the §III-D controller
+        // may turn detection off for a call: every detection-on call still
+        // computes, bit for bit, what a fresh engine's first call does.
+        let mut rng = Rng::new(21);
+        let (k, pad) = (3, 1);
+        // Zeroed bottom halves give every channel repeated patches: HITs.
+        let half_zero = |shape: &[usize], rng: &mut Rng| {
+            let mut t = Tensor::randn(shape, rng);
+            let plane = shape[1] * shape[2];
+            for ch in t.data_mut().chunks_mut(plane) {
+                ch[plane / 2..].fill(0.0);
+            }
+            t
+        };
+        let x = half_zero(&[3, 8, 8], &mut rng);
+        let dout = half_zero(&[4, 8, 8], &mut rng);
+        let a = Tensor::randn(&[4, 3, k, k], &mut rng);
+        let b = Tensor::randn(&[4, 3, k, k], &mut rng);
+        let flipped = conv::flip_kernels(&a);
+        let bits = |fwd: &LayerForward| -> Vec<u32> {
+            fwd.output.data().iter().map(|v| v.to_bits()).collect()
+        };
+        for kind in [
+            mercury_tensor::exec::ExecutorKind::Serial,
+            mercury_tensor::exec::ExecutorKind::Threaded { threads: 2 },
+        ] {
+            let config = MercuryConfig::builder().executor(kind).build().unwrap();
+            let new = || ConvEngine::try_new(config, 21).unwrap();
+            let mut e = new();
+            let calls = [
+                (&x, &a, pad),
+                (&dout, &flipped, k - 1 - pad),
+                (&x, &a, pad),
+                (&x, &b, pad),
+                (&x, &a, pad),
+            ];
+            for (i, (input, kernels, pad)) in calls.into_iter().enumerate() {
+                e.set_detection(i != 3);
+                let got = forward(&mut e, input, kernels, 1, pad);
+                if i == 3 {
+                    let want = conv2d_multi(input, kernels, 1, pad).unwrap();
+                    assert_eq!(got.output, want, "{kind:?} call {i}");
+                    continue;
+                }
+                let want = forward(&mut new(), input, kernels, 1, pad);
+                assert!(want.stats().hits > 0, "{kind:?} call {i}");
+                assert_eq!(bits(&got), bits(&want), "{kind:?} call {i}");
+                assert_eq!(got.report, want.report, "{kind:?} call {i}");
+            }
+        }
     }
 }

@@ -93,16 +93,17 @@ fn reuse_forward(
 /// producer's output row. With detection off the engine is
 /// [`ops::matmul`], which runs on the same kernel.
 ///
-/// A batch engine packs the weights on every call. A persistent engine
-/// packs them once per binding and keeps each line's `M`-float output
-/// row with its tag: a HIT in a later call copies that row instead of
-/// computing `L × M` products. A call that passes other weights than the
-/// bound ones binds them and drops every stored row first, so no row is
-/// ever served under weights it was not computed with.
+/// Every reuse call computes from weights the engine has bound: packed
+/// once, and kept until a call passes other weights, which the engine
+/// binds in their place. A persistent engine also keeps each line's
+/// `M`-float output row with its tag: a HIT in a later call copies that
+/// row instead of computing `L × M` products. Binding other weights drops
+/// every stored row first, so no row is ever served under weights it was
+/// not computed with.
 #[derive(Debug)]
 pub struct FcEngine {
     pub(crate) base: EngineBase,
-    /// A persistent engine's weights: bound by the session at
+    /// The weights the reuse calls compute from: bound by the session at
     /// registration, or by a direct caller's first reuse call.
     weights: Option<Bound>,
 }
@@ -132,43 +133,37 @@ fn fc_dims(inputs: &Tensor, weights: &Tensor) -> Result<(usize, usize, usize), M
     Ok((n, l, m))
 }
 
-/// One FC call of `base`'s engine: `inputs` against `weights`. `bound`
-/// holds the weights' packed panels when the engine is persistent, and
-/// the pass then keeps rows; a batch engine packs per call.
+/// The detection-off FC call: exactly [`ops::matmul`], every row an MNU.
+fn fc_exact(inputs: &Tensor, weights: &Tensor) -> Result<LayerForward, MercuryError> {
+    let (n, l, m) = fc_dims(inputs, weights)?;
+    let work = FcWork::new(OutcomeMix::all_mnu(n), m, l, 0).with_precomputed_signatures();
+    let cycles = simulate_fc(&AcceleratorConfig::paper_default(), &work);
+    Ok(exact_forward(ops::matmul(inputs, weights)?, n, cycles))
+}
+
+/// One reuse call of `base`'s engine: `inputs`, whose shape the caller
+/// has checked, against the `bound` weights. A persistent engine's pass
+/// keeps rows.
 fn fc_forward(
     base: &mut EngineBase,
     inputs: &Tensor,
-    weights: &Tensor,
-    bound: Option<&[f32]>,
+    bound: &Bound,
     saved: Option<&[Signature]>,
-) -> Result<LayerForward, MercuryError> {
-    let (n, l, m) = fc_dims(inputs, weights)?;
-    if !base.detection_enabled {
-        let work = FcWork::new(OutcomeMix::all_mnu(n), m, l, 0).with_precomputed_signatures();
-        let cycles = simulate_fc(&AcceleratorConfig::paper_default(), &work);
-        return Ok(exact_forward(ops::matmul(inputs, weights)?, n, cycles));
-    }
-
+) -> LayerForward {
+    let (n, l) = (inputs.shape()[0], inputs.shape()[1]);
+    let m = bound.weights.shape()[1];
     let (sigs, reuse_saved) = row_signatures(base, inputs, saved);
-    let mut scratch;
-    let panels = match bound {
-        Some(panels) => panels,
-        None => {
-            scratch = ScratchF32::take();
-            pack_panels(weights.data(), l, m, m, &mut scratch);
-            &scratch[..]
-        }
-    };
     let mut output = Tensor::zeros(&[n, m]);
     // One owner: the layer.
-    let owner = bound.map(|_| 0);
+    let owner = base.persistent.then_some(0);
+    let panels = &bound.panels;
     let pass = base.rows_pass(&sigs, inputs.data(), l, m, panels, output.data_mut(), owner);
     let mut work = FcWork::new(pass.charged, m, l, base.signature_bits);
     if reuse_saved {
         work = work.with_precomputed_signatures();
     }
     let cycles = simulate_fc(&AcceleratorConfig::paper_default(), &work);
-    Ok(reuse_forward(output, pass, cycles, sigs))
+    reuse_forward(output, pass, cycles, sigs)
 }
 
 impl FcEngine {
@@ -247,32 +242,31 @@ impl FcEngine {
     /// A session submit: `inputs` against the bound weights.
     pub(crate) fn submit(&mut self, inputs: &Tensor) -> Result<LayerForward, MercuryError> {
         let bound = self.weights.as_ref().expect("session engines are bound");
-        fc_forward(
-            &mut self.base,
-            inputs,
-            &bound.weights,
-            Some(&bound.panels),
-            None,
-        )
+        if !self.base.detection_enabled {
+            return fc_exact(inputs, &bound.weights);
+        }
+        fc_dims(inputs, &bound.weights)?;
+        Ok(fc_forward(&mut self.base, inputs, bound, None))
     }
 
-    /// A call through [`ReuseEngine`]: a persistent engine with detection
-    /// on binds `weights` first unless they are bound already.
+    /// A call through [`ReuseEngine`]: with detection on, the engine binds
+    /// `weights` first unless they are bound already; with detection off
+    /// it is [`ops::matmul`] and binds nothing.
     fn run(
         &mut self,
         inputs: &Tensor,
         weights: &Tensor,
         saved: Option<&[Signature]>,
     ) -> Result<LayerForward, MercuryError> {
-        if !self.base.persistent || !self.base.detection_enabled {
-            return fc_forward(&mut self.base, inputs, weights, None, saved);
+        if !self.base.detection_enabled {
+            return fc_exact(inputs, weights);
         }
         fc_dims(inputs, weights)?;
         if !self.weights.as_ref().is_some_and(|b| b.holds(weights)) {
             self.bind(weights.clone());
         }
         let bound = self.weights.as_ref().expect("bound above");
-        fc_forward(&mut self.base, inputs, weights, Some(&bound.panels), saved)
+        Ok(fc_forward(&mut self.base, inputs, bound, saved))
     }
 }
 
@@ -694,6 +688,11 @@ mod tests {
         let warm = fc(&mut e, &inputs, &w2);
         assert_eq!(bits(&warm.output), exact(&w2));
         assert_eq!(warm.stats().recomputed, 0);
+        // A malformed call is refused before it can bind its weights.
+        assert!(e
+            .forward(LayerOp::fc(&inputs, &randn(&[9, 6], 33)))
+            .is_err());
+        assert_eq!(fc(&mut e, &inputs, &w2).stats().recomputed, 0);
         // Weights changed in place are other weights too, and so is a
         // detection-off call's tensor, which binds nothing.
         let mut w3 = w2.clone();
@@ -741,6 +740,34 @@ mod tests {
             let out = attend(&mut a, &x);
             assert_eq!(out.output, att_serial.output);
             assert_eq!(out.report, att_serial.report);
+        }
+    }
+
+    #[test]
+    fn batch_fc_rebinds_when_its_weights_change() {
+        // A batch engine fed alternating weights, with one detection-off
+        // call between: every detection-on call computes, bit for bit,
+        // what a fresh engine's first call does.
+        let rows = randn(&[3, 10], 40);
+        // Rows 3..6 repeat rows 0..3: HITs.
+        let inputs = Tensor::from_vec([rows.data(), rows.data()].concat(), &[6, 10]).unwrap();
+        let (w1, w2) = (randn(&[10, 6], 41), randn(&[10, 6], 42));
+        for kind in EXECUTORS {
+            let new = || FcEngine::try_new(on(kind), 40).unwrap();
+            let mut e = new();
+            for (i, w) in [&w1, &w2, &w1, &w2, &w1].into_iter().enumerate() {
+                e.set_detection(i != 3);
+                let got = fc(&mut e, &inputs, w);
+                if i == 3 {
+                    let want = ops::matmul(&inputs, w).unwrap();
+                    assert_eq!(bits(&got.output), bits(&want), "{kind:?} call {i}");
+                    continue;
+                }
+                let want = fc(&mut new(), &inputs, w);
+                assert_eq!(want.stats().hits, 3, "{kind:?} call {i}");
+                assert_eq!(bits(&got.output), bits(&want.output), "{kind:?} call {i}");
+                assert_eq!(got.report, want.report, "{kind:?} call {i}");
+            }
         }
     }
 }

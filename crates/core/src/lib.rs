@@ -22,7 +22,11 @@
 //! [`AttentionEngine`] — implements the [`ReuseEngine`] trait: one
 //! [`LayerOp`] request in, one [`LayerForward`] (output + [`ReuseReport`])
 //! out. For one-shot, batch-shaped use, construct an engine directly with
-//! `try_new` (a one-bank MCACHE restarts per reuse scope, §III-B3).
+//! `try_new` (a one-bank MCACHE restarts per reuse scope, §III-B3). The
+//! conv and FC engines compute every reuse pass from weights they have
+//! bound, packed once: a call that passes the bound weights again
+//! compares them instead of packing them, and one that passes other
+//! weights binds those.
 //!
 //! For service-style workloads, drive a [`MercurySession`] instead: it
 //! owns one *persistent* engine per registered layer, keeps its banked

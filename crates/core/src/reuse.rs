@@ -2,15 +2,14 @@
 //! convolution, fully-connected, and attention engines, one request type
 //! ([`LayerOp`]), and one result type ([`LayerForward`]).
 //!
-//! Before this module existed, each engine family had its own forward
-//! signature and result struct; callers (the DNN layers, the benches, the
-//! examples) dispatched on the concrete type by hand. The trait makes a
-//! layer's engine a `Box<dyn ReuseEngine>` that any driver — most notably
-//! [`MercurySession`](crate::MercurySession) — can stream inputs through
-//! without knowing the family.
+//! Every engine family takes the same request and returns the same result,
+//! so benches, examples and tests can drive any engine through the trait.
+//! The engines' owners hold the concrete types:
+//! [`MercurySession`](crate::MercurySession) keeps one per registered
+//! layer, and each `mercury-dnn` conv or attention layer keeps its own.
 
 use crate::stats::LayerStats;
-use crate::{MercuryConfig, MercuryError};
+use crate::MercuryError;
 use mercury_rpq::Signature;
 use mercury_tensor::Tensor;
 use std::fmt;
@@ -191,6 +190,11 @@ impl LayerForward {
 /// engine an op family it does not implement returns
 /// [`MercuryError::UnsupportedOp`].
 ///
+/// The conv and FC engines compute every reuse pass from weights they
+/// have bound, packed once: a call with detection on binds the op's
+/// weights unless they are bound already, and a detection-off call runs
+/// the exact product and binds nothing.
+///
 /// Engines come in two cache lifetimes over one cache type,
 /// [`BankedMCache`](mercury_mcache::banked::BankedMCache):
 ///
@@ -245,9 +249,6 @@ pub trait ReuseEngine: fmt::Debug + Send {
 
     /// Whether similarity detection is currently enabled.
     fn detection_enabled(&self) -> bool;
-
-    /// The engine's configuration.
-    fn config(&self) -> &MercuryConfig;
 
     /// Ends the current epoch: evicts all MCACHE state (tags and stored
     /// rows). For persistent engines this is the *only* eviction point;

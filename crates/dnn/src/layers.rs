@@ -2,16 +2,15 @@
 //! fully-connected, mean-pooling, and self-attention.
 //!
 //! Each layer caches whatever its backward pass needs during `forward`.
-//! Convolution and attention layers optionally carry a MERCURY engine
-//! behind the unified [`ReuseEngine`] trait; when present, their forward
-//! pass (and the convolution's input-gradient backward pass) run with
-//! signature-based reuse and record [`LayerStats`]. All engine lifecycle
-//! calls (attach, grow, detection, stats) go through the trait — the
-//! layers never dispatch on a concrete engine type.
+//! A convolution layer optionally holds a [`ConvEngine`] and an attention
+//! layer an [`AttentionEngine`]; when present, their forward pass (and the
+//! convolution's input-gradient backward pass) run with signature-based
+//! reuse and record [`LayerStats`]. The layers drive their engines through
+//! the [`ReuseEngine`] trait methods.
 
 use crate::DnnError;
 use mercury_core::stats::LayerStats;
-use mercury_core::{AttentionEngine, ConvEngine, LayerOp, MercuryConfig, ReuseEngine};
+use mercury_core::{AttentionEngine, ConfigError, ConvEngine, LayerOp, MercuryConfig, ReuseEngine};
 use mercury_tensor::rng::Rng;
 use mercury_tensor::{conv, ops, Tensor};
 
@@ -22,7 +21,7 @@ pub struct Conv2d {
     pad: usize,
     dkernels: Tensor,
     cached_input: Option<Tensor>,
-    engine: Option<Box<dyn ReuseEngine>>,
+    engine: Option<ConvEngine>,
     last_stats: Option<LayerStats>,
     /// The first layer of a network never needs its input gradient;
     /// skipping it matches what training frameworks (and the paper's
@@ -286,7 +285,7 @@ impl MeanPool {
 #[derive(Debug, Default)]
 pub struct Attention {
     cached_input: Option<Tensor>,
-    engine: Option<Box<dyn ReuseEngine>>,
+    engine: Option<AttentionEngine>,
     last_stats: Option<LayerStats>,
 }
 
@@ -385,10 +384,9 @@ impl Layer {
         Layer::Attention(Attention::default())
     }
 
-    /// Attaches MERCURY engines to layers that support reuse (convolution
-    /// and attention); other layers ignore the call. This is the only
-    /// place that knows which concrete engine backs which layer family —
-    /// everything downstream drives the [`ReuseEngine`] trait.
+    /// Attaches MERCURY engines to layers that support reuse: a batch
+    /// [`ConvEngine`] to a convolution, a batch [`AttentionEngine`] to an
+    /// attention layer. Other layers ignore the call.
     ///
     /// # Panics
     ///
@@ -396,42 +394,17 @@ impl Layer {
     /// build-time constants in every caller, so this is treated as a
     /// programming error.
     pub fn attach_engine(&mut self, config: MercuryConfig, seed: u64) {
-        let build = |engine: Result<Box<dyn ReuseEngine>, mercury_core::ConfigError>| match engine {
-            Ok(engine) => engine,
-            Err(e) => panic!("invalid MercuryConfig: {e}"),
-        };
+        fn invalid<T>(e: ConfigError) -> T {
+            panic!("invalid MercuryConfig: {e}")
+        }
         match self {
-            Layer::Conv2d(conv) => {
-                conv.engine = Some(build(
-                    ConvEngine::try_new(config, seed).map(|e| Box::new(e) as _),
-                ));
+            Layer::Conv2d(l) => {
+                l.engine = Some(ConvEngine::try_new(config, seed).unwrap_or_else(invalid));
             }
-            Layer::Attention(att) => {
-                att.engine = Some(build(
-                    AttentionEngine::try_new(config, seed).map(|e| Box::new(e) as _),
-                ));
+            Layer::Attention(l) => {
+                l.engine = Some(AttentionEngine::try_new(config, seed).unwrap_or_else(invalid));
             }
             _ => {}
-        }
-    }
-
-    /// The attached reuse engine, if this layer family carries one and one
-    /// was attached — the single dispatch point the engine lifecycle
-    /// methods below share.
-    fn engine_mut(&mut self) -> Option<&mut Box<dyn ReuseEngine>> {
-        match self {
-            Layer::Conv2d(l) => l.engine.as_mut(),
-            Layer::Attention(l) => l.engine.as_mut(),
-            _ => None,
-        }
-    }
-
-    /// Immutable view of the attached reuse engine.
-    fn engine_ref(&self) -> Option<&(dyn ReuseEngine + '_)> {
-        match self {
-            Layer::Conv2d(l) => l.engine.as_deref(),
-            Layer::Attention(l) => l.engine.as_deref(),
-            _ => None,
         }
     }
 
@@ -502,13 +475,19 @@ impl Layer {
     /// Grows the attached engine's signature by one bit (no-op without an
     /// engine). Returns the new length when applicable.
     pub fn grow_signature(&mut self) -> Option<usize> {
-        self.engine_mut().map(|e| e.grow_signature())
+        match self {
+            Layer::Conv2d(l) => l.engine.as_mut().map(|e| e.grow_signature()),
+            Layer::Attention(l) => l.engine.as_mut().map(|e| e.grow_signature()),
+            _ => None,
+        }
     }
 
     /// Enables/disables similarity detection on the attached engine.
     pub fn set_detection(&mut self, enabled: bool) {
-        if let Some(e) = self.engine_mut() {
-            e.set_detection(enabled);
+        match self {
+            Layer::Conv2d(l) => l.engine.iter_mut().for_each(|e| e.set_detection(enabled)),
+            Layer::Attention(l) => l.engine.iter_mut().for_each(|e| e.set_detection(enabled)),
+            _ => {}
         }
     }
 
@@ -522,7 +501,11 @@ impl Layer {
 
     /// Whether this layer carries a MERCURY engine.
     pub fn has_engine(&self) -> bool {
-        self.engine_ref().is_some()
+        match self {
+            Layer::Conv2d(l) => l.engine.is_some(),
+            Layer::Attention(l) => l.engine.is_some(),
+            _ => false,
+        }
     }
 }
 
@@ -575,9 +558,7 @@ mod tests {
 
         let mut exact = Conv2d::new(2, 1, 3, 1, &mut rng());
         let mut reuse = Conv2d::new(2, 1, 3, 1, &mut rng());
-        reuse.engine = Some(Box::new(
-            ConvEngine::try_new(MercuryConfig::default(), 7).unwrap(),
-        ));
+        reuse.engine = Some(ConvEngine::try_new(MercuryConfig::default(), 7).unwrap());
 
         exact.forward(&x).unwrap();
         reuse.forward(&x).unwrap();
@@ -697,6 +678,16 @@ mod tests {
         assert!(conv.has_engine());
         assert!(!relu.has_engine());
         assert!(att.has_engine());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid MercuryConfig")]
+    fn attaching_an_invalid_config_panics() {
+        let config = MercuryConfig {
+            initial_signature_bits: 0,
+            ..MercuryConfig::default()
+        };
+        Layer::conv2d(1, 1, 3, 0, &mut rng()).attach_engine(config, 1);
     }
 
     #[test]
