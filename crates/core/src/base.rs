@@ -21,7 +21,6 @@ use mercury_mcache::banked::BankedMCache;
 use mercury_mcache::{AccessOutcome, EntryId, HitKind, MCacheConfig, OutcomeMix};
 use mercury_rpq::analysis::unique_signature_count;
 use mercury_rpq::{ProjectionMatrix, Signature};
-use mercury_tensor::exec::Executor;
 use mercury_tensor::kernel::sign::{self, LANES};
 use mercury_tensor::rng::Rng;
 use mercury_tensor::Tensor;
@@ -90,26 +89,22 @@ pub(crate) fn conv_channel_work(
     dense_work(f, plen, patches_n).saturating_add(probe_work_units.saturating_mul(patches_n))
 }
 
-/// Probes a signature stream against an engine cache through
-/// [`BankedMCache::probe_insert_batch`], writing one outcome per signature
-/// into `out`. With the `fault-inject` feature, the `BankProbe` fault
-/// events are drawn first, on this thread (see `bank_probe_faults`).
-pub(crate) fn probe_batch(
-    cache: &mut BankedMCache,
-    sigs: &[Signature],
-    exec: &Executor,
-    out: &mut Vec<AccessOutcome>,
-) {
+/// Probes a signature stream against an engine cache in stream order,
+/// writing one outcome per signature into `out` (cleared first). With the
+/// `fault-inject` feature, the `BankProbe` fault events are drawn first
+/// (see `bank_probe_faults`).
+fn probe_batch(cache: &mut BankedMCache, sigs: &[Signature], out: &mut Vec<AccessOutcome>) {
     #[cfg(feature = "fault-inject")]
     let faulted = bank_probe_faults(sigs);
     #[cfg(feature = "fault-inject")]
     let sigs: &[Signature] = faulted.as_deref().unwrap_or(sigs);
-    cache.probe_insert_batch(sigs, exec, out);
+    out.clear();
+    out.extend(sigs.iter().map(|&sig| cache.probe_insert(sig)));
 }
 
-/// Draws one [`BankProbe`] fault event per signature, in stream order on
-/// the dispatching thread **before** any bank partitioning or fan-out, so
-/// which probe faults is independent of the executor and the bank layout.
+/// Draws one [`BankProbe`] fault event per signature, in stream order
+/// before the first probe, so which probe faults is independent of the
+/// executor and the bank layout.
 /// `Panic` fires immediately; `CorruptTag` flips the faulted signature's
 /// low tag bit (modelling a corrupted tag store — the probe itself stays
 /// well-formed but matches the wrong line); `NanPayload` has no meaning
@@ -225,7 +220,6 @@ impl ReusePlan {
         &mut self,
         cache: &mut BankedMCache,
         clear: bool,
-        exec: &Executor,
         sigs: &[Signature],
         mut product: Product<'_>,
         owner: Option<u32>,
@@ -235,7 +229,7 @@ impl ReusePlan {
         }
         cache.begin_insert_batch();
         let conflicts_before = cache.stats().insert_conflicts;
-        probe_batch(cache, sigs, exec, &mut self.outcomes);
+        probe_batch(cache, sigs, &mut self.outcomes);
         let conflicts = cache.stats().insert_conflicts - conflicts_before;
 
         let ways = cache.bank_config().ways;
@@ -295,7 +289,7 @@ impl ReusePlan {
             self.entry_row[entry] = NO_ROW;
         }
 
-        let ld = self.compute(exec, &mut product, cache.slab());
+        let ld = self.compute(&mut product, cache.slab());
         if let Some(owner) = owner {
             for &(r, id) in &self.stores {
                 let row = &product.dots[r as usize * ld..][..product.width];
@@ -329,16 +323,22 @@ impl ReusePlan {
         }
     }
 
-    /// Computes and fans out `product` under this plan: copies the compute
-    /// rows contiguously, dots them with every packed column on the
-    /// executor ([`dot_rows_on`]) into `ld`-strided rows of `product.dots`,
-    /// then writes every vector's source row — a compute row, or a
-    /// `width`-float row of the cache's `slab` — into its row of the
-    /// destination. Each destination element sees one store or add per
-    /// pass, whatever the plan. Returns `ld`, `width` rounded up to whole
-    /// lanes. Attention runs it a second time, with the plan of its first
-    /// product and no slab.
-    pub fn compute(&self, exec: &Executor, p: &mut Product<'_>, slab: &[f32]) -> usize {
+    /// Computes and fans out `product` under this plan on the calling
+    /// thread: copies the compute rows contiguously, dots them with every
+    /// packed column in one [`dot_rows`](sign::dot_rows) call into
+    /// `ld`-strided rows of `product.dots`, then writes every vector's
+    /// source row — a compute row, or a `width`-float row of the cache's
+    /// `slab` — into its row of the destination. Each destination element
+    /// sees one store or add per pass, whatever the plan. Returns `ld`,
+    /// `width` rounded up to whole lanes. Attention runs it a second time,
+    /// with the plan of its first product and no slab.
+    ///
+    /// With `fault-inject`, a product with compute rows draws one
+    /// [`GemmChunk`] event: `Panic` fires before the dots and `NanPayload`
+    /// plants a NaN in compute row 0, column 0.
+    ///
+    /// [`GemmChunk`]: mercury_faults::FaultSite::GemmChunk
+    pub fn compute(&self, p: &mut Product<'_>, slab: &[f32]) -> usize {
         let (len, width) = (p.len, p.width);
         p.rows.clear();
         for &v in &self.compute {
@@ -347,7 +347,15 @@ impl ReusePlan {
         let ld = width.div_ceil(LANES) * LANES;
         // `dot_rows` overwrites every value: only a grown tail needs a fill.
         p.dots.resize(self.compute.len() * ld, 0.0);
-        dot_rows_on(exec, p.rows, len, width, p.panels, p.dots);
+        if !self.compute.is_empty() && width > 0 {
+            #[cfg(feature = "fault-inject")]
+            let faults = draw_faults(FaultSite::GemmChunk, 1);
+            #[cfg(feature = "fault-inject")]
+            fault_pre(FaultSite::GemmChunk, &faults, 0);
+            sign::dot_rows(p.rows, len, ld / LANES, p.panels, p.dots);
+            #[cfg(feature = "fault-inject")]
+            fault_post(&faults, 0, p.dots);
+        }
         for (drow, &s) in p.dest.chunks_exact_mut(width).zip(&self.source) {
             let crow = if s & STORED == 0 {
                 &p.dots[s as usize * ld..][..width]
@@ -366,58 +374,11 @@ impl ReusePlan {
     }
 }
 
-/// Dots every `len`-element row of `rows` with the `width` columns packed
-/// in `panels` through [`dot_rows`](sign::dot_rows), writing
-/// `[rows, ⌈width/LANES⌉·LANES]` into `out`. The rows split into one
-/// contiguous chunk per executor worker, each hinted with its own dense
-/// work so small products run inline. A row's dots depend on nothing but
-/// the row, so the result is bit-identical to one serial call for any
-/// chunking.
-///
-/// With `fault-inject`, one [`GemmChunk`] event is drawn per chunk, in
-/// chunk order on this thread before any fan-out; `Panic` fires on the
-/// runner that owns the chunk and `NanPayload` plants a NaN in the
-/// chunk's first value (compute row 0, column 0 on a serial executor).
-///
-/// [`GemmChunk`]: mercury_faults::FaultSite::GemmChunk
-fn dot_rows_on(
-    exec: &Executor,
-    rows: &[f32],
-    len: usize,
-    width: usize,
-    panels: &[f32],
-    out: &mut [f32],
-) {
-    let n = rows.len() / len;
-    let nb = width.div_ceil(LANES);
-    if n == 0 || nb == 0 {
-        return;
-    }
-    let per = n.div_ceil(exec.threads().min(n));
-    #[cfg(feature = "fault-inject")]
-    let faults = draw_faults(FaultSite::GemmChunk, n.div_ceil(per));
-    let chunks = rows
-        .chunks(per * len)
-        .zip(out.chunks_mut(per * nb * LANES))
-        .enumerate();
-    exec.map(
-        chunks,
-        |(_, (chunk, _))| dense_work(chunk.len() / len, len, width),
-        || (),
-        |(_i, (chunk, dots)), ()| {
-            #[cfg(feature = "fault-inject")]
-            fault_pre(FaultSite::GemmChunk, &faults, _i);
-            sign::dot_rows(chunk, len, nb, panels, dots);
-            #[cfg(feature = "fault-inject")]
-            fault_post(&faults, _i, dots);
-        },
-    );
-}
-
-/// Draws one `site` fault event per item, in item order on the
-/// dispatching thread, before any fan-out — which item faults never
-/// depends on the executor or pool scheduling (an empty vec when no
-/// harness is open, so the hot path pays one relaxed atomic load).
+/// Draws one `site` fault event per item, in item order before any item
+/// runs — the conv channels' on the dispatching thread before they fan
+/// out — so which item faults never depends on pool scheduling (an empty
+/// vec when no harness is open, so the hot path pays one relaxed atomic
+/// load).
 #[cfg(feature = "fault-inject")]
 pub(crate) fn draw_faults(site: FaultSite, items: usize) -> Vec<Option<FaultAction>> {
     if !mercury_faults::active() {
@@ -449,7 +410,11 @@ pub(crate) fn fault_post(faults: &[Option<FaultAction>], i: usize, out: &mut [f3
 }
 
 /// State shared by every engine family — the fields the old `ConvEngine` /
-/// `FcEngine` pair used to copy-paste.
+/// `FcEngine` pair used to copy-paste. It holds no executor: every reuse
+/// pass runs on the thread that calls it, and the one fan-out an engine
+/// owns, a batch conv forward's channels, is the [`ConvEngine`]'s.
+///
+/// [`ConvEngine`]: crate::ConvEngine
 #[derive(Debug)]
 pub(crate) struct EngineBase {
     pub config: MercuryConfig,
@@ -457,11 +422,6 @@ pub(crate) struct EngineBase {
     /// Persistent engines keep MCACHE state across reuse scopes and evict
     /// only at epoch boundaries; batch engines restart per scope.
     pub persistent: bool,
-    /// The execution backend every parallel path of this engine schedules
-    /// through. An engine that resolves its own executor joins the pool of
-    /// that width its building thread already has, so the engines of one
-    /// network share one pool, as clones handed out by a session do.
-    pub exec: Executor,
     /// The random projections signatures are drawn against.
     pub projections: Projections,
     pub signature_bits: usize,
@@ -482,7 +442,7 @@ pub(crate) struct EngineBase {
 
 impl EngineBase {
     /// Builds an engine's state: `config.cache` split across `banks`
-    /// signature-homed banks, scheduled on `exec`, with projections drawn
+    /// signature-homed banks, with projections drawn
     /// from `Rng::new(seed)`. A `persistent` engine keeps its cache across
     /// reuse scopes; otherwise each scope restarts it.
     ///
@@ -494,7 +454,6 @@ impl EngineBase {
     pub fn new(
         config: MercuryConfig,
         seed: u64,
-        exec: Executor,
         banks: usize,
         persistent: bool,
     ) -> Result<Self, ConfigError> {
@@ -516,7 +475,6 @@ impl EngineBase {
             config,
             cache: BankedMCache::new(banks, per_bank).expect("bank count checked positive above"),
             persistent,
-            exec,
             projections: Projections {
                 rng: Rng::new(seed),
                 by_len: HashMap::new(),
@@ -558,9 +516,7 @@ impl EngineBase {
             accumulate: false,
         };
         let clear = !self.persistent;
-        let pass = self
-            .plan
-            .pass(&mut self.cache, clear, &self.exec, sigs, product, owner);
+        let pass = self.plan.pass(&mut self.cache, clear, sigs, product, owner);
         if clear {
             self.cache.clear();
         }
@@ -664,37 +620,9 @@ mod tests {
         }
     }
 
-    /// A persistent engine's cache over [`small_config`] in `banks` banks.
-    fn cache(banks: usize) -> BankedMCache {
-        EngineBase::new(small_config(), 1, Executor::serial(), banks, true)
-            .unwrap()
-            .cache
-    }
-
-    /// Each signature's home bank among `banks`, read off the flat set of
-    /// its first probe in a cache with one roomy set per bank.
-    fn home_banks(sigs: &[Signature], banks: usize) -> Vec<usize> {
-        let mut oracle = BankedMCache::new(banks, MCacheConfig::new(1, 4096).unwrap()).unwrap();
-        sigs.iter()
-            .map(|&s| {
-                oracle
-                    .probe_insert(s)
-                    .entry
-                    .expect("roomy sets never MNU")
-                    .set
-            })
-            .collect()
-    }
-
-    fn probed(cache: &mut BankedMCache, sigs: &[Signature], exec: &Executor) -> Vec<AccessOutcome> {
-        let mut out = Vec::new();
-        probe_batch(cache, sigs, exec, &mut out);
-        out
-    }
-
     #[test]
     fn banked_flat_ids_round_trip() {
-        let mut cache = cache(4);
+        let mut cache = EngineBase::new(small_config(), 1, 4, true).unwrap().cache;
         assert_eq!(cache.entries(), 16);
         assert_eq!(cache.bank_config().ways, 2);
         for i in 0..40u128 {
@@ -713,7 +641,7 @@ mod tests {
 
     #[test]
     fn banked_rejects_bad_splits() {
-        let new = |banks| EngineBase::new(small_config(), 1, Executor::serial(), banks, true);
+        let new = |banks| EngineBase::new(small_config(), 1, banks, true);
         assert_eq!(new(0).unwrap_err(), ConfigError::ZeroBanks);
         assert_eq!(
             new(3).unwrap_err(),
@@ -722,88 +650,6 @@ mod tests {
         assert_eq!(
             new(16).unwrap_err(),
             ConfigError::BankSplit { sets: 8, banks: 16 }
-        );
-    }
-
-    #[test]
-    fn batched_probes_match_serial_probes_on_every_backend() {
-        // The concurrent banked probe path must be indistinguishable from
-        // the serial loop: same outcomes in stream order, same aggregate
-        // stats. The stream is long enough to cross any committed
-        // parallel-probe cutoff and repeats signatures so all three
-        // outcome kinds occur.
-        let sigs: Vec<Signature> = (0..200u128).map(|i| sig(i % 61)).collect();
-
-        let mut serial = cache(4);
-        let serial_out = probed(&mut serial, &sigs, &Executor::serial());
-
-        for threads in [2, 8] {
-            let mut parallel = cache(4);
-            let parallel_out = probed(&mut parallel, &sigs, &Executor::threaded(threads));
-            assert_eq!(serial_out, parallel_out, "{threads} threads diverged");
-            assert_eq!(serial.stats(), parallel.stats());
-        }
-
-        // One-bank caches take the serial loop on any backend: no region
-        // is even offered to the pool.
-        let exec = Executor::threaded(8);
-        let (mut one_a, mut one_b) = (cache(1), cache(1));
-        assert_eq!(
-            probed(&mut one_a, &sigs, &Executor::serial()),
-            probed(&mut one_b, &sigs, &exec),
-        );
-        let stats = exec.pool_stats().unwrap();
-        assert_eq!((stats.regions_dispatched, stats.regions_inlined), (0, 0));
-    }
-
-    #[test]
-    fn skewed_bank_batches_inline_spread_batches_dispatch() {
-        // A batch whose probes all home to one bank has one busy shard —
-        // a second thread could not share it, so the pool must not wake.
-        // The old batch-average hint sized all four jobs alike and
-        // dispatched exactly this shape.
-        // 600 probes × PROBE_WORK_UNITS lands well over the dispatch
-        // floor, so only the busy-bank gate keeps this inline.
-        let candidates: Vec<Signature> = (0..4000u128).map(sig).collect();
-        let skewed: Vec<Signature> = candidates
-            .iter()
-            .zip(home_banks(&candidates, 4))
-            .filter(|&(_, bank)| bank == 0)
-            .map(|(&s, _)| s)
-            .take(600)
-            .collect();
-        assert_eq!(skewed.len(), 600);
-        let spread: Vec<Signature> = (0..600u128).map(sig).collect();
-        let spread_banks = home_banks(&spread, 4);
-        assert!(
-            (0..4).all(|b| spread_banks.contains(&b)),
-            "spread stream must touch every bank"
-        );
-
-        let exec = Executor::threaded(4);
-        let before = exec.pool_stats().unwrap();
-        let mut serial_cache = cache(4);
-        let want = probed(&mut serial_cache, &skewed, &Executor::serial());
-        let mut cache4 = cache(4);
-        let got = probed(&mut cache4, &skewed, &exec);
-        assert_eq!(got, want, "skewed outcomes must match serial");
-        assert_eq!(serial_cache.stats(), cache4.stats());
-        let after = exec.pool_stats().unwrap();
-        assert_eq!(
-            after.regions_dispatched, before.regions_dispatched,
-            "single-bank batch must run inline"
-        );
-        assert_eq!(after.regions_inlined, before.regions_inlined + 1);
-
-        let mut serial_cache = cache(4);
-        let want = probed(&mut serial_cache, &spread, &Executor::serial());
-        let mut cache4 = cache(4);
-        let got = probed(&mut cache4, &spread, &exec);
-        assert_eq!(got, want, "spread outcomes must match serial");
-        assert_eq!(
-            exec.pool_stats().unwrap().regions_dispatched,
-            after.regions_dispatched + 1,
-            "multi-bank batch over the work floor must dispatch"
         );
     }
 
@@ -830,61 +676,9 @@ mod tests {
     }
 
     #[test]
-    fn tuned_probe_knobs_move_the_inline_dispatch_decision() {
-        // The probe fan-out gate and the per-bank work hints must follow
-        // the executor's tuning, not hard-coded constants.
-        use mercury_tensor::tune::DispatchTuning;
-        let spread: Vec<Signature> = (0..100u128).map(sig).collect();
-        let want = probed(&mut cache(4), &spread, &Executor::serial());
-
-        // Probe-heavy tuning: each probe costs a huge number of work
-        // units, so even this short stream clears the dispatch floor.
-        let probe_heavy = DispatchTuning {
-            probe_work_units: 1 << 20,
-            parallel_probe_min: 2,
-            ..DispatchTuning::default()
-        };
-        let exec = Executor::threaded_tuned(4, probe_heavy);
-        assert_eq!(probed(&mut cache(4), &spread, &exec), want);
-        assert_eq!(
-            exec.pool_stats().unwrap().regions_dispatched,
-            1,
-            "probe-heavy tuning dispatches the 100-probe stream"
-        );
-
-        // Probe-cheap tuning: probes are nearly free, so the identical
-        // stream stays under the floor and runs inline.
-        let probe_cheap = DispatchTuning {
-            probe_work_units: 1,
-            parallel_probe_min: 2,
-            ..DispatchTuning::default()
-        };
-        let exec = Executor::threaded_tuned(4, probe_cheap);
-        assert_eq!(probed(&mut cache(4), &spread, &exec), want);
-        let stats = exec.pool_stats().unwrap();
-        assert_eq!(stats.regions_dispatched, 0, "cheap probes stay inline");
-        assert_eq!(stats.regions_inlined, 1);
-
-        // A raised cutoff keeps the stream off the fan-out path entirely
-        // (serial loop, no per-bank partitioning) whatever the hints say.
-        let high_cutoff = DispatchTuning {
-            probe_work_units: 1 << 20,
-            parallel_probe_min: 101,
-            ..DispatchTuning::default()
-        };
-        let exec = Executor::threaded_tuned(4, high_cutoff);
-        assert_eq!(probed(&mut cache(4), &spread, &exec), want);
-        assert_eq!(
-            exec.pool_stats().unwrap().regions_dispatched,
-            0,
-            "under the cutoff the serial loop runs — no region at all"
-        );
-    }
-
-    #[test]
     fn growing_signature_flushes_persistent_tags() {
         let config = MercuryConfig::default();
-        let mut p = EngineBase::new(config, 1, Executor::serial(), 8, true).unwrap();
+        let mut p = EngineBase::new(config, 1, 8, true).unwrap();
         p.cache.probe_insert(sig(5));
         p.grow_signature();
         // The old-length tag was evicted, so the entry is re-insertable
@@ -896,7 +690,7 @@ mod tests {
             initial_signature_bits: 64,
             ..config
         };
-        let mut s = EngineBase::new(saturated, 1, Executor::serial(), 8, true).unwrap();
+        let mut s = EngineBase::new(saturated, 1, 8, true).unwrap();
         s.cache.probe_insert(Signature::from_bits(6, 64));
         s.grow_signature();
         assert_eq!(
@@ -921,11 +715,11 @@ mod tests {
             (counts.hits, counts.maus)
         };
         let config = MercuryConfig::default();
-        let mut batch = EngineBase::new(config, 1, Executor::serial(), 1, false).unwrap();
+        let mut batch = EngineBase::new(config, 1, 1, false).unwrap();
         batch.cache.probe_insert(sig(9));
         assert_eq!(pass(&mut batch), (0, 1));
 
-        let mut persistent = EngineBase::new(config, 1, Executor::serial(), 8, true).unwrap();
+        let mut persistent = EngineBase::new(config, 1, 8, true).unwrap();
         persistent.cache.probe_insert(sig(9));
         assert_eq!(pass(&mut persistent), (1, 0));
         persistent.end_epoch();

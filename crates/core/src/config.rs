@@ -117,15 +117,15 @@ pub struct MercuryConfig {
     pub initial_signature_bits: usize,
     /// Upper bound on adaptive signature growth.
     pub max_signature_bits: usize,
-    /// Execution backend for every parallel path the engines own: the
-    /// reuse pass's compute rows (one contiguous chunk per worker, for
-    /// conv, FC and attention alike), the conv engine's per-channel
-    /// sharding, the banked MCACHE's concurrent bank probing, and
-    /// [`MercurySession::submit_batch`](crate::MercurySession::submit_batch)
-    /// fan-out. [`ExecutorKind::Serial`] is the reference semantics; the
-    /// threaded backend is bit-identical to it (pinned by the
-    /// `parallel_determinism` suite). Defaults to `Serial` unless the
-    /// `MERCURY_EXECUTOR` environment variable says otherwise.
+    /// Execution backend for the two fan-outs over independent units: a
+    /// batch [`ConvEngine`](crate::ConvEngine)'s channels, and the layers
+    /// of a [`MercurySession::submit_batch`](crate::MercurySession::submit_batch).
+    /// Every reuse pass — probes, product and fan-out of producer rows —
+    /// runs on the thread that calls it, so FC, attention and persistent
+    /// engines resolve no executor. [`ExecutorKind::Serial`] is the
+    /// reference semantics; the threaded backend is bit-identical to it
+    /// (pinned by the `parallel_determinism` suite). Defaults to `Serial`
+    /// unless the `MERCURY_EXECUTOR` environment variable says otherwise.
     pub executor: ExecutorKind,
     /// Session-boundary treatment of NaN/Inf inputs (see
     /// [`NonfinitePolicy`]). Defaults to `Propagate`.

@@ -59,6 +59,12 @@ pub struct ConvEngine {
     /// The kernels the reuse forwards compute from: bound by the session
     /// at registration, or by a direct caller's first reuse forward.
     kernels: Option<Bound>,
+    /// Schedules a batch engine's channels, which §III-B3 makes
+    /// independent. Resolving it joins the pool of that width the building
+    /// thread already has, so the conv layers of one network share one
+    /// pool. A persistent engine's channels share its cache and run in
+    /// order on the calling thread, so it holds the serial executor.
+    exec: Executor,
 }
 
 impl ConvEngine {
@@ -70,11 +76,10 @@ impl ConvEngine {
     ///
     /// Returns the [`ConfigError`] the configuration violates.
     pub fn try_new(config: MercuryConfig, seed: u64) -> Result<Self, ConfigError> {
-        EngineBase::new(config, seed, Executor::from_kind(config.executor), 1, false).map(|base| {
-            ConvEngine {
-                base,
-                kernels: None,
-            }
+        EngineBase::new(config, seed, 1, false).map(|base| ConvEngine {
+            base,
+            kernels: None,
+            exec: Executor::from_kind(config.executor),
         })
     }
 
@@ -88,16 +93,10 @@ impl ConvEngine {
     /// Returns a [`ConfigError`] for an invalid configuration or a bank
     /// count that does not divide the cache's set count.
     pub fn persistent(config: MercuryConfig, seed: u64, banks: usize) -> Result<Self, ConfigError> {
-        EngineBase::new(
-            config,
-            seed,
-            Executor::from_kind(config.executor),
-            banks,
-            true,
-        )
-        .map(|base| ConvEngine {
+        EngineBase::new(config, seed, banks, true).map(|base| ConvEngine {
             base,
             kernels: None,
+            exec: Executor::serial(),
         })
     }
 
@@ -106,6 +105,7 @@ impl ConvEngine {
         let mut engine = ConvEngine {
             base,
             kernels: None,
+            exec: Executor::serial(),
         };
         engine.bind(kernels);
         engine
@@ -147,7 +147,7 @@ impl ConvEngine {
         if !self.base.detection_enabled {
             return run_exact(&self.base, input, &bound.weights, &geom);
         }
-        conv_forward(&mut self.base, input, bound, &geom, None)
+        conv_forward(&mut self.base, &self.exec, input, bound, &geom, None)
     }
 
     /// A forward through [`ReuseEngine`]: with detection on, the engine
@@ -169,7 +169,7 @@ impl ConvEngine {
             self.bind(kernels.clone());
         }
         let bound = self.kernels.as_ref().expect("bound above");
-        conv_forward(&mut self.base, input, bound, &geom, saved)
+        conv_forward(&mut self.base, &self.exec, input, bound, &geom, saved)
     }
 }
 
@@ -208,10 +208,12 @@ fn conv_geometry(
 }
 
 /// One reuse forward of `base`'s engine: `input` through the `bound`
-/// kernels, whose operands `geom` has checked. A persistent engine's
-/// channel passes keep rows.
+/// kernels, whose operands `geom` has checked, with a batch engine's
+/// channels scheduled on `exec`. A persistent engine's channel passes keep
+/// rows.
 fn conv_forward(
     base: &mut EngineBase,
+    exec: &Executor,
     input: &Tensor,
     bound: &Bound,
     geom: &ConvGeometry,
@@ -242,7 +244,6 @@ fn conv_forward(
         None => Some(base.projections.get(plen, bits)),
     };
 
-    let exec = base.exec.clone();
     let ctx = ChannelCtx {
         input,
         geom,
@@ -269,9 +270,8 @@ fn conv_forward(
     //
     // Persistent engines carry tags *across* channels within a submit
     // (that is the cross-request detection the session buys), so their
-    // channel loop stays sequential; their parallelism comes from the
-    // banked concurrent probe fan-out and the row-sharded compute rows
-    // inside each channel instead.
+    // channel loop stays sequential. Either way each channel's reuse pass
+    // runs whole on the thread that runs the channel.
     //
     // Fault events are drawn here on the dispatching thread, one per
     // channel in channel order, BEFORE any fan-out — which channel
@@ -283,13 +283,11 @@ fn conv_forward(
     type ChannelResult = Result<(PassOut, Option<Vec<Signature>>, Vec<f32>), MercuryError>;
     let channel_outs: Vec<ChannelResult> = if base.persistent || !exec.is_parallel() {
         // Sequential channel loop — persistent engines always (tags
-        // persist *across* channels; their parallelism is the bank
-        // probe fan-out and the row-sharded compute rows inside each
-        // channel), batch engines whenever the executor is serial.
-        // Both accumulate straight into the accumulator and reuse the
-        // engine's own cache, so the default path pays no
-        // per-channel contribution buffer and no scratch caches;
-        // batch mode restarts the cache per channel (clear_scope).
+        // persist *across* channels), batch engines whenever the
+        // executor is serial. Both accumulate straight into the
+        // accumulator and reuse the engine's own cache, so the default
+        // path pays no per-channel contribution buffer and no scratch
+        // caches; batch mode restarts the cache per channel (clear_scope).
         let clear_scope = !base.persistent;
         let cache = &mut base.cache;
         let mut scratch = ConvScratch::default();
@@ -298,7 +296,7 @@ fn conv_forward(
             .map(|ch| {
                 #[cfg(feature = "fault-inject")]
                 fault_pre(FaultSite::ChannelShard, channel_faults, ch);
-                let res = conv_channel(&ctx, ch, cache, clear_scope, &exec, &mut scratch, od, true)
+                let res = conv_channel(&ctx, ch, cache, clear_scope, &mut scratch, od, true)
                     .map(|(pass, sigs)| (pass, sigs, Vec::new()));
                 #[cfg(feature = "fault-inject")]
                 if res.is_ok() {
@@ -309,12 +307,9 @@ fn conv_forward(
             .collect()
     } else {
         let cache_cfg = base.config.cache;
-        // Channels already fan out across the pool; the work inside
-        // each channel stays on its worker (no nested parallelism).
         // Workers probe their own scratch caches, so the engine's
         // `base.cache` is untouched on this path — its counters only
         // reflect serial-executor batch runs.
-        let inner = Executor::serial_tuned(exec.tuning());
         let ctx = &ctx;
         // Work-size hint per channel: the dense product's FLOPs plus
         // the probe stream at the executor's per-probe cost
@@ -335,7 +330,7 @@ fn conv_forward(
                 fault_pre(FaultSite::ChannelShard, channel_faults, ch);
                 let (cache, scratch) = state;
                 let mut contrib = vec![0.0f32; f * patches_n];
-                let res = conv_channel(ctx, ch, cache, true, &inner, scratch, &mut contrib, false);
+                let res = conv_channel(ctx, ch, cache, true, scratch, &mut contrib, false);
                 #[cfg(feature = "fault-inject")]
                 fault_post(channel_faults, ch, &mut contrib);
                 res.map(|(pass, sigs)| (pass, sigs, contrib))
@@ -495,9 +490,8 @@ struct ConvScratch {
 /// distinguishes the batch discipline (restart the cache per channel,
 /// §III-B3 — what makes channels independent and therefore shardable)
 /// from the persistent discipline (tags and the rows each channel stores
-/// stay resident; the caller must then run channels sequentially). `exec`
-/// schedules the *inner* parallelism — row-sharded compute rows and
-/// concurrent bank probes.
+/// stay resident; the caller must then run channels sequentially). The
+/// whole channel runs on the calling thread.
 ///
 /// The channel's position-major `[patches_n, f]` block lands in `dest`:
 /// with `accumulate` it adds in place (the sequential path hands the
@@ -511,7 +505,6 @@ fn conv_channel(
     ch: usize,
     cache: &mut BankedMCache,
     clear_scope: bool,
-    exec: &Executor,
     scratch: &mut ConvScratch,
     dest: &mut [f32],
     accumulate: bool,
@@ -556,9 +549,7 @@ fn conv_channel(
         accumulate,
     };
     let owner = (!clear_scope).then_some(ch as u32);
-    let pass = scratch
-        .plan
-        .pass(cache, clear_scope, exec, sigs, product, owner);
+    let pass = scratch.plan.pass(cache, clear_scope, sigs, product, owner);
     Ok((pass, sigs_owned))
 }
 
@@ -913,6 +904,28 @@ mod tests {
             assert_eq!(out.output, serial_out.output);
             assert_eq!(out.report, serial_out.report);
         }
+    }
+
+    #[test]
+    fn a_batch_forward_offers_its_pool_one_region() {
+        // The channels are a batch engine's one fan-out: each channel's
+        // reuse pass runs whole on the runner that claims it, so a forward
+        // whose channels clear the dispatch floor dispatches once.
+        let mut rng = Rng::new(22);
+        let input = Tensor::randn(&[4, 16, 16], &mut rng);
+        let kernels = Tensor::randn(&[8, 4, 3, 3], &mut rng);
+        let config = MercuryConfig::builder()
+            .executor(mercury_tensor::exec::ExecutorKind::Threaded { threads: 2 })
+            .build()
+            .unwrap();
+        let mut e = ConvEngine::try_new(config, 22).unwrap();
+        let tuning = e.exec.tuning();
+        let channel = crate::base::conv_channel_work(8, 9, 256, tuning.probe_work_units);
+        assert!(2 * channel >= tuning.dispatch_min_work);
+        let out = forward(&mut e, &input, &kernels, 1, 1);
+        assert_eq!(out, forward(&mut engine(22), &input, &kernels, 1, 1));
+        let stats = e.exec.pool_stats().unwrap();
+        assert_eq!((stats.regions_dispatched, stats.regions_inlined), (1, 0));
     }
 
     #[test]

@@ -9,7 +9,6 @@ use mercury_accel::sim::ChannelCycles;
 use mercury_accel::timing;
 use mercury_mcache::OutcomeMix;
 use mercury_rpq::Signature;
-use mercury_tensor::exec::Executor;
 use mercury_tensor::kernel::sign::pack_panels;
 use mercury_tensor::scratch::ScratchF32;
 use mercury_tensor::{ops, Tensor, TensorError};
@@ -86,12 +85,11 @@ fn reuse_forward(
 /// [`LayerOp::Fc`] requests; attention lives in [`AttentionEngine`].
 ///
 /// Each call is one reuse scope and runs the reuse pass the conv engine
-/// runs per channel: the rows that compute are dotted with the weights,
-/// packed into the panels of the packed-panel row kernel
-/// ([`dot_rows`](mercury_tensor::kernel::sign::dot_rows)), in one
-/// contiguous chunk per executor worker, and every row takes its
-/// producer's output row. With detection off the engine is
-/// [`ops::matmul`], which runs on the same kernel.
+/// runs per channel, on the calling thread: the rows that compute are
+/// dotted with the weights, packed into the panels of the packed-panel row
+/// kernel ([`dot_rows`](mercury_tensor::kernel::sign::dot_rows)), and
+/// every row takes its producer's output row. With detection off the
+/// engine is [`ops::matmul`], which runs on the same kernel.
 ///
 /// Every reuse call computes from weights the engine has bound: packed
 /// once, and kept until a call passes other weights, which the engine
@@ -174,11 +172,9 @@ impl FcEngine {
     ///
     /// Returns the [`ConfigError`] the configuration violates.
     pub fn try_new(config: MercuryConfig, seed: u64) -> Result<Self, ConfigError> {
-        EngineBase::new(config, seed, Executor::from_kind(config.executor), 1, false).map(|base| {
-            FcEngine {
-                base,
-                weights: None,
-            }
+        EngineBase::new(config, seed, 1, false).map(|base| FcEngine {
+            base,
+            weights: None,
         })
     }
 
@@ -193,14 +189,7 @@ impl FcEngine {
     /// Returns a [`ConfigError`] for an invalid configuration or bank
     /// split.
     pub fn persistent(config: MercuryConfig, seed: u64, banks: usize) -> Result<Self, ConfigError> {
-        EngineBase::new(
-            config,
-            seed,
-            Executor::from_kind(config.executor),
-            banks,
-            true,
-        )
-        .map(|base| FcEngine {
+        EngineBase::new(config, seed, banks, true).map(|base| FcEngine {
             base,
             weights: None,
         })
@@ -326,8 +315,7 @@ impl AttentionEngine {
     ///
     /// Returns the [`ConfigError`] the configuration violates.
     pub fn try_new(config: MercuryConfig, seed: u64) -> Result<Self, ConfigError> {
-        EngineBase::new(config, seed, Executor::from_kind(config.executor), 1, false)
-            .map(|base| AttentionEngine { base })
+        EngineBase::new(config, seed, 1, false).map(|base| AttentionEngine { base })
     }
 
     /// Creates a persistent attention engine (banked MCACHE tags, evicted
@@ -338,14 +326,7 @@ impl AttentionEngine {
     /// Returns a [`ConfigError`] for an invalid configuration or bank
     /// split.
     pub fn persistent(config: MercuryConfig, seed: u64, banks: usize) -> Result<Self, ConfigError> {
-        EngineBase::new(
-            config,
-            seed,
-            Executor::from_kind(config.executor),
-            banks,
-            true,
-        )
-        .map(|base| AttentionEngine { base })
+        EngineBase::new(config, seed, banks, true).map(|base| AttentionEngine { base })
     }
 
     fn run(
@@ -394,7 +375,7 @@ impl AttentionEngine {
             dest: y.data_mut(),
             accumulate: false,
         };
-        base.plan.compute(&base.exec, &mut product, &[]);
+        base.plan.compute(&mut product, &[]);
 
         let bits = if reuse_saved {
             0

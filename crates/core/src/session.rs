@@ -3,18 +3,17 @@
 //! MERCURY's value proposition is a *persistent* detect-and-reuse
 //! pipeline: signatures and MCACHE state outlive any single minibatch
 //! (paper §IV–V). A [`MercurySession`] makes that lifetime explicit: it
-//! owns one persistent [`ReuseEngine`] per registered layer, all on the
-//! session's one executor, and keeps each engine's MCACHE alive across an
-//! unbounded stream of [`submit`](MercurySession::submit) calls. The conv
-//! and FC engines pack the layer's weights once and keep each line's
-//! result row with its tag, so a HIT on a line an earlier submit filled
-//! copies that row instead of computing it. The session picks the bank
-//! split itself: 8 banks (§V) when the configured set count divides by 8,
-//! one bank otherwise. It evicts by *epoch* —
-//! [`advance_epoch`](MercurySession::advance_epoch) flash-clears every
-//! engine's cache, tags and rows, in O(sets) (a per-set occupancy reset
-//! and an emptied row slab; no per-entry walk) — instead of clearing per
-//! forward pass.
+//! owns one persistent [`ReuseEngine`] per registered layer and keeps each
+//! engine's MCACHE alive across an unbounded stream of
+//! [`submit`](MercurySession::submit) calls. The conv and FC engines pack
+//! the layer's weights once and keep each line's result row with its tag,
+//! so a HIT on a line an earlier submit filled copies that row instead of
+//! computing it. The session picks the bank split itself: 8 banks (§V)
+//! when the configured set count divides by 8, one bank otherwise. It
+//! evicts by *epoch* — [`advance_epoch`](MercurySession::advance_epoch)
+//! flash-clears every engine's cache, tags and rows, in O(sets) (a per-set
+//! occupancy reset and an emptied row slab; no per-entry walk) — instead
+//! of clearing per forward pass.
 //!
 //! # Examples
 //!
@@ -338,15 +337,13 @@ pub struct MercurySession {
     token: u64,
     layers: Vec<SessionLayer>,
     epoch: u64,
-    /// Backend for [`submit_batch`](Self::submit_batch) fan-out, resolved
-    /// **once** from `config.executor` at session creation. Every layer
-    /// engine this session registers receives a clone — and clones share
-    /// one persistent worker pool — so an arbitrarily long request stream
-    /// reuses the same parked workers instead of re-resolving (and
-    /// re-spawning) per call. Engines running inside a `submit_batch`
-    /// fan-out execute their own inner regions (sharded compute rows, bank
-    /// probes) inline on their worker, never deadlocking on the shared
-    /// pool.
+    /// Backend for the [`submit_batch`](Self::submit_batch) fan-out, its
+    /// only use: resolved **once** at session creation, so an arbitrarily
+    /// long request stream reuses the same parked workers instead of
+    /// re-resolving per call. The layer engines hold no executor — each
+    /// request's reuse passes run whole on the thread that serves it, a
+    /// pool worker inside a `submit_batch` fan-out or the caller of
+    /// [`submit`](Self::submit).
     exec: Executor,
 }
 
@@ -392,11 +389,10 @@ impl MercurySession {
         })
     }
 
-    /// The state of the next layer's persistent engine, on the session's
-    /// shared executor.
+    /// The state of the next layer's persistent engine.
     fn next_engine_base(&self) -> Result<EngineBase, ConfigError> {
         let seed = self.seed.wrapping_add(self.layers.len() as u64);
-        EngineBase::new(self.config, seed, self.exec.clone(), self.banks, true)
+        EngineBase::new(self.config, seed, self.banks, true)
     }
 
     /// Resolves an id to this session's layer slot, rejecting ids issued
@@ -1463,6 +1459,37 @@ mod tests {
             assert_eq!(got.output, want.output, "session {seed_session}");
             assert_eq!(got.report, want.report, "session {seed_session}");
         }
+    }
+
+    #[test]
+    fn the_session_executor_schedules_submit_batch_alone() {
+        // A lone submit runs every reuse pass — probes and dots alike — on
+        // the calling thread, however large, so the handle a session was
+        // built on sees no region; a batch over several layers offers it
+        // exactly one.
+        let mut rng = Rng::new(76);
+        let exec = Executor::threaded(2);
+        let mut s = MercurySession::new_on(MercuryConfig::default(), 76, exec.clone()).unwrap();
+        let conv = s
+            .register_conv(Tensor::randn(&[8, 4, 3, 3], &mut rng), 1, 1)
+            .unwrap();
+        let fc = s.register_fc(Tensor::randn(&[64, 32], &mut rng)).unwrap();
+        let att = s.register_attention().unwrap();
+        let img = Tensor::randn(&[4, 16, 16], &mut rng);
+        let rows = Tensor::randn(&[128, 64], &mut rng);
+        let seq = Tensor::randn(&[64, 16], &mut rng);
+        let regions = || {
+            let stats = exec.pool_stats().unwrap();
+            (stats.regions_dispatched, stats.regions_inlined)
+        };
+        for (id, input) in [(conv, &img), (fc, &rows), (att, &seq)] {
+            assert!(s.submit(id, input).unwrap().stats().maus > 0, "{id}");
+            assert_eq!(regions(), (0, 0), "{id}");
+        }
+        s.submit_batch(&[(conv, &img), (fc, &rows), (att, &seq)])
+            .unwrap();
+        let (dispatched, inlined) = regions();
+        assert_eq!(dispatched + inlined, 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub struct Conv2d {
     pad: usize,
     dkernels: Tensor,
     cached_input: Option<Tensor>,
-    engine: Option<ConvEngine>,
+    engine: Option<Box<ConvEngine>>,
     last_stats: Option<LayerStats>,
     /// The first layer of a network never needs its input gradient;
     /// skipping it matches what training frameworks (and the paper's
@@ -285,7 +285,7 @@ impl MeanPool {
 #[derive(Debug, Default)]
 pub struct Attention {
     cached_input: Option<Tensor>,
-    engine: Option<AttentionEngine>,
+    engine: Option<Box<AttentionEngine>>,
     last_stats: Option<LayerStats>,
 }
 
@@ -399,10 +399,14 @@ impl Layer {
         }
         match self {
             Layer::Conv2d(l) => {
-                l.engine = Some(ConvEngine::try_new(config, seed).unwrap_or_else(invalid));
+                l.engine = Some(Box::new(
+                    ConvEngine::try_new(config, seed).unwrap_or_else(invalid),
+                ));
             }
             Layer::Attention(l) => {
-                l.engine = Some(AttentionEngine::try_new(config, seed).unwrap_or_else(invalid));
+                l.engine = Some(Box::new(
+                    AttentionEngine::try_new(config, seed).unwrap_or_else(invalid),
+                ));
             }
             _ => {}
         }
@@ -558,7 +562,9 @@ mod tests {
 
         let mut exact = Conv2d::new(2, 1, 3, 1, &mut rng());
         let mut reuse = Conv2d::new(2, 1, 3, 1, &mut rng());
-        reuse.engine = Some(ConvEngine::try_new(MercuryConfig::default(), 7).unwrap());
+        reuse.engine = Some(Box::new(
+            ConvEngine::try_new(MercuryConfig::default(), 7).unwrap(),
+        ));
 
         exact.forward(&x).unwrap();
         reuse.forward(&x).unwrap();

@@ -68,6 +68,9 @@ pub struct Trainer {
     config: TrainerConfig,
     controller: Option<AdaptiveController>,
     engine_layers: Vec<usize>,
+    /// Each engine layer's statistics summed over the current batch's
+    /// samples: the cycle ledger stoppage compares.
+    batch_stats: Vec<LayerStats>,
 }
 
 impl Trainer {
@@ -91,6 +94,7 @@ impl Trainer {
             net,
             config,
             controller,
+            batch_stats: vec![LayerStats::default(); engine_layers.len()],
             engine_layers,
         }
     }
@@ -131,8 +135,14 @@ impl Trainer {
             in_batch += 1;
 
             // Collect per-layer MERCURY stats for this sample.
-            for stats in self.net.layer_stats().into_iter().flatten() {
-                mercury.accumulate(&stats);
+            let stats = self.net.layer_stats();
+            for s in stats.iter().flatten() {
+                mercury.accumulate(s);
+            }
+            for (sum, &layer) in self.batch_stats.iter_mut().zip(&self.engine_layers) {
+                if let Some(s) = &stats[layer] {
+                    sum.accumulate(s);
+                }
             }
 
             // Adaptation: loss plateau → grow signatures.
@@ -165,15 +175,13 @@ impl Trainer {
         self.net.zero_grad();
 
         // Stoppage: compare each engine layer's MERCURY cycles against its
-        // baseline for this batch.
-        if let Some(controller) = &mut self.controller {
-            let stats = self.net.layer_stats();
-            for (slot, &layer_idx) in self.engine_layers.iter().enumerate() {
-                if let Some(s) = stats[layer_idx] {
-                    let keep = controller.observe_layer(slot, s.cycles.total(), s.cycles.baseline);
-                    if !keep {
-                        self.net.set_layer_detection(layer_idx, false);
-                    }
+        // baseline, both summed over every sample of this batch.
+        let layers = self.engine_layers.iter().zip(&mut self.batch_stats);
+        for (slot, (&layer_idx, sum)) in layers.enumerate() {
+            let s = std::mem::take(sum);
+            if let Some(controller) = &mut self.controller {
+                if !controller.observe_layer(slot, s.cycles.total(), s.cycles.baseline) {
+                    self.net.set_layer_detection(layer_idx, false);
                 }
             }
         }
@@ -299,6 +307,59 @@ mod tests {
         let mut trainer = Trainer::new(cnn(ExecMode::Exact, 3), TrainerConfig::default());
         let stats = trainer.train_epoch(&data, &mut rng).unwrap();
         assert_eq!(stats.mercury.total_vectors(), 0);
+    }
+
+    #[test]
+    fn stoppage_weighs_every_sample_of_the_batch() {
+        // At 32 filters on a 16×16 image a constant image's pass pays (about
+        // 0.55× its baseline cycles) and a random image's does not (about
+        // 1.5×). Two constant and three random images lose in total, three
+        // constant and two random ones pay, and either batch can end on
+        // either kind: stoppage must follow the total, whatever the order.
+        let mut rng = Rng::new(104);
+        let mut images = |constants: &[f32], randoms: usize| {
+            let mut data: Vec<(Tensor, usize)> = constants
+                .iter()
+                .map(|&v| (Tensor::full(&[1, 16, 16], v), 0))
+                .collect();
+            data.extend((0..randoms).map(|_| (Tensor::randn(&[1, 16, 16], &mut rng), 1)));
+            data
+        };
+        let losing = images(&[0.5, 0.7], 3);
+        let paying = images(&[0.5, 0.7, 0.9], 2);
+        for seed in 0..4 {
+            for (data, stops) in [(&losing, true), (&paying, false)] {
+                let mut init = Rng::new(seed);
+                let net = Network::new(
+                    vec![
+                        Layer::conv2d(32, 1, 3, 1, &mut init),
+                        Layer::relu(),
+                        Layer::max_pool(),
+                        Layer::flatten(),
+                        Layer::fc(32 * 8 * 8, 2, &mut init),
+                    ],
+                    ExecMode::Mercury {
+                        config: MercuryConfig::default(),
+                        seed,
+                    },
+                );
+                let config = TrainerConfig {
+                    batch_size: data.len(),
+                    ..TrainerConfig::default()
+                };
+                let mut trainer = Trainer::new(net, config);
+                // One batch per epoch, in the order `shuffle` deals.
+                let mut shuffle = Rng::new(seed);
+                for epoch in 1..=STOPPAGE_WINDOW {
+                    let on = trainer
+                        .train_epoch(data, &mut shuffle)
+                        .unwrap()
+                        .detection_on;
+                    let want = usize::from(!stops || epoch < STOPPAGE_WINDOW);
+                    assert_eq!(on, want, "seed {seed}, stops {stops}, epoch {epoch}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,21 +13,40 @@
 //!
 //! # Determinism contract
 //!
-//! Every injection point is polled on the thread that *dispatches* the
-//! work, in stream order, **before** any parallel fan-out: which bank
-//! probe, compute-row chunk, or conv channel faults is decided by a
-//! deterministic event count, never by pool scheduling. Repeated runs of
-//! the same request stream fault at the same event on any executor.
+//! Every event counts a unit of work, never a runner: one `BankProbe`
+//! per probed signature, one `GemmChunk` per reuse-pass product and one
+//! `ChannelShard` per conv channel, each drawn in stream order before its
+//! unit runs. Which probe, product or channel faults is therefore decided
+//! by a deterministic event count, not by pool scheduling, and repeated
+//! runs of the same request stream fault at the same event on any
+//! executor.
 //!
-//! One caveat: the event counters are global per site, so when *several
-//! concurrent streams* emit the same site (e.g. two conv layers fanned
-//! out by `submit_batch`), their counts interleave nondeterministically.
+//! Where the events are drawn: `ChannelShard` on the thread that
+//! dispatches a conv forward, before its channels fan out. `BankProbe`
+//! and `GemmChunk` in the reuse pass, on the thread that runs it: the
+//! caller's for a lone submit or forward, but a pool worker's inside a
+//! `submit_batch` fan-out and inside a batch conv engine's channel
+//! fan-out (`conv_channel` → `ReusePlan::pass`). So "before any fan-out"
+//! holds for every site only on the serial executor and for
+//! `ChannelShard` everywhere.
+//!
+//! One caveat follows: the event counters are global per site, so when
+//! *several concurrent streams* emit the same site (two conv layers
+//! fanned out by `submit_batch`, or the channels of one batch conv
+//! forward on a pool), their counts interleave nondeterministically.
 //! Every engine family emits `BankProbe` and `GemmChunk` — conv, FC and
 //! attention all run the same reuse pass — while only conv emits
 //! `ChannelShard`. Chaos tests that need an exact target under
 //! concurrency should arm a site only one of the streams emits (e.g.
 //! `ChannelShard` with a single conv layer in the batch), or arm
 //! `GemmChunk` on a session whose only layers are conv layers.
+//!
+//! The counters are also process-wide: while a harness is open, every
+//! engine in the process counts, including engines of concurrent tests
+//! that hold none. Scoping them to engines built while a harness is open
+//! would not do as it stands: both fault tests of
+//! `tests/serve_streaming.rs` register their tenants — and so build
+//! their engines — before they open [`harness`].
 //!
 //! # Usage
 //!
@@ -59,16 +78,17 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 /// A named injection point in the MERCURY hot paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// One MCACHE probe, counted in stream order as the engine routes a
-    /// signature batch to its home banks (before the concurrent bank
-    /// fan-out). Supports [`FaultAction::Panic`] and
+    /// One MCACHE probe, counted in stream order before the reuse pass
+    /// probes its signatures one by one, on the thread that runs the
+    /// pass. Supports [`FaultAction::Panic`] and
     /// [`FaultAction::CorruptTag`].
     BankProbe,
-    /// One row chunk of a reuse pass's compute rows — a conv channel's,
+    /// One reuse-pass product over its compute rows — a conv channel's,
     /// an FC call's, or either of an attention call's two products —
-    /// sharded over the executor, one chunk per worker (the whole product
-    /// counts as a single chunk when it runs serially). Supports
-    /// [`FaultAction::Panic`] and [`FaultAction::NanPayload`].
+    /// which runs as one kernel call on the pass's thread, so every
+    /// executor counts one event per product (none for a product with no
+    /// compute rows). Supports [`FaultAction::Panic`] and
+    /// [`FaultAction::NanPayload`].
     GemmChunk,
     /// One conv-channel shard, counted in channel order before the
     /// channels fan out. Supports [`FaultAction::Panic`].

@@ -15,10 +15,10 @@
 //!
 //! A [`BankedMCache`] also holds the data half of its lines: the result
 //! row a line's producer computed, stored with the line so a HIT in a
-//! later pass can read it back (§III-B3). Rows are stored only by the
-//! caller's serial plan, never by the bank-parallel probes, and live in
-//! one slab that holds exactly the rows stored since the last
-//! [`clear`](BankedMCache::clear) or [`drop_rows`](BankedMCache::drop_rows).
+//! later pass can read it back (§III-B3). The caller's plan stores them
+//! after its probes, in one slab that holds exactly the rows stored since
+//! the last [`clear`](BankedMCache::clear) or
+//! [`drop_rows`](BankedMCache::drop_rows).
 //!
 //! The `ablation_banked_cache` bench does not drive this type: it splits
 //! a stream round-robin by PE set across private [`MCache`] banks and
@@ -26,9 +26,8 @@
 //! insertion conflicts they save. Signature-homed banks lose no reuse
 //! that way — a repeated signature always probes the same bank.
 
-use crate::{AccessOutcome, EntryId, HitKind, MCache, MCacheConfig, MCacheStats, McacheError};
+use crate::{AccessOutcome, EntryId, MCache, MCacheConfig, MCacheStats, McacheError};
 use mercury_rpq::Signature;
-use mercury_tensor::exec::Executor;
 
 /// A bank-partitioned MCACHE addressed through flat entry ids.
 ///
@@ -138,18 +137,6 @@ impl BankedMCache {
         }
     }
 
-    /// Rewrites a bank-local outcome into the flat id space.
-    #[inline]
-    fn flatten(sets_per_bank: usize, bank: usize, out: AccessOutcome) -> AccessOutcome {
-        AccessOutcome {
-            kind: out.kind,
-            entry: out.entry.map(|id| EntryId {
-                set: bank * sets_per_bank + id.set,
-                way: id.way,
-            }),
-        }
-    }
-
     /// Probes a signature in its home bank, inserting it on a miss when the
     /// set has a free way (see [`MCache::probe_insert`]). The entry comes
     /// back as a flat id.
@@ -160,62 +147,12 @@ impl BankedMCache {
         let h = sig.mix64();
         let bank = self.bank_of_hash(h);
         let out = self.banks[bank].probe_insert_hashed(sig, h);
-        Self::flatten(self.sets_per_bank, bank, out)
-    }
-
-    /// Probes a whole signature stream, writing one outcome per signature
-    /// into `out` (cleared first) in stream order.
-    ///
-    /// A one-bank cache, a serial executor, or a stream shorter than the
-    /// executor's `parallel_probe_min` takes the serial loop. Otherwise
-    /// the stream is partitioned by home bank and the banks probe
-    /// concurrently without locks: every set, tag and conflict counter
-    /// lives in exactly one bank and each bank sees its probes in stream
-    /// order, so outcomes and statistics are identical to the serial loop.
-    /// Each bank's work hint is its probe count times the executor's
-    /// `probe_work_units`, so a batch whose probes all land in one bank
-    /// runs inline — a second thread could not share that bank.
-    pub fn probe_insert_batch(
-        &mut self,
-        sigs: &[Signature],
-        exec: &Executor,
-        out: &mut Vec<AccessOutcome>,
-    ) {
-        out.clear();
-        let tuning = exec.tuning();
-        if self.banks.len() == 1 || !exec.is_parallel() || sigs.len() < tuning.parallel_probe_min {
-            out.extend(sigs.iter().map(|&sig| self.probe_insert(sig)));
-            return;
-        }
-        let mut per_bank: Vec<Vec<(u32, Signature, u64)>> = vec![Vec::new(); self.banks.len()];
-        for (i, &sig) in sigs.iter().enumerate() {
-            let h = sig.mix64();
-            per_bank[self.bank_of_hash(h)].push((i as u32, sig, h));
-        }
-        let sets_per_bank = self.sets_per_bank;
-        let results = exec.map(
-            self.banks.iter_mut().enumerate().zip(per_bank),
-            |(_, probes)| probes.len().saturating_mul(tuning.probe_work_units),
-            || (),
-            |((bank, cache), probes), ()| {
-                probes
-                    .into_iter()
-                    .map(|(i, sig, h)| {
-                        let o = cache.probe_insert_hashed(sig, h);
-                        (i, Self::flatten(sets_per_bank, bank, o))
-                    })
-                    .collect::<Vec<_>>()
-            },
-        );
-        out.resize(
-            sigs.len(),
-            AccessOutcome {
-                kind: HitKind::Mnu,
-                entry: None,
-            },
-        );
-        for (i, o) in results.into_iter().flatten() {
-            out[i as usize] = o;
+        AccessOutcome {
+            kind: out.kind,
+            entry: out.entry.map(|id| EntryId {
+                set: bank * self.sets_per_bank + id.set,
+                way: id.way,
+            }),
         }
     }
 
@@ -323,6 +260,7 @@ impl BankedMCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HitKind;
 
     fn sig(b: u128) -> Signature {
         Signature::from_bits(b, 20)
@@ -448,27 +386,6 @@ mod tests {
         let id = c.probe_insert(sig(1)).entry.unwrap();
         c.store_row(id, 0, &[1.0]);
         c.store_row(id, 0, &[2.0]);
-    }
-
-    #[test]
-    fn sharded_probing_matches_serial_interleaving() {
-        // Partitioning a probe stream by home bank and probing the banks
-        // from worker threads must reproduce the serial interleaved
-        // outcomes and stats exactly. 120 probes clear the default
-        // parallel-probe cutoff.
-        let stream: Vec<Signature> = (0..120).map(|i| sig(i % 37)).collect();
-        let mut serial = cache(4);
-        let serial_out: Vec<_> = stream.iter().map(|&s| serial.probe_insert(s)).collect();
-        for exec in [Executor::serial(), Executor::threaded(4)] {
-            let mut sharded = cache(4);
-            let mut out = vec![AccessOutcome {
-                kind: HitKind::Hit,
-                entry: None,
-            }];
-            sharded.probe_insert_batch(&stream, &exec, &mut out);
-            assert_eq!(serial_out, out);
-            assert_eq!(serial.stats(), sharded.stats());
-        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Pluggable execution backends for the workspace's parallel paths.
 //!
-//! Every parallel path in the MERCURY reproduction — the per-channel conv
-//! sharding, row-sharded compute rows and banked-probe fan-out in
+//! Every parallel path in the MERCURY reproduction — a batch conv
+//! engine's channels and a session's `submit_batch` layers in
 //! `mercury-core`, and the per-layer model simulator in `mercury-bench` —
-//! schedules its independent work items through one [`Executor`]. Two
-//! backends exist:
+//! schedules its independent work items through one [`Executor`]. A reuse
+//! pass (probes, product, fan-out of producer rows) always runs whole on
+//! the thread that calls it. Two backends exist:
 //!
 //! * [`ExecutorKind::Serial`] — every item runs on the calling thread in
 //!   index order. This is the *reference semantics*: all documented
@@ -70,9 +71,9 @@
 //!   [`DispatchTuning::dispatch_min_work`], so tiny regions never pay a
 //!   worker wakeup;
 //! * the calling thread is not already executing items of an outer
-//!   region. Nested regions run inline, so an engine that shards compute
-//!   rows or bank probes inside a `submit_batch` fan-out can never deadlock
-//!   on its own pool, and never oversubscribes the machine.
+//!   region. Nested regions run inline, so a region item that opens a
+//!   region of its own can never deadlock on its pool, and never
+//!   oversubscribes the machine.
 //!
 //! A dispatched region recruits at most one worker fewer than it has busy
 //! items (the caller is always the extra runner).
@@ -257,9 +258,9 @@ pub struct PoolStats {
 pub struct Executor {
     backend: Backend,
     /// The dispatch knob set this executor gates regions with, fixed at
-    /// construction. Clones carry the same values, so every engine a
-    /// session hands a clone to sizes its work hints in the same units
-    /// the dispatch gate compares against.
+    /// construction. Clones carry the same values, so every owner of a
+    /// clone sizes its work hints in the same units the dispatch gate
+    /// compares against.
     tuning: DispatchTuning,
 }
 
@@ -340,9 +341,9 @@ impl Executor {
         }
     }
 
-    /// The dispatch tuning this executor was constructed with. Engines
-    /// use this to size their work hints (probe costs, channel hints) in
-    /// the same units the dispatch gate compares against.
+    /// The dispatch tuning this executor was constructed with. The conv
+    /// engine uses this to size its channel hints (dense work plus probe
+    /// costs) in the same units the dispatch gate compares against.
     pub fn tuning(&self) -> DispatchTuning {
         self.tuning
     }
@@ -1173,8 +1174,7 @@ mod tests {
     fn nested_regions_run_inline_without_deadlock() {
         // An item of an outer region that opens an inner region on the
         // same pool must complete (inline), not deadlock waiting for the
-        // workers it is itself occupying — the submit_batch-fans-out-
-        // engines-that-shard-compute-rows shape.
+        // workers it is itself occupying.
         let exec = Executor::threaded(2);
         let inner = exec.clone();
         let before = exec.pool_stats().unwrap();

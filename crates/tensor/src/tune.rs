@@ -22,12 +22,13 @@ pub struct DispatchTuning {
     /// be handed to the worker pool instead of running inline on the
     /// caller. Default 32Ki units, roughly tens of µs of work.
     pub dispatch_min_work: usize,
-    /// Estimated cost of one MCACHE probe in the same work units; feeds
-    /// the per-bank probe fan-out hints and the conv channel hints.
-    /// Default 64.
+    /// Estimated cost of one MCACHE probe in the same work units; the
+    /// conv channel hints add it once per patch. Default 64.
     pub probe_work_units: usize,
-    /// Minimum signatures per batch before a banked probe stream is
-    /// partitioned across bank shards at all. Default 64.
+    /// Not a knob: nothing reads it, since every reuse pass probes on its
+    /// calling thread. It stays, like [`_rest`](Self::_rest), because the
+    /// extreme-tuning grid of `tests/parallel_determinism.rs` names it.
+    /// Default 64.
     pub parallel_probe_min: usize,
     /// Not a knob. Literals end in `..DispatchTuning::default()`, so a
     /// literal naming every knob stays warning-free and a new knob
