@@ -9,6 +9,10 @@
 //!   between vectors that land in different PE sets is lost;
 //! * *insertion contention* — private banks never contend, while the
 //!   shared cache serializes same-set inserts through its per-set queues.
+//!
+//! These banks are private slices per PE set, not the signature-homed banks
+//! of [`MCache::banked`]: there a repeated signature always probes its home
+//! bank, so that split loses no reuse.
 
 use mercury_mcache::{HitKind, MCache, MCacheConfig};
 use mercury_rpq::Signature;

@@ -2,23 +2,23 @@
 //! cache, RNG, projection matrices, signature length, detection flag), its
 //! one constructor, and the one reuse pass every engine runs.
 //!
-//! Every engine holds one [`BankedMCache`]. A batch engine holds a
-//! one-bank cache, restarts it per reuse scope and leaves it empty when a
-//! forward ends — the FPGA MCACHE of §III-B3. A persistent engine, the kind
+//! Every engine holds one [`MCache`]. A batch engine holds a one-bank
+//! cache, restarts it per reuse scope and leaves it empty when a forward
+//! ends — the FPGA MCACHE of §III-B3. A persistent engine, the kind
 //! [`MercurySession`](crate::MercurySession) streams through, splits the
-//! cache across banks (§V) and keeps it across scopes until an epoch
-//! boundary evicts it. Both run the same hot path; only the bank count and
-//! the clear-per-scope flag differ. Conv (per channel), FC and attention
-//! (per call) all decide reuse in [`ReusePlan::pass`]: probe, plan,
-//! compute rows on the packed-panel row kernel, fan out producer rows.
+//! cache's sets across banks (§V) and keeps it across scopes until an
+//! epoch boundary evicts it. Both run the same hot path; only the bank
+//! count and the clear-per-scope flag differ. Conv (per channel), FC and
+//! attention (per call) all decide reuse in [`ReusePlan::pass`]: probe,
+//! plan, compute rows on the packed-panel row kernel, fan out producer
+//! rows.
 
 use crate::config::ConfigError;
 use crate::stats::LayerStats;
 use crate::MercuryConfig;
 #[cfg(feature = "fault-inject")]
 use mercury_faults::{FaultAction, FaultSite};
-use mercury_mcache::banked::BankedMCache;
-use mercury_mcache::{AccessOutcome, EntryId, HitKind, MCacheConfig, OutcomeMix};
+use mercury_mcache::{AccessOutcome, EntryId, HitKind, MCache, OutcomeMix};
 use mercury_rpq::analysis::unique_signature_count;
 use mercury_rpq::{ProjectionMatrix, Signature};
 use mercury_tensor::kernel::sign::{self, LANES};
@@ -93,7 +93,7 @@ pub(crate) fn conv_channel_work(
 /// writing one outcome per signature into `out` (cleared first). With the
 /// `fault-inject` feature, the `BankProbe` fault events are drawn first
 /// (see `bank_probe_faults`).
-fn probe_batch(cache: &mut BankedMCache, sigs: &[Signature], out: &mut Vec<AccessOutcome>) {
+fn probe_batch(cache: &mut MCache, sigs: &[Signature], out: &mut Vec<AccessOutcome>) {
     #[cfg(feature = "fault-inject")]
     let faulted = bank_probe_faults(sigs);
     #[cfg(feature = "fault-inject")]
@@ -135,7 +135,7 @@ fn bank_probe_faults(sigs: &[Signature]) -> Option<Vec<Signature>> {
 const NO_ROW: u32 = u32::MAX;
 
 /// Marks a source that is a row stored in the cache: the low bits are its
-/// slab slot ([`StoredRow::slot`](mercury_mcache::banked::StoredRow::slot)).
+/// slab slot ([`StoredRow::slot`](mercury_mcache::StoredRow::slot)).
 const STORED: u32 = 1 << 31;
 
 /// The reuse plan of one probe stream: which vectors compute, and whose
@@ -160,12 +160,12 @@ pub(crate) struct ReusePlan {
     outcomes: Vec<AccessOutcome>,
     /// The signatures of the MNU vectors.
     mnu_sigs: Vec<Signature>,
-    /// Per flat cache entry, this pass's source for its HITs: the compute
-    /// row of its producer or its stored row ([`NO_ROW`] for none). A pass
-    /// resets only the entries it touched, so a short stream never pays
-    /// for a fill of the whole cache.
+    /// Per cache line, this pass's source for its HITs: the compute row
+    /// of its producer or its stored row ([`NO_ROW`] for none). A pass
+    /// resets only the lines it touched, so a short stream never pays for
+    /// a fill of the whole cache.
     entry_row: Vec<u32>,
-    /// The flat entries whose stored row this pass served.
+    /// The lines whose stored row this pass served.
     served: Vec<usize>,
     /// The compute rows to store after the product, with their lines.
     stores: Vec<(u32, EntryId)>,
@@ -218,7 +218,7 @@ impl ReusePlan {
     /// conv channel). Without, nothing is read or stored.
     pub fn pass(
         &mut self,
-        cache: &mut BankedMCache,
+        cache: &mut MCache,
         clear: bool,
         sigs: &[Signature],
         mut product: Product<'_>,
@@ -232,9 +232,9 @@ impl ReusePlan {
         probe_batch(cache, sigs, &mut self.outcomes);
         let conflicts = cache.stats().insert_conflicts - conflicts_before;
 
-        let ways = cache.bank_config().ways;
-        if self.entry_row.len() < cache.entries() {
-            self.entry_row.resize(cache.entries(), NO_ROW);
+        let lines = cache.config().entries();
+        if self.entry_row.len() < lines {
+            self.entry_row.resize(lines, NO_ROW);
         }
         self.source.clear();
         self.compute.clear();
@@ -253,8 +253,7 @@ impl ReusePlan {
                 }
                 Some(id) => {
                     let hit = outcome.kind == HitKind::Hit;
-                    let entry = id.set * ways + id.way;
-                    let producer = &mut self.entry_row[entry];
+                    let producer = &mut self.entry_row[id.line];
                     if hit && *producer != NO_ROW {
                         *producer
                     } else {
@@ -263,7 +262,7 @@ impl ReusePlan {
                         match stored {
                             Some(kept) if hit && Some(kept.owner) == owner => {
                                 *producer = STORED | kept.slot;
-                                self.served.push(entry);
+                                self.served.push(id.line);
                             }
                             _ => {
                                 recomputed += usize::from(hit);
@@ -282,11 +281,11 @@ impl ReusePlan {
         }
         for &v in &self.compute {
             if let Some(id) = self.outcomes[v].entry {
-                self.entry_row[id.set * ways + id.way] = NO_ROW;
+                self.entry_row[id.line] = NO_ROW;
             }
         }
-        for &entry in &self.served {
-            self.entry_row[entry] = NO_ROW;
+        for &line in &self.served {
+            self.entry_row[line] = NO_ROW;
         }
 
         let ld = self.compute(&mut product, cache.slab());
@@ -418,7 +417,7 @@ pub(crate) fn fault_post(faults: &[Option<FaultAction>], i: usize, out: &mut [f3
 #[derive(Debug)]
 pub(crate) struct EngineBase {
     pub config: MercuryConfig,
-    pub cache: BankedMCache,
+    pub cache: MCache,
     /// Persistent engines keep MCACHE state across reuse scopes and evict
     /// only at epoch boundaries; batch engines restart per scope.
     pub persistent: bool,
@@ -442,7 +441,7 @@ pub(crate) struct EngineBase {
 
 impl EngineBase {
     /// Builds an engine's state: `config.cache` split across `banks`
-    /// signature-homed banks, with projections drawn
+    /// signature-homed banks ([`MCache::banked`]), with projections drawn
     /// from `Rng::new(seed)`. A `persistent` engine keeps its cache across
     /// reuse scopes; otherwise each scope restarts it.
     ///
@@ -458,22 +457,16 @@ impl EngineBase {
         persistent: bool,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
-        if banks == 0 {
-            return Err(ConfigError::ZeroBanks);
-        }
-        // `validate` rejects zero sets, so a remainder also catches
-        // `banks > sets`.
-        let sets = config.cache.sets;
-        if sets % banks != 0 {
-            return Err(ConfigError::BankSplit { sets, banks });
-        }
-        let per_bank = MCacheConfig {
-            sets: sets / banks,
-            ..config.cache
-        };
+        let cache = MCache::banked(config.cache, banks).map_err(|_| match banks {
+            0 => ConfigError::ZeroBanks,
+            _ => ConfigError::BankSplit {
+                sets: config.cache.sets,
+                banks,
+            },
+        })?;
         Ok(EngineBase {
             config,
-            cache: BankedMCache::new(banks, per_bank).expect("bank count checked positive above"),
+            cache,
             persistent,
             projections: Projections {
                 rng: Rng::new(seed),
@@ -606,6 +599,7 @@ impl Projections {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mercury_mcache::MCacheConfig;
     use mercury_tensor::exec::ExecutorKind;
 
     fn sig(bits: u128) -> Signature {
@@ -623,13 +617,11 @@ mod tests {
     #[test]
     fn banked_flat_ids_round_trip() {
         let mut cache = EngineBase::new(small_config(), 1, 4, true).unwrap().cache;
-        assert_eq!(cache.entries(), 16);
-        assert_eq!(cache.bank_config().ways, 2);
+        assert_eq!(cache.config().entries(), 16);
         for i in 0..40u128 {
             let out = cache.probe_insert(sig(i));
             if let Some(entry) = out.entry {
-                assert!(entry.set < 8, "flat set {} out of range", entry.set);
-                assert!(entry.way < 2, "way {} out of range", entry.way);
+                assert!(entry.line < 16, "line {} out of range", entry.line);
             }
         }
         // Same signature must flatten to the same entry again.

@@ -9,8 +9,7 @@ use mercury_accel::config::AcceleratorConfig;
 use mercury_accel::sim::{ChannelWork, LayerSim};
 #[cfg(feature = "fault-inject")]
 use mercury_faults::FaultSite;
-use mercury_mcache::banked::BankedMCache;
-use mercury_mcache::OutcomeMix;
+use mercury_mcache::{MCache, OutcomeMix};
 use mercury_rpq::{ProjectionMatrix, Signature};
 use mercury_tensor::conv::{self, extract_patches_into, ConvGeometry};
 use mercury_tensor::exec::Executor;
@@ -38,12 +37,12 @@ use mercury_tensor::{Tensor, TensorError};
 ///
 /// Every reuse forward computes from kernels the engine has bound: packed
 /// once, and kept until a forward passes other kernels, which the engine
-/// binds in their place. Both modes hold the same cache type, a
-/// [`BankedMCache`](mercury_mcache::banked::BankedMCache): a batch engine
-/// ([`ConvEngine::try_new`]) holds one bank and restarts it per channel.
-/// In **persistent mode** ([`ConvEngine::persistent`], the mode
-/// [`MercurySession`](crate::MercurySession) uses) the cache is split
-/// across banks (§V) and survives across channels and submits, and each
+/// binds in their place. Both modes hold the same cache type, an
+/// [`MCache`]: a batch engine ([`ConvEngine::try_new`]) holds one bank and
+/// restarts it per channel. In **persistent mode**
+/// ([`ConvEngine::persistent`], the mode
+/// [`MercurySession`](crate::MercurySession) uses) the cache's sets split
+/// across banks (§V), it survives across channels and submits, and each
 /// line keeps the `F`-float row its producer computed, for the channel
 /// that stored it: a HIT in a later submit on the same channel copies that
 /// row. A HIT on a line another channel stored — the filter slices differ
@@ -321,10 +320,7 @@ fn conv_forward(
         exec.map(
             0..c,
             |_| channel_work,
-            || {
-                let cache = BankedMCache::new(1, cache_cfg).expect("one bank is positive");
-                (cache, ConvScratch::default())
-            },
+            || (MCache::new(cache_cfg), ConvScratch::default()),
             move |ch, state| {
                 #[cfg(feature = "fault-inject")]
                 fault_pre(FaultSite::ChannelShard, channel_faults, ch);
@@ -503,7 +499,7 @@ struct ConvScratch {
 fn conv_channel(
     ctx: &ChannelCtx<'_>,
     ch: usize,
-    cache: &mut BankedMCache,
+    cache: &mut MCache,
     clear_scope: bool,
     scratch: &mut ConvScratch,
     dest: &mut [f32],

@@ -178,11 +178,11 @@ impl FcEngine {
         })
     }
 
-    /// Creates a persistent FC engine: a banked MCACHE and its stored rows
-    /// survive across calls and are evicted by
-    /// [`end_epoch`](ReuseEngine::end_epoch). The engine binds the weights
-    /// of its first reuse call; a call with other weights binds those and
-    /// drops the stored rows, keeping the tags.
+    /// Creates a persistent FC engine: an MCACHE whose sets split across
+    /// `banks` banks keeps its tags and stored rows across calls until
+    /// [`end_epoch`](ReuseEngine::end_epoch) evicts them. The engine binds
+    /// the weights of its first reuse call; a call with other weights
+    /// binds those and drops the stored rows, keeping the tags.
     ///
     /// # Errors
     ///
@@ -318,8 +318,8 @@ impl AttentionEngine {
         EngineBase::new(config, seed, 1, false).map(|base| AttentionEngine { base })
     }
 
-    /// Creates a persistent attention engine (banked MCACHE tags, evicted
-    /// by epoch; no stored rows).
+    /// Creates a persistent attention engine: MCACHE tags split across
+    /// `banks` banks, evicted by epoch, and no stored rows.
     ///
     /// # Errors
     ///

@@ -196,13 +196,13 @@ impl LayerForward {
 /// the exact product and binds nothing.
 ///
 /// Engines come in two cache lifetimes over one cache type,
-/// [`BankedMCache`](mercury_mcache::banked::BankedMCache):
+/// [`MCache`](mercury_mcache::MCache):
 ///
 /// * **batch mode** (`try_new`) — a one-bank MCACHE restarts at every
 ///   reuse scope (channel for conv, call for FC/attention), the paper's
 ///   §III-B3 behaviour;
-/// * **persistent mode** (`persistent`) — an MCACHE split across banks
-///   (§V) survives across passes and is evicted only by
+/// * **persistent mode** (`persistent`) — an MCACHE whose sets split
+///   across banks (§V) survives across passes and is evicted only by
 ///   [`end_epoch`](Self::end_epoch), the behaviour
 ///   [`MercurySession`](crate::MercurySession) streams through. The conv
 ///   and FC engines keep each line's result row with its tag, so a HIT in
@@ -258,7 +258,7 @@ pub trait ReuseEngine: fmt::Debug + Send {
 
     /// Bytes of MCACHE state currently resident in this engine: the tag of
     /// every occupied line plus every stored row (see
-    /// [`BankedMCache::resident_bytes`](mercury_mcache::banked::BankedMCache::resident_bytes)).
+    /// [`MCache::resident_bytes`](mercury_mcache::MCache::resident_bytes)).
     /// Occupancy-sensitive — an epoch eviction
     /// ([`end_epoch`](Self::end_epoch)) drops it to zero — so a serving
     /// tier can meter many sessions against one global memory budget

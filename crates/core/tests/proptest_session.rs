@@ -1,11 +1,10 @@
 //! Property-based pinning of the `MercurySession` streaming semantics:
 //! the session's hit/miss outcomes across a multi-epoch stream are exactly
-//! what manually driving a `BankedMCache` with the same signature stream
-//! produces.
+//! what manually driving a bank-split `MCache` with the same signature
+//! stream produces.
 
 use mercury_core::{MercuryConfig, MercurySession};
-use mercury_mcache::banked::BankedMCache;
-use mercury_mcache::{HitKind, MCacheConfig};
+use mercury_mcache::{HitKind, MCache};
 use mercury_rpq::ProjectionMatrix;
 use mercury_tensor::rng::Rng;
 use mercury_tensor::Tensor;
@@ -25,8 +24,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// A session stream across N epochs produces the same per-submit
-    /// hit/miss outcome counts as manually driving a `BankedMCache` with
-    /// the same signatures and clearing it at the same epoch boundaries.
+    /// hit/miss outcome counts as manually driving a bank-split `MCache`
+    /// with the same signatures and clearing it at the same epoch boundaries.
     #[test]
     fn session_outcomes_match_manual_banked_driving(
         seed in 0u64..200,
@@ -41,9 +40,7 @@ proptest! {
         let weights = Tensor::randn(&[l, 3], &mut Rng::new(seed ^ 0xABCD));
         let fc = session.register_fc(weights).unwrap();
 
-        let banks = session.banks();
-        let per_bank = MCacheConfig::new(config.cache.sets / banks, config.cache.ways).unwrap();
-        let mut manual = BankedMCache::new(banks, per_bank).unwrap();
+        let mut manual = MCache::banked(config.cache, session.banks()).unwrap();
 
         let mut workload_rng = Rng::new(seed ^ 0x9999);
         for _ in 0..epochs {

@@ -1,16 +1,15 @@
 use crate::{HitKind, McacheError};
 use mercury_rpq::Signature;
 
-/// Identifies one cache line: signatures resolve to an `EntryId` once, and
-/// later accesses go through the id without re-comparing tags (paper §V:
-/// "the entry id is saved along with the signature in the signature
-/// table").
+/// Identifies one cache line by its index, `set × ways + way`: signatures
+/// resolve to an `EntryId` once, and later accesses go through the id
+/// without re-comparing tags (paper §V: "the entry id is saved along with
+/// the signature in the signature table"). Per-line arrays index by it
+/// directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EntryId {
-    /// Set index.
-    pub set: usize,
-    /// Way index within the set.
-    pub way: usize,
+    /// The line index, `set × ways + way`.
+    pub line: usize,
 }
 
 /// Geometry of an [`MCache`].
@@ -81,22 +80,26 @@ impl MCacheStats {
 }
 
 /// The MERCURY memoization cache (see the [crate docs](crate) for the
-/// design rationale).
+/// design rationale): signature tags beside the result rows they index.
 ///
-/// This is the tag half of the hardware cache: it classifies every probe
-/// and hands out the entry ids that group same-signature vectors. The
-/// data half — the result rows — lives in
-/// [`BankedMCache`](crate::banked::BankedMCache), the cache the reuse
-/// engines hold. Storage is
-/// structure-of-arrays — one flat buffer per field across all
-/// `sets × ways` lines — so set scans touch contiguous memory.
+/// The tag half classifies every probe and hands out the line ids that
+/// group same-signature vectors. Its storage is structure-of-arrays — one
+/// flat buffer per field across all `sets × ways` lines — so set scans
+/// touch contiguous memory. The data half holds the result row a line's
+/// producer computed ([`store_row`](Self::store_row)), so a HIT in a later
+/// pass can read it back (§III-B3): one slab of exactly the rows stored
+/// since the last [`clear`](Self::clear) or [`drop_rows`](Self::drop_rows).
 ///
-/// # Examples
-///
-/// See the crate-level example.
+/// [`new`](Self::new) builds the FPGA design, one bank of sets;
+/// [`banked`](Self::banked) splits the sets across signature-homed banks,
+/// the ASIC option of §V. The crate docs and `banked` have examples.
 #[derive(Debug, Clone)]
 pub struct MCache {
     config: MCacheConfig,
+    /// Number of banks the sets split into.
+    banks: usize,
+    /// Sets per bank: the stride of a bank's sets in the set index.
+    bank_sets: usize,
     /// Tag bit patterns, `sets × ways`, row-major by set. Stored split
     /// from the lengths so a set scan streams packed 16-byte words; a tag
     /// matches when both its bits and its length equal the probe's.
@@ -121,31 +124,120 @@ pub struct MCache {
     /// construction (bits are only ever set on insert, cleared on
     /// [`clear`](Self::clear)), so probe outcomes are unchanged.
     set_prefix: Vec<u64>,
+    /// The data half: the rows stored with their lines.
+    rows: RowSlab,
+}
+
+/// A stored result row, as [`MCache::stored_row`] finds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoredRow {
+    /// The row's slot in the slab (see [`MCache::slab`]).
+    pub slot: u32,
+    /// The owner the row was stored for: the caller's key for the scope a
+    /// row may serve (a conv engine stores one row per channel).
+    pub owner: u32,
+}
+
+/// The data half of an [`MCache`]: one `width`-float row per slot,
+/// appended as lines store them. A drop empties the slab and keeps its
+/// capacity, so the memory it holds tracks the rows of one epoch.
+#[derive(Debug, Clone, Default)]
+struct RowSlab {
+    /// Per line, the slot of its row, sized to the line count on the first
+    /// store. A slot belongs to the line only while `line[slot]` names the
+    /// line back: a drop leaves these entries stale, and the back-check
+    /// turns them away.
+    slot_of: Vec<u32>,
+    /// Per slot, the line that stored it.
+    line: Vec<u32>,
+    /// Per slot, the owner that stored it.
+    owner: Vec<u32>,
+    /// The rows, `width` values per slot.
+    data: Vec<f32>,
+    /// The row length, set by the first store into an empty slab.
+    width: usize,
 }
 
 /// Bytes of one resident tag: its bit pattern and its length.
 const TAG_BYTES: usize = std::mem::size_of::<u128>() + std::mem::size_of::<u8>();
 
+/// Bytes one stored row pins besides its values: its line and owner words.
+const ROW_HEADER_BYTES: usize = 2 * std::mem::size_of::<u32>();
+
 /// The resident-prefix filter bit for a signature: 6 bits of the mixed
 /// hash, taken from above the set-index bits (sets are at most 2^32 in any
-/// sane geometry; shipped ones use 6–8 bits) so the two stay decorrelated.
+/// sane geometry; shipped ones use 6–8 bits) and below the bank bits, so
+/// the three stay decorrelated.
 #[inline]
 fn prefix_bit(h: u64) -> u64 {
     1u64 << ((h >> 32) & 63)
 }
 
+/// `x mod n`. Same value either way; the mask avoids a hardware divide on
+/// the power-of-two geometries every shipped configuration uses.
+#[inline]
+fn reduce(x: u64, n: usize) -> usize {
+    let n = n as u64;
+    if n.is_power_of_two() {
+        (x & (n - 1)) as usize
+    } else {
+        (x % n) as usize
+    }
+}
+
 impl MCache {
-    /// Creates an empty cache.
+    /// Creates an empty one-bank cache: the FPGA design.
     pub fn new(config: MCacheConfig) -> Self {
-        MCache {
+        Self::banked(config, 1).expect("one bank divides every set count")
+    }
+
+    /// Creates an empty cache whose sets split evenly across `banks`
+    /// signature-homed banks (§V). A signature's bank is `(mix64 >> 48) mod
+    /// banks` and its set inside the bank `mix64 mod (sets / banks)`, so
+    /// high and low hash bits make the two choices independently. Inserts
+    /// to different banks never conflict; the price is aliasing, as a
+    /// signature can only live in its home bank. One bank is
+    /// [`new`](Self::new).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`McacheError::InvalidConfig`] for zero banks or a bank
+    /// count that does not divide the sets.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mercury_mcache::{HitKind, MCache, MCacheConfig};
+    /// use mercury_rpq::Signature;
+    ///
+    /// let config = MCacheConfig::paper_default(); // 64 sets × 16 ways
+    /// let mut cache = MCache::banked(config, 4).unwrap();
+    /// let sig = Signature::from_bits(0x3F, 20);
+    /// let first = cache.probe_insert(sig);
+    /// assert_eq!(first.kind, HitKind::Mau);
+    /// let again = cache.probe_insert(sig);
+    /// assert_eq!((again.kind, again.entry), (HitKind::Hit, first.entry));
+    /// assert!(MCache::banked(config, 3).is_err(), "3 banks do not divide 64 sets");
+    /// ```
+    pub fn banked(config: MCacheConfig, banks: usize) -> Result<Self, McacheError> {
+        if banks == 0 || config.sets % banks != 0 {
+            return Err(McacheError::InvalidConfig(format!(
+                "{banks} banks do not divide {} sets",
+                config.sets
+            )));
+        }
+        Ok(MCache {
             config,
+            banks,
+            bank_sets: config.sets / banks,
             tag_bits: vec![0; config.entries()],
             tag_len: vec![0; config.entries()],
             set_len: vec![0; config.sets],
             stats: MCacheStats::default(),
             batch_inserts: vec![0; config.sets],
             set_prefix: vec![0; config.sets],
-        }
+            rows: RowSlab::default(),
+        })
     }
 
     /// The cache's configuration.
@@ -158,25 +250,24 @@ impl MCache {
         self.stats
     }
 
+    /// The set a signature's `mix64` hash routes to: set
+    /// `bank · sets/banks + local` (see [`banked`](Self::banked)).
+    #[inline]
     fn set_of_hash(&self, h: u64) -> usize {
-        let sets = self.config.sets as u64;
-        // Same value either way; the mask avoids a hardware divide on the
-        // power-of-two geometries every shipped configuration uses.
-        if sets.is_power_of_two() {
-            (h & (sets - 1)) as usize
-        } else {
-            (h % sets) as usize
-        }
+        reduce(h >> 48, self.banks) * self.bank_sets + reduce(h, self.bank_sets)
     }
 
-    /// Scans the occupied prefix of a set for a tag match. The scan
-    /// compares the packed bit patterns first and the lengths — which
-    /// differ for equal bits essentially never — only on a bit match.
-    fn scan_set(&self, set: usize, sig: Signature) -> Option<usize> {
+    /// Scans the occupied prefix of a set for a tag match and returns its
+    /// line. The scan compares the packed bit patterns first and the
+    /// lengths — which differ for equal bits essentially never — only on a
+    /// bit match.
+    fn scan_set(&self, set: usize, sig: Signature) -> Option<EntryId> {
         let base = set * self.config.ways;
         let len = self.set_len[set] as usize;
         let (bits, slen) = (sig.bits(), sig.len() as u8);
-        (0..len).find(|&way| self.tag_bits[base + way] == bits && self.tag_len[base + way] == slen)
+        (base..base + len)
+            .find(|&line| self.tag_bits[line] == bits && self.tag_len[line] == slen)
+            .map(|line| EntryId { line })
     }
 
     /// Looks a signature up without modifying the cache.
@@ -186,7 +277,7 @@ impl MCache {
         if self.set_prefix[set] & prefix_bit(h) == 0 {
             return None; // no resident tag shares the prefix
         }
-        self.scan_set(set, sig).map(|way| EntryId { set, way })
+        self.scan_set(set, sig)
     }
 
     /// Probes for a signature and inserts it on a miss if the set has a
@@ -198,16 +289,11 @@ impl MCache {
     /// The set is scanned once: a tag match anywhere in the set wins (HIT),
     /// otherwise the lowest free way is claimed (MAU), exactly as a
     /// lookup-then-insert pair would decide.
-    pub fn probe_insert(&mut self, sig: Signature) -> AccessOutcome {
-        self.probe_insert_hashed(sig, sig.mix64())
-    }
-
-    /// [`probe_insert`](Self::probe_insert) with the signature's `mix64`
-    /// supplied by the caller, so routing layers that already hashed for
-    /// bank selection don't pay the mix twice per probe.
     #[inline]
-    pub(crate) fn probe_insert_hashed(&mut self, sig: Signature, h: u64) -> AccessOutcome {
-        debug_assert_eq!(h, sig.mix64());
+    pub fn probe_insert(&mut self, sig: Signature) -> AccessOutcome {
+        // One mix per probe: the same hash routes the set and feeds the
+        // prefix filter.
+        let h = sig.mix64();
         let set = self.set_of_hash(h);
         let prefix = prefix_bit(h);
         // Resident-prefix early-out: scan only when some resident tag
@@ -215,18 +301,17 @@ impl MCache {
         // case: streams of fresh content against well-occupied sets) skips
         // the tag scan entirely.
         if self.set_prefix[set] & prefix != 0 {
-            if let Some(way) = self.scan_set(set, sig) {
+            if let Some(id) = self.scan_set(set, sig) {
                 self.stats.hits += 1;
                 return AccessOutcome {
                     kind: HitKind::Hit,
-                    entry: Some(EntryId { set, way }),
+                    entry: Some(id),
                 };
             }
         }
         let len = self.set_len[set] as usize;
         if len < self.config.ways {
-            let way = len;
-            let line = set * self.config.ways + way;
+            let line = set * self.config.ways + len;
             self.tag_bits[line] = sig.bits();
             self.tag_len[line] = sig.len() as u8;
             self.set_len[set] += 1;
@@ -238,7 +323,7 @@ impl MCache {
             self.batch_inserts[set] += 1;
             return AccessOutcome {
                 kind: HitKind::Mau,
-                entry: Some(EntryId { set, way }),
+                entry: Some(EntryId { line }),
             };
         }
         self.stats.mnus += 1;
@@ -254,12 +339,13 @@ impl MCache {
         self.batch_inserts.fill(0);
     }
 
-    /// Clears every tag — a channel boundary, after which signatures are
-    /// recalculated from scratch.
+    /// Clears every tag and drops every stored row — a channel or epoch
+    /// boundary, after which signatures are recalculated from scratch.
     pub fn clear(&mut self) {
         self.set_len.fill(0);
         self.set_prefix.fill(0);
         self.batch_inserts.fill(0);
+        self.drop_rows();
     }
 
     /// Number of lines currently holding a valid tag.
@@ -267,14 +353,71 @@ impl MCache {
         self.set_len.iter().map(|&l| l as usize).sum()
     }
 
-    /// Bytes the resident tags pin: the packed tag (bits + length) of
-    /// every occupied line. Occupancy-sensitive by design —
-    /// [`clear`](Self::clear) (the flash-clear an eviction performs) drops
-    /// the figure to zero even though the backing buffers stay allocated,
-    /// because this is the *logical* working set a serving tier's memory
-    /// budget meters, not the allocator's view.
+    /// The row stored with line `id` since the rows were last dropped, if
+    /// any. A line holds at most one row.
+    pub fn stored_row(&self, id: EntryId) -> Option<StoredRow> {
+        let rows = &self.rows;
+        let slot = *rows.slot_of.get(id.line)?;
+        (rows.line.get(slot as usize) == Some(&(id.line as u32))).then(|| StoredRow {
+            slot,
+            owner: rows.owner[slot as usize],
+        })
+    }
+
+    /// Stores `row` with line `id` for `owner`, replacing nothing: the line
+    /// must hold no row. The first row after a drop sets the row length
+    /// every later row must match.
+    ///
+    /// # Panics
+    ///
+    /// If the line already holds a row, or `row` has another length than
+    /// the rows already stored.
+    pub fn store_row(&mut self, id: EntryId, owner: u32, row: &[f32]) {
+        assert!(
+            self.stored_row(id).is_none(),
+            "line {id:?} already holds a row"
+        );
+        let entries = self.config.entries();
+        let rows = &mut self.rows;
+        if rows.line.is_empty() {
+            rows.width = row.len();
+        }
+        assert_eq!(row.len(), rows.width, "stored rows share one length");
+        if rows.slot_of.len() < entries {
+            rows.slot_of.resize(entries, u32::MAX);
+        }
+        rows.slot_of[id.line] = rows.line.len() as u32;
+        rows.line.push(id.line as u32);
+        rows.owner.push(owner);
+        rows.data.extend_from_slice(row);
+    }
+
+    /// Every stored row, `width` values per slot in slot order (see
+    /// [`StoredRow::slot`]); `width` is the length the stored rows share.
+    pub fn slab(&self) -> &[f32] {
+        &self.rows.data
+    }
+
+    /// Drops every stored row and keeps the tags: until a line stores a
+    /// row again, a HIT on it finds none. The slab keeps its capacity.
+    pub fn drop_rows(&mut self) {
+        let rows = &mut self.rows;
+        rows.line.clear();
+        rows.owner.clear();
+        rows.data.clear();
+    }
+
+    /// Bytes of cache state resident: the packed tag (bits + length) of
+    /// every occupied line, plus each stored row's values and its line and
+    /// owner words — the logical working set a serving tier's memory
+    /// budget meters, not the allocator's view. [`clear`](Self::clear)
+    /// (the flash-clear an eviction performs) drops the figure to zero
+    /// even though the backing buffers stay allocated.
     pub fn resident_bytes(&self) -> usize {
+        let rows = &self.rows;
         self.occupancy() * TAG_BYTES
+            + rows.line.len() * ROW_HEADER_BYTES
+            + std::mem::size_of_val(rows.data.as_slice())
     }
 }
 
@@ -412,6 +555,90 @@ mod tests {
         assert!(cache.resident_bytes() > 0);
         cache.clear();
         assert_eq!(cache.resident_bytes(), 0);
+    }
+
+    /// A cache of `banks` banks of 4 sets × 2 ways each.
+    fn banked(banks: usize) -> MCache {
+        MCache::banked(MCacheConfig::new(4 * banks, 2).unwrap(), banks).unwrap()
+    }
+
+    #[test]
+    fn bank_split_rejects_zero_and_uneven_counts() {
+        let config = MCacheConfig::new(8, 2).unwrap();
+        for banks in [0, 3, 16] {
+            assert!(MCache::banked(config, banks).is_err(), "{banks} banks");
+        }
+        for banks in [1, 2, 4, 8] {
+            assert!(MCache::banked(config, banks).is_ok(), "{banks} banks");
+        }
+    }
+
+    #[test]
+    fn signatures_spread_across_banks() {
+        // 8 banks of 4 sets × 64 ways: a bank spans 4 · 64 lines.
+        let mut c = MCache::banked(MCacheConfig::new(32, 64).unwrap(), 8).unwrap();
+        let banks_used: std::collections::HashSet<usize> = (0..200)
+            .map(|i| c.probe_insert(sig(i)).entry.unwrap().line / (4 * 64))
+            .collect();
+        assert!(
+            banks_used.len() >= 6,
+            "only {} banks used",
+            banks_used.len()
+        );
+    }
+
+    #[test]
+    fn banked_conflicts_fewer_than_monolithic() {
+        // The motivating property: spreading inserts over banks reduces
+        // same-window insertion conflicts versus one monolithic cache with
+        // the same total capacity.
+        let mut banked = MCache::banked(MCacheConfig::new(8, 16).unwrap(), 8).unwrap();
+        let mut mono = MCache::new(MCacheConfig::new(1, 128).unwrap());
+        banked.begin_insert_batch();
+        mono.begin_insert_batch();
+        for i in 0..64 {
+            banked.probe_insert(sig(i));
+            mono.probe_insert(sig(i));
+        }
+        assert!(banked.stats().insert_conflicts < mono.stats().insert_conflicts);
+    }
+
+    #[test]
+    fn stored_rows_follow_their_lines_and_are_metered() {
+        let mut c = banked(4);
+        let a = c.probe_insert(sig(1)).entry.unwrap();
+        let b = c.probe_insert(sig(2)).entry.unwrap();
+        assert_eq!(c.stored_row(a), None, "an inserted tag holds no row yet");
+        c.store_row(a, 7, &[1.0, 2.0]);
+        c.store_row(b, 3, &[3.0, 4.0]);
+        let row = c.stored_row(a).unwrap();
+        assert_eq!(row.owner, 7);
+        assert_eq!(&c.slab()[row.slot as usize * 2..][..2], [1.0, 2.0]);
+        assert_eq!(c.stored_row(b).unwrap().owner, 3);
+        let tags = c.stats().maus as usize * (16 + 1);
+        assert_eq!(c.resident_bytes(), tags + 2 * (2 * 4 + 2 * 4));
+
+        // Dropping the rows keeps the tags; a stale slot never comes back,
+        // even once another line has stored into it.
+        c.drop_rows();
+        assert_eq!(c.resident_bytes(), tags);
+        assert_eq!(c.probe_insert(sig(1)).kind, HitKind::Hit);
+        c.store_row(b, 3, &[5.0, 6.0]);
+        assert_eq!(c.stored_row(a), None);
+        assert_eq!(c.slab(), [5.0, 6.0]);
+
+        c.clear();
+        assert_eq!((c.slab().len(), c.resident_bytes()), (0, 0));
+        assert_eq!(c.stored_row(b), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "already holds a row")]
+    fn a_line_stores_one_row() {
+        let mut c = banked(1);
+        let id = c.probe_insert(sig(1)).entry.unwrap();
+        c.store_row(id, 0, &[1.0]);
+        c.store_row(id, 0, &[2.0]);
     }
 
     #[test]

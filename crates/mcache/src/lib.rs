@@ -18,18 +18,18 @@
 //! vector as a [`HitKind`] (HIT / MAU / MNU) and names the line it maps
 //! to. Within one pass a reuse engine hands a HIT the result its producer
 //! just computed, which is the value the hardware would read back. Across
-//! passes, the data half holds it: a [`banked::BankedMCache`] keeps the
-//! result row its line's producer computed (one row per line, valid until
-//! the line's rows are dropped), so a HIT in a later pass copies that row.
-//! Only the persistent engines a session streams through store rows; a
-//! batch engine's cache restarts with every scope, and its data half stays
+//! passes, the data half holds it: an [`MCache`] keeps the result row its
+//! line's producer computed (one row per line, valid until the line's rows
+//! are dropped), so a HIT in a later pass copies that row. Only the
+//! persistent engines a session streams through store rows; a batch
+//! engine's cache restarts with every scope, and its data half stays
 //! empty. The `mercury-accel` cycle model charges the data traffic.
 //!
-//! [`MCache`] is one cache: the FPGA design the accelerator model and the
-//! ablation bins use. [`banked::BankedMCache`] splits one across
-//! signature-homed banks and is the cache every reuse engine holds — a
-//! one-bank instance for per-scope batch engines, several banks for the
-//! persistent engines a session streams through.
+//! [`MCache`] is the one cache type: the model simulations, the ablation
+//! bins and every reuse engine hold it. [`MCache::new`] builds the FPGA
+//! design, one bank of sets, which per-scope batch engines hold;
+//! [`MCache::banked`] splits the sets across signature-homed banks (§V)
+//! for the persistent engines a session streams through.
 //!
 //! # Examples
 //!
@@ -57,11 +57,10 @@
 
 #![warn(missing_docs)]
 
-pub mod banked;
 mod cache;
 mod error;
 mod hitmap;
 
-pub use cache::{AccessOutcome, EntryId, MCache, MCacheConfig, MCacheStats};
+pub use cache::{AccessOutcome, EntryId, MCache, MCacheConfig, MCacheStats, StoredRow};
 pub use error::McacheError;
 pub use hitmap::{HitKind, OutcomeMix};

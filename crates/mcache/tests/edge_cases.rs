@@ -1,7 +1,6 @@
 //! Edge-case tests for MCACHE: empty-cache behaviour, full sets and full
 //! banks under the no-replacement policy, and length-sensitive tags.
 
-use mercury_mcache::banked::BankedMCache;
 use mercury_mcache::{HitKind, MCache, MCacheConfig};
 use mercury_rpq::Signature;
 
@@ -53,12 +52,12 @@ fn full_bank_rejects_while_other_banks_accept() {
     // Tiny banks: 1 set × 1 way each. Once a signature's home bank is
     // full, every further distinct signature routed to that bank is MNU,
     // while signatures homed in other banks still insert fine.
-    let mut cache = BankedMCache::new(4, MCacheConfig::new(1, 1).unwrap()).unwrap();
+    let mut cache = MCache::banked(MCacheConfig::new(4, 1).unwrap(), 4).unwrap();
 
-    // One set per bank, so a flat entry's set index is its bank.
+    // One one-way set per bank, so an entry's line is its bank.
     let first = cache.probe_insert(sig(0));
     assert_eq!(first.kind, HitKind::Mau);
-    let home = first.entry.unwrap().set;
+    let home = first.entry.unwrap().line;
 
     // Find more signatures that land in the same bank and one that lands
     // elsewhere, by probing distinct raw patterns.
@@ -71,7 +70,7 @@ fn full_bank_rejects_while_other_banks_accept() {
                 same_bank_mnu += 1;
             }
             HitKind::Mau => {
-                let bank = out.entry.unwrap().set;
+                let bank = out.entry.unwrap().line;
                 assert_ne!(bank, home, "home bank is full; MAU must be elsewhere");
                 other_bank_mau += 1;
             }
