@@ -152,7 +152,7 @@ const IN_FLIGHT: usize = 16;
 /// [`mercury_serve::ServeClient`] clone, keeping up to [`IN_FLIGHT`]
 /// tickets outstanding and clocking
 /// each request from `submit` to `Ticket::wait` returning — the full
-/// channel → admission → tick → mailbox path a real client sees.
+/// channel → admission → tick → reply channel path a real client sees.
 fn run_ingress_leg(tenants: usize, requests: usize) -> LegReport {
     let config = ServeConfig::builder()
         .queue_capacity(64)

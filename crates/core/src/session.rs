@@ -652,17 +652,6 @@ impl MercurySession {
         })
     }
 
-    /// Whether one layer is currently poisoned — the cheap fast path for
-    /// a serving tier scanning for layers that need
-    /// [`recover`](Self::recover) (a health-flag read; no engine or cache
-    /// access). `false` for foreign ids: a layer this session never
-    /// issued cannot be poisoned in it.
-    pub fn is_poisoned(&self, layer: LayerId) -> bool {
-        self.slot(layer)
-            .map(|l| l.health == Health::Poisoned)
-            .unwrap_or(false)
-    }
-
     /// The ids of every currently poisoned layer, in registration order —
     /// what an auto-recovery sweep feeds to [`recover`](Self::recover).
     pub fn poisoned_layers(&self) -> impl Iterator<Item = LayerId> + '_ {
@@ -710,11 +699,6 @@ impl MercurySession {
     /// [`advance_epoch`](Self::advance_epoch)).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Number of registered layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
     }
 
     /// The session configuration.
@@ -869,7 +853,9 @@ mod tests {
             .unwrap();
         let fc = s.register_fc(Tensor::randn(&[8, 4], &mut rng)).unwrap();
         let att = s.register_attention().unwrap();
-        assert_eq!(s.num_layers(), 3);
+        for layer in [conv, fc, att] {
+            assert_eq!(s.layer_health(layer), Some(LayerHealth::Healthy));
+        }
 
         let img = Tensor::randn(&[1, 6, 6], &mut rng);
         let out = s.submit(conv, &img).unwrap();
@@ -1535,15 +1521,15 @@ mod tests {
         let conv = s
             .register_conv(Tensor::randn(&[2, 1, 3, 3], &mut rng), 1, 0)
             .unwrap();
-        assert!(!s.is_poisoned(conv));
+        assert_eq!(s.layer_health(conv), Some(LayerHealth::Healthy));
         assert_eq!(s.poisoned_layers().count(), 0);
 
-        // Foreign ids read as not-poisoned, never as an error.
+        // Foreign ids have no health here, and never read as poisoned.
         let mut other = session(75);
         let foreign = other
             .register_conv(Tensor::randn(&[1, 1, 3, 3], &mut rng), 1, 0)
             .unwrap();
-        assert!(!s.is_poisoned(foreign));
+        assert_eq!(s.layer_health(foreign), None);
     }
 
     #[test]

@@ -2,95 +2,52 @@
 //! that submit work into the service thread and tickets that collect
 //! the answers.
 //!
-//! A [`ServeClient`] is the data plane. It holds a sender into the
-//! service thread's bounded channel plus its own **mailbox** — the
-//! slot completions for *this client's* submissions are routed back
-//! to. Cloning a client is cheap and gives the clone a fresh mailbox,
-//! so each thread of a load generator can own a clone and never
-//! contend with its siblings on completion delivery.
-//!
-//! Every successful [`ServeClient::submit`] yields a [`Ticket`]: a
-//! one-shot claim on that request's completion. `wait` blocks on the
-//! mailbox's condvar; `try_take` polls it. Tickets are consumed on
-//! redemption, so "read the same completion twice" is unrepresentable.
+//! A [`ServeClient`] is the data plane: a sender into the service
+//! thread's bounded ingress channel, nothing more, so clones are free
+//! and share nothing but that channel. Each [`ServeClient::submit`]
+//! opens one reply channel for its request. The service thread sends
+//! the admission verdict down it, then the completion; `submit` reads
+//! the verdict, and the [`Ticket`] it returns holds the receiving end.
+//! `wait` is a blocking `recv`, `try_take` a `try_recv`. Tickets are
+//! consumed on redemption, so "read the same completion twice" is
+//! unrepresentable, and a dropped ticket drops its receiver, so its
+//! completion is freed as soon as the service thread sends it.
 
 use crate::error::ServeError;
-use crate::ingress::Msg;
+use crate::ingress::{Msg, Reply};
 use crate::server::RequestId;
 use crate::TenantId;
-use mercury_core::{LayerForward, LayerId, MercuryError};
+use mercury_core::{LayerForward, LayerId};
 use mercury_tensor::Tensor;
-use std::collections::HashMap;
-use std::fmt;
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
-
-/// Interior of a [`Mailbox`]: delivered-but-unclaimed completions keyed
-/// by request id, plus the closed flag the service thread raises when
-/// it will never deliver again.
-struct MailboxState {
-    results: HashMap<RequestId, Result<LayerForward, MercuryError>>,
-    closed: bool,
-}
-
-/// One client's completion slot. The service thread [`deliver`]s into
-/// it; [`Ticket`]s take from it. A `Condvar` wakes blocked waiters on
-/// both delivery and close, so a dying service thread can never strand
-/// a `Ticket::wait` forever.
-///
-/// [`deliver`]: Mailbox::deliver
-pub(crate) struct Mailbox {
-    state: Mutex<MailboxState>,
-    ready: Condvar,
-}
-
-impl Mailbox {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Mailbox {
-            state: Mutex::new(MailboxState {
-                results: HashMap::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-        })
-    }
-
-    /// Files a completion and wakes every waiter (each re-checks for
-    /// its own id, so one mailbox can serve many outstanding tickets).
-    pub(crate) fn deliver(&self, id: RequestId, result: Result<LayerForward, MercuryError>) {
-        let mut state = self.state.lock().unwrap();
-        state.results.insert(id, result);
-        drop(state);
-        self.ready.notify_all();
-    }
-
-    /// Marks the mailbox dead: no further deliveries will come. Waiters
-    /// wake and resolve to [`ServeError::Stopped`] — already-delivered
-    /// completions stay claimable.
-    pub(crate) fn close(&self) {
-        let mut state = self.state.lock().unwrap();
-        state.closed = true;
-        drop(state);
-        self.ready.notify_all();
-    }
-}
+use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
 
 /// A one-shot claim on the completion of one submitted request.
 ///
 /// Obtained from [`ServeClient::submit`]. Redeem it with
 /// [`wait`](Self::wait) (blocking) or [`try_take`](Self::try_take)
 /// (non-blocking); both consume the ticket, so a completion can be
-/// claimed exactly once. The ticket stays valid across clones and drops
-/// of the originating client — it holds its own reference to the
-/// mailbox.
+/// claimed exactly once. The ticket is the receiving end of its
+/// request's reply channel, so it stays valid across clones and drops
+/// of the originating client.
+#[derive(Debug)]
 pub struct Ticket {
-    mailbox: Arc<Mailbox>,
     id: RequestId,
+    replies: Receiver<Reply>,
 }
 
 impl Ticket {
-    pub(crate) fn new(mailbox: Arc<Mailbox>, id: RequestId) -> Self {
-        Ticket { mailbox, id }
+    /// Reads a request's admission verdict off its reply channel: the
+    /// ticket if the request was admitted, the typed refusal if not, and
+    /// [`ServeError::Stopped`] if the service thread dropped the sender
+    /// without answering.
+    pub(crate) fn admitted(replies: Receiver<Reply>) -> Result<Ticket, ServeError> {
+        let Ok(Reply::Admitted(verdict)) = replies.recv() else {
+            return Err(ServeError::Stopped);
+        };
+        Ok(Ticket {
+            id: verdict?,
+            replies,
+        })
     }
 
     /// The id this ticket redeems — the same value the synchronous
@@ -111,16 +68,7 @@ impl Ticket {
     ///
     /// [`shutdown`]: crate::ServeHandle::shutdown
     pub fn wait(self) -> Result<LayerForward, ServeError> {
-        let mut state = self.mailbox.state.lock().unwrap();
-        loop {
-            if let Some(result) = state.results.remove(&self.id) {
-                return result.map_err(ServeError::Session);
-            }
-            if state.closed {
-                return Err(ServeError::Stopped);
-            }
-            state = self.mailbox.ready.wait(state).unwrap();
-        }
+        completion(self.replies.recv().ok())
     }
 
     /// Non-blocking poll: returns the result if the request has
@@ -132,32 +80,31 @@ impl Ticket {
     /// service thread died before serving this request.
     #[allow(clippy::result_large_err)]
     pub fn try_take(self) -> Result<Result<LayerForward, ServeError>, Ticket> {
-        let mut state = self.mailbox.state.lock().unwrap();
-        if let Some(result) = state.results.remove(&self.id) {
-            return Ok(result.map_err(ServeError::Session));
+        match self.replies.try_recv() {
+            Err(TryRecvError::Empty) => Err(self),
+            reply => Ok(completion(reply.ok())),
         }
-        if state.closed {
-            return Ok(Err(ServeError::Stopped));
-        }
-        drop(state);
-        Err(self)
     }
 }
 
-impl fmt::Debug for Ticket {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Ticket").field("id", &self.id).finish()
+/// The completion in a ticket's next reply. `submit` has read the
+/// verdict, so that reply is the `Done`, or nothing (`None`) once the
+/// service thread has dropped the sender without serving the request. A
+/// `Done` sent before the drop is still received first.
+fn completion(reply: Option<Reply>) -> Result<LayerForward, ServeError> {
+    match reply {
+        Some(Reply::Done(result)) => result.map_err(ServeError::Session),
+        _ => Err(ServeError::Stopped),
     }
 }
 
 /// A cheap, cloneable handle for submitting work to a serving endpoint.
 ///
 /// Obtained from [`ServeHandle::client`](crate::ServeHandle::client).
-/// Each client owns a private mailbox; [`submit`](Self::submit) routes
-/// that request's completion back to it, and the returned [`Ticket`]
-/// redeems it. Cloning yields an independent client with a **fresh**
-/// mailbox sharing the same ingress channel — hand one clone to each
-/// submitting thread.
+/// A client is a sender into the ingress channel; each
+/// [`submit`](Self::submit) opens its own reply channel, and the
+/// returned [`Ticket`] redeems that request's completion from it. Clones
+/// share only the ingress channel — hand one to each submitting thread.
 ///
 /// Admission is synchronous: `submit` does not return until the service
 /// thread has either admitted the request (yielding its [`RequestId`]
@@ -165,17 +112,14 @@ impl fmt::Debug for Ticket {
 /// [`ServeError::QueueFull`] backpressure lands at the submit call
 /// site, exactly where the caller can decide to retry, shed, or slow
 /// down.
+#[derive(Clone, Debug)]
 pub struct ServeClient {
     tx: SyncSender<Msg>,
-    mailbox: Arc<Mailbox>,
 }
 
 impl ServeClient {
     pub(crate) fn new(tx: SyncSender<Msg>) -> Self {
-        ServeClient {
-            tx,
-            mailbox: Mailbox::new(),
-        }
+        ServeClient { tx }
     }
 
     /// Submits one request and returns the ticket that redeems its
@@ -200,35 +144,15 @@ impl ServeClient {
         layer: LayerId,
         input: Tensor,
     ) -> Result<Ticket, ServeError> {
-        let (reply_tx, reply_rx) = sync_channel(1);
+        let (reply, replies) = Reply::channel();
         self.tx
             .send(Msg::Submit {
                 tenant,
                 layer,
                 input,
-                mailbox: Arc::clone(&self.mailbox),
-                reply: reply_tx,
+                reply,
             })
             .map_err(|_| ServeError::Stopped)?;
-        // The service thread replies with the admission verdict; if it
-        // is gone (clean shutdown or panic), the reply sender was
-        // dropped and the recv error becomes `Stopped`.
-        let id = reply_rx.recv().map_err(|_| ServeError::Stopped)??;
-        Ok(Ticket::new(Arc::clone(&self.mailbox), id))
-    }
-}
-
-impl Clone for ServeClient {
-    /// Clones the ingress sender but gives the clone a **fresh**
-    /// mailbox: completions are delivered per client, so submitting
-    /// threads never contend on each other's delivery lock.
-    fn clone(&self) -> Self {
-        ServeClient::new(self.tx.clone())
-    }
-}
-
-impl fmt::Debug for ServeClient {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ServeClient").finish_non_exhaustive()
+        Ticket::admitted(replies)
     }
 }

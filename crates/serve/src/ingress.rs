@@ -1,7 +1,7 @@
 //! The service thread behind the channel-driven ingress: owns the
 //! [`Server`], drains the bounded MPSC channel, runs the synchronous
-//! tick loop under the configured [`PacingPolicy`], and routes each
-//! completion to the mailbox of the client that submitted it.
+//! tick loop under the configured [`PacingPolicy`], and sends each
+//! completion down the reply channel of the request it answers.
 //!
 //! The design keeps the determinism law trivially true: **admission
 //! order is channel order**. One consumer thread performs every
@@ -12,31 +12,30 @@
 //! therefore only moves *when* ticks happen — a latency/throughput
 //! knob — never *what* any request computes.
 
-use crate::client::{Mailbox, ServeClient};
+use crate::client::ServeClient;
 use crate::config::PacingPolicy;
 use crate::error::ServeError;
 use crate::server::{RequestId, Server, TickReport};
 use crate::TenantId;
-use mercury_core::LayerId;
+use mercury_core::{LayerForward, LayerId, MercuryError};
 use mercury_tensor::Tensor;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Messages on the ingress channel. `Submit` carries a rendezvous
-/// reply channel so admission verdicts (including `QueueFull`) land
-/// synchronously at the submit call site; `TickNow` is the manual
-/// pacing lever; `Shutdown` starts the drain.
+/// Messages on the ingress channel. `Submit` carries the request's own
+/// reply channel, so admission verdicts (including `QueueFull`) land
+/// synchronously at the submit call site and the completion follows on
+/// the same channel; `TickNow` is the manual pacing lever; `Shutdown`
+/// starts the drain.
 pub(crate) enum Msg {
     Submit {
         tenant: TenantId,
         layer: LayerId,
         input: Tensor,
-        mailbox: Arc<Mailbox>,
-        reply: SyncSender<Result<RequestId, ServeError>>,
+        reply: SyncSender<Reply>,
     },
     TickNow {
         reply: SyncSender<TickReport>,
@@ -44,40 +43,46 @@ pub(crate) enum Msg {
     Shutdown,
 }
 
-/// Routing table from admitted requests to the mailboxes awaiting
-/// them, wrapped in a drop guard: if the service thread unwinds (an
-/// engine panic mid-tick), `Drop` closes every mailbox still owed a
-/// delivery, so no `Ticket::wait` ever hangs on a dead thread.
+/// What the service thread sends down a request's reply channel: the
+/// admission verdict, then, for an admitted request, its completion.
+pub(crate) enum Reply {
+    Admitted(Result<RequestId, ServeError>),
+    Done(Result<LayerForward, MercuryError>),
+}
+
+impl Reply {
+    /// A request's reply channel. Two slots, one per reply: a tick can
+    /// finish before the client reads its verdict, and the service
+    /// thread never blocks on a client.
+    pub(crate) fn channel() -> (SyncSender<Reply>, Receiver<Reply>) {
+        sync_channel(2)
+    }
+}
+
+/// The reply senders of admitted requests still owed a completion. If
+/// the service thread unwinds (an engine panic mid-tick), dropping the
+/// table drops every sender in it, so each waiting ticket's channel
+/// disconnects and resolves to `Stopped`: no `Ticket::wait` ever hangs
+/// on a dead thread.
 #[derive(Default)]
 struct Routes {
-    by_request: HashMap<RequestId, Arc<Mailbox>>,
+    by_request: HashMap<RequestId, SyncSender<Reply>>,
 }
 
 impl Routes {
-    fn bind(&mut self, id: RequestId, mailbox: Arc<Mailbox>) {
-        self.by_request.insert(id, mailbox);
-    }
-
-    /// Ticks the server once and delivers each completion to the
-    /// mailbox its submit bound. Completions for requests that were
+    /// Ticks the server once and sends each completion down the reply
+    /// channel its submit left here. A dropped ticket fails the send,
+    /// which frees the completion. Completions for requests that were
     /// enqueued outside the handle path (synchronous embedding calls
     /// made before [`Server::serve`]) have no route and are discarded.
     fn tick(&mut self, server: &mut Server) -> TickReport {
         let report = server.tick();
         for completion in server.drain_completions() {
-            if let Some(mailbox) = self.by_request.remove(&completion.id) {
-                mailbox.deliver(completion.id, completion.result);
+            if let Some(reply) = self.by_request.remove(&completion.id) {
+                let _ = reply.send(Reply::Done(completion.result));
             }
         }
         report
-    }
-}
-
-impl Drop for Routes {
-    fn drop(&mut self) {
-        for mailbox in self.by_request.values() {
-            mailbox.close();
-        }
     }
 }
 
@@ -90,7 +95,7 @@ enum Flow {
 }
 
 /// Applies one channel message to the server. Submissions run the
-/// synchronous admission path and answer through the rendezvous reply;
+/// synchronous admission path and answer down their reply channel;
 /// `TickNow` ticks immediately (under any pacing policy — it is the
 /// *only* tick source under [`PacingPolicy::Manual`], and a harmless
 /// extra tick otherwise) and returns the report.
@@ -100,17 +105,16 @@ fn handle_msg(server: &mut Server, routes: &mut Routes, msg: Msg) -> Flow {
             tenant,
             layer,
             input,
-            mailbox,
             reply,
         } => {
             let verdict = server.enqueue(tenant, layer, input);
-            if let Ok(id) = &verdict {
-                routes.bind(*id, mailbox);
-            }
+            let admitted = verdict.as_ref().ok().copied();
             // A client that gave up on the rendezvous just means nobody
-            // is listening for the verdict; the request (if admitted)
-            // still serves and its completion still routes.
-            let _ = reply.send(verdict);
+            // is listening: the request (if admitted) still serves, and
+            // with no route its completion is discarded.
+            if let (Some(id), Ok(())) = (admitted, reply.send(Reply::Admitted(verdict))) {
+                routes.by_request.insert(id, reply);
+            }
             Flow::Continue
         }
         Msg::TickNow { reply } => {
@@ -187,7 +191,7 @@ fn service(mut server: Server, rx: Receiver<Msg>) -> Server {
         routes.tick(&mut server);
     }
     // Dropping `rx` here answers any submit still racing in the channel
-    // with `Stopped` (its rendezvous reply sender is dropped unused).
+    // with `Stopped` (its reply sender is dropped unused).
     server
 }
 
@@ -208,7 +212,7 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    /// Mints a new client with its own completion mailbox. Hand one
+    /// Mints a new client: a sender into the ingress channel. Hand one
     /// (or a clone of one) to each submitting thread.
     pub fn client(&self) -> ServeClient {
         ServeClient::new(self.tx.clone())
@@ -306,7 +310,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EpochPolicy, ServeConfig};
+    use crate::{EpochPolicy, ServeConfig, Ticket};
     use mercury_core::MercuryConfig;
     use mercury_tensor::rng::Rng;
     use std::time::Duration;
@@ -353,5 +357,107 @@ mod tests {
         }
         let server = handle.shutdown();
         assert_eq!(server.ticks(), 1, "one tick served the full window");
+    }
+
+    /// An embedded server with one FC tenant and its route table, driven
+    /// by hand as the service thread drives them.
+    struct Embedded {
+        server: Server,
+        routes: Routes,
+        tenant: TenantId,
+        layer: LayerId,
+    }
+
+    impl Embedded {
+        fn new() -> Self {
+            let mut server = Server::new(ServeConfig::default()).unwrap();
+            let tenant = server
+                .register_tenant("t", MercuryConfig::default(), 3, EpochPolicy::Never)
+                .unwrap();
+            let layer = server
+                .register_fc(tenant, Tensor::randn(&[8, 4], &mut Rng::new(3)))
+                .unwrap();
+            Embedded {
+                server,
+                routes: Routes::default(),
+                tenant,
+                layer,
+            }
+        }
+
+        /// Runs one submit through `handle_msg` and returns its reply
+        /// channel's receiving end, verdict unread.
+        fn submit(&mut self) -> Receiver<Reply> {
+            let (reply, replies) = Reply::channel();
+            let msg = Msg::Submit {
+                tenant: self.tenant,
+                layer: self.layer,
+                input: Tensor::randn(&[1, 8], &mut Rng::new(4)),
+                reply,
+            };
+            let flow = handle_msg(&mut self.server, &mut self.routes, msg);
+            assert!(matches!(flow, Flow::Continue));
+            replies
+        }
+
+        /// Submits one request and reads its verdict, as
+        /// `ServeClient::submit` does.
+        fn ticket(&mut self) -> Ticket {
+            Ticket::admitted(self.submit()).unwrap()
+        }
+    }
+
+    #[test]
+    fn dropping_the_route_table_stops_every_ticket_it_still_owes() {
+        let mut e = Embedded::new();
+        let waited = e.ticket();
+        let Err(polled) = e.ticket().try_take() else {
+            panic!("nothing is served yet");
+        };
+        // What an unwinding service thread does to its route table.
+        drop(e.routes);
+        assert!(matches!(polled.try_take(), Ok(Err(ServeError::Stopped))));
+        assert!(matches!(waited.wait(), Err(ServeError::Stopped)));
+    }
+
+    #[test]
+    fn a_completion_sent_before_the_route_table_drops_is_still_returned() {
+        let mut e = Embedded::new();
+        let (waited, polled) = (e.ticket(), e.ticket());
+        assert_eq!(e.routes.tick(&mut e.server).completed, 2);
+        let unserved = e.ticket();
+        drop(e.routes);
+        assert_eq!(waited.wait().unwrap().output.shape(), &[1, 4]);
+        assert_eq!(polled.try_take().unwrap().unwrap().output.shape(), &[1, 4]);
+        assert!(matches!(unserved.try_take(), Ok(Err(ServeError::Stopped))));
+    }
+
+    #[test]
+    fn a_tick_never_blocks_on_a_client_and_leaves_no_route_behind() {
+        let mut e = Embedded::new();
+        // One client drops its receiver after reading the verdict; the
+        // other has not read its verdict yet when the tick completes it.
+        let dropped = e.submit();
+        assert!(matches!(dropped.recv(), Ok(Reply::Admitted(Ok(_)))));
+        drop(dropped);
+        let unread = e.submit();
+        assert_eq!(e.routes.by_request.len(), 2);
+
+        // The tick runs on a thread of its own, so a send that blocked
+        // would fail this test instead of hanging it.
+        let (done_tx, done_rx) = sync_channel(1);
+        let tick = std::thread::spawn(move || {
+            let report = e.routes.tick(&mut e.server);
+            done_tx.send(()).unwrap();
+            (report, e.routes)
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the tick blocked on a client");
+        let (report, routes) = tick.join().unwrap();
+        assert_eq!(report.completed, 2);
+        assert!(routes.by_request.is_empty());
+        assert!(matches!(unread.recv(), Ok(Reply::Admitted(Ok(_)))));
+        assert!(matches!(unread.recv(), Ok(Reply::Done(Ok(_)))));
     }
 }

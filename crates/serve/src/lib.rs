@@ -36,10 +36,14 @@
 //! the server onto a dedicated service thread and returns a
 //! [`ServeHandle`]. The handle mints cheap `Clone`-able
 //! [`ServeClient`]s whose [`submit`](ServeClient::submit) sends over a
-//! bounded MPSC channel and returns a [`Ticket`] redeemable for that
-//! request's completion ([`Ticket::wait`] blocking,
-//! [`Ticket::try_take`] polling). Backpressure stays typed: a full
-//! tenant queue answers the submit itself with
+//! bounded MPSC channel together with the request's own two-slot reply
+//! channel. The service thread answers down it twice: the admission
+//! verdict, then the completion. The returned [`Ticket`] is that
+//! channel's receiving end ([`Ticket::wait`] blocking,
+//! [`Ticket::try_take`] polling), so a dropped ticket leaves nothing
+//! behind, and a service thread that dies disconnects every ticket it
+//! still owes to [`ServeError::Stopped`]. Backpressure stays typed: a
+//! full tenant queue answers the submit itself with
 //! [`ServeError::QueueFull`]. The thread runs one pacing loop: it
 //! blocks while idle, ticks at once when a batching window fills, and
 //! otherwise waits for more work as long as the [`PacingPolicy`] says —

@@ -487,16 +487,11 @@ impl Server {
     ///
     /// This is the **single** completion-retrieval path: the synchronous
     /// embedding loop calls it after [`tick`](Self::tick), and the
-    /// ingress service thread calls it to route results into client
-    /// mailboxes — so the two modes can never disagree about what was
-    /// served.
+    /// ingress service thread calls it to send each result down its
+    /// request's reply channel — so the two modes can never disagree
+    /// about what was served.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
         std::mem::take(&mut self.completions)
-    }
-
-    /// Completions produced but not yet drained.
-    pub fn pending_completions(&self) -> usize {
-        self.completions.len()
     }
 
     /// Whether any tenant has requests waiting in its ingress queue.
@@ -579,11 +574,6 @@ impl Server {
     /// Every registered tenant's id, in registration order.
     pub fn tenant_ids(&self) -> impl Iterator<Item = TenantId> + '_ {
         (0..self.tenants.len()).map(|index| self.id_of(index))
-    }
-
-    /// Number of registered tenants.
-    pub fn num_tenants(&self) -> usize {
-        self.tenants.len()
     }
 
     /// Number of requests waiting in a tenant's ingress queue (`None`
@@ -700,7 +690,7 @@ mod tests {
         assert_eq!(s.tenant_id("alpha"), Some(a));
         assert_eq!(s.tenant_name(a), Some("alpha"));
         assert_eq!(s.tenant_id("beta"), None);
-        assert_eq!(s.num_tenants(), 1);
+        assert_eq!(s.tenant_ids().count(), 1);
         assert_eq!(s.tenant_ids().collect::<Vec<_>>(), vec![a]);
     }
 
@@ -819,12 +809,11 @@ mod tests {
         }
         s.tick();
         s.tick();
-        assert_eq!(s.pending_completions(), 4);
         let drained = s.drain_completions();
         assert_eq!(drained.len(), 4);
         let seqs: Vec<u64> = drained.iter().map(|c| c.id.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3], "tick order, FIFO within tenant");
-        assert_eq!(s.pending_completions(), 0);
+        assert_eq!(s.drain_completions().len(), 0);
     }
 
     #[test]

@@ -3,9 +3,15 @@
 //! The pooled executor's worst enemy on real multi-core hosts is not the
 //! dispatch wakeup — it is every worker hammering the global allocator
 //! for the same per-region scratch (`im2col` patch buffers, compute rows
-//! and their dots, per-channel contribution rows), which serializes the
-//! workers on the allocator's locks exactly when they should be
-//! independent, and pool widths stop scaling long before the core count.
+//! and their dots), which serializes the workers on the allocator's
+//! locks exactly when they should be independent, and pool widths stop
+//! scaling long before the core count.
+//!
+//! Not every per-region buffer comes from here. The sharded forward of a
+//! batch conv engine on a parallel executor allocates each channel's
+//! `F × P` contribution block as a plain zeroed `Vec` on the worker,
+//! hands it back to the calling thread, and holds all `C` of them until
+//! the channel-order fold.
 //!
 //! [`ScratchF32`] is the fix: a `Vec<f32>` whose backing allocation is
 //! drawn from (and returned to) a **thread-local** free list. A pool

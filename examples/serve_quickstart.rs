@@ -53,7 +53,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let client = handle.client();
 
     // One submitting thread per tenant, each owning a clone of the
-    // client (clones are cheap and get their own completion mailbox).
+    // client (a clone is just another sender into the ingress channel;
+    // every submit gets its own reply channel).
     std::thread::scope(|scope| {
         for (stream_index, (tenant, layer)) in [(search, search_fc), (embed, embed_fc)]
             .into_iter()
