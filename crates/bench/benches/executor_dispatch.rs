@@ -1,7 +1,6 @@
 //! Microbenchmarks of parallel-region *dispatch* cost: the persistent
-//! worker pool (workers parked on a condvar between regions), a second
-//! handle that joins a live pool, plus the work-size inline short-circuit
-//! that skips the pool entirely for tiny regions.
+//! worker pool (workers parked on a condvar between regions) and a second
+//! handle that joins a live pool, beside the serial loop.
 //!
 //! The region body is intentionally near-empty — these benches time the
 //! scheduling machinery, not the work.
@@ -34,13 +33,6 @@ fn bench_dispatch(c: &mut Criterion) {
     });
     drop(warm);
 
-    // The inline short-circuit: same region shape, but declared tiny, so
-    // the pool is never woken — this is what a service-style small
-    // single-request forward pays.
-    let pool = Executor::threaded(4);
-    group.bench_function("inline_short_circuit_w4", |b| {
-        b.iter(|| pool.map(0..4usize, |_| 1, || (), |i, ()| black_box(i) * 2 + 1))
-    });
     // Serial reference for the same loop, as the floor.
     let serial = Executor::serial();
     group.bench_function("serial_loop", |b| {

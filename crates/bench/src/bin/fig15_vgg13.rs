@@ -53,11 +53,10 @@ fn main() {
         let channels = layer.reuse_scopes() as u64;
         // Forward + two backward passes were accumulated; report the
         // forward-equivalent per-channel count.
-        let passes = if cfg.include_backward { 3 } else { 1 };
         println!(
             "layer-{}\t{}",
             i + 1,
-            s.unique_vectors / (channels * passes).max(1)
+            s.unique_vectors / (channels * 3).max(1)
         );
     }
 }

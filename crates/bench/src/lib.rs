@@ -22,7 +22,8 @@
 //! every simulated number, so treat it as part of the output format.
 //!
 //! Each binary in `src/bin/` regenerates one figure or table of the paper
-//! (see `DESIGN.md` §4 for the index) and prints TSV to stdout.
+//! (README's "Reproducing the paper's figures" lists them) and prints TSV
+//! to stdout.
 
 #![warn(missing_docs)]
 
@@ -45,10 +46,6 @@ pub struct ModelSimConfig {
     pub cache: MCacheConfig,
     /// Signature length in bits.
     pub signature_bits: usize,
-    /// Simulate the backward pass (weight-gradient and input-gradient
-    /// convolutions) with forward-signature reuse where kernel dimensions
-    /// match (§III-C2).
-    pub include_backward: bool,
     /// Apply per-layer stoppage: a layer whose MERCURY cycles exceed its
     /// baseline runs with detection off (§III-D).
     pub adaptive: bool,
@@ -71,7 +68,6 @@ impl Default for ModelSimConfig {
             accelerator: AcceleratorConfig::paper_default(),
             cache: MCacheConfig::paper_default(),
             signature_bits: 20,
-            include_backward: true,
             adaptive: true,
             sampled_channels: 4,
             seed: 0xC0FFEE,
@@ -251,9 +247,9 @@ fn layer_pass_seed(cfg: &ModelSimConfig, spec: &ModelSpec, index: usize, pass: L
     (h ^ pass as u64).wrapping_mul(FNV_PRIME)
 }
 
-/// Simulates every configured pass of layer `index` (forward plus, when
-/// enabled, the backward convolutions), applying the stoppage policy, with
-/// fresh per-pass MCACHE and RNG state.
+/// Simulates every pass of layer `index` (forward plus its backward
+/// passes), applying the stoppage policy, with fresh per-pass MCACHE and
+/// RNG state.
 fn simulate_layer(
     spec: &ModelSpec,
     index: usize,
@@ -274,32 +270,30 @@ fn simulate_layer(
     };
 
     let mut stats = run_pass(LayerPass::Forward, similarity, false);
-    if cfg.include_backward {
-        // Gradient similarity runs slightly below input similarity
-        // (Figure 1b vs 1a).
-        let grad_sim = similarity * 0.9;
-        match layer {
-            LayerSpec::Conv { .. } => {
-                // Input-gradient conv (eq. 2): signatures reusable when the
-                // next conv layer shares this kernel size (§III-C2).
-                let next_same_kernel = conv_kernels
-                    .iter()
-                    .skip(index + 1)
-                    .find(|&&k| k != (0, 0))
-                    .map(|&k| k == conv_kernels[index])
-                    .unwrap_or(false);
-                let dx = run_pass(LayerPass::BackwardInput, grad_sim, next_same_kernel);
-                stats.accumulate(&dx);
-                // Weight-gradient conv (eq. 1): fresh signatures.
-                let dw = run_pass(LayerPass::BackwardWeights, grad_sim, false);
-                stats.accumulate(&dw);
-            }
-            _ => {
-                // FC/attention backward reuses the forward signatures (the
-                // inputs are the same rows).
-                let grad = run_pass(LayerPass::BackwardInput, grad_sim, true);
-                stats.accumulate(&grad);
-            }
+    // Gradient similarity runs slightly below input similarity
+    // (Figure 1b vs 1a).
+    let grad_sim = similarity * 0.9;
+    match layer {
+        LayerSpec::Conv { .. } => {
+            // Input-gradient conv (eq. 2): signatures reusable when the
+            // next conv layer shares this kernel size (§III-C2).
+            let next_same_kernel = conv_kernels
+                .iter()
+                .skip(index + 1)
+                .find(|&&k| k != (0, 0))
+                .map(|&k| k == conv_kernels[index])
+                .unwrap_or(false);
+            let dx = run_pass(LayerPass::BackwardInput, grad_sim, next_same_kernel);
+            stats.accumulate(&dx);
+            // Weight-gradient conv (eq. 1): fresh signatures.
+            let dw = run_pass(LayerPass::BackwardWeights, grad_sim, false);
+            stats.accumulate(&dw);
+        }
+        _ => {
+            // FC/attention backward reuses the forward signatures (the
+            // inputs are the same rows).
+            let grad = run_pass(LayerPass::BackwardInput, grad_sim, true);
+            stats.accumulate(&grad);
         }
     }
     if cfg.adaptive {
@@ -320,9 +314,9 @@ fn conv_kernel_sizes(spec: &ModelSpec) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Simulates a full training iteration of `spec` (forward plus, when
-/// configured, the two backward convolutions per conv layer) and returns
-/// the per-layer report.
+/// Simulates a full training iteration of `spec` (forward plus the two
+/// backward convolutions per conv layer) and returns the per-layer
+/// report.
 ///
 /// Layers are sharded across the [`Executor`] backend selected by
 /// [`ModelSimConfig::executor`]: every `(layer, pass)` is seeded
@@ -564,16 +558,6 @@ mod tests {
             "transformer speedup {}",
             report.speedup()
         );
-    }
-
-    #[test]
-    fn backward_increases_work() {
-        let mut cfg = quick_cfg();
-        cfg.include_backward = false;
-        let fwd = simulate_model(&vgg13(), &cfg);
-        cfg.include_backward = true;
-        let both = simulate_model(&vgg13(), &cfg);
-        assert!(both.total_cycles().baseline > fwd.total_cycles().baseline);
     }
 
     #[test]

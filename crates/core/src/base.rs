@@ -61,34 +61,6 @@ macro_rules! reuse_engine_lifecycle {
 }
 pub(crate) use reuse_engine_lifecycle;
 
-/// The dispatch work hint for one dense product of `rows` vectors of
-/// length `len` against `cols` outputs: `2 · rows · len · cols` scalar
-/// FLOPs, with saturating multiplies — hint arithmetic on overflow-shaped
-/// layer dimensions must clamp to `usize::MAX` (erring toward dispatch),
-/// never wrap into a small number or panic under `overflow-checks`.
-pub(crate) fn dense_work(rows: usize, len: usize, cols: usize) -> usize {
-    2usize
-        .saturating_mul(rows)
-        .saturating_mul(len)
-        .saturating_mul(cols)
-}
-
-/// The dispatch work hint for one conv channel under the reuse engine:
-/// the dense `[patches_n, plen] × [plen, f]` product plus one cache probe per
-/// patch, where `probe_work_units` is the executor's per-probe cost
-/// ([`DispatchTuning::probe_work_units`]). Saturating throughout, like
-/// [`dense_work`].
-///
-/// [`DispatchTuning::probe_work_units`]: mercury_tensor::tune::DispatchTuning::probe_work_units
-pub(crate) fn conv_channel_work(
-    f: usize,
-    plen: usize,
-    patches_n: usize,
-    probe_work_units: usize,
-) -> usize {
-    dense_work(f, plen, patches_n).saturating_add(probe_work_units.saturating_mul(patches_n))
-}
-
 /// Probes a signature stream against an engine cache in stream order,
 /// writing one outcome per signature into `out` (cleared first). With the
 /// `fault-inject` feature, the `BankProbe` fault events are drawn first
@@ -642,28 +614,6 @@ mod tests {
         assert_eq!(
             new(16).unwrap_err(),
             ConfigError::BankSplit { sets: 8, banks: 16 }
-        );
-    }
-
-    #[test]
-    fn work_hints_saturate_on_overflow_shaped_layers() {
-        // Hint arithmetic must clamp, not wrap or panic, when layer
-        // dimensions multiply past usize::MAX (overflow checks stay on
-        // in the release profile, which CI's `cargo test --release -q`
-        // step runs these under).
-        let huge = 1usize << 40;
-        assert_eq!(dense_work(huge, huge, huge), usize::MAX);
-        assert_eq!(dense_work(1, usize::MAX, 2), usize::MAX);
-        assert_eq!(dense_work(1, 3, 4), 24);
-        assert_eq!(conv_channel_work(huge, huge, huge, 64), usize::MAX);
-        // The probe-stream term saturates on its own too, for any
-        // per-probe cost.
-        assert_eq!(conv_channel_work(0, 0, usize::MAX, 64), usize::MAX);
-        assert_eq!(conv_channel_work(0, 0, 2, usize::MAX), usize::MAX);
-        assert_eq!(
-            conv_channel_work(2, 3, 5, 64),
-            60 + 64 * 5,
-            "small shapes keep the exact FLOP count"
         );
     }
 

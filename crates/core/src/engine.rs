@@ -310,16 +310,8 @@ fn conv_forward(
         // `base.cache` is untouched on this path — its counters only
         // reflect serial-executor batch runs.
         let ctx = &ctx;
-        // Work-size hint per channel: the dense product's FLOPs plus
-        // the probe stream at the executor's per-probe cost
-        // (saturating — large layers must not overflow the hint), so
-        // single tiny-image requests run inline instead of waking
-        // the pool.
-        let channel_work =
-            crate::base::conv_channel_work(f, plen, patches_n, exec.tuning().probe_work_units);
         exec.map(
             0..c,
-            |_| channel_work,
             || (MCache::new(cache_cfg), ConvScratch::default()),
             move |ch, state| {
                 #[cfg(feature = "fault-inject")]
@@ -906,22 +898,21 @@ mod tests {
     fn a_batch_forward_offers_its_pool_one_region() {
         // The channels are a batch engine's one fan-out: each channel's
         // reuse pass runs whole on the runner that claims it, so a forward
-        // whose channels clear the dispatch floor dispatches once.
+        // of two or more channels dispatches once, however small.
         let mut rng = Rng::new(22);
-        let input = Tensor::randn(&[4, 16, 16], &mut rng);
-        let kernels = Tensor::randn(&[8, 4, 3, 3], &mut rng);
-        let config = MercuryConfig::builder()
-            .executor(mercury_tensor::exec::ExecutorKind::Threaded { threads: 2 })
-            .build()
-            .unwrap();
-        let mut e = ConvEngine::try_new(config, 22).unwrap();
-        let tuning = e.exec.tuning();
-        let channel = crate::base::conv_channel_work(8, 9, 256, tuning.probe_work_units);
-        assert!(2 * channel >= tuning.dispatch_min_work);
-        let out = forward(&mut e, &input, &kernels, 1, 1);
-        assert_eq!(out, forward(&mut engine(22), &input, &kernels, 1, 1));
-        let stats = e.exec.pool_stats().unwrap();
-        assert_eq!((stats.regions_dispatched, stats.regions_inlined), (1, 0));
+        for (input, kernels) in [([4, 16, 16], [8, 4, 3, 3]), ([2, 3, 3], [2, 2, 3, 3])] {
+            let input = Tensor::randn(&input, &mut rng);
+            let kernels = Tensor::randn(&kernels, &mut rng);
+            let config = MercuryConfig::builder()
+                .executor(mercury_tensor::exec::ExecutorKind::Threaded { threads: 2 })
+                .build()
+                .unwrap();
+            let mut e = ConvEngine::try_new(config, 22).unwrap();
+            let out = forward(&mut e, &input, &kernels, 1, 1);
+            assert_eq!(out, forward(&mut engine(22), &input, &kernels, 1, 1));
+            let stats = e.exec.pool_stats().unwrap();
+            assert_eq!((stats.regions_dispatched, stats.regions_inlined), (1, 0));
+        }
     }
 
     #[test]

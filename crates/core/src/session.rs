@@ -571,7 +571,6 @@ impl MercurySession {
         let policy = self.config.nonfinite_policy;
         let per_job: Vec<Vec<(usize, Result<LayerForward, MercuryError>)>> = self.exec.map(
             jobs,
-            |_| usize::MAX,
             || (),
             |(slot, positions), ()| {
                 positions

@@ -22,20 +22,19 @@
 //!
 //! The backend is chosen per [`MercuryConfig`] via
 //! `MercuryConfig::builder().executor(..)`; the `MERCURY_EXECUTOR`
-//! environment variable (`serial`, `threaded`, `threaded:<n>`, or a bare
-//! thread count) overrides the default so whole test suites can be
+//! environment variable (`serial`, `threaded`, `auto`, `threaded:<n>`, or
+//! a bare thread count) overrides the default so whole test suites can be
 //! re-run on either backend without source changes. An *invalid*
 //! `MERCURY_EXECUTOR` value fails loudly (listing the accepted forms)
 //! instead of silently falling back to the default.
 //!
 //! # Pool lifecycle
 //!
-//! A worker pool is a **per-thread resource**. [`Executor::threaded_tuned`]
-//! (and so [`Executor::threaded`] and [`Executor::from_kind`]) returns a
-//! handle to the live pool of that width the calling thread already
-//! built, and builds one only when none is alive. The thread finds it
-//! through a list of `Weak` references, so the list never keeps a pool
-//! alive. Every network, engine, session and simulator built on one
+//! A worker pool is a **per-thread resource**. [`Executor::threaded`]
+//! (and so [`Executor::from_kind`]) returns a handle to the live pool of
+//! that width the calling thread already built, and builds one only when
+//! none is alive. The thread finds it through a list of `Weak`
+//! references, so the list never keeps a pool alive. Every network, engine, session and simulator built on one
 //! thread therefore schedules onto one set of parked workers per width,
 //! however many times it resolves an executor; cloning a handle shares
 //! its pool too. A pool spawns its workers at its first dispatched region
@@ -51,31 +50,24 @@
 //! **a region item must not block on work that another handle
 //! dispatches.**
 //!
-//! Two things stay per handle: the [`DispatchTuning`] fixed at
-//! construction, and the dispatch counters of [`Executor::pool_stats`],
-//! which count the regions of one handle and its clones only.
+//! One thing stays per handle: the dispatch counters of
+//! [`Executor::pool_stats`], which count the regions of one handle and
+//! its clones only.
 //!
 //! # Dispatch
 //!
 //! Every region goes through one primitive, [`Executor::map`]: owned
-//! items, one work hint per item, lazily built per-runner scratch, and
-//! results in item order ([`Executor::map_indexed`] is its only
-//! convenience). One gate decides where a region runs. It goes to the
-//! pool only when **all** of these hold:
+//! items, lazily built per-runner scratch, and results in item order
+//! ([`Executor::map_indexed`] is its only convenience). A region's item
+//! count decides where it runs:
 //!
-//! * the backend is a pool;
-//! * at least two items carry nonzero work (so there are at least two
-//!   items) — one hot item among empty ones runs inline, however large,
-//!   because a second thread could not share its work;
-//! * the saturating sum of the hints reaches
-//!   [`DispatchTuning::dispatch_min_work`], so tiny regions never pay a
-//!   worker wakeup;
-//! * the calling thread is not already executing items of an outer
-//!   region. Nested regions run inline, so a region item that opens a
-//!   region of its own can never deadlock on its pool, and never
-//!   oversubscribes the machine.
+//! * on a pool, a region of two or more items dispatches, unless the
+//!   calling thread is already executing items of an outer region;
+//! * a one-item region, or a nested one, runs inline. Nested regions run
+//!   inline so that a region item that opens a region of its own can
+//!   never deadlock on its pool, and never oversubscribes the machine.
 //!
-//! A dispatched region recruits at most one worker fewer than it has busy
+//! A dispatched region recruits at most one worker fewer than it has
 //! items (the caller is always the extra runner).
 //!
 //! [`MercuryConfig`]: https://docs.rs/mercury-core
@@ -91,10 +83,10 @@
 //! let b = pool.map_indexed(8, |i| i * i);
 //! assert_eq!(a, b); // scheduling never changes results
 //!
-//! // Hints summing below the dispatch floor keep a region inline.
-//! let squares = pool.map(vec![1u64, 2, 3], |_| 1, || (), |x, ()| x * x);
-//! assert_eq!(squares, vec![1, 4, 9]);
-//! assert_eq!(pool.pool_stats().unwrap().regions_inlined, 1);
+//! // A one-item region runs inline on the caller.
+//! assert_eq!(pool.map(vec![3u64], || (), |x, ()| x * x), vec![9]);
+//! let stats = pool.pool_stats().unwrap();
+//! assert_eq!((stats.regions_dispatched, stats.regions_inlined), (1, 1));
 //! ```
 
 use std::error::Error;
@@ -219,7 +211,7 @@ impl ExecutorKind {
 /// Snapshot of one executor handle's dispatch counters (see
 /// [`Executor::pool_stats`]) — the observability hook the
 /// assertion-backed CI smoke test uses to prove the threaded test leg
-/// really exercises the pool rather than the inline short-circuit.
+/// really exercises the pool rather than running every region inline.
 ///
 /// The counters are **per handle**: a handle and its clones share them,
 /// while another handle on the same pool (see
@@ -230,9 +222,8 @@ pub struct PoolStats {
     pub threads: usize,
     /// Regions actually handed to the worker pool.
     pub regions_dispatched: u64,
-    /// Regions that short-circuited to inline execution (too little
-    /// work, fewer than two items, or dispatched from inside another
-    /// region).
+    /// Regions that ran inline on the calling thread: those of fewer than
+    /// two items, and those opened from inside another region.
     pub regions_inlined: u64,
     /// Dispatched regions that ended in a panic (on the caller or a
     /// recruited worker). The panic is re-raised on the dispatching
@@ -257,11 +248,6 @@ pub struct PoolStats {
 #[derive(Debug, Clone, Default)]
 pub struct Executor {
     backend: Backend,
-    /// The dispatch knob set this executor gates regions with, fixed at
-    /// construction. Clones carry the same values, so every owner of a
-    /// clone sizes its work hints in the same units the dispatch gate
-    /// compares against.
-    tuning: DispatchTuning,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -282,38 +268,25 @@ struct Counters {
 }
 
 impl Executor {
-    /// The serial backend, with the default [`DispatchTuning`].
+    /// The serial backend.
     pub fn serial() -> Self {
-        Executor::serial_tuned(DispatchTuning::default())
+        Executor::default()
     }
 
-    /// The serial backend with explicit tuning. Serial scheduling itself
-    /// ignores the dispatch knobs, but engines still read
-    /// [`tuning`](Self::tuning) back for their work-hint units, so the
-    /// serial reference in an A/B comparison should carry the same
-    /// values as the pool it is compared against.
-    pub fn serial_tuned(tuning: DispatchTuning) -> Self {
-        Executor {
-            backend: Backend::Serial,
-            tuning,
-        }
+    /// [`serial`](Self::serial): an executor reads no [`DispatchTuning`].
+    /// It stays because the extreme-tuning grid of
+    /// `tests/parallel_determinism.rs` calls it.
+    pub fn serial_tuned(_tuning: DispatchTuning) -> Self {
+        Executor::serial()
     }
 
     /// A threaded backend with an explicit worker count (`0` = the
-    /// available parallelism, `1` collapses to serial) and the default
-    /// [`DispatchTuning`]: a handle to the live pool of that width the
-    /// calling thread already built, or to a new one (see
-    /// [Pool lifecycle](self#pool-lifecycle)). A pool's threads are
-    /// spawned lazily at its first dispatched region, then parked between
-    /// regions.
+    /// available parallelism, `1` collapses to serial): a handle to the
+    /// live pool of that width the calling thread already built, or to a
+    /// new one (see [Pool lifecycle](self#pool-lifecycle)). A pool's
+    /// threads are spawned lazily at its first dispatched region, then
+    /// parked between regions.
     pub fn threaded(threads: usize) -> Self {
-        Executor::threaded_tuned(threads, DispatchTuning::default())
-    }
-
-    /// [`threaded`](Self::threaded) with explicit tuning, for tests that
-    /// pin a tuning point. Tuning and counters are the handle's own, so
-    /// handles of different tunings still share the thread's pool.
-    pub fn threaded_tuned(threads: usize, tuning: DispatchTuning) -> Self {
         let threads = if threads == 0 {
             std::thread::available_parallelism()
                 .map(|p| p.get())
@@ -322,12 +295,18 @@ impl Executor {
             threads
         };
         if threads <= 1 {
-            return Executor::serial_tuned(tuning);
+            return Executor::serial();
         }
         Executor {
             backend: Backend::Pool(pool::WorkerPool::shared(threads), Arc::default()),
-            tuning,
         }
+    }
+
+    /// [`threaded`](Self::threaded): an executor reads no
+    /// [`DispatchTuning`]. It stays because the extreme-tuning grid of
+    /// `tests/parallel_determinism.rs` calls it.
+    pub fn threaded_tuned(threads: usize, _tuning: DispatchTuning) -> Self {
+        Executor::threaded(threads)
     }
 
     /// Resolves a configuration-level [`ExecutorKind`] into a backend. A
@@ -339,13 +318,6 @@ impl Executor {
             ExecutorKind::Serial => Executor::serial(),
             ExecutorKind::Threaded { threads } => Executor::threaded(threads),
         }
-    }
-
-    /// The dispatch tuning this executor was constructed with. The conv
-    /// engine uses this to size its channel hints (dense work plus probe
-    /// costs) in the same units the dispatch gate compares against.
-    pub fn tuning(&self) -> DispatchTuning {
-        self.tuning
     }
 
     /// Worker count (1 for the serial backend).
@@ -377,9 +349,7 @@ impl Executor {
     }
 
     /// Runs `f(0..n)`, returning the results in index order: [`map`]
-    /// over the indices, each hinted as chunky enough to clear any
-    /// dispatch floor, so on a pool every region of two or more items
-    /// dispatches (unless nested).
+    /// over the indices.
     ///
     /// [`map`]: Self::map
     pub fn map_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
@@ -387,35 +357,27 @@ impl Executor {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        self.map(0..n, |_| usize::MAX, || (), |i, ()| f(i))
+        self.map(0..n, || (), |i, ()| f(i))
     }
 
     /// The scheduling primitive: consumes `items`, runs `f(item,
     /// scratch)` for each and returns the results in item order, however
-    /// the items were scheduled. `work(&item)` is the item's work hint
-    /// (roughly scalar FLOPs; `0` = no work) for the dispatch gate in the
-    /// [module docs](self). Items are claimed dynamically and move into
-    /// whichever runner claims them, so uneven items balance and disjoint
-    /// `&mut` borrows fan out safely.
+    /// the items were scheduled. The item count decides where the region
+    /// runs (see the [module docs](self)). Items are claimed dynamically
+    /// and move into whichever runner claims them, so uneven items
+    /// balance and disjoint `&mut` borrows fan out safely.
     ///
     /// Each runner builds one scratch `S` with `init` the first time it
     /// claims an item and reuses it for every later item it claims: an
     /// inline region builds at most one, a pooled region at most one per
     /// runner, and a runner that finds the items drained builds none.
     ///
-    /// On the serial backend this is the plain in-order loop: hints are
-    /// never evaluated and nothing beyond the result vector is allocated.
-    pub fn map<T, S, R, W, I, F>(
-        &self,
-        items: impl IntoIterator<Item = T>,
-        work: W,
-        init: I,
-        f: F,
-    ) -> Vec<R>
+    /// On the serial backend this is the plain in-order loop: nothing
+    /// beyond the result vector is allocated.
+    pub fn map<T, S, R, I, F>(&self, items: impl IntoIterator<Item = T>, init: I, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
-        W: Fn(&T) -> usize,
         I: Fn() -> S + Sync,
         F: Fn(T, &mut S) -> R + Sync,
     {
@@ -424,21 +386,17 @@ impl Executor {
             Backend::Pool(pool, counters) => (pool, counters),
         };
         let items: Vec<T> = items.into_iter().collect();
-        let (busy, total) = items.iter().fold((0usize, 0usize), |(busy, total), item| {
-            let w = work(item);
-            (busy + usize::from(w > 0), total.saturating_add(w))
-        });
-        // The one dispatch gate (module docs); two busy items imply n ≥ 2.
-        if busy < 2 || total < self.tuning.dispatch_min_work || pool::in_region() {
+        let n = items.len();
+        // The one dispatch gate (module docs).
+        if n < 2 || pool::in_region() {
             counters.inlined.fetch_add(1, Ordering::Relaxed);
             return run_inline(items, &init, &f);
         }
-        let n = items.len();
         let cursor = AtomicUsize::new(0);
         let items = pool::ItemSlots::new(items);
         let results = pool::ResultSlots::new(n);
         counters.dispatched.fetch_add(1, Ordering::Relaxed);
-        let region = pool.run_region(busy, &|| {
+        let region = pool.run_region(n, &|| {
             let mut scratch: Option<S> = None;
             loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -924,7 +882,7 @@ mod tests {
         let b = Executor::threaded(2);
         let before = b.pool_stats();
         a.map_indexed(4, |i| i);
-        a.map(0..4usize, |_| 1, || (), |i, ()| i);
+        a.map(0..1usize, || (), |i, ()| i);
         assert_eq!(b.pool_stats(), before, "a's regions are not b's");
         let stats = a.clone().pool_stats().unwrap();
         assert_eq!((stats.regions_dispatched, stats.regions_inlined), (1, 1));
@@ -1039,7 +997,7 @@ mod tests {
             let n = 1 + (round * 7) % 23;
             let a = exec.map_indexed(n, |i| i * round);
             assert_eq!(a, (0..n).map(|i| i * round).collect::<Vec<_>>());
-            let b = exec.map(0..n, |_| usize::MAX, || (), |item, ()| 2 * item);
+            let b = exec.map(0..n, || (), |item, ()| 2 * item);
             assert_eq!(b, (0..n).map(|i| 2 * i).collect::<Vec<_>>());
         }
         let stats = exec.pool_stats().unwrap();
@@ -1056,7 +1014,6 @@ mod tests {
             let exec = Executor::threaded(threads);
             let out = exec.map(
                 0..20usize,
-                |_| usize::MAX,
                 || 0usize,
                 |i, seen| {
                     *seen += 1;
@@ -1075,7 +1032,7 @@ mod tests {
         for threads in [1, 2, 5] {
             let exec = Executor::threaded(threads);
             let items: Vec<String> = (0..11).map(|i| format!("item{i}")).collect();
-            let out = exec.map(items, |_| usize::MAX, || (), |s, ()| format!("got:{s}"));
+            let out = exec.map(items, || (), |s, ()| format!("got:{s}"));
             for (i, s) in out.iter().enumerate() {
                 assert_eq!(s, &format!("got:item{i}"));
             }
@@ -1094,80 +1051,6 @@ mod tests {
             i
         });
         assert_eq!(out, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn tiny_sized_regions_short_circuit_inline() {
-        let exec = Executor::threaded(4);
-        let floor = exec.tuning().dispatch_min_work;
-        let before = exec.pool_stats().unwrap();
-        // 4 items of ~1 unit each: far below the dispatch floor.
-        let out = exec.map(0..4usize, |_| 1, || (), |i, ()| i * 2);
-        assert_eq!(out, vec![0, 2, 4, 6]);
-        // A single item never dispatches either, whatever its size.
-        let out = exec.map(0..1usize, |_| usize::MAX, || (), |i, ()| i);
-        assert_eq!(out, vec![0]);
-        let after = exec.pool_stats().unwrap();
-        assert_eq!(after.regions_dispatched, before.regions_dispatched);
-        assert_eq!(after.regions_inlined, before.regions_inlined + 2);
-        // Enough hinted work flips the same shape over to the pool.
-        let out = exec.map(0..4usize, |_| floor, || (), |i, ()| i * 2);
-        assert_eq!(out, vec![0, 2, 4, 6]);
-        assert_eq!(
-            exec.pool_stats().unwrap().regions_dispatched,
-            before.regions_dispatched + 1
-        );
-    }
-
-    #[test]
-    fn weighted_map_matches_serial_and_gates_on_busy_items() {
-        // Results must match the serial backend for any hint vector.
-        let floor = DispatchTuning::default().dispatch_min_work;
-        let weights = [0usize, 5, 0, floor, 7, 0, usize::MAX];
-        let weighted = |exec: &Executor| {
-            exec.map(
-                (0..weights.len()).zip(weights),
-                |&(_, w)| w,
-                || (),
-                |(i, w), ()| (i * 100, w),
-            )
-        };
-        let want = weighted(&Executor::serial());
-        for threads in [2, 4] {
-            assert_eq!(weighted(&Executor::threaded(threads)), want);
-        }
-
-        let exec = Executor::threaded(4);
-        let before = exec.pool_stats().unwrap();
-        // One hot item among empties: total is huge but only one item
-        // carries work — a second thread could not help. Must inline.
-        let skew = [usize::MAX, 0, 0, 0];
-        let out = exec.map(
-            [1usize, 2, 3, 4].into_iter().zip(skew),
-            |&(_, w)| w,
-            || (),
-            |(v, _), ()| v * 2,
-        );
-        assert_eq!(out, vec![2, 4, 6, 8]);
-        // Tiny totals inline too, even when spread across items.
-        exec.map(vec![0usize; 4], |_| 1, || (), |v, ()| v);
-        let mid = exec.pool_stats().unwrap();
-        assert_eq!(mid.regions_dispatched, before.regions_dispatched);
-        assert_eq!(mid.regions_inlined, before.regions_inlined + 2);
-        // Two busy items over the threshold dispatch; saturating totals
-        // (two usize::MAX items) must not wrap back below it.
-        let hot = [usize::MAX, usize::MAX, 0, 0];
-        let out = exec.map(
-            [1usize, 2, 3, 4].into_iter().zip(hot),
-            |&(_, w)| w,
-            || (),
-            |(v, _), ()| v + 1,
-        );
-        assert_eq!(out, vec![2, 3, 4, 5]);
-        assert_eq!(
-            exec.pool_stats().unwrap().regions_dispatched,
-            before.regions_dispatched + 1
-        );
     }
 
     #[test]
@@ -1193,7 +1076,7 @@ mod tests {
         assert_eq!(
             after.regions_inlined,
             before.regions_inlined + 4,
-            "every inner region short-circuited inline"
+            "every inner region ran inline"
         );
     }
 
@@ -1214,60 +1097,5 @@ mod tests {
         let stats = exec.pool_stats().unwrap();
         assert_eq!(stats.threads, 4, "no worker died");
         assert_eq!(stats.regions_panicked, 1, "the clean region added nothing");
-    }
-
-    #[test]
-    fn tuned_threshold_moves_the_dispatch_decision() {
-        // The same region shape flips between inline and pooled purely by
-        // the tuning the executor was constructed with.
-        let lax = DispatchTuning {
-            dispatch_min_work: 8,
-            ..DispatchTuning::default()
-        };
-        let exec = Executor::threaded_tuned(4, lax);
-        assert_eq!(exec.tuning(), lax);
-        assert_eq!(
-            exec.map(0..4usize, |_| 2, || (), |i, ()| i),
-            vec![0, 1, 2, 3]
-        );
-        assert_eq!(
-            exec.pool_stats().unwrap().regions_dispatched,
-            1,
-            "8 units of hinted work crossed the lax 8-unit threshold"
-        );
-
-        let strict = DispatchTuning {
-            dispatch_min_work: usize::MAX,
-            ..DispatchTuning::default()
-        };
-        let exec = Executor::threaded_tuned(4, strict);
-        // The default executor dispatches this exact shape — see
-        // `tiny_sized_regions_short_circuit_inline`.
-        let floor = DispatchTuning::default().dispatch_min_work;
-        let out = exec.map(0..4usize, |_| floor, || (), |i, ()| i * 2);
-        assert_eq!(out, vec![0, 2, 4, 6]);
-        let stats = exec.pool_stats().unwrap();
-        assert_eq!(stats.regions_dispatched, 0, "strict threshold inlines it");
-        assert_eq!(stats.regions_inlined, 1);
-
-        // Uneven per-item hints read the same tuned threshold.
-        let exec = Executor::threaded_tuned(4, lax);
-        let out = exec.map(vec![1usize, 2], |&v| 4 * v - 2, || (), |v, ()| v);
-        assert_eq!(out, vec![1, 2]);
-        assert_eq!(exec.pool_stats().unwrap().regions_dispatched, 1);
-    }
-
-    #[test]
-    fn plain_variants_still_always_dispatch_under_extreme_tuning() {
-        // `map_indexed` assumes chunky items; even a saturating threshold
-        // must not flip it to inline (its saturating hint sum reaches the
-        // threshold itself).
-        let strict = DispatchTuning {
-            dispatch_min_work: usize::MAX,
-            ..DispatchTuning::default()
-        };
-        let exec = Executor::threaded_tuned(2, strict);
-        assert_eq!(exec.map_indexed(4, |i| i), vec![0, 1, 2, 3]);
-        assert_eq!(exec.pool_stats().unwrap().regions_dispatched, 1);
     }
 }

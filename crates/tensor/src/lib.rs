@@ -17,8 +17,8 @@
 //! * [`exec`] — the pluggable [`Executor`](exec::Executor) backend (serial
 //!   reference vs persistent worker pool) every parallel path in the
 //!   workspace schedules through, bit-identically,
-//! * [`tune`] — the [`DispatchTuning`](tune::DispatchTuning) constants
-//!   an executor's dispatch gate and the engines' work hints share,
+//! * [`tune`] — [`DispatchTuning`](tune::DispatchTuning), a knob set no
+//!   executor reads, kept for the extreme-tuning determinism grid,
 //! * [`scratch`] — per-thread recycling arenas for the hot paths' scratch
 //!   buffers, so pool workers stop hitting the global allocator once warm,
 //! * [`rng`] — a small deterministic RNG (SplitMix64 + Box–Muller) so every

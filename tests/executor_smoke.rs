@@ -1,18 +1,17 @@
 //! Assertion-backed smoke test that the threaded backend really drives
-//! the **persistent worker pool** — not the inline small-region
-//! short-circuit, and not a silent collapse to serial.
+//! the **persistent worker pool** — not inline execution of every region,
+//! and not a silent collapse to serial.
 //!
 //! CI's threaded test leg runs this with `MERCURY_EXPECT_POOL=1`, which
 //! turns the "backend resolved to serial" escape hatch into a hard
 //! failure: if the env-selected backend stops reaching the pool (a
-//! heuristic regression, a parse regression, a 1-core runner), the
+//! dispatch regression, a parse regression, a 1-core runner), the
 //! matrix leg goes red instead of silently testing serial twice. The same
 //! test resolves the backend twice and fails if the two handles do not
 //! share one pool, so engines that each resolve an executor cannot go
 //! back to parking a private pool apiece.
 
 use mercury_tensor::exec::{Executor, ExecutorKind};
-use mercury_tensor::tune::DispatchTuning;
 use std::collections::HashSet;
 use std::sync::Mutex;
 use std::thread::ThreadId;
@@ -84,56 +83,6 @@ fn pinned_pool_engages_everywhere() {
     // Independent of the environment and the core count: an explicit
     // width forces a pool even on a 1-core box.
     assert_pool_engaged(&Executor::threaded(4), "threaded:4");
-}
-
-#[test]
-fn tiny_regions_take_the_inline_short_circuit() {
-    // The other half of the contract: a region hinted as tiny must NOT
-    // wake the pool.
-    let exec = Executor::threaded(4);
-    let before = exec.pool_stats().unwrap();
-    let out = exec.map(0..4usize, |_| 1, || (), |i, ()| i + 1);
-    assert_eq!(out, vec![1, 2, 3, 4]);
-    let after = exec.pool_stats().unwrap();
-    assert_eq!(after.regions_dispatched, before.regions_dispatched);
-    assert_eq!(after.regions_inlined, before.regions_inlined + 1);
-}
-
-#[test]
-fn tuned_dispatch_floor_flips_the_same_region_between_inline_and_pool() {
-    // One identical region, two dispatch floors, two scheduling outcomes
-    // — and the pool counters prove which path ran, so the floor's
-    // effect is observable rather than inferred from wall-clock.
-    let region = |exec: &Executor| {
-        let out = exec.map(0..4usize, |_| 1 << 10, || (), |i, ()| i * 7);
-        assert_eq!(out, vec![0, 7, 14, 21]);
-    };
-
-    let lax = Executor::threaded_tuned(
-        2,
-        DispatchTuning {
-            dispatch_min_work: 1,
-            ..DispatchTuning::default()
-        },
-    );
-    let before = lax.pool_stats().unwrap();
-    region(&lax);
-    let after = lax.pool_stats().unwrap();
-    assert_eq!(after.regions_dispatched, before.regions_dispatched + 1);
-    assert_eq!(after.regions_inlined, before.regions_inlined);
-
-    let strict = Executor::threaded_tuned(
-        2,
-        DispatchTuning {
-            dispatch_min_work: usize::MAX,
-            ..DispatchTuning::default()
-        },
-    );
-    let before = strict.pool_stats().unwrap();
-    region(&strict);
-    let after = strict.pool_stats().unwrap();
-    assert_eq!(after.regions_dispatched, before.regions_dispatched);
-    assert_eq!(after.regions_inlined, before.regions_inlined + 1);
 }
 
 #[test]
