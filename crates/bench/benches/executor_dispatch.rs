@@ -1,6 +1,6 @@
 //! Microbenchmarks of parallel-region *dispatch* cost: the persistent
-//! worker pool (workers parked on a condvar between regions) and a second
-//! handle that joins a live pool, beside the serial loop.
+//! worker pool (each worker blocked on its job channel between regions)
+//! and a second handle that joins a live pool, beside the serial loop.
 //!
 //! The region body is intentionally near-empty — these benches time the
 //! scheduling machinery, not the work.

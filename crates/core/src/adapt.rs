@@ -68,11 +68,6 @@ impl PlateauDetector {
         }
         false
     }
-
-    /// Current number of consecutive flat iterations.
-    pub fn flat_steps(&self) -> usize {
-        self.flat_steps
-    }
 }
 
 /// Per-layer stoppage of similarity detection: when the recorded MERCURY
@@ -155,11 +150,6 @@ impl AdaptiveController {
         }
     }
 
-    /// Number of layers under control.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Feeds one iteration's loss; returns `true` when the signature
     /// should grow by one bit.
     pub fn observe_loss(&mut self, loss: f64) -> bool {
@@ -174,15 +164,6 @@ impl AdaptiveController {
     /// Panics if `idx` is out of range.
     pub fn observe_layer(&mut self, idx: usize, mercury_cycles: u64, baseline_cycles: u64) -> bool {
         self.layers[idx].observe(mercury_cycles, baseline_cycles)
-    }
-
-    /// Whether layer `idx`'s detection is still enabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn layer_enabled(&self, idx: usize) -> bool {
-        !self.layers[idx].is_stopped()
     }
 
     /// Counts of layers with detection (on, off) — Figure 14a.
@@ -211,8 +192,7 @@ mod tests {
         assert!(!d.observe(1.0));
         assert!(!d.observe(1.0)); // flat 1
         assert!(!d.observe(0.5)); // big improvement resets
-        assert_eq!(d.flat_steps(), 0);
-        assert!(!d.observe(0.5));
+        assert!(!d.observe(0.5)); // flat 1 of a fresh window: no plateau yet
         assert!(d.observe(0.5));
     }
 
@@ -264,16 +244,18 @@ mod tests {
     #[test]
     fn controller_tracks_per_layer_state() {
         let mut c = AdaptiveController::new(3, 2, 1e-3, 2);
-        assert_eq!(c.num_layers(), 3);
-        // Layer 1 keeps losing; others win.
-        for _ in 0..2 {
-            c.observe_layer(0, 80, 100);
-            c.observe_layer(1, 150, 100);
-            c.observe_layer(2, 90, 100);
-        }
-        assert!(c.layer_enabled(0));
-        assert!(!c.layer_enabled(1));
-        assert!(c.layer_enabled(2));
+        assert_eq!(c.detection_counts(), (3, 0));
+        // Layer 1 keeps losing; others win. Each call reports whether its
+        // layer's detection is still enabled.
+        let mut batch = || {
+            [
+                c.observe_layer(0, 80, 100),
+                c.observe_layer(1, 150, 100),
+                c.observe_layer(2, 90, 100),
+            ]
+        };
+        assert_eq!(batch(), [true; 3]);
+        assert_eq!(batch(), [true, false, true]);
         assert_eq!(c.detection_counts(), (2, 1));
     }
 

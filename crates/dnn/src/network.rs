@@ -24,7 +24,6 @@ pub enum ExecMode {
 #[derive(Debug)]
 pub struct Network {
     layers: Vec<Layer>,
-    mode: ExecMode,
 }
 
 impl Network {
@@ -41,17 +40,7 @@ impl Network {
         if let Some(first) = layers.first_mut() {
             first.set_input_grad(false);
         }
-        Network { layers, mode }
-    }
-
-    /// The execution mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        Network { layers }
     }
 
     /// Immutable access to the layers.

@@ -12,11 +12,12 @@
 //!   behaviour and all determinism suites are defined against it.
 //! * [`ExecutorKind::Threaded`] — items are distributed over a
 //!   **persistent worker pool**: the worker threads are created once
-//!   (lazily, at the first dispatched region) and parked on a condvar
-//!   between parallel regions, so a region dispatch costs a wakeup
-//!   (~µs), not a `thread::spawn` (~tens of µs). Callers only hand the
-//!   executor work whose results are reduced in a deterministic order,
-//!   so the threaded backend is **bit-identical** to serial for every
+//!   (lazily, at the first dispatched region) and each blocks on its own
+//!   job channel between parallel regions, so a region dispatch costs a
+//!   channel send and a wakeup (~µs), not a `thread::spawn` (~tens of
+//!   µs). Callers only hand the executor work whose results are reduced
+//!   in a deterministic order, so the threaded backend is
+//!   **bit-identical** to serial for every
 //!   engine, session, and simulator path (pinned by
 //!   `tests/parallel_determinism.rs`).
 //!
@@ -35,7 +36,7 @@
 //! that width the calling thread already built, and builds one only when
 //! none is alive. The thread finds it through a list of `Weak`
 //! references, so the list never keeps a pool alive. Every network, engine, session and simulator built on one
-//! thread therefore schedules onto one set of parked workers per width,
+//! thread therefore schedules onto one set of idle workers per width,
 //! however many times it resolves an executor; cloning a handle shares
 //! its pool too. A pool spawns its workers at its first dispatched region
 //! and joins them when its last handle drops, so a later handle builds a
@@ -93,7 +94,7 @@ use std::error::Error;
 use std::fmt;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::tune::DispatchTuning;
 
@@ -176,7 +177,8 @@ impl ExecutorKind {
     }
 
     /// The backend selected by the `MERCURY_EXECUTOR` environment
-    /// variable, or `None` when unset.
+    /// variable, or `fallback` when it is unset — the idiom config
+    /// defaults use.
     ///
     /// # Panics
     ///
@@ -184,27 +186,18 @@ impl ExecutorKind {
     /// an invalid spec. A typo'd `MERCURY_EXECUTOR=thredded` must abort
     /// the run, not silently fall back to the default backend and taint
     /// whatever comparison the caller was running.
-    pub fn from_env() -> Option<Self> {
-        Some(Self::from_env_value(
-            &std::env::var("MERCURY_EXECUTOR").ok()?,
-        ))
+    pub fn from_env_or(fallback: Self) -> Self {
+        std::env::var("MERCURY_EXECUTOR").map_or(fallback, |value| Self::from_env_value(&value))
     }
 
     /// Resolves one `MERCURY_EXECUTOR` value, panicking on invalid specs
-    /// (see [`from_env`](Self::from_env)). Split out so the failure mode
-    /// is testable without mutating the process environment.
+    /// (see [`from_env_or`](Self::from_env_or)). Split out so the failure
+    /// mode is testable without mutating the process environment.
     fn from_env_value(value: &str) -> Self {
         match Self::parse(value) {
             Ok(kind) => kind,
             Err(e) => panic!("MERCURY_EXECUTOR: {e}"),
         }
-    }
-
-    /// [`from_env`](Self::from_env) with a fallback for *unset* — the
-    /// idiom config defaults use. An invalid value still fails loudly;
-    /// only absence selects the fallback.
-    pub fn from_env_or(fallback: Self) -> Self {
-        Self::from_env().unwrap_or(fallback)
     }
 }
 
@@ -218,7 +211,7 @@ impl ExecutorKind {
 /// [Pool lifecycle](self#pool-lifecycle)) counts its own regions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Configured pool width (caller + parked workers).
+    /// Configured pool width (caller + pool workers).
     pub threads: usize,
     /// Regions actually handed to the worker pool.
     pub regions_dispatched: u64,
@@ -228,7 +221,7 @@ pub struct PoolStats {
     /// Dispatched regions that ended in a panic (on the caller or a
     /// recruited worker). The panic is re-raised on the dispatching
     /// thread after the region drains; the pool itself survives — its
-    /// workers park and serve the next region — so this counter rising
+    /// workers wait for and serve the next region — so this counter rising
     /// while `threads` stays constant is the expected fault signature,
     /// and a shrinking pool would show up as dispatch counters stalling.
     pub regions_panicked: u64,
@@ -237,7 +230,7 @@ pub struct PoolStats {
 /// A runnable execution backend: serial, or a handle to a persistent
 /// worker pool of a fixed width. Same-width handles built on one thread
 /// share that thread's pool, and **cloning shares the pool** and the
-/// handle's dispatch counters — the clone schedules onto the same parked
+/// handle's dispatch counters — the clone schedules onto the same
 /// workers. The workers are joined when the pool's last handle drops
 /// (see [Pool lifecycle](self#pool-lifecycle)).
 ///
@@ -285,7 +278,7 @@ impl Executor {
     /// live pool of that width the calling thread already built, or to a
     /// new one (see [Pool lifecycle](self#pool-lifecycle)). A pool's
     /// threads are spawned lazily at its first dispatched region, then
-    /// parked between regions.
+    /// block on their job channels between regions.
     pub fn threaded(threads: usize) -> Self {
         let threads = if threads == 0 {
             std::thread::available_parallelism()
@@ -392,25 +385,35 @@ impl Executor {
             counters.inlined.fetch_add(1, Ordering::Relaxed);
             return run_inline(items, &init, &f);
         }
+        // Slot `i` holds item `i`, then its result. Only the runner that
+        // claimed `i` from the cursor ever locks it.
+        let slots: Vec<Mutex<(Option<T>, Option<R>)>> = items
+            .into_iter()
+            .map(|item| Mutex::new((Some(item), None)))
+            .collect();
         let cursor = AtomicUsize::new(0);
-        let items = pool::ItemSlots::new(items);
-        let results = pool::ResultSlots::new(n);
         counters.dispatched.fetch_add(1, Ordering::Relaxed);
         let region = pool.run_region(n, &|| {
             let mut scratch: Option<S> = None;
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                results.put(i, f(items.take(i), scratch.get_or_insert_with(&init)));
+            while let Some(slot) = slots.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                let (item, result) = &mut *slot.lock().expect("only its claimer locks a slot");
+                let item = item.take().expect("every item consumed exactly once");
+                *result = Some(f(item, scratch.get_or_insert_with(&init)));
             }
         });
         if let Err(payload) = region {
             counters.panicked.fetch_add(1, Ordering::Relaxed);
             resume_unwind(payload);
         }
-        results.collect()
+        slots
+            .into_iter()
+            .map(|slot| {
+                let (_, result) = slot
+                    .into_inner()
+                    .expect("no item of a returned region panicked");
+                result.expect("every index computed exactly once")
+            })
+            .collect()
     }
 }
 
@@ -432,19 +435,20 @@ fn run_inline<T, S, R>(
 ///
 /// Each thread keeps `Weak` references to the pools it built, so
 /// same-width handles share one while it lives. Workers are spawned once
-/// (lazily) and parked on a condvar; each parallel region publishes a
-/// borrowed runner closure, bumps an epoch, wakes the workers it
-/// recruits, and blocks until every recruit checks back in. The pointer
-/// erasure and the disjoint-index result slots are the two places this
-/// crate needs `unsafe` — both are confined to this module, with the
-/// invariants documented at each site (this is the same technique
-/// `std::thread::scope` itself builds on, minus the per-region spawn this
-/// pool exists to avoid).
+/// (lazily), and each blocks on its own job channel. A parallel region
+/// sends a borrowed runner closure down the channels of the workers it
+/// recruits and collects one ack per job sent. The erased closure
+/// pointer is the one thing the executor needs `unsafe` for; the
+/// invariants it rests on are documented at each site (this is the
+/// technique `std::thread::scope` builds on, minus the per-region spawn
+/// this pool exists to avoid).
 #[allow(unsafe_code)]
 mod pool {
-    use std::cell::{Cell, RefCell, UnsafeCell};
+    use std::cell::{Cell, RefCell};
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::{Arc, Mutex, OnceLock, Weak};
+    use std::thread::{self, JoinHandle};
 
     thread_local! {
         /// How many region runners are live on this thread. Non-zero on a
@@ -463,35 +467,23 @@ mod pool {
         REGION_DEPTH.with(|d| d.get()) > 0
     }
 
-    /// RAII region-depth bump, so the counter unwinds correctly when a
-    /// runner panics.
-    struct DepthGuard;
-
-    impl DepthGuard {
-        fn enter() -> Self {
-            REGION_DEPTH.with(|d| d.set(d.get() + 1));
-            DepthGuard
-        }
+    /// Runs `runner` as one region runner: the region depth is raised
+    /// for its duration, and a panic comes back as the `Err`.
+    fn run_guarded(runner: impl FnOnce()) -> thread::Result<()> {
+        REGION_DEPTH.with(|d| d.set(d.get() + 1));
+        let result = catch_unwind(AssertUnwindSafe(runner));
+        REGION_DEPTH.with(|d| d.set(d.get() - 1));
+        result
     }
 
-    impl Drop for DepthGuard {
-        fn drop(&mut self) {
-            REGION_DEPTH.with(|d| d.set(d.get() - 1));
-        }
-    }
-
-    /// A pointer-erased borrow of one region's runner closure. The
-    /// dispatcher publishes it under the state lock and does not return
-    /// from [`WorkerPool::run_region`] until every recruited worker has
-    /// checked back in, so the pointee outlives every dereference.
-    #[derive(Clone, Copy)]
+    /// A pointer-erased borrow of one region's runner closure.
     struct Job(*const (dyn Fn() + Sync));
 
     // SAFETY: the pointee is a `Sync` closure borrowed from the
-    // dispatching thread's stack; `run_region` keeps that frame alive
-    // (it blocks until `active == 0`) for as long as any worker can hold
-    // this pointer, and `&(dyn Fn() + Sync)` is safe to share across
-    // threads by definition.
+    // dispatching thread's stack, and `&(dyn Fn() + Sync)` is safe to
+    // share across threads by definition. `run_region` keeps that frame
+    // alive until it has received the ack of every job it sent, and a
+    // worker acks a job only after its last use of the pointer.
     unsafe impl Send for Job {}
 
     impl Job {
@@ -499,10 +491,9 @@ mod pool {
         ///
         /// # Safety
         ///
-        /// Must only be called between this job's publication and the
-        /// dispatcher's `active == 0` handshake (the worker loop's
-        /// protocol), while the dispatcher is still blocked in
-        /// `run_region`.
+        /// Must only be called by the worker this job was sent to, before
+        /// it acks the job: the dispatcher is then still blocked in
+        /// `run_region`, draining acks.
         unsafe fn run(self) {
             // SAFETY: see above — the dispatcher's frame (and therefore
             // the closure and everything it borrows) is alive.
@@ -510,46 +501,25 @@ mod pool {
         }
     }
 
-    struct PoolState {
-        /// Bumped once per dispatched region; workers use it to tell a
-        /// fresh region from a spurious wakeup.
-        epoch: u64,
-        /// The current region's runner; `Some` exactly while a region is
-        /// in flight.
-        job: Option<Job>,
-        /// Workers that may still join the current region (capped at
-        /// `items - 1` so small regions recruit few workers).
-        recruits_left: usize,
-        /// Recruited workers that have not yet finished the region.
-        active: usize,
-        /// First panic payload raised by a worker this region.
-        panic: Option<Box<dyn std::any::Any + Send>>,
-        shutdown: bool,
-    }
-
-    struct SharedState {
-        state: Mutex<PoolState>,
-        /// Workers park here between regions.
-        work_cv: Condvar,
-        /// The dispatcher parks here until `active == 0`.
-        done_cv: Condvar,
-    }
-
-    /// The threads and handoff state of one pool, created on the first
+    /// The threads and channels of one pool, created on the first
     /// dispatched region.
     struct PoolCore {
-        shared: Arc<SharedState>,
-        /// Serializes dispatchers: one region in flight per pool. Held
-        /// across the whole region, so a second thread dispatching
-        /// through a handle moved to it simply queues behind the first
-        /// (workers never take this lock). Hence the module's rule: a
-        /// region item must not block on another handle's dispatch.
-        region_lock: Mutex<()>,
-        workers: Vec<std::thread::JoinHandle<()>>,
+        /// One job channel per worker. Only [`WorkerPool`]'s `Drop`
+        /// closes them, and a worker's loop ends only then.
+        jobs: Vec<Sender<Job>>,
+        /// Every worker acks every job it runs here, with the job's
+        /// outcome. The lock serializes dispatchers: one region in flight
+        /// per pool. It is held across the whole region, so a second
+        /// thread dispatching through a handle moved to it simply queues
+        /// behind the first (workers never take it). Hence the module's
+        /// rule: a region item must not block on another handle's
+        /// dispatch.
+        acks: Mutex<Receiver<thread::Result<()>>>,
+        workers: Vec<JoinHandle<()>>,
     }
 
-    /// A persistent pool of `width - 1` parked worker threads (the
-    /// dispatching caller is always the `width`-th runner).
+    /// A persistent pool of `width - 1` worker threads (the dispatching
+    /// caller is always the `width`-th runner).
     pub(super) struct WorkerPool {
         width: usize,
         core: OnceLock<PoolCore>,
@@ -590,75 +560,65 @@ mod pool {
             self.width
         }
 
-        /// Runs one parallel region of `items` work items: publishes
-        /// `runner` to the parked workers, recruits at most `items - 1`
-        /// of them, runs `runner` on the calling thread too, and blocks
-        /// until every recruit has finished. A panic — the caller's
-        /// first, else a worker's — comes back as the `Err` only after
-        /// the region fully drains (so borrowed region state is never
-        /// freed under a live worker), for the caller to re-raise.
+        /// Runs one parallel region of `items` work items: sends `runner`
+        /// to at most `items - 1` workers, runs it on the calling thread
+        /// too, and blocks until every worker it reached has acked. A
+        /// panic — the caller's first, else a worker's — comes back as the
+        /// `Err` only after the region fully drains (so borrowed region
+        /// state is never freed under a live worker), for the caller to
+        /// re-raise.
         pub(super) fn run_region(
             &self,
             items: usize,
             runner: &(dyn Fn() + Sync),
-        ) -> std::thread::Result<()> {
-            let core = self
-                .core
-                .get_or_init(|| PoolCore::spawn(self.width - 1, self.width));
-            let region_guard = core
-                .region_lock
+        ) -> thread::Result<()> {
+            let core = self.core.get_or_init(|| PoolCore::spawn(self.width));
+            let acks = core
+                .acks
                 .lock()
-                .expect("a pool dispatcher never panics while holding the region lock");
-            let recruits = core.workers.len().min(items.saturating_sub(1));
-            {
-                let mut state = core.shared.state.lock().unwrap();
-                // SAFETY: pure lifetime erasure on a wide pointer (same
-                // layout); validity across threads is enforced by the
-                // region protocol documented on `Job`.
-                let erased: *const (dyn Fn() + Sync) =
-                    unsafe { std::mem::transmute(runner as *const (dyn Fn() + Sync + '_)) };
-                state.job = Some(Job(erased));
-                state.epoch += 1;
-                state.recruits_left = recruits;
-                state.active = recruits;
-                if recruits == core.workers.len() {
-                    core.shared.work_cv.notify_all();
-                } else {
-                    for _ in 0..recruits {
-                        core.shared.work_cv.notify_one();
-                    }
+                .expect("a pool dispatcher never panics while holding the ack lock");
+            // SAFETY: pure lifetime erasure on a wide pointer (same
+            // layout). No job outlives this frame, and so the closure it
+            // borrows, because two things hold:
+            // - Nothing unwinds between the first send and the last ack.
+            //   Sends are counted, not unwrapped: a send fails only if its
+            //   worker is gone, and then that worker owes no ack. The
+            //   caller's share runs under `catch_unwind`. Exactly the
+            //   counted acks are drained, panics or not, before returning.
+            // - A worker acks every job it is sent, after its last use of
+            //   the pointer: its loop ends only when its job channel
+            //   closes, which only `Drop` does, never while a region
+            //   borrows the pool.
+            let erased: *const (dyn Fn() + Sync) =
+                unsafe { std::mem::transmute(runner as *const (dyn Fn() + Sync + '_)) };
+            let recruits = core.jobs.len().min(items.saturating_sub(1));
+            let sent = core.jobs[..recruits]
+                .iter()
+                .filter(|worker| worker.send(Job(erased)).is_ok())
+                .count();
+            let caller = run_guarded(runner);
+            let mut worker_panic = None;
+            for _ in 0..sent {
+                // Each worker holds an ack sender until its loop ends, so
+                // a `recv` error means no worker is left to run a job.
+                if let Err(payload) = acks.recv().expect("a pool worker acks every job") {
+                    worker_panic.get_or_insert(payload);
                 }
             }
-            let caller_result = {
-                let _depth = DepthGuard::enter();
-                catch_unwind(AssertUnwindSafe(runner))
-            };
-            let worker_panic = {
-                let mut state = core.shared.state.lock().unwrap();
-                while state.active > 0 {
-                    state = core.shared.done_cv.wait(state).unwrap();
-                }
-                state.job = None;
-                state.panic.take()
-            };
-            drop(region_guard);
-            caller_result?;
+            caller?;
             worker_panic.map_or(Ok(()), Err)
         }
     }
 
     impl Drop for WorkerPool {
         fn drop(&mut self) {
-            let Some(core) = self.core.take() else {
+            let Some(PoolCore { jobs, workers, .. }) = self.core.take() else {
                 return; // never dispatched — no threads to join
             };
-            {
-                let mut state = core.shared.state.lock().unwrap();
-                state.shutdown = true;
-                core.shared.work_cv.notify_all();
-            }
-            for handle in core.workers {
-                handle
+            // Closing the job channels ends every worker's loop.
+            drop(jobs);
+            for worker in workers {
+                worker
                     .join()
                     .expect("pool worker exits cleanly on shutdown");
             }
@@ -666,148 +626,38 @@ mod pool {
     }
 
     impl PoolCore {
-        fn spawn(worker_count: usize, width: usize) -> PoolCore {
-            let shared = Arc::new(SharedState {
-                state: Mutex::new(PoolState {
-                    epoch: 0,
-                    job: None,
-                    recruits_left: 0,
-                    active: 0,
-                    panic: None,
-                    shutdown: false,
-                }),
-                work_cv: Condvar::new(),
-                done_cv: Condvar::new(),
-            });
-            let workers = (0..worker_count)
+        fn spawn(width: usize) -> PoolCore {
+            let (ack, acks) = channel();
+            let (jobs, workers) = (0..width - 1)
                 .map(|i| {
-                    let shared = Arc::clone(&shared);
-                    std::thread::Builder::new()
+                    let (job, jobs) = channel();
+                    let ack = ack.clone();
+                    let worker = thread::Builder::new()
                         .name(format!("mercury-exec-{width}w-{i}"))
-                        .spawn(move || worker_loop(&shared))
-                        .expect("spawn pool worker")
+                        .spawn(move || worker_loop(&jobs, &ack))
+                        .expect("spawn pool worker");
+                    (job, worker)
                 })
-                .collect();
+                .unzip();
             PoolCore {
-                shared,
-                region_lock: Mutex::new(()),
+                jobs,
+                acks: Mutex::new(acks),
                 workers,
             }
         }
     }
 
-    /// The parked-worker protocol: wait for a fresh epoch, join its
-    /// region if recruitment is still open, run the published job, check
-    /// back in. A worker that wakes after recruitment closed just records
-    /// the epoch and parks again.
-    fn worker_loop(shared: &SharedState) {
-        let mut seen_epoch = 0u64;
-        loop {
-            let job = {
-                let mut state = shared.state.lock().unwrap();
-                loop {
-                    if state.shutdown {
-                        return;
-                    }
-                    if state.epoch != seen_epoch {
-                        seen_epoch = state.epoch;
-                        if state.recruits_left > 0 {
-                            state.recruits_left -= 1;
-                            // `job` is `Some` whenever recruitment is
-                            // open: the dispatcher clears it only after
-                            // every recruit finished.
-                            break state.job.expect("open region publishes a job");
-                        }
-                        // Region already fully recruited — park again.
-                    }
-                    state = shared.work_cv.wait(state).unwrap();
-                }
-            };
-            let result = {
-                let _depth = DepthGuard::enter();
-                // SAFETY: this thread was recruited for the current
-                // region under the state lock, so the dispatcher is
-                // blocked in `run_region` until this thread decrements
-                // `active` below — the closure and its borrows are alive.
-                catch_unwind(AssertUnwindSafe(|| unsafe { job.run() }))
-            };
-            let mut state = shared.state.lock().unwrap();
-            if let Err(payload) = result {
-                state.panic.get_or_insert(payload);
-            }
-            state.active -= 1;
-            if state.active == 0 {
-                shared.done_cv.notify_all();
-            }
-        }
-    }
-
-    /// Result landing zone for one region: `n` disjoint slots, each
-    /// written by exactly the runner that claimed its index.
-    pub(super) struct ResultSlots<R> {
-        slots: Vec<UnsafeCell<Option<R>>>,
-    }
-
-    // SAFETY: slot `i` is written only by the single runner that claimed
-    // index `i` from the region's atomic cursor (`fetch_add` yields each
-    // index exactly once), and only read after the region's completion
-    // handshake (a lock acquire/release pair orders the writes before
-    // the reads). `R: Send` moves the values across threads.
-    unsafe impl<R: Send> Sync for ResultSlots<R> {}
-
-    impl<R> ResultSlots<R> {
-        pub(super) fn new(n: usize) -> Self {
-            ResultSlots {
-                slots: (0..n).map(|_| UnsafeCell::new(None)).collect(),
-            }
-        }
-
-        /// Stores the result for claimed index `i`.
-        pub(super) fn put(&self, i: usize, value: R) {
-            // SAFETY: `i` was claimed from the region cursor by exactly
-            // one runner (see the `Sync` impl), so no other thread holds
-            // a reference into this slot.
-            unsafe { *self.slots[i].get() = Some(value) };
-        }
-
-        /// Unwraps every slot in index order. Call only after the region
-        /// completed without panicking.
-        pub(super) fn collect(self) -> Vec<R> {
-            self.slots
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("every index computed exactly once")
-                })
-                .collect()
-        }
-    }
-
-    /// Owned work items for `Executor::map`: each is moved out by exactly
-    /// the runner that claimed its index.
-    pub(super) struct ItemSlots<T> {
-        slots: Vec<UnsafeCell<Option<T>>>,
-    }
-
-    // SAFETY: same disjoint-claim argument as [`ResultSlots`]; item `i`
-    // is taken once by the runner that claimed index `i`.
-    unsafe impl<T: Send> Sync for ItemSlots<T> {}
-
-    impl<T> ItemSlots<T> {
-        pub(super) fn new(items: Vec<T>) -> Self {
-            ItemSlots {
-                slots: items
-                    .into_iter()
-                    .map(|t| UnsafeCell::new(Some(t)))
-                    .collect(),
-            }
-        }
-
-        /// Moves item `i` out to the runner that claimed it.
-        pub(super) fn take(&self, i: usize) -> T {
-            // SAFETY: `i` was claimed from the region cursor by exactly
-            // one runner, so this is the only access to the slot.
-            unsafe { (*self.slots[i].get()).take() }.expect("every item consumed exactly once")
+    /// One worker: run each job it is sent, then ack it with the job's
+    /// outcome. The loop ends only when the job channel closes.
+    fn worker_loop(jobs: &Receiver<Job>, ack: &Sender<thread::Result<()>>) {
+        for job in jobs {
+            // SAFETY: the dispatcher that sent `job` is blocked in
+            // `run_region` until it receives the ack below, so the closure
+            // and its borrows are alive.
+            let outcome = run_guarded(|| unsafe { job.run() });
+            // The dispatcher holds the receiver until it has drained this
+            // ack, so the send cannot fail.
+            let _ = ack.send(outcome);
         }
     }
 }
@@ -821,7 +671,7 @@ mod tests {
     use std::time::Duration;
 
     /// The threads other than the caller that ran items of one region on
-    /// `exec`. Each item sleeps about 2 ms, so the parked workers provably
+    /// `exec`. Each item sleeps about 2 ms, so the idle workers provably
     /// wake and claim some.
     fn worker_ids(exec: &Executor) -> HashSet<ThreadId> {
         let ran = Mutex::new(HashSet::new());
@@ -1078,6 +928,54 @@ mod tests {
             before.regions_inlined + 4,
             "every inner region ran inline"
         );
+    }
+
+    #[test]
+    fn a_panicking_region_returns_only_after_every_runner_finished() {
+        // The panicking index alternates, so both the caller-side and the
+        // worker-side panic paths run. Either way the region returns only
+        // once the other runner's item is done: the job it ran borrows
+        // this frame.
+        let exec = Executor::threaded(2);
+        for round in 0..20usize {
+            let finished = AtomicUsize::new(0);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                exec.map_indexed(2, |i| {
+                    assert!(i != round % 2, "boom in round {round}");
+                    std::thread::sleep(Duration::from_millis(5));
+                    finished.fetch_add(1, Ordering::SeqCst);
+                })
+            }));
+            assert!(
+                result.is_err(),
+                "round {round}: the panic reached the caller"
+            );
+            assert_eq!(
+                finished.load(Ordering::SeqCst),
+                1,
+                "round {round}: the region returned before the other item finished"
+            );
+        }
+        assert_eq!(exec.pool_stats().unwrap().regions_panicked, 20);
+    }
+
+    #[test]
+    fn two_threads_dispatching_on_one_pool_take_turns() {
+        let exec = Executor::threaded(2);
+        std::thread::scope(|s| {
+            for t in 0..2usize {
+                let exec = exec.clone();
+                s.spawn(move || {
+                    for round in 0..200usize {
+                        let out = exec.map_indexed(8, |i| (t, round, i));
+                        let want: Vec<_> = (0..8).map(|i| (t, round, i)).collect();
+                        assert_eq!(out, want);
+                    }
+                });
+            }
+        });
+        let stats = exec.pool_stats().unwrap();
+        assert_eq!((stats.threads, stats.regions_dispatched), (2, 400));
     }
 
     #[test]

@@ -82,13 +82,6 @@ impl VectorStream {
         }
     }
 
-    /// Expected number of distinct clusters in the stream.
-    pub fn expected_unique(&self) -> usize {
-        ((self.num_vectors as f64) * (1.0 - self.similarity))
-            .ceil()
-            .max(1.0) as usize
-    }
-
     /// Draws the cluster id sequence. Ids are dense: cluster `k` is the
     /// `k`-th distinct cluster to appear.
     ///
@@ -207,7 +200,8 @@ mod tests {
     #[test]
     fn with_similarity_sets_expected_unique() {
         let s = VectorStream::with_similarity(1000, 0.75, 20);
-        assert_eq!(s.expected_unique(), 250);
+        // Each vector is fresh with probability 1 - similarity.
+        assert_eq!(s.num_vectors as f64 * (1.0 - s.similarity), 250.0);
         assert_eq!(s.num_vectors, 1000);
     }
 
@@ -216,9 +210,9 @@ mod tests {
         let s = VectorStream::with_similarity(4000, 0.6, 20);
         let ids = s.cluster_ids(&mut Rng::new(1));
         let distinct: std::collections::HashSet<usize> = ids.iter().copied().collect();
-        let expected = s.expected_unique();
+        let expected = s.num_vectors as f64 * (1.0 - s.similarity);
         assert!(
-            (distinct.len() as f64 - expected as f64).abs() < expected as f64 * 0.15,
+            (distinct.len() as f64 - expected).abs() < expected * 0.15,
             "distinct {} vs expected {expected}",
             distinct.len()
         );
